@@ -117,7 +117,10 @@ def _load_listing(path: str) -> tuple[dict, Path]:
     p = Path(path)
     if not p.exists():
         raise DatasetNotFound(str(p))
-    return json.loads(p.read_text()), p.parent
+    try:
+        return json.loads(p.read_text()), p.parent
+    except ValueError as exc:   # bad JSON or bad UTF-8
+        raise DegenerateInput(f"{p}: scene listing is not valid JSON ({exc})") from None
 
 
 def _cmd_sample(args) -> dict:

@@ -7,9 +7,27 @@ queries are how callers test "overlap deeper than r" without EPA.
 
 Hot callers pre-transform vertices once per configuration and use
 `gjk_world` / `GjkResult` directly; `gjk_distance` is the posed wrapper.
+
+Exact-arithmetic contract. Settled poses, and through them every pinned
+artifact byte, depend on each float this kernel computes, so a rewrite
+must repeat the same IEEE operations on the same operands:
+
+- Every dot product of two 3-vectors is a numpy `@` of float64 arrays.
+  numpy hands it to the BLAS dot, which may fuse the multiply-adds into
+  an FMA chain; a plain `x0*y0 + x1*y1 + x2*y2` then differs in the last
+  bit in about a third of cases.
+- The support step is `verts @ d`, one BLAS gemv per body. Gemv may sum
+  in another order than the vector dot, so dots are never batched into a
+  matrix product, and the two forms are never mixed for one quantity.
+- Element-wise work (differences, scaling, cross products, witness sums)
+  is correctly rounded either way and runs on Python floats, which costs
+  less than numpy's per-call dispatch on 3-vectors. Each expression keeps
+  numpy's evaluation order, e.g. `a + t * ab` rounds `t * ab` first.
+- Warm starts and extra exits change the iteration path, and so the bits.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -22,6 +40,7 @@ from .pose import Pose3
 _MAX_ITER = 128
 _EPS_ZERO = 1e-9          # |v| below this counts as touching
 _EPS_PROGRESS = 1e-12     # relative duality-gap termination
+_TETRA_FACES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 
 
 @dataclass(frozen=True)
@@ -32,88 +51,141 @@ class GjkResult:
     converged: bool
 
 
-def _closest_on_segment(a: np.ndarray, b: np.ndarray):
-    ab = b - a
+class _Simplex:
+    """Simplex vertices as arrays (for dots) and as floats (for element-wise
+    work), with each edge vector and negated vertex-edge dot computed at
+    most once: the faces of a tetrahedron share them."""
+
+    __slots__ = ("w", "wl", "_edges", "_dots")
+
+    def __init__(self, w: list[np.ndarray], wl: list[list[float]]):
+        self.w = w
+        self.wl = wl
+        self._edges: dict = {}
+        self._dots: dict = {}
+
+    def edge(self, i: int, j: int):
+        """w[j] - w[i], as an array and as floats."""
+        e = self._edges.get((i, j))
+        if e is None:
+            arr = self.w[j] - self.w[i]
+            e = self._edges[i, j] = (arr, arr.tolist())
+        return e
+
+    def ndot(self, k: int, i: int, j: int) -> float:
+        """-(w[k] @ (w[j] - w[i]))."""
+        x = self._dots.get((k, i, j))
+        if x is None:
+            x = self._dots[k, i, j] = -float(self.w[k] @ self.edge(i, j)[0])
+        return x
+
+
+def _along(p: list[float], t: float, e: list[float]) -> np.ndarray:
+    """p + t * e, rounded as numpy rounds it."""
+    return np.array([p[0] + t * e[0], p[1] + t * e[1], p[2] + t * e[2]])
+
+
+def _closest_on_segment(s: _Simplex):
+    a, b = s.w
+    ab, abl = s.edge(0, 1)
     denom = float(ab @ ab)
     if denom < 1e-30:
-        return a, np.array([1.0]), [0]
-    t = float(-(a @ ab) / denom)
+        return a, (1.0,), [0]
+    t = -float(a @ ab) / denom
     if t <= 0.0:
-        return a, np.array([1.0]), [0]
+        return a, (1.0,), [0]
     if t >= 1.0:
-        return b, np.array([1.0]), [1]
-    return a + t * ab, np.array([1.0 - t, t]), [0, 1]
+        return b, (1.0,), [1]
+    return _along(s.wl[0], t, abl), (1.0 - t, t), [0, 1]
 
 
-def _closest_on_triangle(a: np.ndarray, b: np.ndarray, c: np.ndarray):
-    # Ericson, Real-Time Collision Detection, 5.1.5 (query point = origin).
-    ab = b - a
-    ac = c - a
-    d1 = float(-(a @ ab))
-    d2 = float(-(a @ ac))
+def _closest_on_triangle(s: _Simplex, i: int, j: int, k: int):
+    # Ericson, Real-Time Collision Detection, 5.1.5 (query point = origin),
+    # on triangle (a, b, c) = (w[i], w[j], w[k]).
+    d1 = s.ndot(i, i, j)
+    d2 = s.ndot(i, i, k)
     if d1 <= 0.0 and d2 <= 0.0:
-        return a, np.array([1.0]), [0]
-    d3 = float(-(b @ ab))
-    d4 = float(-(b @ ac))
+        return s.w[i], (1.0,), [i]
+    d3 = s.ndot(j, i, j)
+    d4 = s.ndot(j, i, k)
     if d3 >= 0.0 and d4 <= d3:
-        return b, np.array([1.0]), [1]
+        return s.w[j], (1.0,), [j]
     vc = d1 * d4 - d3 * d2
     if vc <= 0.0 and d1 >= 0.0 and d3 <= 0.0:
         t = d1 / (d1 - d3)
-        return a + t * ab, np.array([1.0 - t, t]), [0, 1]
-    d5 = float(-(c @ ab))
-    d6 = float(-(c @ ac))
+        return _along(s.wl[i], t, s.edge(i, j)[1]), (1.0 - t, t), [i, j]
+    d5 = s.ndot(k, i, j)
+    d6 = s.ndot(k, i, k)
     if d6 >= 0.0 and d5 <= d6:
-        return c, np.array([1.0]), [2]
+        return s.w[k], (1.0,), [k]
     vb = d5 * d2 - d1 * d6
     if vb <= 0.0 and d2 >= 0.0 and d6 <= 0.0:
         t = d2 / (d2 - d6)
-        return a + t * ac, np.array([1.0 - t, t]), [0, 2]
+        return _along(s.wl[i], t, s.edge(i, k)[1]), (1.0 - t, t), [i, k]
     va = d3 * d6 - d5 * d4
     if va <= 0.0 and (d4 - d3) >= 0.0 and (d5 - d6) >= 0.0:
         t = (d4 - d3) / ((d4 - d3) + (d5 - d6))
-        return b + t * (c - b), np.array([1.0 - t, t]), [1, 2]
+        return _along(s.wl[j], t, s.edge(j, k)[1]), (1.0 - t, t), [j, k]
     denom = 1.0 / (va + vb + vc)
     v = vb * denom
     w = vc * denom
-    return a + ab * v + ac * w, np.array([1.0 - v - w, v, w]), [0, 1, 2]
+    a, ab, ac = s.wl[i], s.edge(i, j)[1], s.edge(i, k)[1]
+    p = [a[0] + ab[0] * v + ac[0] * w, a[1] + ab[1] * v + ac[1] * w,
+         a[2] + ab[2] * v + ac[2] * w]
+    return np.array(p), (1.0 - v - w, v, w), [i, j, k]
 
 
-def _origin_in_tetra(a, b, c, d) -> bool:
-    def same_side(p0, p1, p2, p3) -> bool:
-        n = np.cross(p1 - p0, p2 - p0)
-        return float(n @ (-p0)) * float(n @ (p3 - p0)) >= 0.0
+def _same_side(s: _Simplex, i: int, j: int, k: int, m: int) -> bool:
+    """True when the origin is not strictly on the other side of plane
+    (w[i], w[j], w[k]) from w[m]."""
+    u = s.edge(i, j)[1]
+    v = s.edge(i, k)[1]
+    n = np.array([u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                  u[0] * v[1] - u[1] * v[0]])
+    # n @ -w[i] would differ only in the sign of a zero, which the test ignores
+    return -float(n @ s.w[i]) * float(n @ s.edge(i, m)[0]) >= 0.0
 
-    return (same_side(a, b, c, d) and same_side(a, c, d, b)
-            and same_side(a, d, b, c) and same_side(b, d, c, a))
+
+def _origin_in_tetra(s: _Simplex) -> bool:
+    return (_same_side(s, 0, 1, 2, 3) and _same_side(s, 0, 2, 3, 1)
+            and _same_side(s, 0, 3, 1, 2) and _same_side(s, 1, 3, 2, 0))
 
 
-def _closest_on_simplex(w: list[np.ndarray]):
+def _closest_on_simplex(s: _Simplex):
     """Closest point of conv(w) to the origin: (point, lambdas, kept indices)."""
-    k = len(w)
+    k = len(s.w)
     if k == 1:
-        return w[0], np.array([1.0]), [0]
+        return s.w[0], (1.0,), [0]
     if k == 2:
-        return _closest_on_segment(w[0], w[1])
+        return _closest_on_segment(s)
     if k == 3:
-        return _closest_on_triangle(w[0], w[1], w[2])
-    if _origin_in_tetra(w[0], w[1], w[2], w[3]):
+        return _closest_on_triangle(s, 0, 1, 2)
+    if _origin_in_tetra(s):
         # Inside: distance zero. Recover lambdas for witness points.
-        mat = np.vstack([np.column_stack(w), np.ones(4)])
+        mat = np.vstack([np.column_stack(s.w), np.ones(4)])
         rhs = np.array([0.0, 0.0, 0.0, 1.0])
         lam, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
         lam = np.clip(lam, 0.0, None)
-        s = lam.sum()
-        lam = lam / s if s > 0 else np.full(4, 0.25)
+        total = lam.sum()
+        lam = lam / total if total > 0 else np.full(4, 0.25)
         return np.zeros(3), lam, [0, 1, 2, 3]
-    faces = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
     best = None
-    for f in faces:
-        p, lam, keep = _closest_on_triangle(w[f[0]], w[f[1]], w[f[2]])
+    for f in _TETRA_FACES:
+        p, lam, keep = _closest_on_triangle(s, *f)
         d2 = float(p @ p)
         if best is None or d2 < best[0]:
-            best = (d2, p, lam, [f[i] for i in keep])
+            best = (d2, p, lam, keep)
     return best[1], best[2], best[3]
+
+
+def _witness(lam, points: list[list[float]]) -> np.ndarray:
+    """sum(l * p), summed in the order numpy's `sum` of arrays would."""
+    return np.array([sum(l * p[c] for l, p in zip(lam, points)) for c in range(3)])
+
+
+def _result(distance: float, lam, simplex: list, converged: bool) -> GjkResult:
+    return GjkResult(distance, _witness(lam, [p[2] for p in simplex]),
+                     _witness(lam, [p[3] for p in simplex]), converged)
 
 
 def gjk_world(
@@ -131,66 +203,70 @@ def gjk_world(
     """
     va = np.asarray(verts_a, dtype=np.float64)
     vb = np.asarray(verts_b, dtype=np.float64)
-    d = va.mean(axis=0) - vb.mean(axis=0)
-    n = float(np.linalg.norm(d))
+    # the same floats as va.mean(axis=0) - vb.mean(axis=0)
+    d = va.sum(axis=0) / len(va) - vb.sum(axis=0) / len(vb)
+    n = math.sqrt(float(d @ d))
     d = d / n if n > 1e-12 else np.array([1.0, 0.0, 0.0])
+    rows_a = va.tolist()
+    rows_b = vb.tolist()
 
-    w_list: list[np.ndarray] = []
-    pa_list: list[np.ndarray] = []
-    pb_list: list[np.ndarray] = []
-    prev_norm = np.inf
+    # simplex points: (w = sa - sb as an array, w, sa, sb as floats)
+    simplex: list[tuple] = []
+    prev_norm = math.inf
     stalled = 0
 
-    for it in range(_MAX_ITER):
-        sa = va[int(np.argmax(va @ d))] - erosion_a * d
-        sb = vb[int(np.argmax(vb @ (-d)))] + erosion_b * d
-        w = sa - sb
+    for _ in range(_MAX_ITER):
+        dx, dy, dz = d.tolist()
+        ax, ay, az = rows_a[(va @ d).argmax()]
+        # argmin of vb @ d is argmax of vb @ -d: negation is exact
+        bx, by, bz = rows_b[(vb @ d).argmin()]
+        sa = [ax - erosion_a * dx, ay - erosion_a * dy, az - erosion_a * dz]
+        sb = [bx + erosion_b * dx, by + erosion_b * dy, bz + erosion_b * dz]
+        wl = [sa[0] - sb[0], sa[1] - sb[1], sa[2] - sb[2]]
+        w = np.array(wl)
 
-        if w_list:
-            v = -d * v_norm  # current closest point (d was set to -v/|v|)
+        if simplex:
+            # current closest point (d was set to -v/|v|)
+            v = np.array([-dx * v_norm, -dy * v_norm, -dz * v_norm])
             gap = v_norm * v_norm - float(v @ w)
             if gap <= max(_EPS_PROGRESS * v_norm, 1e-14):
-                lam_pa = sum(l * p for l, p in zip(lam, pa_list))
-                lam_pb = sum(l * p for l, p in zip(lam, pb_list))
-                return GjkResult(v_norm, lam_pa, lam_pb, True)
-            lower = -float(w @ d)
-            if max_distance is not None and lower > max_distance:
-                return GjkResult(lower, sa, sb, True)
-            if any(float(np.linalg.norm(w - q)) < 1e-12 for q in w_list):
-                lam_pa = sum(l * p for l, p in zip(lam, pa_list))
-                lam_pb = sum(l * p for l, p in zip(lam, pb_list))
-                return GjkResult(v_norm, lam_pa, lam_pb, True)
+                return _result(v_norm, lam, simplex, True)
+            if max_distance is not None:
+                lower = -float(w @ d)
+                if lower > max_distance:
+                    return GjkResult(lower, np.array(sa), np.array(sb), True)
+            for q in simplex:
+                # a duplicate (|w - q| < 1e-12) has every component below
+                # 2e-12, as a rounded sum of squares is no less than its
+                # largest rounded square; other points skip the dot
+                ql = q[1]
+                if (abs(wl[0] - ql[0]) < 2e-12 and abs(wl[1] - ql[1]) < 2e-12
+                        and abs(wl[2] - ql[2]) < 2e-12):
+                    e = w - q[0]
+                    if math.sqrt(float(e @ e)) < 1e-12:
+                        return _result(v_norm, lam, simplex, True)
 
-        w_list.append(w)
-        pa_list.append(sa)
-        pb_list.append(sb)
+        simplex.append((w, wl, sa, sb))
+        v, lam, keep = _closest_on_simplex(
+            _Simplex([p[0] for p in simplex], [p[1] for p in simplex]))
+        simplex = [simplex[i] for i in keep]
 
-        v, lam, keep = _closest_on_simplex(w_list)
-        w_list = [w_list[i] for i in keep]
-        pa_list = [pa_list[i] for i in keep]
-        pb_list = [pb_list[i] for i in keep]
-
-        v_norm = float(np.linalg.norm(v))
+        v_norm = math.sqrt(float(v @ v))
         if v_norm < _EPS_ZERO:
-            pa = sum(l * p for l, p in zip(lam, pa_list))
-            pb = sum(l * p for l, p in zip(lam, pb_list))
-            return GjkResult(0.0, pa, pb, True)
+            return _result(0.0, lam, simplex, True)
         # No measurable progress twice in a row: at the numerical optimum.
         if prev_norm - v_norm <= 1e-13 * max(1.0, v_norm):
             stalled += 1
             if stalled >= 2:
-                pa = sum(l * p for l, p in zip(lam, pa_list))
-                pb = sum(l * p for l, p in zip(lam, pb_list))
-                return GjkResult(v_norm, pa, pb, True)
+                return _result(v_norm, lam, simplex, True)
         else:
             stalled = 0
         prev_norm = v_norm
-        d = -v / v_norm
+        vx, vy, vz = v.tolist()
+        d = np.array([-vx / v_norm, -vy / v_norm, -vz / v_norm])
 
     warnings.warn("GJK hit the iteration cap; distance is best-effort", ConvergenceWarning)
-    pa = sum(l * p for l, p in zip(lam, pa_list))
-    pb = sum(l * p for l, p in zip(lam, pb_list))
-    return GjkResult(v_norm, pa, pb, False)
+    return _result(v_norm, lam, simplex, False)
 
 
 def gjk_query(

@@ -459,21 +459,29 @@ def save_net(net: QualityNet, path: str | Path) -> None:
 
 
 def load_net(path: str | Path) -> QualityNet:
+    """Read a `save_net` checkpoint. A file that ends early, has bytes left
+    over or has the wrong header raises DegenerateInput naming the path."""
     raw = Path(path).read_bytes()
-    if raw[:4] != _MAGIC:
+    offset = 0
+
+    def take(n: int) -> bytes:
+        nonlocal offset
+        if offset + n > len(raw):
+            raise DegenerateInput(f"{path}: checkpoint ends early, at byte {len(raw)}")
+        offset += n
+        return raw[offset - n:offset]
+
+    if take(4) != _MAGIC:
         raise DegenerateInput(f"{path}: bad checkpoint magic")
-    version, size = struct.unpack("<II", raw[4:12])
+    version, size = struct.unpack("<II", take(8))
     if version != _VERSION:
-        raise DegenerateInput(f"unsupported checkpoint version {version}")
-    offset = 12
+        raise DegenerateInput(f"{path}: unsupported checkpoint version {version}")
     params = []
     for _ in _PARAM_SHAPES:
-        (rank,) = struct.unpack("<I", raw[offset:offset + 4])
-        offset += 4
-        dims = struct.unpack(f"<{rank}I", raw[offset:offset + 4 * rank])
-        offset += 4 * rank
-        count = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(raw[offset:offset + 4 * count], dtype="<f4")
-        offset += 4 * count
+        (rank,) = struct.unpack("<I", take(4))
+        dims = struct.unpack(f"<{rank}I", take(4 * rank))
+        arr = np.frombuffer(take(4 * math.prod(dims)), dtype="<f4")
         params.append(arr.reshape(dims).copy())
+    if offset != len(raw):
+        raise DegenerateInput(f"{path}: {len(raw) - offset} bytes left over after the checkpoint")
     return QualityNet(size, params)

@@ -3,10 +3,17 @@
 Everything here is deliberately written from different math than the code
 under test: box distances come from separating axes plus brute-force
 feature enumeration, inside tests from crossing parity of a single ray.
+The one exception is `gjk_world_reference`, a frozen copy of the GJK
+kernel that the library's kernel must match bit for bit.
 """
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
+
+from graspforge.errors import ConvergenceWarning
+from graspforge.geometry import GjkResult
 
 
 def quat_from_rng(rng: np.random.Generator) -> np.ndarray:
@@ -146,3 +153,172 @@ def sample_interior_points(mesh_tris: np.ndarray, n: int,
         mask = points_inside_mesh(cand, mesh_tris, rng)
         out.append(cand[mask])
     return np.concatenate(out)[:n]
+
+
+# Frozen GJK kernel: keep its arithmetic exactly as is.
+_REF_MAX_ITER = 128
+_REF_EPS_ZERO = 1e-9          # |v| below this counts as touching
+_REF_EPS_PROGRESS = 1e-12     # relative duality-gap termination
+
+
+def _ref_closest_on_segment(a: np.ndarray, b: np.ndarray):
+    ab = b - a
+    denom = float(ab @ ab)
+    if denom < 1e-30:
+        return a, np.array([1.0]), [0]
+    t = float(-(a @ ab) / denom)
+    if t <= 0.0:
+        return a, np.array([1.0]), [0]
+    if t >= 1.0:
+        return b, np.array([1.0]), [1]
+    return a + t * ab, np.array([1.0 - t, t]), [0, 1]
+
+
+def _ref_closest_on_triangle(a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    # Ericson, Real-Time Collision Detection, 5.1.5 (query point = origin).
+    ab = b - a
+    ac = c - a
+    d1 = float(-(a @ ab))
+    d2 = float(-(a @ ac))
+    if d1 <= 0.0 and d2 <= 0.0:
+        return a, np.array([1.0]), [0]
+    d3 = float(-(b @ ab))
+    d4 = float(-(b @ ac))
+    if d3 >= 0.0 and d4 <= d3:
+        return b, np.array([1.0]), [1]
+    vc = d1 * d4 - d3 * d2
+    if vc <= 0.0 and d1 >= 0.0 and d3 <= 0.0:
+        t = d1 / (d1 - d3)
+        return a + t * ab, np.array([1.0 - t, t]), [0, 1]
+    d5 = float(-(c @ ab))
+    d6 = float(-(c @ ac))
+    if d6 >= 0.0 and d5 <= d6:
+        return c, np.array([1.0]), [2]
+    vb = d5 * d2 - d1 * d6
+    if vb <= 0.0 and d2 >= 0.0 and d6 <= 0.0:
+        t = d2 / (d2 - d6)
+        return a + t * ac, np.array([1.0 - t, t]), [0, 2]
+    va = d3 * d6 - d5 * d4
+    if va <= 0.0 and (d4 - d3) >= 0.0 and (d5 - d6) >= 0.0:
+        t = (d4 - d3) / ((d4 - d3) + (d5 - d6))
+        return b + t * (c - b), np.array([1.0 - t, t]), [1, 2]
+    denom = 1.0 / (va + vb + vc)
+    v = vb * denom
+    w = vc * denom
+    return a + ab * v + ac * w, np.array([1.0 - v - w, v, w]), [0, 1, 2]
+
+
+def _ref_origin_in_tetra(a, b, c, d) -> bool:
+    def same_side(p0, p1, p2, p3) -> bool:
+        n = np.cross(p1 - p0, p2 - p0)
+        return float(n @ (-p0)) * float(n @ (p3 - p0)) >= 0.0
+
+    return (same_side(a, b, c, d) and same_side(a, c, d, b)
+            and same_side(a, d, b, c) and same_side(b, d, c, a))
+
+
+def _ref_closest_on_simplex(w: list[np.ndarray]):
+    """Closest point of conv(w) to the origin: (point, lambdas, kept indices)."""
+    k = len(w)
+    if k == 1:
+        return w[0], np.array([1.0]), [0]
+    if k == 2:
+        return _ref_closest_on_segment(w[0], w[1])
+    if k == 3:
+        return _ref_closest_on_triangle(w[0], w[1], w[2])
+    if _ref_origin_in_tetra(w[0], w[1], w[2], w[3]):
+        # Inside: distance zero. Recover lambdas for witness points.
+        mat = np.vstack([np.column_stack(w), np.ones(4)])
+        rhs = np.array([0.0, 0.0, 0.0, 1.0])
+        lam, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
+        lam = np.clip(lam, 0.0, None)
+        s = lam.sum()
+        lam = lam / s if s > 0 else np.full(4, 0.25)
+        return np.zeros(3), lam, [0, 1, 2, 3]
+    faces = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+    best = None
+    for f in faces:
+        p, lam, keep = _ref_closest_on_triangle(w[f[0]], w[f[1]], w[f[2]])
+        d2 = float(p @ p)
+        if best is None or d2 < best[0]:
+            best = (d2, p, lam, [f[i] for i in keep])
+    return best[1], best[2], best[3]
+
+
+def gjk_world_reference(
+    verts_a: np.ndarray,
+    verts_b: np.ndarray,
+    erosion_a: float = 0.0,
+    erosion_b: float = 0.0,
+    max_distance: float | None = None,
+) -> GjkResult:
+    """The GJK kernel in its plain numpy form; `gjk_world` must return
+    the same bytes. Distance between conv(verts_a) and conv(verts_b),
+    already in one frame.
+
+    With max_distance set, returns early (converged, distance = proven lower
+    bound) as soon as separation by more than max_distance is certain; use it
+    for boolean "closer than r" queries.
+    """
+    va = np.asarray(verts_a, dtype=np.float64)
+    vb = np.asarray(verts_b, dtype=np.float64)
+    d = va.mean(axis=0) - vb.mean(axis=0)
+    n = float(np.linalg.norm(d))
+    d = d / n if n > 1e-12 else np.array([1.0, 0.0, 0.0])
+
+    w_list: list[np.ndarray] = []
+    pa_list: list[np.ndarray] = []
+    pb_list: list[np.ndarray] = []
+    prev_norm = np.inf
+    stalled = 0
+
+    for it in range(_REF_MAX_ITER):
+        sa = va[int(np.argmax(va @ d))] - erosion_a * d
+        sb = vb[int(np.argmax(vb @ (-d)))] + erosion_b * d
+        w = sa - sb
+
+        if w_list:
+            v = -d * v_norm  # current closest point (d was set to -v/|v|)
+            gap = v_norm * v_norm - float(v @ w)
+            if gap <= max(_REF_EPS_PROGRESS * v_norm, 1e-14):
+                lam_pa = sum(l * p for l, p in zip(lam, pa_list))
+                lam_pb = sum(l * p for l, p in zip(lam, pb_list))
+                return GjkResult(v_norm, lam_pa, lam_pb, True)
+            lower = -float(w @ d)
+            if max_distance is not None and lower > max_distance:
+                return GjkResult(lower, sa, sb, True)
+            if any(float(np.linalg.norm(w - q)) < 1e-12 for q in w_list):
+                lam_pa = sum(l * p for l, p in zip(lam, pa_list))
+                lam_pb = sum(l * p for l, p in zip(lam, pb_list))
+                return GjkResult(v_norm, lam_pa, lam_pb, True)
+
+        w_list.append(w)
+        pa_list.append(sa)
+        pb_list.append(sb)
+
+        v, lam, keep = _ref_closest_on_simplex(w_list)
+        w_list = [w_list[i] for i in keep]
+        pa_list = [pa_list[i] for i in keep]
+        pb_list = [pb_list[i] for i in keep]
+
+        v_norm = float(np.linalg.norm(v))
+        if v_norm < _REF_EPS_ZERO:
+            pa = sum(l * p for l, p in zip(lam, pa_list))
+            pb = sum(l * p for l, p in zip(lam, pb_list))
+            return GjkResult(0.0, pa, pb, True)
+        # No measurable progress twice in a row: at the numerical optimum.
+        if prev_norm - v_norm <= 1e-13 * max(1.0, v_norm):
+            stalled += 1
+            if stalled >= 2:
+                pa = sum(l * p for l, p in zip(lam, pa_list))
+                pb = sum(l * p for l, p in zip(lam, pb_list))
+                return GjkResult(v_norm, pa, pb, True)
+        else:
+            stalled = 0
+        prev_norm = v_norm
+        d = -v / v_norm
+
+    warnings.warn("GJK hit the iteration cap; distance is best-effort", ConvergenceWarning)
+    pa = sum(l * p for l, p in zip(lam, pa_list))
+    pb = sum(l * p for l, p in zip(lam, pb_list))
+    return GjkResult(v_norm, pa, pb, False)

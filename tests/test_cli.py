@@ -8,6 +8,7 @@ import pytest
 from graspforge.cli import dispatch
 from graspforge.depthproc import Patch
 from graspforge.geometry import box_mesh, save_obj
+from graspforge.model import QualityNet, save_net
 from graspforge.simlab import DatasetConfig, generate_dataset, write_dataset
 
 # small enough to keep the staged chain quick, deliberately the same draws
@@ -84,6 +85,28 @@ class TestErrors:
         rc, out = run(capsys, "sample", "--scenes", str(tmp_path / "none.json"))
         assert rc == 1
         assert out["error"] == "DatasetNotFound"
+
+    def test_malformed_scene_listing(self, capsys, tmp_path):
+        listing = tmp_path / "scenes.json"
+        listing.write_text('{"scenes": [')
+        rc, out = run(capsys, "sample", "--scenes", str(listing))
+        assert rc == 1
+        assert out["error"] == "DegenerateInput"
+        assert str(listing) in out["detail"]
+
+    def test_truncated_or_padded_checkpoint(self, capsys, tmp_path):
+        good = tmp_path / "good.gfqn"
+        save_net(QualityNet.zeros(16), good)
+        raw = good.read_bytes()
+        damaged = [raw[:n] for n in (0, 3, 20, 100, len(raw) // 2, len(raw) - 3)]
+        damaged.append(raw + b"\0\0\0")
+        for i, data in enumerate(damaged):
+            net = tmp_path / f"bad{i}.gfqn"
+            net.write_bytes(data)
+            rc, out = run(capsys, "evaluate", "--policy", "cgcnn", "--net", str(net))
+            assert rc == 1, len(data)
+            assert out["error"] == "DegenerateInput"
+            assert str(net) in out["detail"]
 
     def test_bad_config_value_is_domain_error(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

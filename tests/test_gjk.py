@@ -132,3 +132,127 @@ class TestRandomHulls:
                 va = rng.normal(size=(12, 3))
                 vb = rng.normal(size=(12, 3)) + rng.uniform(-2, 2, size=3)
                 gjk_world(va, vb)
+
+
+def _flat(v):
+    """Vertices flattened onto z = 0, as scene._xy_distance queries them."""
+    return np.column_stack([v[:, :2], np.zeros(len(v))])
+
+
+def _touching(rng, va, vb):
+    """vb moved along a random axis until its hull touches va's hull."""
+    u = rng.normal(size=3)
+    u /= np.linalg.norm(u)
+    return vb + ((va @ u).max() - (vb @ u).min()) * u
+
+
+def _tube(rng, lift):
+    """A cable-like piece: two 12-gon rings of radius 2 around a random
+    8-unit axis, lowest vertex `lift` above z = 0."""
+    axis = rng.normal(size=3)
+    axis[2] *= 0.3
+    axis /= np.linalg.norm(axis)
+    u = np.cross(axis, [0.0, 0.0, 1.0])
+    u /= np.linalg.norm(u)
+    ring = np.array([2.0 * (np.cos(t) * u + np.sin(t) * np.cross(axis, u))
+                     for t in np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)])
+    center = rng.uniform(-20.0, 20.0, size=3)
+    v = np.concatenate([ring + center, ring + center + 8.0 * axis])
+    return v + np.array([0.0, 0.0, lift - v[:, 2].min()])
+
+
+def _bit_identity_cases():
+    """Seeded (verts_a, verts_b, erosion_a, erosion_b, max_distance) cases."""
+    rng = np.random.default_rng(2402)
+    box = box_mesh(np.zeros(3), (0.5, 0.5, 0.5)).vertices
+    floor = box_mesh(np.array([0.0, 0.0, -4.0]), (108.0, 83.0, 4.0)).vertices
+    cases = []
+    for _ in range(40):
+        # the settling loop's queries: a piece over the bin floor, and a
+        # piece against a piece resting on it
+        tube = _tube(rng, rng.uniform(0.0, 0.05))
+        other = _tube(rng, rng.uniform(0.0, 4.0))
+        resting = _tube(rng, 0.0)
+        far = 10.0 ** rng.uniform(3.0, 5.0) * rng.normal(size=3)
+        cases += [
+            (tube, floor, 0.0, 0.0, 0.025),
+            (floor, tube, 0.0, 0.0, None),
+            (resting, floor, 0.0, 0.0, None),
+            (floor, resting, 0.0, 0.0, None),
+            (tube, other, 0.0, 0.0, None),
+            (tube, _touching(rng, tube, other), 0.0, 0.0, 1.0),
+            # far apart: the gap test and ties between parallel faces
+            # then turn on single ulps
+            (tube + far, other, 0.0, 0.0, None),
+            (other, tube + far, 0.0, 0.0, None),
+            (box + far, box, 0.0, 0.0, None),
+            (floor, tube + np.array([0.0, 0.0, far[2]]), 0.0, 0.0, None),
+        ]
+    for _ in range(40):
+        va = rng.normal(size=(rng.integers(4, 30), 3))
+        vb = rng.normal(size=(rng.integers(4, 30), 3))
+        off = rng.normal(size=3)
+        cases += [
+            (va, vb + 6.0 * off, 0.0, 0.0, None),                 # separated
+            (va, _touching(rng, va, vb), 0.0, 0.0, None),        # touching
+            (va, vb + 0.3 * off, 0.0, 0.0, None),                # overlapping
+            (va[:1], vb + off, 0.0, 0.0, None),                  # point vs hull
+            (_flat(va), _flat(vb + 2.0 * off), 0.0, 0.0, 0.2),   # z = 0 pair
+            (va, vb + 2.0 * off, 0.1, 0.05, None),               # eroded
+            (va, vb + 8.0 * off, 0.0, 0.0, 1.0),                 # max_distance hit
+            (va, vb + 2.0 * off, 0.0, 0.0, 50.0),                # max_distance missed
+            (np.repeat(va[:3], 3, axis=0), vb + off, 0.0, 0.0, None),  # duplicates
+        ]
+        rot = oracles.quat_matrix(oracles.quat_from_rng(rng))
+        cases += [
+            (box, box @ rot.T + rng.uniform(-1.5, 1.5, size=3), 0.0, 0.0, None),
+            (box, _touching(rng, box, box @ rot.T), 0.0, 0.0, None),
+            (box, box + np.array([1.0, rng.uniform(-0.5, 0.5), 0.0]), 0.0, 0.0, None),
+            (box, box.copy(), 0.0, 0.0, None),
+        ]
+    # Rotated boxes face to face, touching or far apart. A dot that only
+    # decides a comparison (support vertex, face choice, inside test, gap
+    # test) changes the result only when its operands are within an ulp of
+    # a tie; parallel faces make such ties common.
+    for _ in range(300):
+        rot = oracles.quat_matrix(oracles.quat_from_rng(rng))
+        turned = box @ rot.T
+        slide = rot[:, 1] * rng.uniform(-0.5, 0.5)
+        cases += [
+            (turned + rot[:, 0] + slide + rot[:, 2] * rng.uniform(-0.5, 0.5), turned,
+             0.0, 0.0, None),
+            # sliding along one face axis only keeps vertex pairs tied
+            (turned + 10.0 ** rng.uniform(3.0, 5.0) * rot[:, 0] + slide, turned,
+             0.0, 0.0, None),
+        ]
+    return cases
+
+
+class TestBitIdentity:
+    """gjk_world must repeat the reference kernel's floats exactly: settled
+    poses, and with them the pinned artifact bytes, depend on every bit."""
+
+    @staticmethod
+    def _fingerprint(r):
+        return (np.float64(r.distance).tobytes(), r.converged,
+                r.point_a.dtype, r.point_a.tobytes(), r.point_b.dtype, r.point_b.tobytes())
+
+    def test_matches_reference_kernel(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            for i, case in enumerate(_bit_identity_cases()):
+                want = self._fingerprint(oracles.gjk_world_reference(*case))
+                assert self._fingerprint(gjk_world(*case)) == want, f"case {i}"
+
+    def test_cap_hit_warns_like_reference(self):
+        # a NaN vertex defeats every termination test, so both kernels run
+        # to the iteration cap
+        va = np.random.default_rng(4).normal(size=(8, 3))
+        vb = va + 3.0
+        vb[2, 1] = np.nan
+        with pytest.warns(ConvergenceWarning):
+            want = oracles.gjk_world_reference(va, vb)
+        with pytest.warns(ConvergenceWarning):
+            got = gjk_world(va, vb)
+        assert not got.converged
+        assert self._fingerprint(got) == self._fingerprint(want)
