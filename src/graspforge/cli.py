@@ -4,6 +4,10 @@ training, evaluation, and report plots.
 Every subcommand reads the shared run configuration (file plus flag
 overrides), writes its outputs atomically, and prints a one-line JSON
 summary. Exit codes: 0 success, 1 domain error, 2 usage error.
+
+make-scenes, sample and label run `simlab`'s scene stages one stage at a
+time and only read and write their files; evaluate runs the same stages
+on `RunConfig.eval_config()`, the scene settings of its trials.
 """
 
 from __future__ import annotations
@@ -16,21 +20,16 @@ from dataclasses import fields
 from pathlib import Path
 
 from .config import RunConfig, load_run_config
-from .depthproc import add_noise, patch_from_record, record_bytes
 from .errors import (DatasetNotFound, DegenerateInput, GraspForgeError,
                      NoCandidates, Overfilled)
+from .fileio import atomic_write
 from .geometry import decompose, load_obj, save_decomposition
 from .model import load_net, save_net, train, write_metrics
 from .policy import evaluate_policy, report_dict, write_stats
-from .sampler import GraspPose, SamplerConfig, sample_grasps
-from .scene import load_scene, render_depth, save_scene, settle_scene
-from .simlab import execute_grasp, load_dataset, scene_plan, write_dataset
-
-
-def _atomic_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+from .scene import load_scene, save_scene
+from .simlab import (CANDIDATE_KEYS, candidate_rows, label_row, load_dataset,
+                     read_records, require_keys, sample_scene, scene_plan,
+                     settle_plan, write_dataset, write_records)
 
 
 def _emit(summary: dict) -> None:
@@ -52,20 +51,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _run_config(args) -> RunConfig:
-    overrides = {}
-    for f in fields(RunConfig):
-        raw = getattr(args, f.name, None)
-        if raw is None:
-            continue
-        if f.type == "bool":
-            overrides[f.name] = raw == "true"
-        elif f.type == "int":
-            overrides[f.name] = int(raw)
-        elif f.type == "float":
-            overrides[f.name] = float(raw)
-        else:
-            overrides[f.name] = raw
-    return load_run_config(args.config, overrides)
+    return load_run_config(args.config, {f.name: getattr(args, f.name)
+                                         for f in fields(RunConfig)})
 
 
 # ---------------------------------------------------------------------------
@@ -90,14 +77,12 @@ def _cmd_make_scenes(args) -> dict:
     run = _run_config(args)
     cfg = run.dataset_config()
     out_dir = Path(args.out or run.dataset_dir) / "scenes"
-    out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     skipped = {"overfilled": 0}
     for i in range(cfg.scene_count):
         plan = scene_plan(cfg, run.master_seed, i)
         try:
-            scene = settle_scene(cfg.bin, [cfg.cable] * plan["cable_count"],
-                                 plan["scene_seed"])
+            scene = settle_plan(cfg, plan)
         except Overfilled:
             skipped["overfilled"] += 1
             continue
@@ -108,29 +93,36 @@ def _cmd_make_scenes(args) -> dict:
     listing = {"master_seed": run.master_seed, "scene_count": cfg.scene_count,
                "skipped": skipped, "scenes": entries}
     listing_path = out_dir / "scenes.json"
-    _atomic_text(listing_path, json.dumps(listing, indent=2, sort_keys=True) + "\n")
+    atomic_write(listing_path, json.dumps(listing, indent=2, sort_keys=True) + "\n")
     return {"command": "make-scenes", "scenes": len(entries),
             "skipped": skipped["overfilled"], "listing": str(listing_path)}
 
 
 def _load_listing(path: str) -> tuple[dict, Path]:
+    """A make-scenes listing and its directory; a missing file raises
+    DatasetNotFound, anything else unusable DegenerateInput naming it."""
     p = Path(path)
     if not p.exists():
         raise DatasetNotFound(str(p))
     try:
-        return json.loads(p.read_text()), p.parent
+        listing = json.loads(p.read_text())
     except ValueError as exc:   # bad JSON or bad UTF-8
         raise DegenerateInput(f"{p}: scene listing is not valid JSON ({exc})") from None
+    require_keys(listing, ("master_seed", "scene_count", "skipped", "scenes"), str(p))
+    require_keys(listing["skipped"], ("overfilled",), f"{p}: skipped")
+    if not isinstance(listing["scenes"], list):
+        raise DegenerateInput(f"{p}: scenes must be a list")
+    for entry in listing["scenes"]:
+        require_keys(entry, ("index", "manifest", "scene_seed", "cable_count", "f"),
+                     f"{p}: scene entry")
+    return listing, p.parent
 
 
 def _cmd_sample(args) -> dict:
     run = _run_config(args)
     cfg = run.dataset_config()
     listing, base = _load_listing(args.scenes)
-    out_dir = Path(args.out or run.dataset_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    blob = bytearray()
-    lines = []
+    rows = []
     no_candidates = 0
     for entry in listing["scenes"]:
         # re-derive the per-scene stream; the listing must agree or the
@@ -140,38 +132,13 @@ def _cmd_sample(args) -> dict:
             raise DegenerateInput(
                 "scene listing does not match the active configuration")
         scene = load_scene(str(base / entry["manifest"]))
-        img, _ = render_depth(scene, cfg.camera)
-        scfg = SamplerConfig(n=cfg.grasps_per_scene, f=plan["f"],
-                             patch_size=cfg.patch_size,
-                             camera_height=cfg.camera.height)
-        rng = plan["rng"]
-        cands = None
-        for _ in range(cfg.resample_attempts):
-            noisy = add_noise(img, rng, cfg.gauss_sigma, cfg.salt_pepper_frac)
-            try:
-                cands = sample_grasps(noisy, scfg, rng)
-                break
-            except NoCandidates:
-                continue
-        if cands is None:
+        try:
+            rows += candidate_rows(entry["index"], sample_scene(cfg, scene, plan))
+        except NoCandidates:
             no_candidates += 1
-            continue
-        for j, (pose, _, patch) in enumerate(cands):
-            row = {"scene_index": entry["index"], "candidate_index": j,
-                   "x": pose.x, "y": pose.y, "z": pose.z,
-                   "theta": pose.theta, "w": pose.w,
-                   "patch_offset": len(blob), "patch_size_px": patch.size}
-            blob += record_bytes(patch)
-            lines.append(json.dumps(row, sort_keys=True))
-    stem = args.stem
-    blob_path = out_dir / f"{stem}.blob"
-    idx_path = out_dir / f"{stem}.idx"
-    tmp = blob_path.with_name(blob_path.name + ".tmp")
-    tmp.write_bytes(bytes(blob))
-    os.replace(tmp, blob_path)
-    _atomic_text(idx_path, "\n".join(lines) + "\n" if lines else "")
+    idx_path = write_records(rows, args.out or run.dataset_dir, args.stem)
     return {"command": "sample", "scenes": len(listing["scenes"]),
-            "candidates": len(lines), "no_candidates": no_candidates,
+            "candidates": len(rows), "no_candidates": no_candidates,
             "index": str(idx_path)}
 
 
@@ -179,45 +146,22 @@ def _cmd_label(args) -> dict:
     run = _run_config(args)
     cfg = run.dataset_config()
     listing, base = _load_listing(args.scenes)
-    idx_path = Path(args.candidates)
-    if not idx_path.exists():
-        raise DatasetNotFound(str(idx_path))
-    blob = idx_path.with_suffix(".blob").read_bytes()
     by_scene: dict[int, list] = {}
-    for line in idx_path.read_text().splitlines():
-        if line.strip():
-            row = json.loads(line)
-            by_scene.setdefault(row["scene_index"], []).append(row)
+    for cand in read_records(args.candidates, CANDIDATE_KEYS):
+        by_scene.setdefault(cand["scene_index"], []).append(cand)
     entries = {e["index"]: e for e in listing["scenes"]}
     rows = []
-    for index, cand_rows in sorted(by_scene.items()):
+    for index, cands in sorted(by_scene.items()):
         entry = entries.get(index)
         if entry is None:
             raise DegenerateInput(f"candidates reference unknown scene {index}")
         scene = load_scene(str(base / entry["manifest"]))
-        for crow in cand_rows:
-            pose = GraspPose(x=crow["x"], y=crow["y"], z=crow["z"],
-                             theta=crow["theta"], w=crow["w"])
-            out = execute_grasp(scene, pose, cfg.gripper, entry["f"])
-            rows.append({
-                "scene_index": index,
-                "candidate_index": crow["candidate_index"],
-                "patch": patch_from_record(blob, crow["patch_offset"]),
-                "label": out.label,
-                "reason": out.failure_reason,
-                "contacted_ids": sorted(out.contacted_ids),
-                "scene_seed": entry["scene_seed"],
-                "cable_count": entry["cable_count"],
-                "f": entry["f"],
-                "pose": {"x": pose.x, "y": pose.y, "z": pose.z,
-                         "theta": pose.theta, "w": pose.w},
-            })
-    sampled_scenes = {r["scene_index"] for r in rows}
-    skips = {"overfilled": listing["skipped"].get("overfilled", 0),
-             "no_candidates": len(listing["scenes"]) - len(sampled_scenes)}
-    out_dir = args.out or run.dataset_dir
+        rows += [label_row(cfg, scene, entry, cand) for cand in cands]
+    skips = {"overfilled": listing["skipped"]["overfilled"],
+             "no_candidates": len(listing["scenes"]) - len(by_scene)}
     index_path = write_dataset(rows, skips, listing["scene_count"],
-                               listing["master_seed"], out_dir, args.stem)
+                               listing["master_seed"], args.out or run.dataset_dir,
+                               args.stem)
     positives = sum(r["label"] for r in rows)
     return {"command": "label", "samples": len(rows), "positives": positives,
             "index": str(index_path)}
@@ -228,15 +172,10 @@ def _cmd_train(args) -> dict:
     dataset = load_dataset(args.dataset)
     result = train(dataset, run.train_config())
     out_dir = Path(args.out or run.checkpoint_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     net_path = out_dir / f"{args.stem}.gfqn"
-    tmp = net_path.with_name(net_path.name + ".tmp")
-    save_net(result.net, tmp)
-    os.replace(tmp, net_path)
+    save_net(result.net, net_path)
     metrics_path = out_dir / f"{args.stem}_metrics.csv"
-    tmp = metrics_path.with_name(metrics_path.name + ".tmp")
-    write_metrics(result.history, tmp)
-    os.replace(tmp, metrics_path)
+    write_metrics(result.history, metrics_path)
     return {"command": "train", "samples": len(dataset),
             "epochs": len(result.history), "best_epoch": result.best_epoch,
             "best_val_acc": result.best_val_acc,
@@ -249,7 +188,6 @@ def _cmd_evaluate(args) -> dict:
     net = load_net(args.net) if args.net else None
     report = evaluate_policy(policy, net, run.eval_config(), run.master_seed)
     out_dir = Path(args.out or run.report_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / f"{args.stem}_{policy.kind}.json"
     csv_path = out_dir / f"{args.stem}_{policy.kind}.csv"
     write_stats(report, json_path, csv_path)
@@ -333,7 +271,6 @@ def _line_chart_svg(title: str, series: list[tuple[str, list[float]]]) -> str:
 def _cmd_report(args) -> dict:
     run = _run_config(args)
     out_dir = Path(args.out or run.report_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     figures = []
     for stats_path in args.stats or []:
         p = Path(stats_path)
@@ -346,7 +283,7 @@ def _cmd_report(args) -> dict:
         svg = _bar_chart_svg(f"success rate by cable count "
                              f"({stats['policy']})", pairs)
         fig = out_dir / f"{p.stem}_by_count.svg"
-        _atomic_text(fig, svg)
+        atomic_write(fig, svg)
         figures.append(str(fig))
     if args.metrics:
         p = Path(args.metrics)
@@ -358,7 +295,7 @@ def _cmd_report(args) -> dict:
         svg = _line_chart_svg("training curves",
                               [("train loss", losses), ("val acc", accs)])
         fig = out_dir / f"{p.stem}_curve.svg"
-        _atomic_text(fig, svg)
+        atomic_write(fig, svg)
         figures.append(str(fig))
     return {"command": "report", "figures": figures}
 
@@ -376,7 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="split a mesh into convex pieces")
     p.add_argument("--mesh", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--tol", dest="decompose_tol", default=None)
     _add_config_flags(p)
     p.set_defaults(func=_cmd_decompose)
 

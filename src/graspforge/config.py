@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .errors import DegenerateInput
 from .model import TrainConfig
-from .policy import EvalConfig, PolicyConfig
+from .policy import PolicyConfig
 from .simlab import DatasetConfig
 
 ENV_VAR = "GRASPFORGE_CONFIG"
@@ -57,23 +57,10 @@ class RunConfig:
     eval_cable_min: int = 5
     eval_cable_max: int = 15
     candidates_per_scene: int = 25
-    # worker cap for stages that could fan out
-    jobs: int = 1
-
-    def __post_init__(self):
-        if self.jobs < 1:
-            raise DegenerateInput("jobs must be >= 1")
 
     def dataset_config(self) -> DatasetConfig:
-        return DatasetConfig(
-            scene_count=self.scene_count,
-            cable_count_range=(self.cable_count_min, self.cable_count_max),
-            grasps_per_scene=self.grasps_per_scene,
-            friction_range=(self.friction_min, self.friction_max),
-            gauss_sigma=self.gauss_sigma,
-            salt_pepper_frac=self.salt_pepper_frac,
-            patch_size=self.patch_size,
-            resample_attempts=self.resample_attempts)
+        return self._scenes(self.scene_count, (self.cable_count_min, self.cable_count_max),
+                            self.grasps_per_scene)
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(
@@ -81,11 +68,14 @@ class RunConfig:
             val_fraction=self.val_fraction, augment=self.augment,
             seed=self.train_seed)
 
-    def eval_config(self) -> EvalConfig:
-        return EvalConfig(
-            trials=self.trials,
-            cable_count_range=(self.eval_cable_min, self.eval_cable_max),
-            candidates_per_scene=self.candidates_per_scene,
+    def eval_config(self) -> DatasetConfig:
+        """Scene settings of the evaluation trials, one scene per trial."""
+        return self._scenes(self.trials, (self.eval_cable_min, self.eval_cable_max),
+                            self.candidates_per_scene)
+
+    def _scenes(self, count: int, cables: tuple[int, int], grasps: int) -> DatasetConfig:
+        return DatasetConfig(
+            scene_count=count, cable_count_range=cables, grasps_per_scene=grasps,
             friction_range=(self.friction_min, self.friction_max),
             gauss_sigma=self.gauss_sigma,
             salt_pepper_frac=self.salt_pepper_frac,
@@ -139,6 +129,8 @@ def load_run_config(path: str | Path | None = None,
     """Defaults, then the config file, then explicit overrides.
 
     With no path, GRASPFORGE_CONFIG names the file; unset means defaults.
+    A string override (a command-line flag) is parsed like a file value, and
+    a None override is skipped.
     """
     if path is None:
         path = os.environ.get(ENV_VAR) or None
@@ -152,7 +144,7 @@ def load_run_config(path: str | Path | None = None,
         if key not in _FIELD_TYPES:
             raise DegenerateInput(f"unknown config key {key!r}")
         if val is not None:
-            values[key] = val
+            values[key] = _coerce(key, val) if isinstance(val, str) else val
     return RunConfig(**values)
 
 

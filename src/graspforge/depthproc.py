@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import map_coordinates
@@ -90,38 +89,21 @@ def record_bytes(img: DepthImage | Patch) -> bytes:
 
 
 def patch_from_record(buf: bytes, offset: int = 0) -> Patch:
-    """Parse the record starting at `offset` inside a blob."""
+    """Parse the record starting at `offset` inside a blob. An offset
+    outside the blob, a bad magic, or a header or payload that runs past
+    the blob's end raises DegenerateInput."""
+    if type(offset) is not int or not 0 <= offset <= len(buf) - 16:
+        raise DegenerateInput(f"record at offset {offset!r}: no 16-byte header in "
+                              f"a blob of {len(buf)} bytes")
     if buf[offset:offset + 4] != _MAGIC:
         raise DegenerateInput(f"record at offset {offset}: bad magic")
     w, h, pitch = struct.unpack("<IIf", buf[offset + 4:offset + 16])
     start = offset + 16
+    if start + 4 * w * h > len(buf):
+        raise DegenerateInput(f"record at offset {offset}: {w}x{h} samples run past "
+                              f"the blob's end at byte {len(buf)}")
     data = np.frombuffer(buf[start:start + 4 * w * h], dtype="<f4").reshape(h, w)
     return Patch(data=data.copy(), pitch=float(pitch))
-
-
-def save_depth(img: DepthImage | Patch, path: str | Path) -> None:
-    Path(path).write_bytes(record_bytes(img))
-
-
-def _load_raw(path: str | Path) -> tuple[np.ndarray, float]:
-    raw = Path(path).read_bytes()
-    if raw[:4] != _MAGIC:
-        raise DegenerateInput(f"{path}: bad magic")
-    w, h, pitch = struct.unpack("<IIf", raw[4:16])
-    data = np.frombuffer(raw[16:16 + 4 * w * h], dtype="<f4").reshape(h, w)
-    return data.copy(), float(pitch)
-
-
-def load_depth(path: str | Path) -> DepthImage:
-    data, pitch = _load_raw(path)
-    return DepthImage(data=data, pitch=pitch)
-
-
-def load_patch(path: str | Path) -> Patch:
-    """Same container as load_depth but without the >= 0 depth invariant
-    (patches are recentered around the grasp depth)."""
-    data, pitch = _load_raw(path)
-    return Patch(data=data, pitch=pitch)
 
 
 def downsample(img: DepthImage, factor: int = 1) -> DepthImage:

@@ -50,7 +50,7 @@ class Empty(GraspForgeError):
 
 
 class DatasetNotFound(GraspForgeError):
-    """Dataset index file does not exist."""
+    """An input file (dataset, candidates, scene listing, checkpoint) does not exist."""
 
 
 class ConvergenceWarning(RuntimeWarning):

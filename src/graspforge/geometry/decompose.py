@@ -19,6 +19,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from ..errors import DegenerateInput, EmptyShape
+from ..fileio import atomic_write
 from .hull import ConvexPiece, convex_hull
 from .mesh import TriMesh, save_obj
 from .voxel import VoxelGrid, voxelize
@@ -136,7 +137,6 @@ def piece_to_mesh(piece: ConvexPiece) -> TriMesh:
 
 def save_decomposition(result: DecompositionResult, out_dir: str, stem: str) -> str:
     """Write one OBJ per piece plus a JSON manifest; returns manifest path."""
-    os.makedirs(out_dir, exist_ok=True)
     entries = []
     for i, (piece, conc) in enumerate(zip(result.pieces, result.concavities)):
         name = f"{stem}_piece{i:02d}.obj"
@@ -153,9 +153,5 @@ def save_decomposition(result: DecompositionResult, out_dir: str, stem: str) -> 
         "pieces": entries,
     }
     path = os.path.join(out_dir, f"{stem}_decomposition.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import DegenerateInput
+from ..fileio import atomic_write
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ def save_obj(mesh: TriMesh, path: str | Path) -> None:
         lines.append(f"v {float(x)!r} {float(y)!r} {float(z)!r}")
     for a, b, c in mesh.faces:
         lines.append(f"f {a + 1} {b + 1} {c + 1}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def box_mesh(center, half_extents) -> TriMesh:

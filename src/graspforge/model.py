@@ -14,6 +14,7 @@ weights from the label distribution, on a stratified split, with optional
 from __future__ import annotations
 
 import csv
+import io
 import math
 import struct
 from dataclasses import dataclass, field
@@ -23,7 +24,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .depthproc import Patch
-from .errors import DegenerateInput, ShapeMismatch, SingleClass
+from .errors import DatasetNotFound, DegenerateInput, ShapeMismatch, SingleClass
+from .fileio import atomic_write
 from .simlab import ClassWeights, GraspSample, class_weights
 
 _MAGIC = b"GFQN"
@@ -266,12 +268,16 @@ def gradients(net: QualityNet, batch, phi: ClassWeights) -> list:
     if len(x) == 0:
         raise DegenerateInput("batch must be nonempty")
     logits, cache = _forward_batch(net, x)
-    q = _sigmoid(logits)
+    return _backward_batch(_dlogits(_sigmoid(logits), y, phi), cache)
+
+
+def _dlogits(q: np.ndarray, y: np.ndarray, phi: ClassWeights) -> np.ndarray:
+    """Gradient of the mean weighted loss with respect to the logits, given
+    the batch's predictions q."""
     w = np.where(y == 1, phi[1], phi[0])
     # the clamp zeroes the gradient once a prediction saturates past it
     live = (q > _EPS_CLAMP) & (q < 1.0 - _EPS_CLAMP)
-    dlogits = w * (q - y) * live / len(y)
-    return _backward_batch(dlogits, cache)
+    return w * (q - y) * live / len(y)
 
 
 @dataclass(frozen=True)
@@ -340,7 +346,7 @@ def _flip_patch(patch: Patch, horizontal: bool, vertical: bool) -> Patch:
     return Patch(data=np.ascontiguousarray(data), pitch=patch.pitch)
 
 
-def augment(sample: GraspSample, rng=None) -> list:
+def augment(sample: GraspSample) -> list:
     """Original plus horizontal, vertical, and double flip; a parallel-jaw
     grasp is symmetric under all four, so labels carry over unchanged."""
     return [sample] + [
@@ -359,14 +365,16 @@ class TrainResult:
 
 
 def write_metrics(history: list, path: str | Path) -> None:
-    """Metric log as CSV: epoch, train_loss, val_acc, val_prec, val_rec."""
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["epoch", "train_loss", "val_acc", "val_prec", "val_rec"])
-        for row in history:
-            out.writerow([row["epoch"], f"{row['train_loss']:.6f}",
-                          f"{row['val_acc']:.4f}", f"{row['val_prec']:.4f}",
-                          f"{row['val_rec']:.4f}"])
+    """Metric log as CSV: epoch, train_loss, val_acc, val_prec, val_rec;
+    written atomically."""
+    text = io.StringIO()
+    out = csv.writer(text)
+    out.writerow(["epoch", "train_loss", "val_acc", "val_prec", "val_rec"])
+    for row in history:
+        out.writerow([row["epoch"], f"{row['train_loss']:.6f}",
+                      f"{row['val_acc']:.4f}", f"{row['val_prec']:.4f}",
+                      f"{row['val_rec']:.4f}"])
+    atomic_write(path, text.getvalue())
 
 
 def _val_metrics(net: QualityNet, x: np.ndarray, y: np.ndarray):
@@ -428,14 +436,13 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
         for start in range(0, len(order), cfg.batch_size):
             sel = order[start:start + cfg.batch_size]
             xb, yb = x_train[sel], y_train[sel]
+            # `cache` stays bound until the next forward pass allocates its own;
+            # freed sooner, its pages go back to the OS and fault in every batch
             logits, cache = _forward_batch(net, xb)
             q = _sigmoid(logits)
             total += loss(q, yb, phi) * len(sel)
             seen += len(sel)
-            w = np.where(yb == 1, phi[1], phi[0])
-            live = (q > _EPS_CLAMP) & (q < 1.0 - _EPS_CLAMP)
-            dlogits = w * (q - yb) * live / len(sel)
-            state = adam_step(state, _backward_batch(dlogits, cache), cfg)
+            state = adam_step(state, _backward_batch(_dlogits(q, yb, phi), cache), cfg)
             net.params = state.params
         acc, prec, rec = _val_metrics(net, x_val, y_val)
         history.append({"epoch": epoch, "train_loss": total / seen,
@@ -448,19 +455,22 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
 
 def save_net(net: QualityNet, path: str | Path) -> None:
     """Little-endian checkpoint: magic, version, input size, then each
-    tensor as rank, dims, f32 data."""
+    tensor as rank, dims, f32 data; written atomically."""
     blob = bytearray(_MAGIC)
     blob += struct.pack("<II", _VERSION, net.size)
     for arr in net.params:
         blob += struct.pack("<I", arr.ndim)
         blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
         blob += arr.astype("<f4").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    atomic_write(path, bytes(blob))
 
 
 def load_net(path: str | Path) -> QualityNet:
-    """Read a `save_net` checkpoint. A file that ends early, has bytes left
-    over or has the wrong header raises DegenerateInput naming the path."""
+    """Read a `save_net` checkpoint. A missing file raises DatasetNotFound;
+    a file that ends early, has bytes left over or has the wrong header
+    raises DegenerateInput naming the path."""
+    if not Path(path).is_file():
+        raise DatasetNotFound(str(path))
     raw = Path(path).read_bytes()
     offset = 0
 

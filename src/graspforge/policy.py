@@ -3,26 +3,27 @@
 Two policies: uniform random choice over the sampled candidates, and a
 learned policy that scores each candidate by network quality plus a height
 bonus, picking the argmax. The harness runs full simulated trials - settle,
-render, sample, select, execute - and aggregates success statistics with
-Wilson confidence intervals.
+render, sample, select, execute - on the dataset's scene stages and
+settings (a `DatasetConfig` whose scene_count is the trial count), and
+aggregates success statistics with Wilson confidence intervals.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateInput, Empty
+from .errors import DegenerateInput, Empty, NoCandidates, Overfilled
 from .model import QualityNet, forward_many
 from .sampler import GraspPose
-from .scene import BinSpec, CableSpec, Camera
-from .simlab import (DatasetConfig, GripperModel, _scene_candidates,
-                     execute_grasp)
+from .fileio import atomic_write
+from .simlab import DatasetConfig, execute_grasp, scene_candidates
 
 _POLICY_KINDS = ("random", "cgcnn")
 _WILSON_Z = 1.959963984540054   # two-sided 95%
@@ -98,46 +99,6 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    """One simulated grasp attempt per trial, each on a fresh scene."""
-
-    trials: int = 100
-    cable_count_range: tuple = (5, 15)
-    candidates_per_scene: int = 25
-    friction_range: tuple = (0.1, 0.5)
-    gauss_sigma: float = 0.6
-    salt_pepper_frac: float = 0.002
-    patch_size: int = 64
-    resample_attempts: int = 10
-    bin: BinSpec = field(default_factory=BinSpec)
-    cable: CableSpec = field(default_factory=CableSpec)
-    camera: Camera = field(default_factory=Camera)
-    gripper: GripperModel = field(default_factory=GripperModel)
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise DegenerateInput("trials must be >= 1")
-        lo, hi = self.cable_count_range
-        if not 1 <= lo <= hi:
-            raise DegenerateInput("bad cable count range")
-        if self.candidates_per_scene < 1:
-            raise DegenerateInput("candidates_per_scene must be >= 1")
-
-    def scene_config(self) -> DatasetConfig:
-        return DatasetConfig(
-            scene_count=self.trials,
-            cable_count_range=self.cable_count_range,
-            grasps_per_scene=self.candidates_per_scene,
-            friction_range=self.friction_range,
-            gauss_sigma=self.gauss_sigma,
-            salt_pepper_frac=self.salt_pepper_frac,
-            patch_size=self.patch_size,
-            resample_attempts=self.resample_attempts,
-            bin=self.bin, cable=self.cable, camera=self.camera,
-            gripper=self.gripper)
-
-
 @dataclass
 class EvalReport:
     policy: str
@@ -151,42 +112,45 @@ class EvalReport:
 
 
 def evaluate_policy(policy: PolicyConfig, net: QualityNet | None,
-                    cfg: EvalConfig, master_seed: int) -> EvalReport:
-    """Success rate of one policy over cfg.trials fresh scenes.
+                    cfg: DatasetConfig, master_seed: int) -> EvalReport:
+    """Success rate of one policy over cfg.scene_count trials, one fresh
+    scene each.
 
-    Each trial settles a scene, renders and samples candidates, lets the
-    policy pick one grasp, and executes it; success means a clean single
-    cable lift. Scenes that yield no candidates count as failures. Trials
-    use per-index seed streams, so results are independent of execution
-    order and deterministic per master seed.
+    Each trial settles, renders and samples a scene (`scene_candidates`),
+    lets the policy pick one grasp, and executes it; success means a clean
+    single cable lift. A skipped scene, an overfilled one included, counts
+    as a "no_candidates" failure. Trials use per-index seed streams, so
+    results are independent of execution order and deterministic per
+    master seed.
     """
     if policy.kind == "cgcnn" and net is None:
         raise DegenerateInput("cgcnn policy needs a trained net")
-    scfg = cfg.scene_config()
+    trials = cfg.scene_count
     successes = 0
     reasons: dict[str, int] = {}
     by_count: dict[int, list] = {}
-    for trial in range(cfg.trials):
-        scene, cands, info = _scene_candidates(scfg, master_seed, trial)
-        if scene is None:
+    for trial in range(trials):
+        try:
+            scene, cands, plan = scene_candidates(cfg, master_seed, trial)
+        except (Overfilled, NoCandidates):
             reasons["no_candidates"] = reasons.get("no_candidates", 0) + 1
             continue
         if policy.kind == "random":
-            pose = select_random(cands, info["rng"])
+            pose = select_random(cands, plan["rng"])
         else:
             pose = select_cgcnn(cands, net, policy.lam)
-        out = execute_grasp(scene, pose, cfg.gripper, info["f"])
-        bucket = by_count.setdefault(info["cable_count"], [0, 0])
+        out = execute_grasp(scene, pose, cfg.gripper, plan["f"])
+        bucket = by_count.setdefault(plan["cable_count"], [0, 0])
         bucket[0] += 1
         if out.label == 1:
             successes += 1
             bucket[1] += 1
         else:
             reasons[out.failure_reason] = reasons.get(out.failure_reason, 0) + 1
-    low, high = wilson_interval(successes, cfg.trials)
+    low, high = wilson_interval(successes, trials)
     return EvalReport(
-        policy=policy.kind, trials=cfg.trials, successes=successes,
-        rate=successes / cfg.trials, wilson_low=low, wilson_high=high,
+        policy=policy.kind, trials=trials, successes=successes,
+        rate=successes / trials, wilson_low=low, wilson_high=high,
         failures_by_reason=dict(sorted(reasons.items())),
         by_cable_count={c: {"trials": t, "successes": s,
                             "rate": s / t if t else 0.0}
@@ -194,28 +158,19 @@ def evaluate_policy(policy: PolicyConfig, net: QualityNet | None,
 
 
 def report_dict(report: EvalReport) -> dict:
-    return {
-        "policy": report.policy,
-        "trials": report.trials,
-        "successes": report.successes,
-        "rate": report.rate,
-        "wilson_low": report.wilson_low,
-        "wilson_high": report.wilson_high,
-        "failures_by_reason": report.failures_by_reason,
-        "by_cable_count": {str(k): v for k, v in report.by_cable_count.items()},
-    }
+    """Every report field, with the cable counts as JSON's string keys."""
+    return dict(asdict(report), by_cable_count={
+        str(k): v for k, v in report.by_cable_count.items()})
 
 
-def write_stats(report: EvalReport, json_path: str | Path,
-                csv_path: str | Path | None = None) -> None:
-    """Stats as JSON, plus an optional per-cable-count CSV for plotting."""
-    Path(json_path).write_text(json.dumps(report_dict(report), indent=2,
-                                          sort_keys=True) + "\n")
-    if csv_path is None:
-        return
-    with open(csv_path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["cable_count", "trials", "successes", "rate"])
-        for count, row in report.by_cable_count.items():
-            out.writerow([count, row["trials"], row["successes"],
-                          f"{row['rate']:.4f}"])
+def write_stats(report: EvalReport, json_path: str | Path, csv_path: str | Path) -> None:
+    """Stats as JSON, plus a per-cable-count CSV for plotting; each file is
+    written atomically."""
+    atomic_write(json_path, json.dumps(report_dict(report), indent=2,
+                                       sort_keys=True) + "\n")
+    text = io.StringIO()
+    out = csv.writer(text)
+    out.writerow(["cable_count", "trials", "successes", "rate"])
+    for count, row in report.by_cable_count.items():
+        out.writerow([count, row["trials"], row["successes"], f"{row['rate']:.4f}"])
+    atomic_write(csv_path, text.getvalue())

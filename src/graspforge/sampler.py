@@ -7,16 +7,14 @@ axis-aligned depth patch.
 """
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .depthproc import (
     DepthImage, Patch, bilateral_filter, crop_rotated, detect_edges, downsample,
-    estimate_normals, save_depth,
+    estimate_normals,
 )
 from .errors import DegenerateInput, NoCandidates
 
@@ -190,25 +188,3 @@ def sample_grasps(img: DepthImage, cfg: SamplerConfig,
         raise NoCandidates("no force-closure pair found")
     out.sort(key=lambda t: (t[0].z, t[0].x, t[0].y))
     return out
-
-
-def save_candidates(candidates, out_dir: str) -> str:
-    """One JSON line per candidate plus a depth file per patch; returns the
-    index path."""
-    os.makedirs(out_dir, exist_ok=True)
-    index = os.path.join(out_dir, "candidates.jsonl")
-    tmp = index + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for k, (pose, pair, patch) in enumerate(candidates):
-            patch_file = f"patch_{k:04d}.gfd"
-            save_depth(patch, os.path.join(out_dir, patch_file))
-            row = {
-                "x": pose.x, "y": pose.y, "z": pose.z,
-                "theta": pose.theta, "w": pose.w,
-                "c1": list(map(float, pair.c1)), "c2": list(map(float, pair.c2)),
-                "n1": list(map(float, pair.n1)), "n2": list(map(float, pair.n2)),
-                "patch_file": patch_file,
-            }
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-    os.replace(tmp, index)
-    return index

@@ -19,6 +19,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .depthproc import DepthImage
 from .errors import DegenerateInput, Overfilled, SelfIntersecting
+from .fileio import atomic_write
 from .geometry import (
     ConvexPiece, DecompositionResult, Pose3, TriMesh, convex_hull, gjk_world,
     load_obj, save_obj,
@@ -717,7 +718,6 @@ def render_depth(scene: Scene, cam: Camera) -> tuple[DepthImage, np.ndarray]:
 
 def save_scene(scene: Scene, out_dir: str) -> str:
     """Write a JSON manifest plus one OBJ per cable; returns manifest path."""
-    os.makedirs(out_dir, exist_ok=True)
     cables = []
     for c in scene.cables:
         mesh_name = f"cable_{c.id:02d}.obj"
@@ -748,11 +748,7 @@ def save_scene(scene: Scene, out_dir: str) -> str:
         "cables": cables,
     }
     path = os.path.join(out_dir, "scene.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
 

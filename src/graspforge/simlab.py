@@ -16,16 +16,20 @@ distance queries:
                  threshold would be dragged along.
 
 Every failure is a labeled outcome rather than an error, so the oracle can
-auto-label sampled candidates at scale. `generate_dataset` runs the whole
-scene -> render -> noise -> sample -> label loop with per-scene derived
-seeds and writes a binary patch blob plus a JSON-lines index.
+auto-label sampled candidates at scale.
+
+The scene stages below are the one implementation that `generate_dataset`,
+the command-line stages and the policy evaluation all call: `scene_plan`
+(per-scene draws and random stream), `settle_plan`, `sample_scene` (render,
+noise, sample, resample), chained by `scene_candidates`, then
+`candidate_rows` and `label_row`. Patches are stored in one format, a blob
+of depth records plus a JSON-lines index (`write_records`, `read_records`).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,13 +37,17 @@ from pathlib import Path
 import numpy as np
 
 from .depthproc import Patch, add_noise, patch_from_record, record_bytes
-from .errors import DatasetNotFound, DegenerateInput, NoCandidates, Overfilled, SingleClass
+from .errors import (DatasetNotFound, DegenerateInput, NoCandidates, Overfilled,
+                     ShapeMismatch, SingleClass)
+from .fileio import atomic_write
 from .geometry import ConvexPiece, convex_hull, gjk_world
 from .sampler import GraspPose, SamplerConfig, sample_grasps
 from .scene import BinSpec, CableSpec, Camera, Scene, bin_pieces, render_depth, settle_scene
 
 FAILURE_REASONS = ("none", "approach_collision", "multi_object",
                    "no_force_closure", "empty_close")
+POSE_KEYS = ("x", "y", "z", "theta", "w")
+CANDIDATE_KEYS = ("scene_index", "candidate_index") + POSE_KEYS
 
 _TOUCH = 1e-9            # overlap test threshold for sweep collisions
 CONTACT_TOL = 1e-3       # mm; a closing jaw stops within this gap
@@ -61,13 +69,11 @@ class GripperModel:
     jaw_thickness: float = 4.0
     jaw_height: float = 12.0
     finger_length: float = 30.0
-    w_max: float = 30.0
     open_clearance: float = 10.0
     tip_clearance: float = 0.2
 
     def __post_init__(self):
-        for name in ("jaw_thickness", "jaw_height", "finger_length",
-                     "w_max", "open_clearance"):
+        for name in ("jaw_thickness", "jaw_height", "finger_length", "open_clearance"):
             if getattr(self, name) <= 0.0:
                 raise DegenerateInput(f"{name} must be positive")
         if self.tip_clearance < 0.0:
@@ -365,92 +371,147 @@ def scene_plan(cfg: DatasetConfig, master_seed: int, index: int) -> dict:
     return {"scene_seed": scene_seed, "cable_count": count, "f": f, "rng": rng}
 
 
-def _scene_candidates(cfg: DatasetConfig, master_seed: int, index: int):
-    """Settle, render, and sample one scene.
+def settle_plan(cfg: DatasetConfig, plan: dict) -> Scene:
+    """Settle the pile a plan (or a stored row with the same keys) names;
+    raises Overfilled when the bin cannot take it."""
+    return settle_scene(cfg.bin, [cfg.cable] * int(plan["cable_count"]),
+                        int(plan["scene_seed"]))
 
-    Returns (scene, candidates, info) where info carries the draws needed to
-    replay the scene; on a skipped scene, (None, None, {"skip": reason}).
-    """
-    info = scene_plan(cfg, master_seed, index)
-    scene_seed, count, f = info["scene_seed"], info["cable_count"], info["f"]
-    rng = info["rng"]
-    try:
-        scene = settle_scene(cfg.bin, [cfg.cable] * count, scene_seed)
-    except Overfilled:
-        return None, None, {"skip": "overfilled"}
+
+def sample_scene(cfg: DatasetConfig, scene: Scene, plan: dict) -> list:
+    """Render the scene, then add noise and sample grasps from plan["rng"],
+    drawing fresh noise after each empty try. Returns the sampler's
+    (pose, pair, patch) candidates; raises NoCandidates once
+    cfg.resample_attempts tries have all come back empty."""
     img, _ = render_depth(scene, cfg.camera)
-    scfg = SamplerConfig(n=cfg.grasps_per_scene, f=f, patch_size=cfg.patch_size,
+    scfg = SamplerConfig(n=cfg.grasps_per_scene, f=plan["f"], patch_size=cfg.patch_size,
                          camera_height=cfg.camera.height)
-    cands = None
+    rng = plan["rng"]
     for _ in range(cfg.resample_attempts):
         noisy = add_noise(img, rng, cfg.gauss_sigma, cfg.salt_pepper_frac)
         try:
-            cands = sample_grasps(noisy, scfg, rng)
-            break
+            return sample_grasps(noisy, scfg, rng)
         except NoCandidates:
             continue
-    if cands is None:
-        return None, None, {"skip": "no_candidates"}
-    return scene, cands, info
+    raise NoCandidates(f"no candidates after {cfg.resample_attempts} noise draws")
 
 
-def _scene_samples(cfg: DatasetConfig, master_seed: int, index: int):
-    """All labeled samples for one scene, or a skip reason."""
-    scene, cands, info = _scene_candidates(cfg, master_seed, index)
-    if scene is None:
-        return [], info["skip"]
-    scene_seed, count, f = info["scene_seed"], info["cable_count"], info["f"]
-    rows = []
-    for j, (pose, _, patch) in enumerate(cands):
-        out = execute_grasp(scene, pose, cfg.gripper, f)
-        rows.append({
-            "scene_index": index,
-            "candidate_index": j,
-            "patch": patch,
-            "label": out.label,
-            "reason": out.failure_reason,
-            "contacted_ids": sorted(out.contacted_ids),
-            "scene_seed": scene_seed,
-            "cable_count": count,
-            "f": f,
-            "pose": {"x": pose.x, "y": pose.y, "z": pose.z,
-                     "theta": pose.theta, "w": pose.w},
-        })
-    return rows, None
+def scene_candidates(cfg: DatasetConfig, master_seed: int, index: int):
+    """Plan, settle and sample scene `index`: returns (scene, candidates,
+    plan). A skipped scene raises Overfilled or NoCandidates."""
+    plan = scene_plan(cfg, master_seed, index)
+    scene = settle_plan(cfg, plan)
+    return scene, sample_scene(cfg, scene, plan), plan
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+def candidate_rows(index: int, candidates) -> list[dict]:
+    """One row per sampled candidate of scene `index`, as the `sample`
+    command stores it: the indices, the pose fields and the patch."""
+    return [{"scene_index": index, "candidate_index": j, "x": pose.x, "y": pose.y,
+             "z": pose.z, "theta": pose.theta, "w": pose.w, "patch": patch}
+            for j, (pose, _, patch) in enumerate(candidates)]
 
 
-def generate_dataset(cfg: DatasetConfig, master_seed: int, out_dir: str | Path,
-                     stem: str = "dataset") -> Path:
+def label_row(cfg: DatasetConfig, scene: Scene, plan: dict, cand: dict) -> dict:
+    """Run the oracle on one candidate row; returns the dataset row that
+    `write_dataset` stores, with the plan's draws for replay."""
+    pose = {k: cand[k] for k in POSE_KEYS}
+    out = execute_grasp(scene, GraspPose(**pose), cfg.gripper, plan["f"])
+    return {"scene_index": cand["scene_index"], "candidate_index": cand["candidate_index"],
+            "patch": cand["patch"], "label": out.label, "reason": out.failure_reason,
+            "contacted_ids": sorted(out.contacted_ids), "scene_seed": plan["scene_seed"],
+            "cable_count": plan["cable_count"], "f": plan["f"], "pose": pose}
+
+
+def generate_dataset(cfg: DatasetConfig, master_seed: int, out_dir: str | Path) -> Path:
     """Generate, label, and store a dataset; returns the index path.
 
-    Writes three sibling files under out_dir: `<stem>.blob` (concatenated
-    patch records), `<stem>.idx` (JSON lines, one sample per line), and
-    `<stem>.summary.json`. Scenes that overfill the bin or yield no
+    Writes three sibling files under out_dir: `dataset.blob` (concatenated
+    patch records), `dataset.idx` (JSON lines, one sample per line), and
+    `dataset.summary.json`. Scenes that overfill the bin or yield no
     candidates are skipped and counted. Output depends only on the master
     seed and config.
     """
-    all_rows = []
+    rows = []
     skips = {"overfilled": 0, "no_candidates": 0}
     for i in range(cfg.scene_count):
-        rows, skip = _scene_samples(cfg, master_seed, i)
-        if skip is not None:
-            skips[skip] += 1
-        all_rows.extend(rows)
-    return write_dataset(all_rows, skips, cfg.scene_count, master_seed,
-                         out_dir, stem)
+        try:
+            scene, cands, plan = scene_candidates(cfg, master_seed, i)
+        except (Overfilled, NoCandidates) as exc:
+            skips["overfilled" if isinstance(exc, Overfilled) else "no_candidates"] += 1
+            continue
+        rows += [label_row(cfg, scene, plan, c) for c in candidate_rows(i, cands)]
+    return write_dataset(rows, skips, cfg.scene_count, master_seed, out_dir)
+
+
+def require_keys(obj, keys, where: str) -> None:
+    """Raise DegenerateInput naming `where` unless `obj` is a JSON object
+    holding every key in `keys`."""
+    if not isinstance(obj, dict):
+        raise DegenerateInput(f"{where}: expected a JSON object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise DegenerateInput(f"{where}: missing key(s) {', '.join(missing)}")
+
+
+def write_records(rows: list[dict], out_dir: str | Path, stem: str) -> Path:
+    """Store rows as a blob+index pair; returns the index path.
+
+    `<stem>.blob` holds each row's "patch" as a depth record, and
+    `<stem>.idx` holds the rest of each row as one JSON line, in row order,
+    with the record's "patch_offset" and "patch_size_px" in its place.
+    """
+    out = Path(out_dir)
+    blob = bytearray()
+    lines = []
+    for row in rows:
+        row = dict(row)
+        patch = row.pop("patch")
+        row["patch_offset"] = len(blob)
+        row["patch_size_px"] = patch.size
+        blob += record_bytes(patch)
+        lines.append(json.dumps(row, sort_keys=True) + "\n")
+    atomic_write(out / f"{stem}.blob", bytes(blob))
+    index_path = out / f"{stem}.idx"
+    atomic_write(index_path, "".join(lines))
+    return index_path
+
+
+def read_records(index_path: str | Path, keys) -> list[dict]:
+    """Rows of a `write_records` pair, each with its "patch" back in place
+    of the offset and size. A missing index or blob raises DatasetNotFound;
+    a line that is not a JSON object holding `keys`, or a record that does
+    not fit the blob, raises DegenerateInput naming the file."""
+    path = Path(index_path)
+    blob_path = path.with_suffix(".blob")
+    for p in (path, blob_path):
+        if not p.exists():
+            raise DatasetNotFound(str(p))
+    blob = blob_path.read_bytes()
+    rows = []
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except ValueError as exc:
+            raise DegenerateInput(f"{path}:{lineno}: not JSON ({exc})") from None
+        require_keys(row, (*keys, "patch_offset", "patch_size_px"), f"{path}:{lineno}")
+        offset = row.pop("patch_offset")
+        del row["patch_size_px"]
+        try:
+            row["patch"] = patch_from_record(blob, offset)
+        except (DegenerateInput, ShapeMismatch) as exc:
+            raise DegenerateInput(f"{blob_path}: {exc}") from None
+        rows.append(row)
+    return rows
 
 
 def write_dataset(rows: list, skips: dict, scene_count: int, master_seed: int,
                   out_dir: str | Path, stem: str = "dataset") -> Path:
     """Serialize labeled rows as the blob/index/summary file triple.
 
-    Each row needs the keys produced by the labeling step: scene_index,
+    Each row needs the keys `label_row` produces: scene_index,
     candidate_index, patch, label, reason, contacted_ids, scene_seed,
     cable_count, f, pose. Rows may arrive in any order.
 
@@ -459,20 +520,9 @@ def write_dataset(rows: list, skips: dict, scene_count: int, master_seed: int,
     `"null"` key of the summary's reasons. Other reason strings are stored
     as given and are not checked against FAILURE_REASONS.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     # stable global order even if scenes were produced out of order
     all_rows = sorted(rows, key=lambda r: (r["scene_index"], r["candidate_index"]))
-
-    blob = bytearray()
-    lines = []
-    for row in all_rows:
-        row = dict(row)
-        patch = row.pop("patch")
-        row["patch_offset"] = len(blob)
-        row["patch_size_px"] = patch.size
-        blob += record_bytes(patch)
-        lines.append(json.dumps(row, sort_keys=True))
+    index_path = write_records(all_rows, out_dir, stem)
     positives = sum(r["label"] for r in all_rows)
     summary = {
         "samples": len(all_rows),
@@ -484,44 +534,26 @@ def write_dataset(rows: list, skips: dict, scene_count: int, master_seed: int,
         "scene_count": scene_count,
         "master_seed": master_seed,
     }
-    _atomic_write(out / f"{stem}.blob", bytes(blob))
-    index_path = out / f"{stem}.idx"
-    _atomic_write(index_path, ("\n".join(lines) + "\n" if lines else "").encode())
-    _atomic_write(out / f"{stem}.summary.json",
-                  (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode())
+    atomic_write(index_path.with_suffix(".summary.json"),
+                 json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return index_path
 
 
 def load_dataset(index_path: str | Path) -> list[GraspSample]:
     """Read an index plus its sibling blob back into memory."""
-    path = Path(index_path)
-    if not path.exists():
-        raise DatasetNotFound(str(path))
-    blob_path = path.with_suffix(".blob")
-    if not blob_path.exists():
-        raise DatasetNotFound(str(blob_path))
-    blob = blob_path.read_bytes()
     samples = []
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        row = json.loads(line)
-        patch = patch_from_record(blob, row["patch_offset"])
-        meta = {k: v for k, v in row.items()
-                if k not in ("patch_offset", "patch_size_px", "label")}
-        samples.append(GraspSample(patch=patch, label=int(row["label"]), meta=meta))
+    for row in read_records(index_path, ("label",)):
+        patch, label = row.pop("patch"), row.pop("label")
+        if label not in (0, 1):
+            raise DegenerateInput(f"{index_path}: label {label!r} is not 0 or 1")
+        samples.append(GraspSample(patch=patch, label=int(label), meta=row))
     return samples
 
 
-def replay_sample(sample: GraspSample | dict, cfg: DatasetConfig | None = None) -> GraspOutcome:
+def replay_sample(sample: GraspSample | dict, cfg: DatasetConfig) -> GraspOutcome:
     """Rebuild a sample's scene from its stored seed and re-run the oracle
     on the stored pose; must reproduce the stored label for any dataset
     generated with the same config."""
-    if cfg is None:
-        cfg = DatasetConfig()
     meta = sample.meta if isinstance(sample, GraspSample) else dict(sample)
-    scene = settle_scene(cfg.bin, [cfg.cable] * int(meta["cable_count"]),
-                         int(meta["scene_seed"]))
-    p = meta["pose"]
-    pose = GraspPose(x=p["x"], y=p["y"], z=p["z"], theta=p["theta"], w=p["w"])
-    return execute_grasp(scene, pose, cfg.gripper, float(meta["f"]))
+    return execute_grasp(settle_plan(cfg, meta), GraspPose(**meta["pose"]),
+                         cfg.gripper, float(meta["f"]))

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written from different math than the code
 under test: box distances come from separating axes plus brute-force
-feature enumeration, inside tests from crossing parity of a single ray.
-The one exception is `gjk_world_reference`, a frozen copy of the GJK
+feature enumeration, inside tests from crossing parity of a single ray,
+rendered depths from one Moller-Trumbore ray per pixel (`ray_triangles`,
+`ray_mesh`). The one exception is `gjk_world_reference`, a frozen copy of the GJK
 kernel that the library's kernel must match bit for bit.
 """
 from __future__ import annotations
@@ -13,7 +14,7 @@ import warnings
 import numpy as np
 
 from graspforge.errors import ConvergenceWarning
-from graspforge.geometry import GjkResult
+from graspforge.geometry import GjkResult, Pose3, TriMesh
 
 
 def quat_from_rng(rng: np.random.Generator) -> np.ndarray:
@@ -153,6 +154,51 @@ def sample_interior_points(mesh_tris: np.ndarray, n: int,
         mask = points_inside_mesh(cand, mesh_tris, rng)
         out.append(cand[mask])
     return np.concatenate(out)[:n]
+
+
+# Render oracle: first hits of single rays against triangle meshes, to
+# check the scanline depth renderer pixel by pixel.
+
+# Barycentric slack so rays through shared edges and vertices still hit.
+_EDGE_TOL = 1e-9
+
+
+def ray_triangles(origin: np.ndarray, direction: np.ndarray,
+                  tris: np.ndarray) -> float | None:
+    """Smallest nonnegative ray parameter hitting any of tris, else None.
+
+    tris is (m, 3, 3). direction need not be unit length; the returned t is
+    in units of its length.
+    """
+    o = np.asarray(origin, dtype=np.float64)
+    d = np.asarray(direction, dtype=np.float64)
+    e1 = tris[:, 1, :] - tris[:, 0, :]
+    e2 = tris[:, 2, :] - tris[:, 0, :]
+    pvec = np.cross(d, e2)
+    det = np.einsum("ij,ij->i", e1, pvec)
+    ok = np.abs(det) > 1e-30
+    if not ok.any():
+        return None
+    inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
+    tvec = o - tris[:, 0, :]
+    u = np.einsum("ij,ij->i", tvec, pvec) * inv
+    qvec = np.cross(tvec, e1)
+    v = (qvec @ d) * inv
+    t = np.einsum("ij,ij->i", e2, qvec) * inv
+    hit = (ok & (u >= -_EDGE_TOL) & (v >= -_EDGE_TOL)
+           & (u + v <= 1.0 + _EDGE_TOL) & (t >= -1e-12))
+    if not hit.any():
+        return None
+    return float(np.min(t[hit]))
+
+
+def ray_mesh(origin: np.ndarray, direction: np.ndarray, mesh: TriMesh,
+             pose: Pose3 | None = None) -> float | None:
+    """First-hit parameter against a (optionally posed) mesh, else None."""
+    tris = mesh.triangles()
+    if pose is not None:
+        tris = pose.apply(tris.reshape(-1, 3)).reshape(tris.shape)
+    return ray_triangles(origin, direction, tris)
 
 
 # Frozen GJK kernel: keep its arithmetic exactly as is.

@@ -108,12 +108,76 @@ class TestErrors:
             assert out["error"] == "DegenerateInput"
             assert str(net) in out["detail"]
 
+    def test_missing_checkpoint(self, capsys, tmp_path):
+        net = tmp_path / "none.gfqn"
+        rc, out = run(capsys, "evaluate", "--policy", "cgcnn", "--net", str(net))
+        assert rc == 1
+        assert out["error"] == "DatasetNotFound"
+        assert str(net) in out["detail"]
+
+    def test_listing_missing_keys(self, capsys, tmp_path):
+        entry = {"index": 0, "manifest": "scene_0000/scene.json",
+                 "cable_count": 3, "f": 0.3}   # no scene_seed
+        full = {"master_seed": 5, "scene_count": 1,
+                "skipped": {"overfilled": 0}, "scenes": [entry]}
+        listing = tmp_path / "scenes.json"
+        for bad in ({}, {k: v for k, v in full.items() if k != "scene_count"}, full):
+            listing.write_text(json.dumps(bad))
+            for argv in (["sample"], ["label", "--candidates", str(tmp_path / "c.idx")]):
+                rc, out = run(capsys, *argv, "--scenes", str(listing))
+                assert rc == 1, (bad, argv)
+                assert out["error"] == "DegenerateInput"
+                assert str(listing) in out["detail"]
+
+    def test_damaged_candidates(self, capsys, chain, tmp_path):
+        idx = tmp_path / "candidates.idx"
+        blob = tmp_path / "candidates.blob"
+        lines = (chain / "candidates.idx").read_text().splitlines()
+        raw = (chain / "candidates.blob").read_bytes()
+        no_pose = json.dumps({k: v for k, v in json.loads(lines[0]).items() if k != "w"})
+        cases = (
+            ("\n".join(lines), None, "DatasetNotFound", blob),           # no blob
+            ("\n".join(lines), raw[:-10], "DegenerateInput", blob),      # cut short
+            ("\n".join([no_pose] + lines[1:]), raw, "DegenerateInput", idx),
+            ("[1, 2]", raw, "DegenerateInput", idx),
+        )
+        for text, data, error, named in cases:
+            idx.write_text(text + "\n")
+            blob.unlink(missing_ok=True)
+            if data is not None:
+                blob.write_bytes(data)
+            rc, out = run(capsys, "label", "--scenes", str(chain / "scenes/scenes.json"),
+                          "--candidates", str(idx), "--out", str(tmp_path / "out"))
+            assert rc == 1, text[:40]
+            assert out["error"] == error
+            assert str(named) in out["detail"]
+
+    def test_damaged_dataset(self, capsys, tmp_path):
+        idx = toy_dataset(tmp_path)
+        blob = idx.with_suffix(".blob")
+        raw, lines = blob.read_bytes(), idx.read_text().splitlines()
+        no_label = json.dumps({k: v for k, v in json.loads(lines[3]).items() if k != "label"})
+        cases = (
+            (raw[:-10], lines, blob),                       # last record cut short
+            (raw, lines[:3] + [no_label] + lines[4:], idx),
+            (raw, lines[:3] + [lines[3].replace('"label": 1', '"label": "1"')] + lines[4:], idx),
+        )
+        for data, index_lines, named in cases:
+            blob.write_bytes(data)
+            idx.write_text("\n".join(index_lines) + "\n")
+            rc, out = run(capsys, "train", "--dataset", str(idx),
+                          "--out", str(tmp_path / "ckpt"), "--epochs", "1")
+            assert rc == 1
+            assert out["error"] == "DegenerateInput"
+            assert str(named) in out["detail"]
+
     def test_bad_config_value_is_domain_error(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epochs = soon\n")
-        rc, out = run(capsys, "report", "--config", str(cfg))
-        assert rc == 1
-        assert out["error"] == "DegenerateInput"
+        for argv in (["--config", str(cfg)], ["--epochs", "soon"], ["--lr", "fast"]):
+            rc, out = run(capsys, "report", *argv)
+            assert rc == 1, argv
+            assert out["error"] == "DegenerateInput"
 
 
 class TestDecomposeCommand:

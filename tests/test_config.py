@@ -90,10 +90,6 @@ class TestLoad:
         with pytest.raises(DegenerateInput, match="unknown"):
             load_run_config(None, {"warp_factor": 9})
 
-    def test_jobs_must_be_positive(self):
-        with pytest.raises(DegenerateInput):
-            RunConfig(jobs=0)
-
 
 class TestRoundtrip:
     def test_save_load_identity(self, tmp_path):
@@ -127,9 +123,9 @@ class TestConverters:
         cfg = RunConfig(trials=33, eval_cable_min=6, eval_cable_max=12,
                         candidates_per_scene=11)
         e = cfg.eval_config()
-        assert e.trials == 33
+        assert e.scene_count == 33
         assert e.cable_count_range == (6, 12)
-        assert e.candidates_per_scene == 11
+        assert e.grasps_per_scene == 11
 
     def test_policy_config_fields(self):
         cfg = RunConfig(policy="random", lam=0.7)

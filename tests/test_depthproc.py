@@ -3,7 +3,7 @@ import pytest
 
 from graspforge.depthproc import (
     DepthImage, Patch, add_noise, bilateral_filter, crop_rotated, detect_edges,
-    downsample, estimate_normals, load_depth, load_patch, save_depth,
+    downsample, estimate_normals, patch_from_record, record_bytes,
 )
 from graspforge.errors import DegenerateInput
 
@@ -193,24 +193,20 @@ class TestNoise:
 
 
 class TestIO:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(5)
-        img = DepthImage(data=rng.uniform(0, 100, (33, 47)).astype(np.float32), pitch=0.5)
-        p = tmp_path / "img.gfd"
-        save_depth(img, p)
-        back = load_depth(p)
-        assert back.pitch == img.pitch
-        assert (back.data == img.data).all()
-
-    def test_patch_roundtrip(self, tmp_path):
+    def test_patch_roundtrip(self):
         img = step_image()
         patch = crop_rotated(img, (25.0, 20.0), 0.4, 32)
         assert patch.data.min() < 0  # recentered depths go negative
-        p = tmp_path / "patch.gfd"
-        save_depth(patch, p)
-        back = load_patch(p)
+        blob = b"pad" + record_bytes(patch)
+        back = patch_from_record(blob, 3)
         assert back.data.shape == (32, 32)
+        assert back.pitch == patch.pitch
         assert (back.data == patch.data).all()
+        # a header or payload cut short, or an offset off the blob
+        for buf, offset in ((blob[:10], 3), (blob[:-1], 3), (blob, -1),
+                            (blob, len(blob)), (blob, "3")):
+            with pytest.raises(DegenerateInput):
+                patch_from_record(buf, offset)
 
     def test_downsample(self):
         img = flat(70.0, h=40, w=60, pitch=0.5)

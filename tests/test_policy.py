@@ -9,12 +9,11 @@ import graspforge.policy as policy_mod
 from graspforge.depthproc import Patch
 from graspforge.errors import DegenerateInput, Empty
 from graspforge.model import QualityNet, forward, init_net
-from graspforge.policy import (EvalConfig, PolicyConfig, evaluate_policy,
-                               score_candidates, select_cgcnn, select_random,
-                               wilson_interval)
+from graspforge.policy import (PolicyConfig, evaluate_policy, score_candidates,
+                               select_cgcnn, select_random, wilson_interval)
 from graspforge.sampler import GraspPose
 from graspforge.scene import BinSpec, CableSpec, Camera, settle_scene
-from graspforge.simlab import GripperModel, execute_grasp
+from graspforge.simlab import DatasetConfig, GripperModel, execute_grasp
 
 
 def make_candidate(x=0.0, y=0.0, z=5.0, patch_fill=0.0, size=16):
@@ -199,8 +198,8 @@ class TestWilsonInterval:
 
 class TestEvaluatePolicy:
     def test_deterministic_and_structured(self):
-        cfg = EvalConfig(trials=2, cable_count_range=(2, 2),
-                         candidates_per_scene=6)
+        cfg = DatasetConfig(scene_count=2, cable_count_range=(2, 2),
+                            grasps_per_scene=6)
         rep1 = evaluate_policy(PolicyConfig(kind="random"), None, cfg, 11)
         rep2 = evaluate_policy(PolicyConfig(kind="random"), None, cfg, 11)
         assert rep1 == rep2
@@ -212,17 +211,17 @@ class TestEvaluatePolicy:
 
     def test_no_candidates_counted_as_failures(self):
         # hostile settings: heavy noise, tiny friction cone, coarse camera
-        cfg = EvalConfig(trials=2, cable_count_range=(2, 2),
-                         candidates_per_scene=6, friction_range=(0.02, 0.02),
-                         gauss_sigma=2.0, salt_pepper_frac=0.05,
-                         camera=Camera(width_px=400, height_px=300),
-                         resample_attempts=2)
+        cfg = DatasetConfig(scene_count=2, cable_count_range=(2, 2),
+                            grasps_per_scene=6, friction_range=(0.02, 0.02),
+                            gauss_sigma=2.0, salt_pepper_frac=0.05,
+                            camera=Camera(width_px=400, height_px=300),
+                            resample_attempts=2)
         rep = evaluate_policy(PolicyConfig(kind="random"), None, cfg, 9)
         assert rep.failures_by_reason.get("no_candidates", 0) == 2
         assert rep.successes == 0
 
     def test_cgcnn_requires_net(self):
-        cfg = EvalConfig(trials=1)
+        cfg = DatasetConfig(scene_count=1)
         with pytest.raises(DegenerateInput):
             evaluate_policy(PolicyConfig(kind="cgcnn"), None, cfg, 0)
 
@@ -253,11 +252,3 @@ class TestEvaluatePolicy:
             out = execute_grasp(scene, picked, grip, 0.4)
             successes += out.label
         assert successes == 5
-
-    def test_config_validation(self):
-        with pytest.raises(DegenerateInput):
-            EvalConfig(trials=0)
-        with pytest.raises(DegenerateInput):
-            EvalConfig(cable_count_range=(0, 4))
-        with pytest.raises(DegenerateInput):
-            EvalConfig(candidates_per_scene=0)

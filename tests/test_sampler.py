@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from graspforge.depthproc import DepthImage, load_patch
+from graspforge.depthproc import DepthImage
 from graspforge.errors import DegenerateInput, NoCandidates
 from graspforge.sampler import (
     ContactPair, GraspPose, SamplerConfig, estimate_grasp_width,
-    force_closure_check, grasp_from_pair, sample_grasps, save_candidates,
+    force_closure_check, grasp_from_pair, sample_grasps,
 )
 from graspforge.scene import BinSpec, CableSpec, Camera, render_depth, settle_scene
 
@@ -261,19 +261,3 @@ class TestSampleGrasps:
             SamplerConfig(w_max=0.0)
         with pytest.raises(DegenerateInput):
             SamplerConfig(f=-0.1)
-
-
-class TestCandidateDump:
-    def test_jsonl_roundtrip(self, tmp_path):
-        import json
-        img = cylinder_image(20.0)
-        cands = sample_grasps(img, SamplerConfig(n=10, f=0.5),
-                              np.random.default_rng(6))
-        index = save_candidates(cands, str(tmp_path / "cands"))
-        rows = [json.loads(line) for line in open(index, encoding="utf-8")]
-        assert len(rows) == len(cands)
-        for row, (pose, pair, patch) in zip(rows, cands):
-            assert row["w"] == pytest.approx(pose.w)
-            assert row["theta"] == pytest.approx(pose.theta)
-            loaded = load_patch(str(tmp_path / "cands" / row["patch_file"]))
-            assert loaded.data.tobytes() == patch.data.tobytes()

@@ -8,7 +8,7 @@ import pytest
 from graspforge.errors import DegenerateInput, Overfilled, SelfIntersecting
 from graspforge.geometry import (
     DecompositionResult, box_mesh, convex_hull, gjk_world, occupied_volume,
-    ray_triangles, uv_sphere, voxelize,
+    uv_sphere, voxelize,
 )
 from graspforge.scene import (
     BinSpec, CableSpec, Camera, PlacedCable, Scene, bin_mesh, cable_decomposition,
@@ -277,7 +277,7 @@ class TestRenderDepth:
             py = int(rng.integers(0, cam.height_px))
             px = int(rng.integers(0, cam.width_px))
             x, y = cam.px_to_world(px, py)
-            t = ray_triangles(np.array([x, y, cam.height]), down, tris)
+            t = oracles.ray_triangles(np.array([x, y, cam.height]), down, tris)
             expected = t if t is not None else cam.height
             assert abs(d[py, px] - expected) < 1e-6
 

@@ -379,3 +379,5 @@ class TestGenerateDataset:
             DatasetConfig(friction_range=(0.0, 0.5))
         with pytest.raises(DegenerateInput):
             DatasetConfig(friction_range=(0.5, 0.1))
+        with pytest.raises(DegenerateInput):
+            DatasetConfig(grasps_per_scene=0)
