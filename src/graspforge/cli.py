@@ -268,34 +268,46 @@ def _line_chart_svg(title: str, series: list[tuple[str, list[float]]]) -> str:
     return "".join(parts) + "\n"
 
 
+def _stats_rates(text: str):
+    """Policy and (cable count, success rate) pairs of an eval stats file."""
+    stats = json.loads(text)
+    return stats["policy"], [(count, float(row["rate"]))
+                             for count, row in sorted(stats["by_cable_count"].items(),
+                                                      key=lambda kv: int(kv[0]))]
+
+
+def _metric_curves(text: str):
+    """Train loss and validation accuracy columns of a metrics CSV."""
+    rows = [r.split(",") for r in text.strip().splitlines()[1:]]
+    return [float(r[1]) for r in rows], [float(r[2]) for r in rows]
+
+
+def _parse_file(path: str, parse):
+    """parse(text) of an input file; a missing file raises DatasetNotFound,
+    one that parse cannot read DegenerateInput naming it."""
+    p = Path(path)
+    if not p.is_file():
+        raise DatasetNotFound(str(p))
+    try:
+        return parse(p.read_text())
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise DegenerateInput(f"{p}: cannot read it ({type(exc).__name__}: {exc})") from None
+
+
 def _cmd_report(args) -> dict:
     run = _run_config(args)
     out_dir = Path(args.out or run.report_dir)
     figures = []
     for stats_path in args.stats or []:
-        p = Path(stats_path)
-        if not p.exists():
-            raise DatasetNotFound(str(p))
-        stats = json.loads(p.read_text())
-        pairs = [(count, row["rate"])
-                 for count, row in sorted(stats["by_cable_count"].items(),
-                                          key=lambda kv: int(kv[0]))]
-        svg = _bar_chart_svg(f"success rate by cable count "
-                             f"({stats['policy']})", pairs)
-        fig = out_dir / f"{p.stem}_by_count.svg"
-        atomic_write(fig, svg)
+        policy, pairs = _parse_file(stats_path, _stats_rates)
+        fig = out_dir / f"{Path(stats_path).stem}_by_count.svg"
+        atomic_write(fig, _bar_chart_svg(f"success rate by cable count ({policy})", pairs))
         figures.append(str(fig))
     if args.metrics:
-        p = Path(args.metrics)
-        if not p.exists():
-            raise DatasetNotFound(str(p))
-        rows = p.read_text().strip().splitlines()[1:]
-        losses = [float(r.split(",")[1]) for r in rows]
-        accs = [float(r.split(",")[2]) for r in rows]
-        svg = _line_chart_svg("training curves",
-                              [("train loss", losses), ("val acc", accs)])
-        fig = out_dir / f"{p.stem}_curve.svg"
-        atomic_write(fig, svg)
+        losses, accs = _parse_file(args.metrics, _metric_curves)
+        fig = out_dir / f"{Path(args.metrics).stem}_curve.svg"
+        atomic_write(fig, _line_chart_svg("training curves",
+                                          [("train loss", losses), ("val acc", accs)]))
         figures.append(str(fig))
     return {"command": "report", "figures": figures}
 

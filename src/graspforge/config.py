@@ -147,12 +147,3 @@ def load_run_config(path: str | Path | None = None,
             values[key] = _coerce(key, val) if isinstance(val, str) else val
     return RunConfig(**values)
 
-
-def save_run_config(cfg: RunConfig, path: str | Path) -> None:
-    lines = []
-    for f in fields(RunConfig):
-        val = getattr(cfg, f.name)
-        if isinstance(val, bool):
-            val = "true" if val else "false"
-        lines.append(f"{f.name} = {val}")
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -8,10 +8,6 @@ failure to a stable error name and exit code 1.
 class GraspForgeError(Exception):
     """Base class for all domain errors."""
 
-    @property
-    def name(self) -> str:
-        return type(self).__name__
-
 
 class DegenerateInput(GraspForgeError):
     """Point set is collinear/coplanar or too small for a hull."""

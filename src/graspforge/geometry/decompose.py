@@ -29,7 +29,6 @@ from .voxel import VoxelGrid, voxelize
 class DecompositionResult:
     pieces: list[ConvexPiece]
     concavities: list[float]
-    source: TriMesh
     cell_size: float
     concavity_tol: float
     budget_exceeded: bool
@@ -45,10 +44,15 @@ def _cell_corners(idx: np.ndarray, origin: np.ndarray, cell: float) -> np.ndarra
     return origin + np.unique(corners, axis=0) * cell
 
 
-def _part_concavity(idx: np.ndarray, origin: np.ndarray, cell: float) -> float:
-    occ = idx.shape[0] * cell ** 3
+def concavity(cells: np.ndarray, origin: np.ndarray, cell_size: float) -> float:
+    """(hull volume - occupied volume) / hull volume of (k, 3) integer cell
+    indices on a grid: 0 for a box of cells, near 1 for sparse cells in a
+    large hull. Raises EmptyShape for no cells."""
+    if len(cells) == 0:
+        raise EmptyShape("no occupied cells")
+    occ = cells.shape[0] * cell_size ** 3
     try:
-        hull_vol = float(ConvexHull(_cell_corners(idx, origin, cell)).volume)
+        hull_vol = float(ConvexHull(_cell_corners(cells, origin, cell_size)).volume)
     except QhullError as exc:
         raise DegenerateInput(f"degenerate cell partition: {exc}") from exc
     return max(0.0, (hull_vol - occ) / hull_vol)
@@ -87,7 +91,7 @@ def decompose(mesh: TriMesh, cell_size: float = 2.0, concavity_tol: float = 0.05
     cells = np.unique(np.concatenate([solid, _surface_cells(mesh, grid)]), axis=0)
 
     parts: list[np.ndarray] = [cells]
-    concs: list[float] = [_part_concavity(cells, grid.origin, cell_size)]
+    concs: list[float] = [concavity(cells, grid.origin, cell_size)]
 
     while len(parts) < max_pieces:
         worst = int(np.argmax(concs))
@@ -107,15 +111,14 @@ def decompose(mesh: TriMesh, cell_size: float = 2.0, concavity_tol: float = 0.05
                 break
         part_a, part_b = idx[left], idx[~left]
         parts[worst] = part_a
-        concs[worst] = _part_concavity(part_a, grid.origin, cell_size)
+        concs[worst] = concavity(part_a, grid.origin, cell_size)
         parts.append(part_b)
-        concs.append(_part_concavity(part_b, grid.origin, cell_size))
+        concs.append(concavity(part_b, grid.origin, cell_size))
 
     pieces = [convex_hull(_cell_corners(p, grid.origin, cell_size)) for p in parts]
     return DecompositionResult(
         pieces=pieces,
         concavities=concs,
-        source=mesh,
         cell_size=cell_size,
         concavity_tol=concavity_tol,
         budget_exceeded=any(c > concavity_tol for c in concs),

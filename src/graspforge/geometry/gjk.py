@@ -6,7 +6,7 @@ it by that amount (support offset along the query direction); eroded
 queries are how callers test "overlap deeper than r" without EPA.
 
 Hot callers pre-transform vertices once per configuration and use
-`gjk_world` / `GjkResult` directly; `gjk_distance` is the posed wrapper.
+`gjk_world` / `GjkResult` directly.
 
 Exact-arithmetic contract. Settled poses, and through them every pinned
 artifact byte, depend on each float this kernel computes, so a rewrite
@@ -34,8 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConvergenceWarning
-from .hull import ConvexPiece
-from .pose import Pose3
 
 _MAX_ITER = 128
 _EPS_ZERO = 1e-9          # |v| below this counts as touching
@@ -267,22 +265,3 @@ def gjk_world(
 
     warnings.warn("GJK hit the iteration cap; distance is best-effort", ConvergenceWarning)
     return _result(v_norm, lam, simplex, False)
-
-
-def gjk_query(
-    a: ConvexPiece,
-    pose_a: Pose3,
-    b: ConvexPiece,
-    pose_b: Pose3,
-    erosion_a: float = 0.0,
-    erosion_b: float = 0.0,
-    max_distance: float | None = None,
-) -> GjkResult:
-    """Posed distance query with witness points in world coordinates."""
-    return gjk_world(pose_a.apply(a.vertices), pose_b.apply(b.vertices),
-                     erosion_a, erosion_b, max_distance)
-
-
-def gjk_distance(a: ConvexPiece, pose_a: Pose3, b: ConvexPiece, pose_b: Pose3) -> float:
-    """Euclidean separation distance; 0.0 when intersecting or touching."""
-    return gjk_query(a, pose_a, b, pose_b).distance

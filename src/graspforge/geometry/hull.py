@@ -21,20 +21,6 @@ class ConvexPiece:
     equations: np.ndarray = field(repr=False, compare=False, default=None)
     volume: float = field(compare=False, default=0.0)
 
-    def contains(self, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        """Half-space membership test for one point or an (n, 3) batch."""
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        d = pts @ self.equations[:, :3].T + self.equations[:, 3]
-        return (d <= tol).all(axis=1)
-
-    def support(self, direction: np.ndarray) -> np.ndarray:
-        """Extreme vertex along `direction` (local frame)."""
-        return self.vertices[int(np.argmax(self.vertices @ direction))]
-
-    @property
-    def centroid(self) -> np.ndarray:
-        return self.vertices.mean(axis=0)
-
 
 def convex_hull(points) -> ConvexPiece:
     """Convex hull of >= 4 non-coplanar points.

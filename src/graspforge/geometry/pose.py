@@ -27,10 +27,6 @@ class Pose3:
         object.__setattr__(self, "rotation", q)
 
     @staticmethod
-    def identity() -> "Pose3":
-        return Pose3(np.zeros(3))
-
-    @staticmethod
     def from_axis_angle(axis, angle: float, translation=(0.0, 0.0, 0.0)) -> "Pose3":
         a = np.asarray(axis, dtype=np.float64)
         n = np.linalg.norm(a)

@@ -1,4 +1,4 @@
-"""Solid voxelization by ray-parity voting, and hull-based concavity.
+"""Solid voxelization by ray-parity voting.
 
 A cell center is classified per axis by counting surface crossings along
 the axis-parallel line through it (odd count below = inside), and the
@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
-from ..errors import EmptyShape, OpenMesh
+from ..errors import DegenerateInput, OpenMesh
 from .mesh import TriMesh
 
 # Fraction of candidate cells allowed to have split axis votes.
@@ -41,21 +40,6 @@ class VoxelGrid:
     @property
     def count(self) -> int:
         return int(self.occupancy.sum())
-
-    def centers(self) -> np.ndarray:
-        """(k, 3) centers of occupied cells."""
-        idx = np.argwhere(self.occupancy)
-        return self.origin + (idx + 0.5) * self.cell_size
-
-    def corner_points(self) -> np.ndarray:
-        """Unique corner vertices of all occupied cells."""
-        idx = np.argwhere(self.occupancy)
-        if idx.size == 0:
-            return np.zeros((0, 3))
-        offs = np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)])
-        corners = (idx[:, None, :] + offs[None, :, :]).reshape(-1, 3)
-        corners = np.unique(corners, axis=0)
-        return self.origin + corners * self.cell_size
 
 
 def _axis_votes(tris: np.ndarray, origin: np.ndarray, cell: float,
@@ -122,10 +106,11 @@ def voxelize(mesh: TriMesh, cell_size: float) -> VoxelGrid:
     """Occupancy grid over the mesh AABB, centered so cells straddle it evenly.
 
     Raises OpenMesh when the three axis votes disagree on more than 2% of
-    the cells any axis considers inside.
+    the cells any axis considers inside, and DegenerateInput for a cell size
+    that is not a positive finite number.
     """
-    if cell_size <= 0:
-        raise ValueError("cell_size must be positive")
+    if not (cell_size > 0 and np.isfinite(cell_size)):
+        raise DegenerateInput(f"cell size must be positive and finite, got {cell_size!r}")
     lo, hi = mesh.aabb
     extent = hi - lo
     dims = np.maximum(1, np.ceil(extent / cell_size - 1e-9).astype(int))
@@ -146,26 +131,3 @@ def voxelize(mesh: TriMesh, cell_size: float) -> VoxelGrid:
                 "the surface does not enclose a solid")
     return VoxelGrid(origin=origin, cell_size=cell_size, occupancy=vote_sum >= 2)
 
-
-def occupied_volume(grid: VoxelGrid) -> float:
-    return grid.count * grid.cell_size ** 3
-
-
-def concavity(grid: VoxelGrid) -> float:
-    """(hull_volume - occupied_volume) / hull_volume over occupied cells.
-
-    0 for convex occupancy, approaching 1 for sparse occupancy inside a
-    large hull. Raises EmptyShape when nothing is occupied.
-    """
-    if grid.count == 0:
-        raise EmptyShape("no occupied cells")
-    pts = grid.corner_points()
-    try:
-        hull = ConvexHull(pts)
-    except QhullError as exc:
-        raise EmptyShape(f"occupied cells are degenerate: {exc}") from exc
-    hull_vol = float(hull.volume)
-    if hull_vol <= 0:
-        raise EmptyShape("hull volume is zero")
-    occ = occupied_volume(grid)
-    return max(0.0, (hull_vol - occ) / hull_vol)

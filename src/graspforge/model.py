@@ -32,6 +32,10 @@ _MAGIC = b"GFQN"
 _VERSION = 1
 _EPS_CLAMP = 1e-7
 _MIN_SIZE = 8    # three halvings need the input side divisible by 8
+# Adam moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 # parameter tensor shapes, fixed given the input size
 _PARAM_SHAPES = (
@@ -42,15 +46,6 @@ _PARAM_SHAPES = (
     ("pw_w", (16, 8)), ("pw_b", (16,)),
     ("fc_w", (16,)), ("fc_b", (1,)),
 )
-
-
-@dataclass(frozen=True)
-class QualityScore:
-    q: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.q <= 1.0:
-            raise DegenerateInput("quality must lie in [0, 1]")
 
 
 @dataclass
@@ -70,10 +65,6 @@ class QualityNet:
                 raise ShapeMismatch(f"{name}: expected {shape}, got {arr.shape}")
             if not np.isfinite(arr).all():
                 raise DegenerateInput(f"{name} contains non-finite values")
-
-    @staticmethod
-    def zeros(size: int) -> "QualityNet":
-        return QualityNet(size, [np.zeros(s, dtype=np.float32) for _, s in _PARAM_SHAPES])
 
 
 def init_net(size: int, rng: np.random.Generator) -> QualityNet:
@@ -217,16 +208,9 @@ def _backward_batch(dlogits: np.ndarray, cache):
     return grads
 
 
-def forward(net: QualityNet, patch: Patch) -> QualityScore:
-    """Quality of one patch; deterministic, q in (0, 1) by the sigmoid."""
-    if patch.size != net.size:
-        raise ShapeMismatch(f"patch size {patch.size} != net input {net.size}")
-    logits, _ = _forward_batch(net, patch.data[None, :, :])
-    return QualityScore(q=float(_sigmoid(logits)[0]))
-
-
 def forward_many(net: QualityNet, patches) -> np.ndarray:
-    """Vectorized qualities for a sequence of same-sized patches."""
+    """Qualities in (0, 1) for a sequence of same-sized patches, by the
+    sigmoid; deterministic."""
     if not patches:
         return np.zeros(0)
     for patch in patches:
@@ -243,8 +227,6 @@ def loss(y_hat, y, phi: ClassWeights) -> float:
     Predictions are clamped to [1e-7, 1 - 1e-7] so a confidently wrong
     output stays finite.
     """
-    if isinstance(y_hat, QualityScore):
-        y_hat = y_hat.q
     q = np.clip(np.atleast_1d(np.asarray(y_hat, dtype=np.float64)),
                 _EPS_CLAMP, 1.0 - _EPS_CLAMP)
     yv = np.atleast_1d(np.asarray(y, dtype=np.float64))
@@ -285,9 +267,6 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 32
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     val_fraction: float = 0.2
     augment: bool = True
     seed: int = 0
@@ -299,8 +278,6 @@ class TrainConfig:
             raise DegenerateInput("val_fraction must be in (0, 1)")
         if self.epochs < 1 or self.batch_size < 1:
             raise DegenerateInput("epochs and batch_size must be positive")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise DegenerateInput("betas must lie in [0, 1)")
 
 
 @dataclass
@@ -321,7 +298,7 @@ def adam_step(state: AdamState, grads: list, cfg: TrainConfig) -> AdamState:
     if len(grads) != len(state.params):
         raise ShapeMismatch("gradient count does not match parameters")
     state.t += 1
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for i, g in enumerate(grads):
@@ -330,7 +307,7 @@ def adam_step(state: AdamState, grads: list, cfg: TrainConfig) -> AdamState:
         g64 = g.astype(np.float64)
         m = b1 * state.m[i].astype(np.float64) + (1.0 - b1) * g64
         v = b2 * state.v[i].astype(np.float64) + (1.0 - b2) * g64 * g64
-        step = cfg.lr * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+        step = cfg.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         state.params[i] = (state.params[i].astype(np.float64) - step).astype(np.float32)
         state.m[i] = m.astype(np.float32)
         state.v[i] = v.astype(np.float32)
@@ -419,10 +396,9 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
     train_samples = [samples[i] for i in train_idx]
     if cfg.augment:
         train_samples = [v for s in train_samples for v in augment(s)]
-    phi = class_weights(train_samples)
-
     x_train = np.stack([s.patch.data for s in train_samples])
     y_train = np.array([s.label for s in train_samples], dtype=np.float64)
+    phi = class_weights(y_train)
     x_val = np.stack([samples[i].patch.data for i in val_idx])
     y_val = np.array([samples[i].label for i in val_idx], dtype=np.float64)
 

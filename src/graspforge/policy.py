@@ -139,7 +139,7 @@ def evaluate_policy(policy: PolicyConfig, net: QualityNet | None,
             pose = select_random(cands, plan["rng"])
         else:
             pose = select_cgcnn(cands, net, policy.lam)
-        out = execute_grasp(scene, pose, cfg.gripper, plan["f"])
+        out = execute_grasp(scene, pose, plan["f"])
         bucket = by_count.setdefault(plan["cable_count"], [0, 0])
         bucket[0] += 1
         if out.label == 1:

@@ -20,33 +20,29 @@ from .errors import DegenerateInput, NoCandidates
 
 # Trial budget per image; bounds sampling latency on edge-dense images.
 MAX_PAIR_TRIALS = 20_000
+W_MAX = 30.0                 # mm; widest graspable pair
+DEPTH_PAIR_TOL = 6.0         # mm; max contact depth difference
+MIN_PAIR_SEPARATION = 2.0    # mm; reject near-coincident pairs
+GRAD_THRESHOLD = 1.5         # mm/px edge response
+NORMAL_RADIUS = 5.0          # px neighborhood for normal fits
+BILATERAL_SPATIAL = 1.5      # px
+BILATERAL_RANGE = 2.0        # mm
+ENGAGE_DEPTH = 5.0           # mm the fingers reach below the surface
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
     n: int = 100                     # max candidates to emit
-    w_max: float = 30.0              # mm; widest graspable pair
     f: float = 0.4                   # friction coefficient
-    depth_pair_tol: float = 6.0      # mm; max contact depth difference
-    min_pair_separation: float = 2.0 # mm; reject near-coincident pairs
     patch_size: int = 64             # px
-    grad_threshold: float = 1.5      # mm/px edge response
-    normal_radius: float = 5.0       # px neighborhood for normal fits
     downsample_factor: int = 1
-    bilateral_spatial: float = 1.5   # px
-    bilateral_range: float = 2.0     # mm
     camera_height: float = 70.0      # mm; converts depth to world height
-    engage_depth: float = 5.0        # mm the fingers reach below the surface
 
     def __post_init__(self):
         if self.n < 1:
             raise DegenerateInput("need n >= 1")
-        if self.w_max <= 0.0:
-            raise DegenerateInput("w_max must be positive")
         if self.f <= 0.0:
             raise DegenerateInput("friction must be positive")
-        if self.depth_pair_tol < 0.0 or self.min_pair_separation < 0.0:
-            raise DegenerateInput("tolerances must be non-negative")
         if self.patch_size < 2:
             raise DegenerateInput("patch size too small")
 
@@ -112,7 +108,7 @@ def grasp_from_pair(pair: ContactPair, img: DepthImage, cfg: SamplerConfig) -> G
     """Pose from a contact pair; symmetric under c1/c2 swap.
 
     World frame: origin under the image center, x right, y up, z off the
-    floor. z engages engage_depth below the shallower contact surface.
+    floor. z engages ENGAGE_DEPTH below the shallower contact surface.
     """
     c1 = np.asarray(pair.c1, float)
     c2 = np.asarray(pair.c2, float)
@@ -120,7 +116,7 @@ def grasp_from_pair(pair: ContactPair, img: DepthImage, cfg: SamplerConfig) -> G
     x = (mid[0] - (img.width - 1) / 2.0) * img.pitch
     y = ((img.height - 1) / 2.0 - mid[1]) * img.pitch
     surface = cfg.camera_height - min(pair.d1, pair.d2)
-    z = max(surface - cfg.engage_depth, 0.0)
+    z = max(surface - ENGAGE_DEPTH, 0.0)
     v = c2 - c1
     # canonical half-plane so c1/c2 swap folds to the identical angle
     if v[1] > 0.0 or (v[1] == 0.0 and v[0] < 0.0):
@@ -145,9 +141,8 @@ def sample_grasps(img: DepthImage, cfg: SamplerConfig,
     callers typically retry with a fresh noise draw or a softer friction.
     """
     proc = downsample(img, cfg.downsample_factor)
-    proc = bilateral_filter(proc, cfg.bilateral_spatial, cfg.bilateral_range)
-    edges = estimate_normals(detect_edges(proc, cfg.grad_threshold),
-                             cfg.normal_radius)
+    proc = bilateral_filter(proc, BILATERAL_SPATIAL, BILATERAL_RANGE)
+    edges = estimate_normals(detect_edges(proc, GRAD_THRESHOLD), NORMAL_RADIUS)
     if len(edges) < 2:
         raise NoCandidates("fewer than two edge points")
 
@@ -170,9 +165,9 @@ def sample_grasps(img: DepthImage, cfg: SamplerConfig,
         seen.add((i, j))
         v = pts[j] - pts[i]
         width = float(np.linalg.norm(v)) * proc.pitch
-        if width > cfg.w_max or width < cfg.min_pair_separation:
+        if width > W_MAX or width < MIN_PAIR_SEPARATION:
             continue
-        if abs(depths[i] - depths[j]) > cfg.depth_pair_tol:
+        if abs(depths[i] - depths[j]) > DEPTH_PAIR_TOL:
             continue
         g1 = v / np.linalg.norm(v)
         pair = ContactPair(c1=pts[i].copy(), c2=pts[j].copy(),

@@ -18,12 +18,9 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .depthproc import DepthImage
-from .errors import DegenerateInput, Overfilled, SelfIntersecting
+from .errors import DatasetNotFound, DegenerateInput, Overfilled, SelfIntersecting
 from .fileio import atomic_write
-from .geometry import (
-    ConvexPiece, DecompositionResult, Pose3, TriMesh, convex_hull, gjk_world,
-    load_obj, save_obj,
-)
+from .geometry import ConvexPiece, Pose3, TriMesh, convex_hull, gjk_world, load_obj, save_obj
 
 CONTACT_EPS = 0.05       # mm; resting contact tolerance
 SUPPORT_TOL = 0.5        # mm; gap still counted as support during settling
@@ -247,7 +244,7 @@ def make_cable_mesh(spec: CableSpec, rng: np.random.Generator) -> TriMesh:
     return TriMesh(mesh.vertices - mesh.centroid(), mesh.faces)
 
 
-def cable_decomposition(mesh: TriMesh, tube_sides: int) -> DecompositionResult:
+def cable_decomposition(mesh: TriMesh, tube_sides: int) -> list[ConvexPiece]:
     """Exact convex cover of a tube from make_cable_mesh: one hull per
     centerline segment. A mitered tube segment is convex (a cylinder cut
     by two planes), so each piece has zero concavity and the union covers
@@ -264,9 +261,7 @@ def cable_decomposition(mesh: TriMesh, tube_sides: int) -> DecompositionResult:
     for k in range(n_rings - 1):
         ring_pair = mesh.vertices[k * tube_sides:(k + 2) * tube_sides]
         pieces.append(convex_hull(ring_pair))
-    return DecompositionResult(pieces=pieces, concavities=[0.0] * len(pieces),
-                               source=mesh, cell_size=0.0, concavity_tol=0.0,
-                               budget_exceeded=False)
+    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +272,7 @@ class PlacedCable:
     id: int
     spec: CableSpec
     mesh: TriMesh
-    decomposition: DecompositionResult
+    pieces: list[ConvexPiece]   # convex cover in the cable frame
     pose: Pose3
 
 
@@ -509,13 +504,13 @@ def settle_scene(bin_spec: BinSpec, cable_specs: list[CableSpec],
 
     for cable_id, spec in enumerate(cable_specs):
         mesh = make_cable_mesh(spec, rng)
-        dec = cable_decomposition(mesh, spec.tube_sides)
+        pieces = cable_decomposition(mesh, spec.tube_sides)
         centroid = mesh.centroid()
 
         pose = None
         for _ in range(50):
             yaw = rng.uniform(0.0, 2.0 * math.pi)
-            yawed = _WorldBody(dec.pieces, Pose3.from_yaw(yaw))
+            yawed = _WorldBody(pieces, Pose3.from_yaw(yaw))
             half_x = (yawed.aabb_hi[0] - yawed.aabb_lo[0]) / 2.0
             half_y = (yawed.aabb_hi[1] - yawed.aabb_lo[1]) / 2.0
             if half_x * 2 > bin_spec.inner_x or half_y * 2 > bin_spec.inner_y:
@@ -527,7 +522,7 @@ def settle_scene(bin_spec: BinSpec, cable_specs: list[CableSpec],
             cx = rng.uniform(lo_fp[0] + half_x + mx, hi_fp[0] - half_x - mx) - center_off[0]
             cy = rng.uniform(lo_fp[1] + half_y + my, hi_fp[1] - half_y - my) - center_off[1]
 
-            dropped = _drop(dec.pieces, Pose3.from_yaw(yaw).rotation, cx, cy, statics)
+            dropped = _drop(pieces, Pose3.from_yaw(yaw).rotation, cx, cy, statics)
             if dropped is None:
                 continue
             body, cur = dropped
@@ -551,7 +546,7 @@ def settle_scene(bin_spec: BinSpec, cable_specs: list[CableSpec],
                     cand = tipped.compose(cur)
                     seated = None
                     for lift in (1.0, 4.0, 16.0):
-                        seated = _advance_down(dec.pieces, cand.rotation,
+                        seated = _advance_down(pieces, cand.rotation,
                                                cand.translation[0], cand.translation[1],
                                                cand.translation[2] + lift, statics)
                         if seated is not None:
@@ -579,7 +574,7 @@ def settle_scene(bin_spec: BinSpec, cable_specs: list[CableSpec],
                 tilt = Pose3.from_axis_angle(axis, angle)
                 cand = Pose3(cur.translation,
                              tilt.compose(Pose3((0, 0, 0), cur.rotation)).rotation)
-                cand_body = _WorldBody(dec.pieces, cand)
+                cand_body = _WorldBody(pieces, cand)
                 if not _inside_footprint(cand_body, lo_fp, hi_fp):
                     continue
                 pen = _penetration(cand_body, statics)
@@ -599,8 +594,8 @@ def settle_scene(bin_spec: BinSpec, cable_specs: list[CableSpec],
             raise Overfilled(f"cable {cable_id} found no resting pose in 50 attempts")
 
         placed.append(PlacedCable(id=cable_id, spec=spec, mesh=mesh,
-                                  decomposition=dec, pose=pose))
-        statics.append(_WorldBody(dec.pieces, pose))
+                                  pieces=pieces, pose=pose))
+        statics.append(_WorldBody(pieces, pose))
 
     return Scene(bin=bin_spec, cables=placed, rng_seed=seed)
 
@@ -649,11 +644,6 @@ class Camera:
 
     def footprint_half_extents(self) -> tuple[float, float]:
         return (self.width_px * self.pitch / 2.0, self.height_px * self.pitch / 2.0)
-
-    def px_to_world(self, px: np.ndarray, py: np.ndarray):
-        x = self.center_xy[0] + (np.asarray(px) - (self.width_px - 1) / 2.0) * self.pitch
-        y = self.center_xy[1] + ((self.height_px - 1) / 2.0 - np.asarray(py)) * self.pitch
-        return x, y
 
     def world_to_px(self, x: np.ndarray, y: np.ndarray):
         px = (np.asarray(x) - self.center_xy[0]) / self.pitch + (self.width_px - 1) / 2.0
@@ -753,25 +743,36 @@ def save_scene(scene: Scene, out_dir: str) -> str:
 
 
 def load_scene(manifest_path: str) -> Scene:
-    """Reload a saved scene; decompositions are recomputed (deterministic)."""
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    base = os.path.dirname(manifest_path)
-    b = manifest["bin"]
-    bin_spec = BinSpec(inner_x=b["inner_x"], inner_y=b["inner_y"],
-                       wall_height=b["wall_height"], thickness=b["thickness"])
-    cables = []
-    for c in manifest["cables"]:
-        mesh = load_obj(os.path.join(base, c["mesh"]))
-        s = c["spec"]
-        dec = cable_decomposition(mesh, s["tube_sides"])
-        spec = CableSpec(segment_count=s["segment_count"],
-                         segment_length=s["segment_length"],
-                         radius=s["radius"],
-                         bend_angle_range=tuple(s["bend_angle_range"]),
-                         tube_sides=s["tube_sides"])
-        pose = Pose3(np.array(c["pose"]["translation"]),
-                     np.array(c["pose"]["rotation"]))
-        cables.append(PlacedCable(id=c["id"], spec=spec, mesh=mesh,
-                                  decomposition=dec, pose=pose))
-    return Scene(bin=bin_spec, cables=cables, rng_seed=manifest["rng_seed"])
+    """Reload a saved scene; decompositions are recomputed (deterministic).
+
+    A missing manifest or cable mesh raises DatasetNotFound. A manifest that
+    is not JSON, lacks a key or holds a value the scene types reject raises
+    DegenerateInput naming it.
+    """
+    if not os.path.isfile(manifest_path):
+        raise DatasetNotFound(manifest_path)
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        base = os.path.dirname(manifest_path)
+        b = manifest["bin"]
+        bin_spec = BinSpec(inner_x=b["inner_x"], inner_y=b["inner_y"],
+                           wall_height=b["wall_height"], thickness=b["thickness"])
+        cables = []
+        for c in manifest["cables"]:
+            mesh = load_obj(os.path.join(base, c["mesh"]))
+            s = c["spec"]
+            spec = CableSpec(segment_count=s["segment_count"],
+                             segment_length=s["segment_length"],
+                             radius=s["radius"],
+                             bend_angle_range=tuple(s["bend_angle_range"]),
+                             tube_sides=s["tube_sides"])
+            pieces = cable_decomposition(mesh, spec.tube_sides)
+            pose = Pose3(np.array(c["pose"]["translation"]),
+                         np.array(c["pose"]["rotation"]))
+            cables.append(PlacedCable(id=c["id"], spec=spec, mesh=mesh,
+                                      pieces=pieces, pose=pose))
+        return Scene(bin=bin_spec, cables=cables, rng_seed=manifest["rng_seed"])
+    except (DegenerateInput, KeyError, TypeError, ValueError) as exc:   # ValueError: bad JSON too
+        raise DegenerateInput(
+            f"{manifest_path}: bad scene manifest ({type(exc).__name__}: {exc})") from None

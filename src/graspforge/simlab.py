@@ -40,7 +40,7 @@ from .depthproc import Patch, add_noise, patch_from_record, record_bytes
 from .errors import (DatasetNotFound, DegenerateInput, NoCandidates, Overfilled,
                      ShapeMismatch, SingleClass)
 from .fileio import atomic_write
-from .geometry import ConvexPiece, convex_hull, gjk_world
+from .geometry import gjk_world
 from .sampler import GraspPose, SamplerConfig, sample_grasps
 from .scene import BinSpec, CableSpec, Camera, Scene, bin_pieces, render_depth, settle_scene
 
@@ -54,38 +54,17 @@ CONTACT_TOL = 1e-3       # mm; a closing jaw stops within this gap
 ENTANGLE_EROSION = 2.5   # mm per body; 5 mm combined overlap means entangled
 _CLOSE_ITER_CAP = 200
 
-
-@dataclass(frozen=True)
-class GripperModel:
-    """Two-jaw parallel gripper approaching straight down.
-
-    Each jaw is a box: `jaw_thickness` along the closing axis, `jaw_height`
-    across it, `finger_length` vertically. Fingertips hover `tip_clearance`
-    above the nominal grasp depth so resting on the floor plane is not
-    counted as a collision. Before closing, the jaws open `open_clearance`
-    wider than the estimated grasp width.
-    """
-
-    jaw_thickness: float = 4.0
-    jaw_height: float = 12.0
-    finger_length: float = 30.0
-    open_clearance: float = 10.0
-    tip_clearance: float = 0.2
-
-    def __post_init__(self):
-        for name in ("jaw_thickness", "jaw_height", "finger_length", "open_clearance"):
-            if getattr(self, name) <= 0.0:
-                raise DegenerateInput(f"{name} must be positive")
-        if self.tip_clearance < 0.0:
-            raise DegenerateInput("tip_clearance must be non-negative")
-
-    def jaw_pieces(self, g: GraspPose, width: float) -> tuple[ConvexPiece, ConvexPiece]:
-        """Collision boxes of both jaws at the given separation; the boxes
-        are disjoint for any width > 0 (gap between inner faces == width)."""
-        if width <= 0.0:
-            raise DegenerateInput("jaw separation must be positive")
-        return (convex_hull(_jaw_verts(g, self, 1.0, width / 2.0)),
-                convex_hull(_jaw_verts(g, self, -1.0, width / 2.0)))
+# The one two-jaw parallel gripper, approaching straight down. Each jaw is a
+# box: JAW_THICKNESS along the closing axis, JAW_HEIGHT across it,
+# FINGER_LENGTH vertically (mm). Fingertips hover TIP_CLEARANCE above the
+# nominal grasp depth so resting on the floor plane is not counted as a
+# collision. Before closing, the jaws open OPEN_CLEARANCE wider than the
+# estimated grasp width.
+JAW_THICKNESS = 4.0
+JAW_HEIGHT = 12.0
+FINGER_LENGTH = 30.0
+OPEN_CLEARANCE = 10.0
+TIP_CLEARANCE = 0.2
 
 
 @dataclass(frozen=True)
@@ -145,19 +124,19 @@ def _grasp_axes(theta: float) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def _jaw_verts(g: GraspPose, grip: GripperModel, side: float, offset: float,
+def _jaw_verts(g: GraspPose, side: float, offset: float,
                z_top: float | None = None) -> np.ndarray:
     """Corner vertices of one jaw box. `offset` is the distance from the
     grasp center to the jaw's inner face along `side` times the closing
     axis; extending z_top past the finger length turns the box into the
     exact swept volume of a straight-down descent."""
     u, v = _grasp_axes(g.theta)
-    z0 = g.z + grip.tip_clearance
-    z1 = z0 + grip.finger_length if z_top is None else z_top
+    z0 = g.z + TIP_CLEARANCE
+    z1 = z0 + FINGER_LENGTH if z_top is None else z_top
     center = np.array([g.x, g.y, 0.0])
     corners = []
-    for du in (offset, offset + grip.jaw_thickness):
-        for dv in (-grip.jaw_height / 2.0, grip.jaw_height / 2.0):
+    for du in (offset, offset + JAW_THICKNESS):
+        for dv in (-JAW_HEIGHT / 2.0, JAW_HEIGHT / 2.0):
             for z in (z0, z1):
                 corners.append(center + side * du * u + dv * v + np.array([0.0, 0.0, z]))
     return np.array(corners)
@@ -181,7 +160,7 @@ def _scene_bodies(scene: Scene) -> list[_Body]:
     for cable in scene.cables:
         rot = cable.pose.matrix()
         t = cable.pose.translation
-        for piece in cable.decomposition.pieces:
+        for piece in cable.pieces:
             verts = cable.pose.apply(piece.vertices)
             normals = piece.equations[:, :3] @ rot.T
             offsets = piece.equations[:, 3] - normals @ t
@@ -202,13 +181,12 @@ def _face_normal(equations: np.ndarray, point: np.ndarray, hint: np.ndarray) -> 
     return equations[best, :3]
 
 
-def _close_jaw(g: GraspPose, grip: GripperModel, side: float, a_start: float,
-               bodies: list[_Body]):
+def _close_jaw(g: GraspPose, side: float, a_start: float, bodies: list[_Body]):
     """Advance one jaw from separation a_start toward the grasp center until
     it touches something or its inner face reaches the center. Returns the
     bodies resting against the final jaw position."""
-    first = _jaw_verts(g, grip, side, a_start)
-    last = _jaw_verts(g, grip, side, 0.0)
+    first = _jaw_verts(g, side, a_start)
+    last = _jaw_verts(g, side, 0.0)
     lo = np.minimum(first.min(axis=0), last.min(axis=0))
     hi = np.maximum(first.max(axis=0), last.max(axis=0))
     near = [b for b in bodies if _overlaps(lo, hi, b, pad=CONTACT_TOL)]
@@ -216,7 +194,7 @@ def _close_jaw(g: GraspPose, grip: GripperModel, side: float, a_start: float,
         return []
 
     def probe(a: float):
-        jaw = _jaw_verts(g, grip, side, a)
+        jaw = _jaw_verts(g, side, a)
         return [(b, gjk_world(jaw, b.verts, max_distance=a_start + 1.0)) for b in near]
 
     a = a_start
@@ -237,8 +215,7 @@ def _close_jaw(g: GraspPose, grip: GripperModel, side: float, a_start: float,
     return [(b, r) for b, r in results if r.distance <= dmin + CONTACT_TOL]
 
 
-def execute_grasp(scene: Scene, g: GraspPose, gripper: GripperModel,
-                  f: float) -> GraspOutcome:
+def execute_grasp(scene: Scene, g: GraspPose, f: float) -> GraspOutcome:
     """Label one grasp: approach, close, hold, lift. Every failure mode maps
     to a labeled outcome; only a grasp that passes all four stages holding
     exactly one cable gets label 1."""
@@ -246,15 +223,14 @@ def execute_grasp(scene: Scene, g: GraspPose, gripper: GripperModel,
         raise DegenerateInput("friction coefficient must be positive")
     bodies = _scene_bodies(scene)
     u, _ = _grasp_axes(g.theta)
-    w_open = g.w + gripper.open_clearance
+    w_open = g.w + OPEN_CLEARANCE
     top_z = max(b.hi[2] for b in bodies) + 1.0
 
     # stage 1: straight-down approach of both open jaws. The swept volume of
     # a box translating along -z is itself a box, so one exact query per jaw
     # covers the entire descent.
     for side in (1.0, -1.0):
-        sweep = _jaw_verts(g, gripper, side, w_open / 2.0,
-                           z_top=top_z + gripper.finger_length)
+        sweep = _jaw_verts(g, side, w_open / 2.0, z_top=top_z + FINGER_LENGTH)
         lo, hi = sweep.min(axis=0), sweep.max(axis=0)
         for b in bodies:
             if not _overlaps(lo, hi, b):
@@ -263,7 +239,7 @@ def execute_grasp(scene: Scene, g: GraspPose, gripper: GripperModel,
                 return GraspOutcome(0, "approach_collision", frozenset())
 
     # stage 2: close both jaws independently; each stops at first touch
-    contacts = {side: _close_jaw(g, gripper, side, w_open / 2.0, bodies)
+    contacts = {side: _close_jaw(g, side, w_open / 2.0, bodies)
                 for side in (1.0, -1.0)}
     ids = {b.owner for side in contacts for b, _ in contacts[side] if b.owner >= 0}
     if not ids:
@@ -287,7 +263,7 @@ def execute_grasp(scene: Scene, g: GraspPose, gripper: GripperModel,
 
     # stage 4: lift the held cable straight up; another cable overlapping the
     # swept volume deeply enough would be dragged along
-    lift = top_z + gripper.finger_length
+    lift = top_z + FINGER_LENGTH
     shift = np.array([0.0, 0.0, lift])
     for held in (b for b in bodies if b.owner == cid):
         swept = np.vstack([held.verts, held.verts + shift])
@@ -306,13 +282,12 @@ def execute_grasp(scene: Scene, g: GraspPose, gripper: GripperModel,
     return GraspOutcome(1, "none", frozenset(ids))
 
 
-def class_weights(dataset) -> ClassWeights:
-    """Inverse-frequency class weights normalized to mean 1. Accepts either
-    GraspSample sequences or raw 0/1 labels."""
-    labels = [s.label if isinstance(s, GraspSample) else int(s) for s in dataset]
-    if not set(labels) <= {0, 1}:
+def class_weights(labels) -> ClassWeights:
+    """Inverse-frequency class weights normalized to mean 1, from 0/1 labels."""
+    labels = np.asarray(labels)
+    if not np.isin(labels, (0, 1)).all():
         raise DegenerateInput("labels must be 0 or 1")
-    counts = np.bincount(np.asarray(labels, dtype=int), minlength=2)
+    counts = np.bincount(labels.astype(int), minlength=2)
     if counts[0] == 0 or counts[1] == 0:
         raise SingleClass(f"need both classes, got counts {counts.tolist()}")
     inv = 1.0 / counts
@@ -322,7 +297,7 @@ def class_weights(dataset) -> ClassWeights:
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    """Domain randomization ranges plus the fixed scene/gripper setup."""
+    """Domain randomization ranges plus the fixed scene setup."""
 
     scene_count: int = 80
     cable_count_range: tuple[int, int] = (4, 10)
@@ -335,7 +310,6 @@ class DatasetConfig:
     bin: BinSpec = BinSpec()
     cable: CableSpec = CableSpec()
     camera: Camera = Camera()
-    gripper: GripperModel = GripperModel()
 
     def __post_init__(self):
         if self.scene_count < 1:
@@ -416,7 +390,7 @@ def label_row(cfg: DatasetConfig, scene: Scene, plan: dict, cand: dict) -> dict:
     """Run the oracle on one candidate row; returns the dataset row that
     `write_dataset` stores, with the plan's draws for replay."""
     pose = {k: cand[k] for k in POSE_KEYS}
-    out = execute_grasp(scene, GraspPose(**pose), cfg.gripper, plan["f"])
+    out = execute_grasp(scene, GraspPose(**pose), plan["f"])
     return {"scene_index": cand["scene_index"], "candidate_index": cand["candidate_index"],
             "patch": cand["patch"], "label": out.label, "reason": out.failure_reason,
             "contacted_ids": sorted(out.contacted_ids), "scene_seed": plan["scene_seed"],
@@ -555,5 +529,4 @@ def replay_sample(sample: GraspSample | dict, cfg: DatasetConfig) -> GraspOutcom
     on the stored pose; must reproduce the stored label for any dataset
     generated with the same config."""
     meta = sample.meta if isinstance(sample, GraspSample) else dict(sample)
-    return execute_grasp(settle_plan(cfg, meta), GraspPose(**meta["pose"]),
-                         cfg.gripper, float(meta["f"]))
+    return execute_grasp(settle_plan(cfg, meta), GraspPose(**meta["pose"]), float(meta["f"]))

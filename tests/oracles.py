@@ -6,6 +6,10 @@ feature enumeration, inside tests from crossing parity of a single ray,
 rendered depths from one Moller-Trumbore ray per pixel (`ray_triangles`,
 `ray_mesh`). The one exception is `gjk_world_reference`, a frozen copy of the GJK
 kernel that the library's kernel must match bit for bit.
+
+The fixtures section holds test inputs and measures the library has no use
+for: sphere and prism meshes, mesh volume, point-in-piece, pixel-to-world
+and an all-zero network.
 """
 from __future__ import annotations
 
@@ -13,8 +17,10 @@ import warnings
 
 import numpy as np
 
-from graspforge.errors import ConvergenceWarning
-from graspforge.geometry import GjkResult, Pose3, TriMesh
+from graspforge.errors import ConvergenceWarning, DegenerateInput
+from graspforge.geometry import ConvexPiece, GjkResult, Pose3, TriMesh
+from graspforge.model import QualityNet, init_net
+from graspforge.scene import Camera
 
 
 def quat_from_rng(rng: np.random.Generator) -> np.ndarray:
@@ -199,6 +205,124 @@ def ray_mesh(origin: np.ndarray, direction: np.ndarray, mesh: TriMesh,
     if pose is not None:
         tris = pose.apply(tris.reshape(-1, 3)).reshape(tris.shape)
     return ray_triangles(origin, direction, tris)
+
+
+
+# ---------------------------------------------------------------------------
+# Test fixtures: shapes, measures and inverses the library itself never needs.
+
+def mesh_volume(mesh: TriMesh) -> float:
+    """Signed volume by summing tetrahedra against the origin.
+
+    Positive for outward-wound closed meshes.
+    """
+    a, b, c = (mesh.vertices[mesh.faces[:, k]] for k in range(3))
+    return float(np.einsum("ij,ij->i", a, np.cross(b, c)).sum() / 6.0)
+
+
+def piece_contains(piece: ConvexPiece, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Half-space membership test for one point or an (n, 3) batch."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    d = pts @ piece.equations[:, :3].T + piece.equations[:, 3]
+    return (d <= tol).all(axis=1)
+
+
+def px_to_world(cam: Camera, px: np.ndarray, py: np.ndarray):
+    """World (x, y) of pixel coordinates; the inverse of Camera.world_to_px."""
+    x = cam.center_xy[0] + (np.asarray(px) - (cam.width_px - 1) / 2.0) * cam.pitch
+    y = cam.center_xy[1] + ((cam.height_px - 1) / 2.0 - np.asarray(py)) * cam.pitch
+    return x, y
+
+
+def zeros_net(size: int) -> QualityNet:
+    """A network whose every parameter is zero: it scores each patch 0.5."""
+    shapes = init_net(size, np.random.default_rng(0)).params
+    return QualityNet(size, [np.zeros_like(p) for p in shapes])
+
+
+def _ear_clip(poly: np.ndarray) -> list[tuple[int, int, int]]:
+    """Triangulate a simple CCW polygon by ear clipping."""
+    n = len(poly)
+    idx = list(range(n))
+    tris: list[tuple[int, int, int]] = []
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    guard = 0
+    while len(idx) > 3 and guard < 10 * n:
+        guard += 1
+        for k in range(len(idx)):
+            i0, i1, i2 = idx[k - 1], idx[k], idx[(k + 1) % len(idx)]
+            a, b, c = poly[i0], poly[i1], poly[i2]
+            if cross(a, b, c) <= 1e-12:
+                continue  # reflex or degenerate corner
+            ok = True
+            for j in idx:
+                if j in (i0, i1, i2):
+                    continue
+                p = poly[j]
+                if cross(a, b, p) >= -1e-12 and cross(b, c, p) >= -1e-12 and cross(c, a, p) >= -1e-12:
+                    ok = False
+                    break
+            if ok:
+                tris.append((i0, i1, i2))
+                idx.pop(k)
+                break
+        else:
+            raise DegenerateInput("polygon is not simple; ear clipping failed")
+    if len(idx) == 3:
+        tris.append((idx[0], idx[1], idx[2]))
+    return tris
+
+
+def extrude_polygon(poly_xy, z0: float, z1: float) -> TriMesh:
+    """Extrude a simple CCW polygon in the xy plane into a closed prism."""
+    poly = np.asarray(poly_xy, dtype=np.float64)
+    if poly.ndim != 2 or poly.shape[1] != 2 or len(poly) < 3:
+        raise DegenerateInput("polygon must be (n, 2) with n >= 3")
+    n = len(poly)
+    bottom = np.column_stack([poly, np.full(n, float(z0))])
+    top = np.column_stack([poly, np.full(n, float(z1))])
+    verts = np.vstack([bottom, top])
+    tris = _ear_clip(poly)
+    faces: list[list[int]] = []
+    for a, b, c in tris:
+        faces.append([a, c, b])              # bottom faces down
+        faces.append([n + a, n + b, n + c])  # top faces up
+    for i in range(n):
+        j = (i + 1) % n
+        faces.append([i, j, n + j])
+        faces.append([i, n + j, n + i])
+    return TriMesh(verts, np.array(faces))
+
+
+def uv_sphere(center, radius: float, n_theta: int = 24, n_phi: int = 48) -> TriMesh:
+    """Latitude/longitude sphere; all vertices lie exactly on the sphere."""
+    c = np.asarray(center, dtype=np.float64)
+    verts = [c + [0.0, 0.0, radius]]
+    for it in range(1, n_theta):
+        t = np.pi * it / n_theta
+        for ip in range(n_phi):
+            p = 2 * np.pi * ip / n_phi
+            verts.append(c + radius * np.array([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)]))
+    verts.append(c + [0.0, 0.0, -radius])
+    south = len(verts) - 1
+
+    def ring(it: int, ip: int) -> int:
+        return 1 + (it - 1) * n_phi + (ip % n_phi)
+
+    faces = []
+    for ip in range(n_phi):
+        faces.append([0, ring(1, ip), ring(1, ip + 1)])
+        faces.append([south, ring(n_theta - 1, ip + 1), ring(n_theta - 1, ip)])
+    for it in range(1, n_theta - 1):
+        for ip in range(n_phi):
+            a, b = ring(it, ip), ring(it, ip + 1)
+            c2, d = ring(it + 1, ip), ring(it + 1, ip + 1)
+            faces.append([a, c2, d])
+            faces.append([a, d, b])
+    return TriMesh(np.array(verts), np.array(faces))
 
 
 # Frozen GJK kernel: keep its arithmetic exactly as is.

@@ -8,8 +8,9 @@ import pytest
 from graspforge.cli import dispatch
 from graspforge.depthproc import Patch
 from graspforge.geometry import box_mesh, save_obj
-from graspforge.model import QualityNet, save_net
+from graspforge.model import save_net
 from graspforge.simlab import DatasetConfig, generate_dataset, write_dataset
+from oracles import zeros_net
 
 # small enough to keep the staged chain quick, deliberately the same draws
 # as the fused reference run below
@@ -96,7 +97,7 @@ class TestErrors:
 
     def test_truncated_or_padded_checkpoint(self, capsys, tmp_path):
         good = tmp_path / "good.gfqn"
-        save_net(QualityNet.zeros(16), good)
+        save_net(zeros_net(16), good)
         raw = good.read_bytes()
         damaged = [raw[:n] for n in (0, 3, 20, 100, len(raw) // 2, len(raw) - 3)]
         damaged.append(raw + b"\0\0\0")
@@ -170,6 +171,53 @@ class TestErrors:
             assert rc == 1
             assert out["error"] == "DegenerateInput"
             assert str(named) in out["detail"]
+
+    def test_bad_scene_manifest(self, capsys, chain, tmp_path):
+        listing = json.loads((chain / "scenes/scenes.json").read_text())
+        for entry in listing["scenes"]:
+            entry["manifest"] = "bad/scene.json"
+        listing_path = tmp_path / "scenes.json"
+        listing_path.write_text(json.dumps(listing))
+        manifest = tmp_path / "bad/scene.json"
+        manifest.parent.mkdir()
+        for text, error in ((None, "DatasetNotFound"), ("{", "DegenerateInput"),
+                            ("{}", "DegenerateInput")):
+            manifest.unlink(missing_ok=True)
+            if text is not None:
+                manifest.write_text(text)
+            for argv in (["sample"], ["label", "--candidates", str(chain / "candidates.idx")]):
+                rc, out = run(capsys, *argv, "--scenes", str(listing_path),
+                              "--out", str(tmp_path / "out"), *BASE)
+                assert rc == 1, (text, argv)
+                assert out["error"] == error
+                assert str(manifest) in out["detail"]
+
+    def test_bad_decompose_inputs(self, capsys, tmp_path):
+        box = tmp_path / "box.obj"
+        save_obj(box_mesh(np.zeros(3), (10.0, 6.0, 4.0)), box)
+        short = tmp_path / "short.obj"
+        short.write_text("v 1 2\n")
+        cases = ((tmp_path / "nope.obj", [], "DatasetNotFound"),
+                 (short, [], "DegenerateInput"),
+                 (box, ["--decompose-cell", "0"], "DegenerateInput"))
+        for mesh, flags, error in cases:
+            rc, out = run(capsys, "decompose", "--mesh", str(mesh),
+                          "--out", str(tmp_path / "dec"), *flags)
+            assert rc == 1, (mesh, flags)
+            assert out["error"] == error
+        assert str(short) in run(capsys, "decompose", "--mesh", str(short))[1]["detail"]
+
+    def test_bad_report_inputs(self, capsys, tmp_path):
+        stats = tmp_path / "stats.json"
+        metrics = tmp_path / "metrics.csv"
+        cases = ((stats, "{}", "--stats"), (stats, "not json", "--stats"),
+                 (metrics, "epoch,train_loss,val_acc,val_prec,val_rec\n1,0.9\n", "--metrics"))
+        for path, text, flag in cases:
+            path.write_text(text)
+            rc, out = run(capsys, "report", flag, str(path), "--out", str(tmp_path / "figs"))
+            assert rc == 1, text
+            assert out["error"] == "DegenerateInput"
+            assert str(path) in out["detail"]
 
     def test_bad_config_value_is_domain_error(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

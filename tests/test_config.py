@@ -2,8 +2,7 @@
 
 import pytest
 
-from graspforge.config import (ENV_VAR, RunConfig, load_run_config,
-                               parse_config_text, save_run_config)
+from graspforge.config import ENV_VAR, RunConfig, load_run_config, parse_config_text
 from graspforge.errors import DegenerateInput
 
 
@@ -89,15 +88,6 @@ class TestLoad:
     def test_unknown_override_rejected(self):
         with pytest.raises(DegenerateInput, match="unknown"):
             load_run_config(None, {"warp_factor": 9})
-
-
-class TestRoundtrip:
-    def test_save_load_identity(self, tmp_path):
-        cfg = RunConfig(master_seed=42, lr=0.005, augment=False,
-                        policy="random", dataset_dir="dsets")
-        p = tmp_path / "run.cfg"
-        save_run_config(cfg, p)
-        assert load_run_config(p) == cfg
 
 
 class TestConverters:

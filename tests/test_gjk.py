@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 from graspforge.errors import ConvergenceWarning
-from graspforge.geometry import Pose3, box_mesh, convex_hull, gjk_distance, gjk_query, gjk_world
+from graspforge.geometry import Pose3, box_mesh, convex_hull, gjk_world
 
 import oracles
 
 
 def unit_cube_piece():
     return convex_hull(box_mesh(np.zeros(3), (0.5, 0.5, 0.5)).vertices)
+
+
+def cube_at(x: float, y: float = 0.0) -> np.ndarray:
+    """World vertices of the unit cube posed at (x, y, 0)."""
+    return Pose3(np.array([x, y, 0.0])).apply(unit_cube_piece().vertices)
 
 
 def random_box(rng):
@@ -21,23 +26,24 @@ def random_box(rng):
     return half, q, trans, piece
 
 
+def posed(piece, t, q) -> np.ndarray:
+    return Pose3(t, q).apply(piece.vertices)
+
+
 class TestExamples:
     def test_cubes_three_apart(self):
-        a = unit_cube_piece()
-        d = gjk_distance(a, Pose3.identity(), a, Pose3(np.array([3.0, 0.0, 0.0])))
+        d = gjk_world(cube_at(0.0), cube_at(3.0)).distance
         assert d == pytest.approx(2.0, abs=1e-9)
 
     def test_overlapping_cubes(self):
-        a = unit_cube_piece()
-        assert gjk_distance(a, Pose3.identity(), a, Pose3(np.array([0.5, 0.2, 0.0]))) == 0.0
+        assert gjk_world(cube_at(0.0), cube_at(0.5, 0.2)).distance == 0.0
 
     def test_touching_cubes(self):
-        a = unit_cube_piece()
-        assert gjk_distance(a, Pose3.identity(), a, Pose3(np.array([1.0, 0.0, 0.0]))) == 0.0
+        assert gjk_world(cube_at(0.0), cube_at(1.0)).distance == 0.0
 
     def test_witness_points_realize_distance(self):
         a = unit_cube_piece()
-        r = gjk_query(a, Pose3.from_yaw(0.4, (2.5, 1.0, 0.3)), a, Pose3.identity())
+        r = gjk_world(Pose3.from_yaw(0.4, (2.5, 1.0, 0.3)).apply(a.vertices), cube_at(0.0))
         assert np.linalg.norm(r.point_a - r.point_b) == pytest.approx(r.distance, abs=1e-7)
         assert r.converged
 
@@ -48,7 +54,7 @@ class TestSatOracle:
         for _ in range(300):
             ha, qa, ta, pa = random_box(rng)
             hb, qb, tb, pb = random_box(rng)
-            got = gjk_distance(pa, Pose3(ta, qa), pb, Pose3(tb, qb))
+            got = gjk_world(posed(pa, ta, qa), posed(pb, tb, qb)).distance
             want = oracles.sat_box_distance(
                 ha, oracles.quat_matrix(qa), ta, hb, oracles.quat_matrix(qb), tb)
             assert got == pytest.approx(want, abs=1e-6)
@@ -58,8 +64,8 @@ class TestSatOracle:
         for _ in range(100):
             _, qa, ta, pa = random_box(rng)
             _, qb, tb, pb = random_box(rng)
-            d1 = gjk_distance(pa, Pose3(ta, qa), pb, Pose3(tb, qb))
-            d2 = gjk_distance(pb, Pose3(tb, qb), pa, Pose3(ta, qa))
+            d1 = gjk_world(posed(pa, ta, qa), posed(pb, tb, qb)).distance
+            d2 = gjk_world(posed(pb, tb, qb), posed(pa, ta, qa)).distance
             assert d1 == pytest.approx(d2, abs=1e-9)
 
     def test_rigid_invariance(self):
@@ -67,42 +73,35 @@ class TestSatOracle:
         for _ in range(100):
             _, qa, ta, pa = random_box(rng)
             _, qb, tb, pb = random_box(rng)
-            d0 = gjk_distance(pa, Pose3(ta, qa), pb, Pose3(tb, qb))
+            d0 = gjk_world(posed(pa, ta, qa), posed(pb, tb, qb)).distance
             g = Pose3(rng.uniform(-5, 5, size=3), oracles.quat_from_rng(rng))
-            d1 = gjk_distance(pa, g.compose(Pose3(ta, qa)), pb, g.compose(Pose3(tb, qb)))
+            ga, gb = g.compose(Pose3(ta, qa)), g.compose(Pose3(tb, qb))
+            d1 = gjk_world(ga.apply(pa.vertices), gb.apply(pb.vertices)).distance
             assert d1 == pytest.approx(d0, abs=1e-6)
 
 
 class TestErosion:
     def test_separated_cubes_gain_sum_of_radii(self):
-        a = unit_cube_piece()
-        r = gjk_query(a, Pose3.identity(), a, Pose3(np.array([3.0, 0.0, 0.0])),
-                      erosion_a=0.25, erosion_b=0.25)
+        r = gjk_world(cube_at(0.0), cube_at(3.0), erosion_a=0.25, erosion_b=0.25)
         assert r.distance == pytest.approx(2.5, abs=1e-9)
 
     def test_overlap_depth_thresholding(self):
         # cubes overlapping 0.4 on x: still colliding when eroded less than
         # the depth, separated once combined erosion exceeds it
-        a = unit_cube_piece()
-        pose_b = Pose3(np.array([0.6, 0.0, 0.0]))
-        shallow = gjk_query(a, Pose3.identity(), a, pose_b, erosion_a=0.15, erosion_b=0.15)
+        shallow = gjk_world(cube_at(0.0), cube_at(0.6), erosion_a=0.15, erosion_b=0.15)
         assert shallow.distance == 0.0
-        deep = gjk_query(a, Pose3.identity(), a, pose_b, erosion_a=0.25, erosion_b=0.25)
+        deep = gjk_world(cube_at(0.0), cube_at(0.6), erosion_a=0.25, erosion_b=0.25)
         assert deep.distance == pytest.approx(0.1, abs=1e-9)
 
 
 class TestEarlyExit:
     def test_max_distance_lower_bound(self):
-        a = unit_cube_piece()
-        r = gjk_query(a, Pose3.identity(), a, Pose3(np.array([50.0, 0.0, 0.0])),
-                      max_distance=5.0)
+        r = gjk_world(cube_at(0.0), cube_at(50.0), max_distance=5.0)
         assert r.converged
         assert r.distance > 5.0  # proven separation, not the exact distance
 
     def test_max_distance_keeps_near_queries_exact(self):
-        a = unit_cube_piece()
-        r = gjk_query(a, Pose3.identity(), a, Pose3(np.array([3.0, 0.0, 0.0])),
-                      max_distance=5.0)
+        r = gjk_world(cube_at(0.0), cube_at(3.0), max_distance=5.0)
         assert r.distance == pytest.approx(2.0, abs=1e-6)
 
 
@@ -115,10 +114,10 @@ class TestRandomHulls:
         for _ in range(50):
             pa = convex_hull(rng.normal(size=(30, 3)))
             pb = convex_hull(rng.normal(size=(30, 3)) + np.array([8.0, 0.0, 0.0]))
-            r = gjk_query(pa, Pose3.identity(), pb, Pose3.identity())
+            r = gjk_world(pa.vertices, pb.vertices)
             assert r.distance > 0
-            assert pa.contains(r.point_a, tol=1e-7).all()
-            assert pb.contains(r.point_b, tol=1e-7).all()
+            assert oracles.piece_contains(pa, r.point_a, tol=1e-7).all()
+            assert oracles.piece_contains(pb, r.point_b, tol=1e-7).all()
             assert np.linalg.norm(r.point_a - r.point_b) == pytest.approx(r.distance, abs=1e-9)
             u = (r.point_b - r.point_a) / r.distance
             lower = float((pb.vertices @ u).min() - (pa.vertices @ u).max())

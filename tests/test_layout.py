@@ -29,3 +29,76 @@ def test_no_private_cross_module_imports():
     modules = sorted(PACKAGE.rglob("*.py"))
     assert len(modules) > 10
     assert [line for path in modules for line in private_imports(path)] == []
+
+
+# Public names that no code in the package calls, each kept on purpose.
+ENTRY_POINTS = {
+    "main",              # cli: the `graspforge` console script in pyproject.toml
+    "generate_dataset",  # simlab: the fused run that the staged CLI chain must match
+    "replay_sample",     # simlab: re-runs the oracle on a stored row; replay must give its label
+    "gradients",         # model: the public gradient the finite-difference tests check
+}
+
+
+def unreferenced_public_names() -> list[str]:
+    """Public functions, classes and methods that no live package code reads.
+
+    A module-level or class-level definition is live when its name is an
+    entry point or a dunder, or is read by module-level code or by a live
+    definition: a method is read as an attribute (`x.name`), anything else
+    as an attribute or a bare name that is not a local variable of the
+    reader. Attributes of imported modules (`np.zeros`) are not reads, and
+    neither are the re-exports in `geometry/__init__.py`. Matching is by
+    name, so a method that shares its name with an attribute read anywhere
+    counts as live.
+    """
+    defs = []     # (id, read form of the name, "file:line name")
+    reads = {}    # id of the enclosing definition, or None -> names read
+    stores = {}   # the same ids -> local variable and parameter names
+
+    def visit(node, owner, modules, rel, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)) and (owner is None or in_class):
+                form = "." + child.name if in_class else child.name
+                defs.append((id(child), form, f"{rel}:{child.lineno} {child.name}"))
+                visit(child, id(child), modules, rel, isinstance(child, ast.ClassDef))
+                continue
+            if isinstance(child, ast.Name):
+                kind = reads if isinstance(child.ctx, ast.Load) else stores
+                kind.setdefault(owner, set()).add(child.id)
+            elif isinstance(child, ast.arg):
+                stores.setdefault(owner, set()).add(child.arg)
+            elif isinstance(child, ast.Attribute) and not (
+                    isinstance(child.value, ast.Name) and child.value.id in modules):
+                reads.setdefault(owner, set()).update((child.attr, "." + child.attr))
+            visit(child, owner, modules, rel, False)
+
+    for path in sorted(PACKAGE.rglob("*.py")):
+        rel = path.relative_to(PACKAGE)
+        if rel == Path("geometry/__init__.py"):
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        modules = {alias.asname or alias.name.split(".")[0]
+                   for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names}
+        visit(tree, None, modules, rel, False)
+
+    def read_by(owner):
+        return reads.get(owner, set()) - (stores.get(owner, set()) if owner else set())
+
+    live_names = set(ENTRY_POINTS) | read_by(None)
+    live = set()
+    grew = True
+    while grew:
+        grew = False
+        for key, form, _ in defs:
+            if key not in live and (form in live_names or form.startswith(("__", ".__"))):
+                live.add(key)
+                live_names |= read_by(key)
+                grew = True
+    return [where for key, form, where in defs
+            if key not in live and not form.lstrip(".").startswith("_")]
+
+
+def test_no_product_code_only_tests_call():
+    assert unreferenced_public_names() == []

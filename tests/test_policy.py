@@ -8,12 +8,13 @@ import pytest
 import graspforge.policy as policy_mod
 from graspforge.depthproc import Patch
 from graspforge.errors import DegenerateInput, Empty
-from graspforge.model import QualityNet, forward, init_net
 from graspforge.policy import (PolicyConfig, evaluate_policy, score_candidates,
                                select_cgcnn, select_random, wilson_interval)
 from graspforge.sampler import GraspPose
 from graspforge.scene import BinSpec, CableSpec, Camera, settle_scene
-from graspforge.simlab import DatasetConfig, GripperModel, execute_grasp
+from graspforge.simlab import DatasetConfig, execute_grasp
+
+from oracles import zeros_net
 
 
 def make_candidate(x=0.0, y=0.0, z=5.0, patch_fill=0.0, size=16):
@@ -24,7 +25,7 @@ def make_candidate(x=0.0, y=0.0, z=5.0, patch_fill=0.0, size=16):
 
 def passthrough_net(size=16):
     """Constant input c maps to exactly sigmoid(1.3 c - 0.2)."""
-    net = QualityNet.zeros(size)
+    net = zeros_net(size)
     for pi in (0, 2, 4):
         net.params[pi][0, 0, 1, 1] = 1.0
     net.params[6][0, 1, 1] = 1.0
@@ -83,25 +84,25 @@ class TestSelectCgcnn:
         monkeypatch.setattr(policy_mod, "forward_many",
                             lambda net, patches: np.array([0.9, 0.7, 0.2]))
         cands = [make_candidate(x=float(i), z=5.0 + i) for i in range(3)]
-        pose = select_cgcnn(cands, QualityNet.zeros(16), 0.0)
+        pose = select_cgcnn(cands, zeros_net(16), 0.0)
         assert pose is cands[0][0]
 
     def test_height_bonus_breaks_equal_quality(self):
         # equal q = 0.5 from the zero net; bonus 0.5*(1 - 0/2) vs 0.5*(1 - 1/2)
         cands = [make_candidate(x=0.0, z=40.0), make_candidate(x=9.0, z=10.0)]
-        pose = select_cgcnn(cands, QualityNet.zeros(16), 0.5)
+        pose = select_cgcnn(cands, zeros_net(16), 0.5)
         assert pose is cands[0][0]
-        scored = score_candidates(cands, QualityNet.zeros(16), 0.5)
+        scored = score_candidates(cands, zeros_net(16), 0.5)
         assert [s.score for s in scored] == [1.0, 0.75]
 
     def test_single_candidate_any_lambda(self):
         c = make_candidate()
         for lam in (0.0, 0.2, 3.0):
-            assert select_cgcnn([c], QualityNet.zeros(16), lam) is c[0]
+            assert select_cgcnn([c], zeros_net(16), lam) is c[0]
 
     def test_empty_raises(self):
         with pytest.raises(Empty):
-            select_cgcnn([], QualityNet.zeros(16), 0.2)
+            select_cgcnn([], zeros_net(16), 0.2)
 
     def test_integration_with_real_forward(self):
         # constant-fill patches through the passthrough net give known q
@@ -114,7 +115,7 @@ class TestSelectCgcnn:
         assert np.allclose([s.q for s in scored], [0.9, 0.7, 0.55], atol=1e-5)
 
     def test_tie_break_low_z_then_x_then_y(self):
-        net = QualityNet.zeros(16)
+        net = zeros_net(16)
         cands = [make_candidate(x=1.0, y=0.0, z=5.0),
                  make_candidate(x=0.0, y=5.0, z=3.0),
                  make_candidate(x=0.0, y=2.0, z=3.0)]
@@ -127,7 +128,7 @@ class TestScoreInvariants:
         rng = np.random.default_rng(3)
         cands = [make_candidate(x=float(i), z=float(rng.uniform(0, 30)))
                  for i in range(9)]
-        scored = score_candidates(cands, QualityNet.zeros(16), 0.2)
+        scored = score_candidates(cands, zeros_net(16), 0.2)
         ranks = [s.r_height for s in scored]
         assert sorted(ranks) == list(range(9))
         top = max(range(9), key=lambda i: cands[i][0].z)
@@ -142,7 +143,7 @@ class TestScoreInvariants:
         for shift in (0.0, -0.3, 0.25):
             monkeypatch.setattr(policy_mod, "forward_many",
                                 lambda net, patches, s=shift: base + s)
-            picks.append(select_cgcnn(cands, QualityNet.zeros(16), 0.2).x)
+            picks.append(select_cgcnn(cands, zeros_net(16), 0.2).x)
         assert picks[0] == picks[1] == picks[2]
 
     def test_lambda_zero_is_quality_argmax(self, monkeypatch):
@@ -153,7 +154,7 @@ class TestScoreInvariants:
                      for i in range(8)]
             monkeypatch.setattr(policy_mod, "forward_many",
                                 lambda net, patches, q=qs: q)
-            pose = select_cgcnn(cands, QualityNet.zeros(16), 0.0)
+            pose = select_cgcnn(cands, zeros_net(16), 0.0)
             assert pose is cands[int(np.argmax(qs))][0]
 
     def test_input_order_invariance(self):
@@ -230,8 +231,7 @@ class TestEvaluatePolicy:
         the good perpendicular grasp first: every pick must lift cleanly."""
         bin_spec = BinSpec()
         cable = CableSpec(bend_angle_range=(0.0, 0.0))
-        grip = GripperModel()
-        net = QualityNet.zeros(64)
+        net = zeros_net(64)
         successes = 0
         for k in range(5):
             scene = settle_scene(bin_spec, [cable], 100 + k)
@@ -249,6 +249,6 @@ class TestEvaluatePolicy:
                                  pitch=0.5))
             picked = select_cgcnn([decoy, good], net, 0.2)
             assert picked is good[0]
-            out = execute_grasp(scene, picked, grip, 0.4)
+            out = execute_grasp(scene, picked, 0.4)
             successes += out.label
         assert successes == 5

@@ -6,7 +6,7 @@ import pytest
 from graspforge.depthproc import DepthImage
 from graspforge.errors import DegenerateInput, NoCandidates
 from graspforge.sampler import (
-    ContactPair, GraspPose, SamplerConfig, estimate_grasp_width,
+    ENGAGE_DEPTH, W_MAX, ContactPair, GraspPose, SamplerConfig, estimate_grasp_width,
     force_closure_check, grasp_from_pair, sample_grasps,
 )
 from graspforge.scene import BinSpec, CableSpec, Camera, render_depth, settle_scene
@@ -124,7 +124,7 @@ class TestPoseFromPair:
         pair = make_pair((30, 40), (50, 40), n1=(-1, 0), n2=(1, 0), d1=58.0, d2=60.0)
         pose = grasp_from_pair(pair, img, cfg)
         # shallower contact depth 58 -> surface at 12; engage 5 below
-        assert pose.z == pytest.approx(12.0 - cfg.engage_depth)
+        assert pose.z == pytest.approx(12.0 - ENGAGE_DEPTH)
 
     def test_z_never_below_floor(self):
         img = flat_image()
@@ -211,7 +211,7 @@ class TestSampleGrasps:
         cands = sample_grasps(img, cfg, np.random.default_rng(4))
         keys = [(p.z, p.x, p.y) for p, _, _ in cands]
         assert keys == sorted(keys)
-        assert all(p.w <= cfg.w_max for p, _, _ in cands)
+        assert all(p.w <= W_MAX for p, _, _ in cands)
 
     def test_friction_shrinks_candidates(self):
         img = cylinder_image(30.0)
@@ -257,7 +257,5 @@ class TestSampleGrasps:
     def test_config_validation(self):
         with pytest.raises(DegenerateInput):
             SamplerConfig(n=0)
-        with pytest.raises(DegenerateInput):
-            SamplerConfig(w_max=0.0)
         with pytest.raises(DegenerateInput):
             SamplerConfig(f=-0.1)

@@ -6,16 +6,14 @@ import numpy as np
 import pytest
 
 from graspforge.errors import DegenerateInput, Overfilled, SelfIntersecting
-from graspforge.geometry import (
-    DecompositionResult, box_mesh, convex_hull, gjk_world, occupied_volume,
-    uv_sphere, voxelize,
-)
+from graspforge.geometry import Pose3, box_mesh, convex_hull, gjk_world, voxelize
 from graspforge.scene import (
     BinSpec, CableSpec, Camera, PlacedCable, Scene, bin_mesh, cable_decomposition,
     load_scene, make_cable_mesh, render_depth, save_scene, settle_scene,
 )
 
 import oracles
+from oracles import mesh_volume, px_to_world, uv_sphere
 
 
 def rng_for(seed):
@@ -32,9 +30,9 @@ def world_vertices(cable):
 
 def pairwise_min_distance(ca, cb, erosion=0.0):
     best = np.inf
-    for pa in ca.decomposition.pieces:
+    for pa in ca.pieces:
         va = ca.pose.apply(pa.vertices)
-        for pb in cb.decomposition.pieces:
+        for pb in cb.pieces:
             vb = cb.pose.apply(pb.vertices)
             r = gjk_world(va, vb, erosion_a=erosion, erosion_b=erosion,
                           max_distance=best)
@@ -54,12 +52,8 @@ def scene_triangles(scene):
 def box_scene(half_extents, center, bin_spec=None):
     """Scene holding one static convex box, for render checks."""
     mesh = box_mesh(np.asarray(center, float), half_extents)
-    dec = DecompositionResult(pieces=[convex_hull(mesh.vertices)], concavities=[0.0],
-                              source=mesh, cell_size=0.0, concavity_tol=0.0,
-                              budget_exceeded=False)
-    from graspforge.geometry import Pose3
-    placed = PlacedCable(id=0, spec=CableSpec(), mesh=mesh, decomposition=dec,
-                         pose=Pose3(np.zeros(3)))
+    placed = PlacedCable(id=0, spec=CableSpec(), mesh=mesh,
+                         pieces=[convex_hull(mesh.vertices)], pose=Pose3(np.zeros(3)))
     return Scene(bin=bin_spec or BinSpec(), cables=[placed], rng_seed=0)
 
 
@@ -70,7 +64,7 @@ class TestCableMesh:
         mesh = make_cable_mesh(spec, rng_for(3))
         length = spec.segment_count * spec.segment_length
         expected = math.pi * spec.radius ** 2 * length
-        assert abs(mesh.volume() - expected) <= 0.03 * expected
+        assert abs(mesh_volume(mesh) - expected) <= 0.03 * expected
 
     def test_same_seed_byte_identical(self):
         spec = CableSpec()
@@ -90,7 +84,7 @@ class TestCableMesh:
         mesh = make_cable_mesh(spec, rng_for(17))
         # closed-surface voxelization raises on open meshes
         grid = voxelize(mesh, 2.0)
-        assert occupied_volume(grid) > 0.0
+        assert grid.count > 0
 
     def test_centered_on_volume_centroid(self):
         mesh = make_cable_mesh(CableSpec(), rng_for(4))
@@ -114,26 +108,23 @@ class TestCableDecomposition:
     def test_exact_cover_of_interior(self):
         spec = CableSpec()
         mesh = make_cable_mesh(spec, rng_for(21))
-        dec = cable_decomposition(mesh, spec.tube_sides)
+        pieces = cable_decomposition(mesh, spec.tube_sides)
         pts = oracles.sample_interior_points(mesh.triangles(), 400, rng_for(5))
         covered = np.zeros(len(pts), bool)
-        for piece in dec.pieces:
-            covered |= piece.contains(pts, tol=1e-9)
+        for piece in pieces:
+            covered |= oracles.piece_contains(piece, pts, tol=1e-9)
         assert covered.all()
 
     def test_one_convex_piece_per_segment(self):
         spec = CableSpec()
         mesh = make_cable_mesh(spec, rng_for(21))
-        dec = cable_decomposition(mesh, spec.tube_sides)
-        assert len(dec.pieces) == spec.segment_count
-        assert dec.max_concavity == 0.0
+        assert len(cable_decomposition(mesh, spec.tube_sides)) == spec.segment_count
 
     def test_pieces_stay_inside_mesh_bounds(self):
         spec = CableSpec()
         mesh = make_cable_mesh(spec, rng_for(8))
-        dec = cable_decomposition(mesh, spec.tube_sides)
         lo, hi = mesh.aabb
-        for piece in dec.pieces:
+        for piece in cable_decomposition(mesh, spec.tube_sides):
             assert (piece.vertices >= lo - 1e-9).all()
             assert (piece.vertices <= hi + 1e-9).all()
 
@@ -182,7 +173,7 @@ class TestSettle:
                                      (110.0, 85.0, 4.0)).vertices)
         for c in scene.cables:
             best = np.inf
-            for piece in c.decomposition.pieces:
+            for piece in c.pieces:
                 v = c.pose.apply(piece.vertices)
                 best = min(best, gjk_world(v, floor.vertices, max_distance=best).distance)
             for other in scene.cables:
@@ -231,13 +222,10 @@ class TestRenderDepth:
     def test_sphere_center_pixel_analytic(self):
         radius, cz = 15.0, 20.0
         mesh = uv_sphere(np.array([0.0, 0.0, cz]), radius)
-        dec = DecompositionResult(pieces=[convex_hull(mesh.vertices)], concavities=[0.0],
-                                  source=mesh, cell_size=0.0, concavity_tol=0.0,
-                                  budget_exceeded=False)
-        from graspforge.geometry import Pose3
         scene = Scene(bin=BinSpec(),
                       cables=[PlacedCable(id=0, spec=CableSpec(), mesh=mesh,
-                                          decomposition=dec, pose=Pose3(np.zeros(3)))],
+                                          pieces=[convex_hull(mesh.vertices)],
+                                          pose=Pose3(np.zeros(3)))],
                       rng_seed=0)
         # odd pixel counts center a pixel exactly on the sphere apex
         cam = Camera(width_px=481, height_px=361)
@@ -276,7 +264,7 @@ class TestRenderDepth:
         for _ in range(60):
             py = int(rng.integers(0, cam.height_px))
             px = int(rng.integers(0, cam.width_px))
-            x, y = cam.px_to_world(px, py)
+            x, y = px_to_world(cam, px, py)
             t = oracles.ray_triangles(np.array([x, y, cam.height]), down, tris)
             expected = t if t is not None else cam.height
             assert abs(d[py, px] - expected) < 1e-6
@@ -284,7 +272,7 @@ class TestRenderDepth:
     def test_pixel_mapping_roundtrip(self):
         cam = Camera()
         for px, py in [(0, 0), (479, 359), (240, 180), (17, 311)]:
-            x, y = cam.px_to_world(px, py)
+            x, y = px_to_world(cam, px, py)
             qx, qy = cam.world_to_px(x, y)
             assert abs(qx - px) < 1e-12 and abs(qy - py) < 1e-12
 

@@ -9,12 +9,12 @@ import pytest
 
 from graspforge.depthproc import Patch
 from graspforge.errors import DatasetNotFound, DegenerateInput, SingleClass
-from graspforge.geometry import Pose3, gjk_world
+from graspforge.geometry import Pose3, convex_hull, gjk_world
 from graspforge.sampler import GraspPose
 from graspforge.scene import (BinSpec, CableSpec, Camera, PlacedCable, Scene,
                               cable_decomposition, make_cable_mesh, settle_scene)
 from graspforge.simlab import (ClassWeights, DatasetConfig, GraspOutcome,
-                               GraspSample, GripperModel, class_weights,
+                               GraspSample, _jaw_verts, class_weights,
                                execute_grasp, generate_dataset, load_dataset,
                                replay_sample, write_dataset)
 
@@ -41,35 +41,30 @@ def small_dataset(tmp_path_factory):
     return cfg, idx
 
 
+def jaw_boxes(g, width):
+    """Hulls of both jaws with their inner faces `width` apart."""
+    return (convex_hull(_jaw_verts(g, 1.0, width / 2.0)),
+            convex_hull(_jaw_verts(g, -1.0, width / 2.0)))
+
+
 class TestGripperModel:
     def test_jaw_gap_equals_width(self):
-        grip = GripperModel()
         for w in (0.5, 6.0, 30.0):
-            a, b = grip.jaw_pieces(PERP, w)
+            a, b = jaw_boxes(PERP, w)
             d = gjk_world(a.vertices, b.vertices).distance
             assert abs(d - w) < 1e-9
 
     def test_jaw_boxes_disjoint_at_any_width(self):
-        grip = GripperModel()
         for w in (1e-3, 0.1, 2.0):
-            a, b = grip.jaw_pieces(PERP, w)
+            a, b = jaw_boxes(PERP, w)
             assert gjk_world(a.vertices, b.vertices).distance > 0.0
 
     def test_jaw_box_extents(self):
-        grip = GripperModel()
         g = GraspPose(x=0.0, y=0.0, z=5.0, theta=0.0, w=10.0)
-        a, _ = grip.jaw_pieces(g, 10.0)
+        a, _ = jaw_boxes(g, 10.0)
         lo, hi = a.vertices.min(axis=0), a.vertices.max(axis=0)
         assert np.allclose(lo, [5.0, -6.0, 5.2])
         assert np.allclose(hi, [9.0, 6.0, 35.2])
-
-    def test_validation(self):
-        with pytest.raises(DegenerateInput):
-            GripperModel().jaw_pieces(PERP, 0.0)
-        with pytest.raises(DegenerateInput):
-            GripperModel(jaw_thickness=0.0)
-        with pytest.raises(DegenerateInput):
-            GripperModel(tip_clearance=-1.0)
 
 
 class TestOutcomeTypes:
@@ -109,7 +104,7 @@ class TestOutcomeTypes:
 
 class TestExecuteGrasp:
     def test_perpendicular_grasp_succeeds(self):
-        out = execute_grasp(lone_cable_scene(), PERP, GripperModel(), 0.4)
+        out = execute_grasp(lone_cable_scene(), PERP, 0.4)
         assert out.label == 1
         assert out.failure_reason == "none"
         assert out.contacted_ids == frozenset({0})
@@ -119,35 +114,35 @@ class TestExecuteGrasp:
         # face normal sits 15 degrees off the closing axis: atan(0.2) < 15
         # degrees < atan(0.3) flips the hold test
         scene = lone_cable_scene()
-        out = execute_grasp(scene, PERP, GripperModel(), 0.2)
+        out = execute_grasp(scene, PERP, 0.2)
         assert out.label == 0
         assert out.failure_reason == "no_force_closure"
-        assert execute_grasp(scene, PERP, GripperModel(), 0.3).label == 1
+        assert execute_grasp(scene, PERP, 0.3).label == 1
 
     def test_skewed_closing_axis_fails_hold(self):
         # tube surface normals are perpendicular to the cable axis, so a
         # closing axis tilted 25 degrees cannot fall inside atan(0.3)
         g = GraspPose(x=0.0, y=0.0, z=3.0,
                       theta=math.pi / 2 - math.radians(25.0), w=9.0)
-        out = execute_grasp(lone_cable_scene(), g, GripperModel(), 0.3)
+        out = execute_grasp(lone_cable_scene(), g, 0.3)
         assert out.failure_reason == "no_force_closure"
 
     def test_wall_sweep_collides(self):
         # open jaw box [105, 109] x the wall slab starting at x = 100
         g = GraspPose(x=96.0, y=0.0, z=3.0, theta=0.0, w=8.0)
-        out = execute_grasp(lone_cable_scene(), g, GripperModel(), 0.4)
+        out = execute_grasp(lone_cable_scene(), g, 0.4)
         assert out.failure_reason == "approach_collision"
         assert out.contacted_ids == frozenset()
 
     def test_free_space_empty_close(self):
         g = GraspPose(x=-60.0, y=40.0, z=3.0, theta=0.0, w=8.0)
-        out = execute_grasp(lone_cable_scene(), g, GripperModel(), 0.4)
+        out = execute_grasp(lone_cable_scene(), g, 0.4)
         assert out.failure_reason == "empty_close"
 
     def test_wall_top_grasp_is_empty_close(self):
         # jaws straddle the wall and clamp it: contact, but no cable
         g = GraspPose(x=104.0, y=0.0, z=25.0, theta=0.0, w=8.0)
-        out = execute_grasp(lone_cable_scene(), g, GripperModel(), 0.4)
+        out = execute_grasp(lone_cable_scene(), g, 0.4)
         assert out.failure_reason == "empty_close"
 
     def test_side_by_side_multi_object(self):
@@ -155,7 +150,7 @@ class TestExecuteGrasp:
                   straight_cable(1, Pose3(np.array([0.0, 8.2, 4.0])))]
         scene = Scene(BinSpec(), cables, 0)
         g = GraspPose(x=0.0, y=4.1, z=0.0, theta=math.pi / 2, w=16.0)
-        out = execute_grasp(scene, g, GripperModel(), 0.4)
+        out = execute_grasp(scene, g, 0.4)
         assert out.failure_reason == "multi_object"
         assert out.contacted_ids == frozenset({0, 1})
 
@@ -166,7 +161,7 @@ class TestExecuteGrasp:
                   straight_cable(1, Pose3.from_yaw(math.pi / 2, (0.0, 0.0, 12.0)))]
         scene = Scene(BinSpec(), cables, 0)
         g = GraspPose(x=0.0, y=0.0, z=0.0, theta=math.pi / 4, w=16.0)
-        out = execute_grasp(scene, g, GripperModel(), 0.4)
+        out = execute_grasp(scene, g, 0.4)
         assert out.failure_reason == "multi_object"
         assert out.contacted_ids == frozenset({0, 1})
 
@@ -176,16 +171,16 @@ class TestExecuteGrasp:
         held = straight_cable(0, Pose3(np.array([0.0, 0.0, 4.0])))
         rider = straight_cable(1, Pose3.from_yaw(math.pi / 2, (30.0, 0.0, 12.0)))
         g = GraspPose(x=-30.0, y=0.0, z=3.0, theta=math.pi / 2, w=8.0)
-        out = execute_grasp(Scene(BinSpec(), [held, rider], 0), g, GripperModel(), 0.4)
+        out = execute_grasp(Scene(BinSpec(), [held, rider], 0), g, 0.4)
         assert out.failure_reason == "multi_object"
         assert out.contacted_ids == frozenset({0, 1})
         # removing the rider turns the same grasp into a success
-        alone = execute_grasp(Scene(BinSpec(), [held], 0), g, GripperModel(), 0.4)
+        alone = execute_grasp(Scene(BinSpec(), [held], 0), g, 0.4)
         assert alone.label == 1
 
     def test_friction_must_be_positive(self):
         with pytest.raises(DegenerateInput):
-            execute_grasp(lone_cable_scene(), PERP, GripperModel(), 0.0)
+            execute_grasp(lone_cable_scene(), PERP, 0.0)
 
 
 class TestClassWeights:
@@ -208,11 +203,11 @@ class TestClassWeights:
         with pytest.raises(DegenerateInput):
             class_weights([0, 1, 2])
 
-    def test_accepts_samples(self):
-        patch = Patch(data=np.zeros((4, 4), dtype=np.float32), pitch=0.5)
-        samples = [GraspSample(patch=patch, label=0, meta={}),
-                   GraspSample(patch=patch, label=1, meta={})]
-        assert class_weights(samples).phi == (1.0, 1.0)
+    def test_accepts_float_label_array(self):
+        # train passes its float64 label array
+        assert class_weights(np.array([0.0, 1.0, 1.0, 0.0])).phi == (1.0, 1.0)
+        with pytest.raises(DegenerateInput):
+            class_weights(np.array([0.0, 0.5, 1.0]))
 
 
 class TestGenerateDataset:
@@ -294,13 +289,13 @@ class TestGenerateDataset:
             target = s.meta["contacted_ids"][0]
             kept = [c for c in scene.cables if c.id == target]
             reduced = Scene(scene.bin, kept, scene.rng_seed)
-            assert execute_grasp(reduced, pose, cfg.gripper, s.meta["f"]).label == 1
+            assert execute_grasp(reduced, pose, s.meta["f"]).label == 1
             wide = BinSpec(inner_x=scene.bin.inner_x + 60.0,
                            inner_y=scene.bin.inner_y + 60.0,
                            wall_height=scene.bin.wall_height,
                            thickness=scene.bin.thickness)
             widened = Scene(wide, scene.cables, scene.rng_seed)
-            assert execute_grasp(widened, pose, cfg.gripper, s.meta["f"]).label == 1
+            assert execute_grasp(widened, pose, s.meta["f"]).label == 1
 
     def test_overfilled_scenes_skipped(self, tmp_path):
         cfg = DatasetConfig(scene_count=1, cable_count_range=(1, 1),

@@ -2,16 +2,13 @@ import numpy as np
 import pytest
 
 from graspforge.errors import EmptyShape, OpenMesh
-from graspforge.geometry import TriMesh, VoxelGrid, box_mesh, concavity, occupied_volume, uv_sphere, voxelize
+from graspforge.geometry import TriMesh, box_mesh, concavity, voxelize
+from oracles import uv_sphere
 
 
-def grid_from_cells(cells, cell_size=1.0):
-    """Build a VoxelGrid with the given integer cells occupied."""
-    idx = np.asarray(cells, dtype=int)
-    dims = idx.max(axis=0) + 1
-    occ = np.zeros(tuple(dims), dtype=bool)
-    occ[tuple(idx.T)] = True
-    return VoxelGrid(origin=np.zeros(3), cell_size=cell_size, occupancy=occ)
+def cell_concavity(cells, cell_size=1.0):
+    """Concavity of integer cells on a grid at the origin."""
+    return concavity(np.asarray(cells, dtype=int), np.zeros(3), cell_size)
 
 
 class TestVoxelize:
@@ -30,7 +27,7 @@ class TestVoxelize:
         m = uv_sphere(np.zeros(3), 1.0)
         g = voxelize(m, 0.1)
         exact = 4.0 / 3.0 * np.pi
-        assert occupied_volume(g) == pytest.approx(exact, rel=0.05)
+        assert g.count * g.cell_size ** 3 == pytest.approx(exact, rel=0.05)
 
     def test_grid_covers_aabb(self):
         m = uv_sphere((1.0, -2.0, 0.5), 3.0)
@@ -58,37 +55,34 @@ class TestConcavity:
     def test_full_cube_is_zero(self):
         m = box_mesh(np.zeros(3), (1.0, 1.0, 1.0))
         g = voxelize(m, 0.5)
-        assert concavity(g) == pytest.approx(0.0, abs=1e-12)
+        cells = np.argwhere(g.occupancy)
+        assert concavity(cells, g.origin, g.cell_size) == pytest.approx(0.0, abs=1e-12)
 
     def test_straight_domino_is_zero(self):
-        g = grid_from_cells([(0, 0, 0), (1, 0, 0)])
-        assert concavity(g) == pytest.approx(0.0, abs=1e-12)
+        assert cell_concavity([(0, 0, 0), (1, 0, 0)]) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_voxel_is_zero(self):
-        g = grid_from_cells([(0, 0, 0)])
-        assert concavity(g) == pytest.approx(0.0, abs=1e-12)
+        assert cell_concavity([(0, 0, 0)]) == pytest.approx(0.0, abs=1e-12)
 
     def test_bent_tromino(self):
         # three unit cells in an L: hull is the 2x2x1 prism minus the corner
         # wedge -> volume 3.5, so (3.5 - 3) / 3.5 = 1/7
-        g = grid_from_cells([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
-        assert concavity(g) == pytest.approx((3.5 - 3.0) / 3.5)
+        assert cell_concavity([(0, 0, 0), (1, 0, 0), (0, 1, 0)]) == pytest.approx((3.5 - 3.0) / 3.5)
 
     def test_scale_invariant(self):
         cells = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
-        a = concavity(grid_from_cells(cells, cell_size=1.0))
-        b = concavity(grid_from_cells(cells, cell_size=2.5))
+        a = cell_concavity(cells, cell_size=1.0)
+        b = cell_concavity(cells, cell_size=2.5)
         assert a == pytest.approx(b)
 
     def test_empty_raises(self):
-        g = VoxelGrid(origin=np.zeros(3), cell_size=1.0, occupancy=np.zeros((2, 2, 2), bool))
         with pytest.raises(EmptyShape):
-            concavity(g)
+            cell_concavity(np.zeros((0, 3)))
 
     def test_range_zero_one(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             n = rng.integers(2, 30)
             cells = np.unique(rng.integers(0, 6, size=(n, 3)), axis=0)
-            c = concavity(grid_from_cells(cells))
+            c = cell_concavity(cells)
             assert 0.0 <= c < 1.0
