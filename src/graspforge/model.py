@@ -6,6 +6,13 @@ average pooling, and a single logit through a sigmoid. Everything - forward,
 backward, Adam - is plain numpy: computation runs in float64 for stable
 finite-difference checks, parameters are stored float32.
 
+Arithmetic contract: logits, the 12 parameter gradients and so every
+checkpoint and metric are pinned byte for byte, signed zeros and pooling
+ties included (`tests/oracles.forward_backward_reference`). A rewrite of the
+pass must keep each float operation and its order. The backward pass never
+forms conv1's input gradient, the gradient of the image, as no parameter
+reads it.
+
 Training minimizes class-weighted binary cross-entropy with per-class
 weights from the label distribution, on a stratified split, with optional
 4-way flip augmentation. The best validation-accuracy checkpoint wins.
@@ -89,13 +96,19 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pad1(x: np.ndarray) -> np.ndarray:
+    """x with a one-cell zero border on its last two axes."""
+    n, c, h, w = x.shape
+    padded = np.zeros((n, c, h + 2, w + 2), dtype=x.dtype)
+    padded[:, :, 1:-1, 1:-1] = x
+    return padded
+
+
 def _conv_cols(x: np.ndarray) -> np.ndarray:
     """im2col for 3x3 stride-1 same-padding: (N,C,H,W) -> (N, C*9, H*W)."""
     n, c, h, w = x.shape
-    padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    win = sliding_window_view(padded, (3, 3), axis=(2, 3))   # (N,C,H,W,3,3)
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * 9, h * w)
-    return np.ascontiguousarray(cols)
+    win = sliding_window_view(_pad1(x), (3, 3), axis=(2, 3))   # (N,C,H,W,3,3)
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * 9, h * w)
 
 
 def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -103,31 +116,34 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     co = w.shape[0]
     cols = _conv_cols(x)
     out = np.matmul(w.reshape(co, -1), cols)
-    out = out.reshape(n, co, h, wd) + b[None, :, None, None]
-    return out, cols
+    out += b[:, None]
+    return out.reshape(n, co, h, wd), cols
 
 
-def _conv_backward(dy: np.ndarray, cols: np.ndarray, w: np.ndarray):
+def _conv_param_grads(dy: np.ndarray, cols: np.ndarray, w_shape):
+    """(dW, db) of a conv layer from its output gradient and forward im2col."""
     n, co, h, wd = dy.shape
-    ci = w.shape[1]
     dyf = dy.reshape(n, co, h * wd)
-    dw = np.matmul(dyf, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    dw = np.matmul(dyf, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w_shape)
     db = dy.sum(axis=(0, 2, 3))
+    return dw, db
+
+
+def _conv_input_grad(dy: np.ndarray, w: np.ndarray) -> np.ndarray:
     # dX of a same-padded correlation is a same-padded correlation with the
     # spatially flipped, channel-transposed kernel
     w_flip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    dx, _ = _conv_forward(dy, np.ascontiguousarray(w_flip), np.zeros(ci))
-    return dx, dw, db
+    dx, _ = _conv_forward(dy, np.ascontiguousarray(w_flip), np.zeros(w.shape[1]))
+    return dx
 
 
 def _depthwise_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    win = sliding_window_view(padded, (3, 3), axis=(2, 3))
+    win = sliding_window_view(_pad1(x), (3, 3), axis=(2, 3))
     out = np.einsum("nchwij,cij->nchw", win, w, optimize=True) + b[None, :, None, None]
     return out, win
 
 
-def _depthwise_backward(dy: np.ndarray, win: np.ndarray, x_shape, w: np.ndarray):
+def _depthwise_backward(dy: np.ndarray, win: np.ndarray, w: np.ndarray):
     dw = np.einsum("nchwij,nchw->cij", win, dy, optimize=True)
     db = dy.sum(axis=(0, 2, 3))
     dx, _ = _depthwise_forward(dy, w[:, ::-1, ::-1], np.zeros(w.shape[0]))
@@ -138,26 +154,34 @@ _QUADRANTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def _pool_forward(x: np.ndarray):
-    """2x2 stride-2 max pool; the memo records the winning quadrant.
+    """2x2 stride-2 max pool and the winning quadrant of each output.
 
     Ties break toward the lowest quadrant index so exactly one input cell
     receives the gradient.
     """
     quads = [x[:, :, dy::2, dx::2] for dy, dx in _QUADRANTS]
-    out = quads[0].copy()
+    out = quads[0]
     arg = np.zeros(out.shape, dtype=np.int8)
     for k in (1, 2, 3):
         better = quads[k] > out
-        np.copyto(out, quads[k], where=better)
-        arg[better] = k
-    return out, (arg, x.shape)
+        out = np.where(better, quads[k], out)
+        # every earlier winner is below k, so the max sets k exactly where better
+        np.maximum(arg, better.view(np.int8) * np.int8(k), out=arg)
+    return out, arg
 
 
-def _pool_backward(dy: np.ndarray, memo):
-    arg, shape = memo
-    dx = np.zeros(shape)
+def _pool_relu_backward(dy: np.ndarray, arg: np.ndarray, mask: np.ndarray):
+    """Gradient through the pool into each winning cell, +0.0 elsewhere,
+    then through the ReLU mask."""
+    dx = np.empty(mask.shape)
+    # a bitwise AND with all-ones or all-zeros picks dy's bytes or +0.0
+    # without a data-dependent branch per element
+    dx_bits = dx.view(np.int64)
+    pick = np.empty(arg.shape, dtype=np.int64)
     for k, (qy, qx) in enumerate(_QUADRANTS):
-        dx[:, :, qy::2, qx::2] = np.where(arg == k, dy, 0.0)
+        np.negative(np.equal(arg, k).view(np.int8), out=pick, casting="unsafe")
+        np.bitwise_and(dy.view(np.int64), pick, out=dx_bits[:, :, qy::2, qx::2])
+    dx *= mask
     return dx
 
 
@@ -170,8 +194,9 @@ def _forward_batch(net: QualityNet, x: np.ndarray):
         w, b = p[2 * i], p[2 * i + 1]
         z, cols = _conv_forward(h, w, b)
         mask = z > 0
-        h, pool_memo = _pool_forward(z * mask)
-        cache["acts"].append((cols, mask, pool_memo))
+        z *= mask
+        h, arg = _pool_forward(z)
+        cache["acts"].append((cols, mask, arg))
     z, win = _depthwise_forward(h, p[6], p[7])
     dw_mask = z > 0
     hd = z * dw_mask
@@ -180,7 +205,7 @@ def _forward_batch(net: QualityNet, x: np.ndarray):
     hp = zp * pw_mask
     pooled = hp.mean(axis=(2, 3))
     logits = pooled @ p[10] + p[11][0]
-    cache.update(h_in=h, win=win, dw_mask=dw_mask, hd=hd, pw_mask=pw_mask,
+    cache.update(win=win, dw_mask=dw_mask, hd=hd, pw_mask=pw_mask,
                  hp_shape=hp.shape, pooled=pooled)
     return logits, cache
 
@@ -199,12 +224,13 @@ def _backward_batch(dlogits: np.ndarray, cache):
     grads[9] = dzp.sum(axis=(0, 2, 3))
     dhd = np.einsum("nkhw,kc->nchw", dzp, p[8], optimize=True)
     dz = dhd * cache["dw_mask"]
-    dh, grads[6], grads[7] = _depthwise_backward(dz, cache["win"],
-                                                 cache["h_in"].shape, p[6])
+    dh, grads[6], grads[7] = _depthwise_backward(dz, cache["win"], p[6])
     for i in reversed(range(3)):
-        cols, mask, pool_memo = cache["acts"][i]
-        dz = _pool_backward(dh, pool_memo) * mask
-        dh, grads[2 * i], grads[2 * i + 1] = _conv_backward(dz, cols, p[2 * i])
+        cols, mask, arg = cache["acts"][i]
+        dz = _pool_relu_backward(dh, arg, mask)
+        grads[2 * i], grads[2 * i + 1] = _conv_param_grads(dz, cols, p[2 * i].shape)
+        if i > 0:   # no parameter reads the image's gradient
+            dh = _conv_input_grad(dz, p[2 * i])
     return grads
 
 

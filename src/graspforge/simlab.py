@@ -324,6 +324,8 @@ class DatasetConfig:
             raise DegenerateInput("friction_range must satisfy 0 < lo <= hi")
         if self.resample_attempts < 1:
             raise DegenerateInput("resample_attempts must be at least 1")
+        if not 0.0 <= self.gauss_sigma < math.inf:
+            raise DegenerateInput("gauss_sigma must be finite and non-negative")
 
 
 def _scene_rng(master_seed: int, index: int) -> np.random.Generator:

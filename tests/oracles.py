@@ -4,8 +4,12 @@ Everything here is deliberately written from different math than the code
 under test: box distances come from separating axes plus brute-force
 feature enumeration, inside tests from crossing parity of a single ray,
 rendered depths from one Moller-Trumbore ray per pixel (`ray_triangles`,
-`ray_mesh`). The one exception is `gjk_world_reference`, a frozen copy of the GJK
-kernel that the library's kernel must match bit for bit.
+`ray_mesh`). There are two exceptions, same math on purpose, frozen copies
+the library must match bit for bit: `gjk_world_reference`, the GJK kernel,
+and `forward_backward_reference` (with `forward_batch_reference` and
+`backward_batch_reference`), the quality network's forward and backward
+pass as they stood while the backward pass still formed conv1's input
+gradient.
 
 The fixtures section holds test inputs and measures the library has no use
 for: sphere and prism meshes, mesh volume, point-in-piece, pixel-to-world
@@ -16,6 +20,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from graspforge.errors import ConvergenceWarning, DegenerateInput
 from graspforge.geometry import ConvexPiece, GjkResult, Pose3, TriMesh
@@ -492,3 +497,134 @@ def gjk_world_reference(
     pa = sum(l * p for l, p in zip(lam, pa_list))
     pb = sum(l * p for l, p in zip(lam, pb_list))
     return GjkResult(v_norm, pa, pb, False)
+
+
+# ---------------------------------------------------------------------------
+# Frozen quality-network pass: the forward and backward pass as they stood
+# before conv1's input gradient was dropped. `model._forward_batch` and
+# `model._backward_batch` must return the same bytes.
+
+def _ref_conv_cols(x: np.ndarray) -> np.ndarray:
+    """im2col for 3x3 stride-1 same-padding: (N,C,H,W) -> (N, C*9, H*W)."""
+    n, c, h, w = x.shape
+    padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    win = sliding_window_view(padded, (3, 3), axis=(2, 3))   # (N,C,H,W,3,3)
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * 9, h * w)
+    return np.ascontiguousarray(cols)
+
+
+def _ref_conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    n, _, h, wd = x.shape
+    co = w.shape[0]
+    cols = _ref_conv_cols(x)
+    out = np.matmul(w.reshape(co, -1), cols)
+    out = out.reshape(n, co, h, wd) + b[None, :, None, None]
+    return out, cols
+
+
+def _ref_conv_backward(dy: np.ndarray, cols: np.ndarray, w: np.ndarray):
+    n, co, h, wd = dy.shape
+    ci = w.shape[1]
+    dyf = dy.reshape(n, co, h * wd)
+    dw = np.matmul(dyf, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    db = dy.sum(axis=(0, 2, 3))
+    # dX of a same-padded correlation is a same-padded correlation with the
+    # spatially flipped, channel-transposed kernel
+    w_flip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    dx, _ = _ref_conv_forward(dy, np.ascontiguousarray(w_flip), np.zeros(ci))
+    return dx, dw, db
+
+
+def _ref_depthwise_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    win = sliding_window_view(padded, (3, 3), axis=(2, 3))
+    out = np.einsum("nchwij,cij->nchw", win, w, optimize=True) + b[None, :, None, None]
+    return out, win
+
+
+def _ref_depthwise_backward(dy: np.ndarray, win: np.ndarray, x_shape, w: np.ndarray):
+    dw = np.einsum("nchwij,nchw->cij", win, dy, optimize=True)
+    db = dy.sum(axis=(0, 2, 3))
+    dx, _ = _ref_depthwise_forward(dy, w[:, ::-1, ::-1], np.zeros(w.shape[0]))
+    return dx, dw, db
+
+
+_REF_QUADRANTS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _ref_pool_forward(x: np.ndarray):
+    """2x2 stride-2 max pool; the memo records the winning quadrant.
+
+    Ties break toward the lowest quadrant index so exactly one input cell
+    receives the gradient.
+    """
+    quads = [x[:, :, dy::2, dx::2] for dy, dx in _REF_QUADRANTS]
+    out = quads[0].copy()
+    arg = np.zeros(out.shape, dtype=np.int8)
+    for k in (1, 2, 3):
+        better = quads[k] > out
+        np.copyto(out, quads[k], where=better)
+        arg[better] = k
+    return out, (arg, x.shape)
+
+
+def _ref_pool_backward(dy: np.ndarray, memo):
+    arg, shape = memo
+    dx = np.zeros(shape)
+    for k, (qy, qx) in enumerate(_REF_QUADRANTS):
+        dx[:, :, qy::2, qx::2] = np.where(arg == k, dy, 0.0)
+    return dx
+
+
+def forward_batch_reference(net: QualityNet, x: np.ndarray):
+    """Logits plus the cache needed for one backward pass; x is (N, S, S)."""
+    p = [a.astype(np.float64) for a in net.params]
+    cache = {"acts": [], "p": p}
+    h = x.astype(np.float64)[:, None, :, :]
+    for i in range(3):
+        w, b = p[2 * i], p[2 * i + 1]
+        z, cols = _ref_conv_forward(h, w, b)
+        mask = z > 0
+        h, pool_memo = _ref_pool_forward(z * mask)
+        cache["acts"].append((cols, mask, pool_memo))
+    z, win = _ref_depthwise_forward(h, p[6], p[7])
+    dw_mask = z > 0
+    hd = z * dw_mask
+    zp = np.einsum("nchw,kc->nkhw", hd, p[8], optimize=True) + p[9][None, :, None, None]
+    pw_mask = zp > 0
+    hp = zp * pw_mask
+    pooled = hp.mean(axis=(2, 3))
+    logits = pooled @ p[10] + p[11][0]
+    cache.update(h_in=h, win=win, dw_mask=dw_mask, hd=hd, pw_mask=pw_mask,
+                 hp_shape=hp.shape, pooled=pooled)
+    return logits, cache
+
+
+def backward_batch_reference(dlogits: np.ndarray, cache):
+    p = cache["p"]
+    grads = [None] * len(p)
+    pooled = cache["pooled"]
+    grads[10] = pooled.T @ dlogits
+    grads[11] = np.array([dlogits.sum()])
+    dpooled = dlogits[:, None] * p[10][None, :]
+    n, c, hh, ww = cache["hp_shape"]
+    dhp = np.broadcast_to(dpooled[:, :, None, None], (n, c, hh, ww)) / (hh * ww)
+    dzp = dhp * cache["pw_mask"]
+    grads[8] = np.einsum("nkhw,nchw->kc", dzp, cache["hd"], optimize=True)
+    grads[9] = dzp.sum(axis=(0, 2, 3))
+    dhd = np.einsum("nkhw,kc->nchw", dzp, p[8], optimize=True)
+    dz = dhd * cache["dw_mask"]
+    dh, grads[6], grads[7] = _ref_depthwise_backward(dz, cache["win"],
+                                                     cache["h_in"].shape, p[6])
+    for i in reversed(range(3)):
+        cols, mask, pool_memo = cache["acts"][i]
+        dz = _ref_pool_backward(dh, pool_memo) * mask
+        dh, grads[2 * i], grads[2 * i + 1] = _ref_conv_backward(dz, cols, p[2 * i])
+    return grads
+
+
+def forward_backward_reference(net: QualityNet, x: np.ndarray, dlogits_of):
+    """Logits of the batch x and the 12 parameter gradients for the logit
+    gradient `dlogits_of(logits)`, by the frozen pass."""
+    logits, cache = forward_batch_reference(net, x)
+    return logits, backward_batch_reference(dlogits_of(logits), cache)

@@ -227,6 +227,17 @@ class TestErrors:
             assert rc == 1, argv
             assert out["error"] == "DegenerateInput"
 
+    def test_bad_gauss_sigma(self, capsys, tmp_path):
+        listing = tmp_path / "scenes.json"
+        listing.write_text(json.dumps({"master_seed": 0, "scene_count": 0,
+                                       "skipped": {"overfilled": 0}, "scenes": []}))
+        for sigma in ("-1", "nan", "inf"):
+            rc, out = run(capsys, "sample", "--scenes", str(listing),
+                          "--out", str(tmp_path), "--gauss-sigma", sigma)
+            assert rc == 1, sigma
+            assert out["error"] == "DegenerateInput"
+            assert "gauss_sigma" in out["detail"]
+
 
 class TestDecomposeCommand:
     def test_box_mesh_summary(self, capsys, tmp_path):

@@ -1,19 +1,22 @@
 """Quality network: forward, loss, gradients, Adam, augmentation, training."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from graspforge import model
 from graspforge.depthproc import Patch
 from graspforge.errors import DegenerateInput, ShapeMismatch, SingleClass
 from graspforge.model import (AdamState, QualityNet, TrainConfig, adam_step,
                               augment, forward_many, gradients,
                               init_net, load_net, loss, save_net, train,
                               write_metrics, _conv_forward, _depthwise_forward,
-                              _forward_batch, _pool_forward, _sigmoid)
+                              _dlogits, _forward_batch, _pool_forward, _sigmoid)
 from graspforge.simlab import ClassWeights, GraspSample
-from oracles import zeros_net
+from oracles import (backward_batch_reference, forward_backward_reference,
+                     forward_batch_reference, zeros_net)
 
 # Seeds under which the finite-difference probe point below is smooth: no
 # max-pool tie sits within the h-step's reach, verified by full-coordinate
@@ -257,6 +260,94 @@ class TestGradients:
         with pytest.raises(DegenerateInput):
             gradients(net, (np.zeros((0, 16, 16)), np.zeros(0)),
                       ClassWeights(phi=(1.0, 1.0)))
+
+
+def plateau_case(seed):
+    """Seeded net, batch and labels with zero plateaus in the input, so that
+    2x2 pooling windows tie and ReLU passes -0.0. Input side cycles through
+    8, 16 and 64; batch length is 1 to 40."""
+    rng = np.random.default_rng(seed)
+    size = (8, 16, 64)[seed % 3]
+    n = int(rng.integers(1, 41))
+    net = init_net(size, rng)
+    if seed % 2:
+        # nonzero biases move the ReLU threshold off the plateaus' exact zero
+        for i in (1, 3, 5, 7, 9, 11):
+            net.params[i] = rng.normal(0.0, 0.2, net.params[i].shape).astype(np.float32)
+    x = rng.normal(size=(n, size, size)).astype(np.float32)
+    for img in x:
+        for _ in range(3):
+            y0, x0 = rng.integers(0, size, size=2)
+            hy, hx = rng.integers(2, size // 2 + 2, size=2)
+            img[y0:y0 + hy, x0:x0 + hx] = 0.0
+    if seed % 5 == 0:
+        x = np.maximum(x, 0.0)
+    y = rng.integers(0, 2, size=n).astype(np.float64)
+    return net, x, y
+
+
+class TestBitIdentity:
+    """The network pass returns the frozen reference's bytes: logits, every
+    parameter gradient, and a whole training run's checkpoint."""
+
+    PHI = ClassWeights(phi=(0.7, 1.3))
+
+    @pytest.mark.parametrize("seed", range(18))
+    def test_logits_and_gradients(self, seed):
+        net, x, y = plateau_case(seed)
+        phi = self.PHI
+        ref_logits, ref_grads = forward_backward_reference(
+            net, x, lambda lg: _dlogits(_sigmoid(lg), y, phi))
+        logits, _ = _forward_batch(net, x)
+        assert logits.tobytes() == ref_logits.tobytes()
+        grads = gradients(net, (x, y), phi)
+        assert len(grads) == len(ref_grads) == 12
+        for i, (g, r) in enumerate(zip(grads, ref_grads)):
+            assert g.dtype == r.dtype and g.shape == r.shape, i
+            assert g.tobytes() == r.tobytes(), i
+
+    def test_plateaus_tie_and_pass_negative_zero(self):
+        # the cases above reach the corners the identity is meant to cover
+        ties = negzero = 0
+        for seed in range(18):
+            net, x, _ = plateau_case(seed)
+            p = [a.astype(np.float64) for a in net.params]
+            h = x.astype(np.float64)[:, None]
+            for i in range(3):
+                z, _ = _conv_forward(h, p[2 * i], p[2 * i + 1])
+                act = z * (z > 0)
+                negzero += int(np.sum((act == 0.0) & np.signbit(act)))
+                ties += int(np.sum(act[:, :, 0::2, 0::2] == act[:, :, 0::2, 1::2]))
+                h, _ = _pool_forward(act)
+        assert ties > 0 and negzero > 0
+
+    def test_training_checkpoint(self, tmp_path, monkeypatch):
+        data = blob_dataset(n=60, size=16, seed=9)
+        cfg = TrainConfig(epochs=3, batch_size=8, seed=4)
+        ours = train(data, cfg)
+        monkeypatch.setattr(model, "_forward_batch", forward_batch_reference)
+        monkeypatch.setattr(model, "_backward_batch", backward_batch_reference)
+        ref = train(data, cfg)
+        save_net(ours.net, tmp_path / "ours.gfqn")
+        save_net(ref.net, tmp_path / "ref.gfqn")
+        assert (tmp_path / "ours.gfqn").read_bytes() == (tmp_path / "ref.gfqn").read_bytes()
+        assert ours.history == ref.history
+
+
+def test_gradients_peak_memory():
+    # one training-size batch: 32 patches of 64x64; about 57 MiB once conv1's
+    # input gradient is no longer formed, 125 MiB when it was
+    rng = np.random.default_rng(0)
+    net = init_net(64, rng)
+    x = rng.normal(size=(32, 64, 64)).astype(np.float32)
+    y = (np.arange(32) % 2).astype(np.float64)
+    tracemalloc.start()
+    try:
+        gradients(net, (x, y), ClassWeights(phi=(1.0, 1.0)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 < 90.0, peak
 
 
 class TestAdam:

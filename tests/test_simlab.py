@@ -376,3 +376,7 @@ class TestGenerateDataset:
             DatasetConfig(friction_range=(0.5, 0.1))
         with pytest.raises(DegenerateInput):
             DatasetConfig(grasps_per_scene=0)
+        for sigma in (-1.0, -1e-9, math.nan, math.inf):
+            with pytest.raises(DegenerateInput):
+                DatasetConfig(gauss_sigma=sigma)
+        DatasetConfig(gauss_sigma=0.0)
