@@ -3,11 +3,35 @@ in-plane normals, rotated patch extraction, and sensor-style noise.
 
 Images are stored as (height, width) float32 millimeter depths plus a
 pixel pitch in mm/px. Pixel coordinates are (x, y) = (column, row).
+
+Exact-arithmetic contract. Edge points, normals and patches become the
+sampler's candidates and through them pinned dataset bytes, so a rewrite
+must repeat the same IEEE operations on the same operands. The per-item
+loop form is frozen in `tests/oracles.sample_grasps_reference`.
+
+- The bilateral filter evaluates each window offset's expression in the
+  same order, with in-place ufuncs into preallocated buffers, one band of
+  rows at a time. Element-wise ops round alike on any shape, and each
+  pixel still adds up its offsets in the same order.
+- Edge detection gathers at the `np.nonzero` pixels what the loop read one
+  pixel at a time, after dropping the border pixels.
+- Normal fits are batched by neighbor count. A stack of k-point
+  neighborhoods takes the same `.mean(axis=1)`, `transpose @` and
+  `np.linalg.eigh` per matrix as a single neighborhood did. The sign test
+  and the length use `np.vecdot`, which calls the same BLAS dot as the
+  2-vector `@`; `einsum` and `x0*y0 + x1*y1` differ from it in the last
+  bit on about one row in seven. Only points with at least 3 neighbors are
+  computed, so no 0/0 is ever formed.
+- A crop reads the image's float64 copy and maximum depth, cached on the
+  image (`DepthImage.depth64`, `DepthImage.max_depth`), so both are made
+  once per image rather than once per crop.
 """
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 from scipy.ndimage import map_coordinates
@@ -16,6 +40,9 @@ from scipy.spatial import cKDTree
 from .errors import DegenerateInput, ShapeMismatch
 
 _MAGIC = b"GFD1"
+# Image rows per band of the bilateral filter: a band's working arrays stay
+# in a core's L2 cache while all window offsets pass over it.
+_FILTER_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -43,6 +70,18 @@ class DepthImage:
     def height(self) -> int:
         return self.data.shape[0]
 
+    @cached_property
+    def depth64(self) -> np.ndarray:
+        """Read-only float64 copy of data, made once per image."""
+        arr = self.data.astype(np.float64)
+        arr.flags.writeable = False
+        return arr
+
+    @cached_property
+    def max_depth(self) -> float:
+        """Largest depth: the floor of a rendered scene."""
+        return float(self.data.max())
+
 
 @dataclass(frozen=True)
 class Patch:
@@ -65,18 +104,20 @@ class Patch:
 
 
 @dataclass(frozen=True)
-class EdgePoint:
-    """Depth-discontinuity pixel on the near (upper) surface.
+class EdgePoints:
+    """Depth-discontinuity pixels on the near (upper) surface, one row each.
 
     grad points toward increasing depth; normal is the fitted in-plane
     unit perpendicular, oriented the same way (near side toward far side).
     """
 
-    x: int
-    y: int
-    depth: float
-    grad: np.ndarray                 # (2,) raw depth gradient, mm/px
-    normal: np.ndarray | None = None # (2,) unit, set by estimate_normals
+    xy: np.ndarray                   # (m, 2) float64 pixel (x, y), integral
+    depth: np.ndarray                # (m,) float64, mm
+    grad: np.ndarray                 # (m, 2) raw depth gradient, mm/px
+    normal: np.ndarray | None = None # (m, 2) unit, set by estimate_normals
+
+    def __len__(self) -> int:
+        return len(self.depth)
 
 
 def record_bytes(img: DepthImage | Patch) -> bytes:
@@ -125,24 +166,35 @@ def bilateral_filter(img: DepthImage, spatial_sigma: float, range_sigma: float) 
     acc = np.zeros_like(src)
     wsum = np.zeros_like(src)
     h, w = src.shape
+    wgt_band = np.empty((_FILTER_ROWS, w))
+    term_band = np.empty((_FILTER_ROWS, w))
     inv_2ss = 1.0 / (2.0 * spatial_sigma ** 2)
     inv_2rs = 1.0 / (2.0 * range_sigma ** 2)
-    for dy in range(-r, r + 1):
-        for dx in range(-r, r + 1):
-            shifted = padded[r + dy:r + dy + h, r + dx:r + dx + w]
-            wgt = np.exp(-(dx * dx + dy * dy) * inv_2ss
-                         - (shifted - src) ** 2 * inv_2rs)
-            acc += wgt * shifted
-            wsum += wgt
+    for y0 in range(0, h, _FILTER_ROWS):
+        y1 = min(y0 + _FILTER_ROWS, h)
+        center, acc_b, wsum_b = src[y0:y1], acc[y0:y1], wsum[y0:y1]
+        wgt, term = wgt_band[:y1 - y0], term_band[:y1 - y0]
+        for dy in range(-r, r + 1):
+            for dx in range(-r, r + 1):
+                shifted = padded[r + dy + y0:r + dy + y1, r + dx:r + dx + w]
+                # wgt = exp(-(dx*dx + dy*dy) * inv_2ss - (shifted - center)**2 * inv_2rs)
+                np.subtract(shifted, center, out=wgt)
+                np.square(wgt, out=wgt)
+                np.multiply(wgt, inv_2rs, out=wgt)
+                np.subtract(-(dx * dx + dy * dy) * inv_2ss, wgt, out=wgt)
+                np.exp(wgt, out=wgt)
+                acc_b += np.multiply(wgt, shifted, out=term)
+                wsum_b += wgt
     return DepthImage(data=(acc / wsum).astype(np.float32), pitch=img.pitch)
 
 
-def detect_edges(img: DepthImage, grad_threshold: float) -> list[EdgePoint]:
+def detect_edges(img: DepthImage, grad_threshold: float) -> EdgePoints:
     """Pixels whose central-difference depth gradient is at or above the
-    threshold (in mm/px), kept only on the near side of the jump."""
+    threshold (in mm/px), kept only on the near side of the jump, in
+    row-major order."""
     if grad_threshold <= 0:
         raise DegenerateInput("threshold must be positive")
-    d = img.data.astype(np.float64)
+    d = img.depth64
     gx = np.zeros_like(d)
     gy = np.zeros_like(d)
     gx[:, 1:-1] = (d[:, 2:] - d[:, :-2]) * 0.5
@@ -150,53 +202,55 @@ def detect_edges(img: DepthImage, grad_threshold: float) -> list[EdgePoint]:
     mag = np.hypot(gx, gy)
     ys, xs = np.nonzero(mag >= grad_threshold)
     h, w = d.shape
-    out: list[EdgePoint] = []
-    for y, x in zip(ys, xs):
-        if x == 0 or x == w - 1 or y == 0 or y == h - 1:
-            continue
-        # Step along the dominant gradient axis, toward larger depth.
-        if abs(gx[y, x]) >= abs(gy[y, x]):
-            dx, dy = (1, 0) if gx[y, x] > 0 else (-1, 0)
-        else:
-            dx, dy = (0, 1) if gy[y, x] > 0 else (0, -1)
-        forward = d[y + dy, x + dx] - d[y, x]
-        backward = d[y, x] - d[y - dy, x - dx]
-        # Near side faces the jump: most of the discontinuity ahead of us.
-        if forward >= backward:
-            out.append(EdgePoint(x=int(x), y=int(y), depth=float(d[y, x]),
-                                 grad=np.array([gx[y, x], gy[y, x]])))
-    return out
+    inside = (xs > 0) & (xs < w - 1) & (ys > 0) & (ys < h - 1)
+    ys, xs = ys[inside], xs[inside]
+    grad = np.stack([gx[ys, xs], gy[ys, xs]], axis=1)
+    # Step along the dominant gradient axis, toward larger depth.
+    along_x = np.abs(grad[:, 0]) >= np.abs(grad[:, 1])
+    toward = np.where(grad > 0, 1, -1)
+    sx = np.where(along_x, toward[:, 0], 0)
+    sy = np.where(along_x, 0, toward[:, 1])
+    here = d[ys, xs]
+    forward = d[ys + sy, xs + sx] - here
+    backward = here - d[ys - sy, xs - sx]
+    # Near side faces the jump: most of the discontinuity ahead of us.
+    keep = forward >= backward
+    return EdgePoints(xy=np.stack([xs[keep], ys[keep]], axis=1).astype(np.float64),
+                      depth=here[keep], grad=grad[keep])
 
 
-def estimate_normals(edges: list[EdgePoint], radius: float = 5.0) -> list[EdgePoint]:
+def estimate_normals(edges: EdgePoints, radius: float = 5.0) -> EdgePoints:
     """Fit a line through each edge point's neighbors; the normal is the
     in-plane perpendicular oriented from near side to far side (along the
     stored depth gradient). Points with fewer than 3 neighbors are dropped."""
     if radius < 2:
         raise DegenerateInput("radius must be >= 2 px")
-    if not edges:
-        return []
-    pts = np.array([[e.x, e.y] for e in edges], dtype=np.float64)
-    tree = cKDTree(pts)
-    neighbor_lists = tree.query_ball_point(pts, r=radius)
-    out: list[EdgePoint] = []
-    for i, e in enumerate(edges):
-        nbrs = neighbor_lists[i]
-        if len(nbrs) - 1 < 3:
-            continue
-        local = pts[nbrs] - pts[nbrs].mean(axis=0)
-        cov = local.T @ local
-        evals, evecs = np.linalg.eigh(cov)
-        tangent = evecs[:, int(np.argmax(evals))]
-        normal = np.array([-tangent[1], tangent[0]])
-        if normal @ e.grad < 0:
-            normal = -normal
-        n = np.linalg.norm(normal)
-        if n < 1e-12:
-            continue
-        out.append(EdgePoint(x=e.x, y=e.y, depth=e.depth, grad=e.grad,
-                             normal=normal / n))
-    return out
+    pts = edges.xy
+    normal = np.zeros_like(pts)
+    # Sorted neighbor lists (the point itself included), flattened.
+    lists = cKDTree(pts).query_ball_point(pts, r=radius)
+    counts = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+    flat = np.fromiter(chain.from_iterable(lists), dtype=np.intp, count=int(counts.sum()))
+    starts = np.cumsum(counts) - counts
+    fitted = np.flatnonzero(counts - 1 >= 3)
+    # One batch per neighbor count, so each point's fit sees only its own
+    # neighbors, in the same order.
+    for k in np.unique(counts[fitted]).tolist():
+        rows = np.flatnonzero(counts == k)
+        nbrs = pts[flat[starts[rows, None] + np.arange(k)]]      # (g, k, 2)
+        local = nbrs - nbrs.mean(axis=1, keepdims=True)
+        evals, evecs = np.linalg.eigh(local.transpose(0, 2, 1) @ local)
+        tangent = evecs[np.arange(len(rows)), :, np.argmax(evals, axis=1)]
+        normal[rows, 0] = -tangent[:, 1]
+        normal[rows, 1] = tangent[:, 0]
+    normal = normal[fitted]
+    flip = np.vecdot(normal, edges.grad[fitted]) < 0
+    normal[flip] = -normal[flip]
+    n = np.sqrt(np.vecdot(normal, normal))
+    unit = n >= 1e-12
+    keep = fitted[unit]
+    return EdgePoints(xy=pts[keep], depth=edges.depth[keep], grad=edges.grad[keep],
+                      normal=normal[unit] / n[unit, None])
 
 
 def crop_rotated(img: DepthImage, center: tuple[float, float], theta: float,
@@ -214,14 +268,11 @@ def crop_rotated(img: DepthImage, center: tuple[float, float], theta: float,
     ct, st = np.cos(theta), np.sin(theta)
     src_x = cx + uu * ct - vv * st
     src_y = cy + uu * st + vv * ct
-    floor = float(img.data.max())
-    sampled = map_coordinates(img.data.astype(np.float64),
-                              np.stack([src_y.ravel(), src_x.ravel()]),
-                              order=1, mode="constant", cval=floor)
+    sampled = map_coordinates(img.depth64, np.stack([src_y.ravel(), src_x.ravel()]),
+                              order=1, mode="constant", cval=img.max_depth)
     sampled = sampled.reshape(out_size, out_size)
-    center_depth = map_coordinates(img.data.astype(np.float64),
-                                   np.array([[cy], [cx]]), order=1,
-                                   mode="constant", cval=floor)[0]
+    center_depth = map_coordinates(img.depth64, np.array([[cy], [cx]]), order=1,
+                                   mode="constant", cval=img.max_depth)[0]
     return Patch(data=(sampled - center_depth).astype(np.float32), pitch=img.pitch)
 
 

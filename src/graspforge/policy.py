@@ -118,8 +118,9 @@ def evaluate_policy(policy: PolicyConfig, net: QualityNet | None,
 
     Each trial settles, renders and samples a scene (`scene_candidates`),
     lets the policy pick one grasp, and executes it; success means a clean
-    single cable lift. A skipped scene, an overfilled one included, counts
-    as a "no_candidates" failure. Trials use per-index seed streams, so
+    single cable lift. A skipped scene counts as a failure: "overfilled"
+    when its cables found no resting pose in the bin, "no_candidates" when
+    the sampler came back empty. Trials use per-index seed streams, so
     results are independent of execution order and deterministic per
     master seed.
     """
@@ -132,8 +133,9 @@ def evaluate_policy(policy: PolicyConfig, net: QualityNet | None,
     for trial in range(trials):
         try:
             scene, cands, plan = scene_candidates(cfg, master_seed, trial)
-        except (Overfilled, NoCandidates):
-            reasons["no_candidates"] = reasons.get("no_candidates", 0) + 1
+        except (Overfilled, NoCandidates) as exc:
+            skip = "overfilled" if isinstance(exc, Overfilled) else "no_candidates"
+            reasons[skip] = reasons.get(skip, 0) + 1
             continue
         if policy.kind == "random":
             pose = select_random(cands, plan["rng"])

@@ -4,6 +4,26 @@ Smooths the image, finds depth-discontinuity edges with in-plane normals,
 proposes random contact pairs, and keeps the pairs whose contacts lie inside
 both friction cones. Each surviving pair becomes a grasp pose plus an
 axis-aligned depth patch.
+
+Exact-arithmetic contract. The candidates, their patches and the rng state
+a call leaves behind are pinned through every dataset, so the pair search,
+which runs on whole arrays, repeats the draws and float operations of a
+loop over trials (frozen in `tests/oracles.sample_grasps_reference`):
+
+- All MAX_PAIR_TRIALS trials come from one `rng.integers(0, m, size=(T, 2))`
+  call. It yields the numbers and the end state of T calls with size=2,
+  because PCG64 keeps the unused half of a 64-bit draw in the generator's
+  state, not in the call (checked in `tests/test_sampler.py`). When cfg.n
+  pairs are found early, the state saved before the draw is restored and
+  only the trials up to the n-th hit are drawn again, as the loop stopped
+  there.
+- Each unordered pair is judged at its first draw only, kept or not
+  (`np.unique` with `return_index`); i == j is no pair.
+- Distances are `sqrt(np.vecdot(v, v))`: the BLAS dot and square root that
+  `np.linalg.norm` of a 2-vector computes. The friction-cone dots are
+  `np.vecdot` as well, the same BLAS dot as a 2-vector `@`.
+- The cone test keeps `math.acos`: `np.arccos` differs from it in the last
+  bit on about one input in eleven, which flips pairs at the cone's edge.
 """
 from __future__ import annotations
 
@@ -70,7 +90,8 @@ class ContactPair:
 
     c1/c2 are pixel coordinates, d1/d2 their depths; n1/n2 unit in-plane
     surface normals pointing off the near surface; g1 the unit closing
-    direction from c1 toward c2 and g2 its negation.
+    direction from c1 toward c2 and g2 its negation. The fields may also
+    hold stacks of m pairs, (m, 2) and (m,) arrays.
     """
 
     c1: np.ndarray
@@ -83,17 +104,18 @@ class ContactPair:
     g2: np.ndarray
 
 
-def force_closure_check(pair: ContactPair, f: float) -> bool:
+def force_closure_check(pair: ContactPair, f: float) -> bool | np.ndarray:
     """Both contacts must see the closing line inside their friction cone:
-    angle(n, -g) < arctan(f) at each side, strictly."""
+    angle(n, -g) < arctan(f) at each side, strictly. A pair of stacks gets
+    a bool array, one answer per row."""
     if f <= 0.0:
         raise DegenerateInput("friction must be positive")
     limit = math.atan(f)
-    for n, g in ((pair.n1, pair.g1), (pair.n2, pair.g2)):
-        cos_a = float(np.clip(-(n @ g), -1.0, 1.0))
-        if math.acos(cos_a) >= limit:
-            return False
-    return True
+    cos1 = np.clip(-np.vecdot(pair.n1, pair.g1), -1.0, 1.0)
+    cos2 = np.clip(-np.vecdot(pair.n2, pair.g2), -1.0, 1.0)
+    inside = [math.acos(a) < limit and math.acos(b) < limit
+              for a, b in zip(np.ravel(cos1).tolist(), np.ravel(cos2).tolist())]
+    return np.array(inside, dtype=bool) if np.ndim(cos1) else inside[0]
 
 
 def estimate_grasp_width(pair: ContactPair, pitch: float) -> float:
@@ -143,39 +165,42 @@ def sample_grasps(img: DepthImage, cfg: SamplerConfig,
     proc = downsample(img, cfg.downsample_factor)
     proc = bilateral_filter(proc, BILATERAL_SPATIAL, BILATERAL_RANGE)
     edges = estimate_normals(detect_edges(proc, GRAD_THRESHOLD), NORMAL_RADIUS)
-    if len(edges) < 2:
+    m = len(edges)
+    if m < 2:
         raise NoCandidates("fewer than two edge points")
 
-    pts = np.array([[e.x, e.y] for e in edges], dtype=np.float64)
-    depths = np.array([e.depth for e in edges])
-    normals = np.array([e.normal for e in edges])
+    # All trials at once; trial t draws row t. Each unordered pair is tried
+    # at its first draw only, and i == j is no pair.
+    state = rng.bit_generator.state
+    draws = rng.integers(0, m, size=(MAX_PAIR_TRIALS, 2))
+    i, j = draws.min(axis=1), draws.max(axis=1)
+    trials = np.flatnonzero(i != j)
+    _, first = np.unique(i[trials] * m + j[trials], return_index=True)
+    trials = np.sort(trials[first])
+    i, j = i[trials], j[trials]
+    v = edges.xy[j] - edges.xy[i]
+    dist = np.sqrt(np.vecdot(v, v))
+    width = dist * proc.pitch
+    near = ((width <= W_MAX) & (width >= MIN_PAIR_SEPARATION)
+            & (np.abs(edges.depth[i] - edges.depth[j]) <= DEPTH_PAIR_TOL))
+    trials, i, j = trials[near], i[near], j[near]
+    g1 = v[near] / dist[near, None]
+    closed = force_closure_check(
+        ContactPair(c1=edges.xy[i], c2=edges.xy[j], d1=edges.depth[i], d2=edges.depth[j],
+                    n1=edges.normal[i], n2=edges.normal[j], g1=g1, g2=-g1), cfg.f)
+    hits = np.flatnonzero(closed)[:cfg.n].tolist()
+    if len(hits) == cfg.n:
+        # The search stops after the n-th hit: draw only the trials up to it.
+        rng.bit_generator.state = state
+        rng.integers(0, m, size=(int(trials[hits[-1]]) + 1, 2))
 
     out: list[tuple[GraspPose, ContactPair, Patch]] = []
-    seen: set[tuple[int, int]] = set()
-    for _ in range(MAX_PAIR_TRIALS):
-        if len(out) >= cfg.n:
-            break
-        i, j = (int(k) for k in rng.integers(0, len(edges), size=2))
-        if i == j:
-            continue
-        if i > j:
-            i, j = j, i
-        if (i, j) in seen:
-            continue
-        seen.add((i, j))
-        v = pts[j] - pts[i]
-        width = float(np.linalg.norm(v)) * proc.pitch
-        if width > W_MAX or width < MIN_PAIR_SEPARATION:
-            continue
-        if abs(depths[i] - depths[j]) > DEPTH_PAIR_TOL:
-            continue
-        g1 = v / np.linalg.norm(v)
-        pair = ContactPair(c1=pts[i].copy(), c2=pts[j].copy(),
-                           d1=float(depths[i]), d2=float(depths[j]),
-                           n1=normals[i].copy(), n2=normals[j].copy(),
-                           g1=g1, g2=-g1)
-        if not force_closure_check(pair, cfg.f):
-            continue
+    for k in hits:
+        a, b = i[k], j[k]
+        pair = ContactPair(c1=edges.xy[a].copy(), c2=edges.xy[b].copy(),
+                           d1=float(edges.depth[a]), d2=float(edges.depth[b]),
+                           n1=edges.normal[a].copy(), n2=edges.normal[b].copy(),
+                           g1=g1[k].copy(), g2=-g1[k])
         pose = grasp_from_pair(pair, proc, cfg)
         out.append((pose, pair, _crop_for(pair, pose, proc, cfg)))
 

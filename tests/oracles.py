@@ -4,12 +4,15 @@ Everything here is deliberately written from different math than the code
 under test: box distances come from separating axes plus brute-force
 feature enumeration, inside tests from crossing parity of a single ray,
 rendered depths from one Moller-Trumbore ray per pixel (`ray_triangles`,
-`ray_mesh`). There are two exceptions, same math on purpose, frozen copies
-the library must match bit for bit: `gjk_world_reference`, the GJK kernel,
-and `forward_backward_reference` (with `forward_batch_reference` and
+`ray_mesh`). There are three exceptions, same math on purpose, frozen copies
+the library must match bit for bit: `gjk_world_reference`, the GJK kernel;
+`forward_backward_reference` (with `forward_batch_reference` and
 `backward_batch_reference`), the quality network's forward and backward
 pass as they stood while the backward pass still formed conv1's input
-gradient.
+gradient; and `sample_grasps_reference`, the grasp sampler with its
+bilateral filter, edge detector, normal fit, rotated crop and friction-cone
+test as they stood while each was a Python loop over pixels, points and
+pair trials.
 
 The fixtures section holds test inputs and measures the library has no use
 for: sphere and prism meshes, mesh volume, point-in-piece, pixel-to-world
@@ -17,14 +20,24 @@ and an all-zero network.
 """
 from __future__ import annotations
 
+import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.ndimage import map_coordinates
+from scipy.spatial import cKDTree
 
-from graspforge.errors import ConvergenceWarning, DegenerateInput
+from graspforge.depthproc import DepthImage, Patch, downsample
+from graspforge.errors import ConvergenceWarning, DegenerateInput, NoCandidates
 from graspforge.geometry import ConvexPiece, GjkResult, Pose3, TriMesh
 from graspforge.model import QualityNet, init_net
+from graspforge.sampler import (
+    BILATERAL_RANGE, BILATERAL_SPATIAL, DEPTH_PAIR_TOL, ENGAGE_DEPTH, GRAD_THRESHOLD,
+    MAX_PAIR_TRIALS, MIN_PAIR_SEPARATION, NORMAL_RADIUS, W_MAX, ContactPair, GraspPose,
+    SamplerConfig,
+)
 from graspforge.scene import Camera
 
 
@@ -628,3 +641,211 @@ def forward_backward_reference(net: QualityNet, x: np.ndarray, dlogits_of):
     gradient `dlogits_of(logits)`, by the frozen pass."""
     logits, cache = forward_batch_reference(net, x)
     return logits, backward_batch_reference(dlogits_of(logits), cache)
+
+
+# ---------------------------------------------------------------------------
+# Frozen grasp sampler: `sample_grasps` with its filter, edge, normal, crop
+# and friction-cone steps as they stood while each ran as a Python loop over
+# offsets, pixels, points and trials. `sampler.sample_grasps` must return the
+# same bytes and leave the rng in the same state.
+
+@dataclass(frozen=True)
+class _RefEdgePoint:
+    x: int
+    y: int
+    depth: float
+    grad: np.ndarray
+    normal: np.ndarray | None = None
+
+
+def _ref_bilateral_filter(img: DepthImage, spatial_sigma: float, range_sigma: float) -> DepthImage:
+    if spatial_sigma <= 0 or range_sigma <= 0:
+        raise DegenerateInput("sigmas must be positive")
+    r = int(np.ceil(3.0 * spatial_sigma))
+    src = img.data.astype(np.float64)
+    padded = np.pad(src, r, mode="edge")
+    acc = np.zeros_like(src)
+    wsum = np.zeros_like(src)
+    h, w = src.shape
+    inv_2ss = 1.0 / (2.0 * spatial_sigma ** 2)
+    inv_2rs = 1.0 / (2.0 * range_sigma ** 2)
+    for dy in range(-r, r + 1):
+        for dx in range(-r, r + 1):
+            shifted = padded[r + dy:r + dy + h, r + dx:r + dx + w]
+            wgt = np.exp(-(dx * dx + dy * dy) * inv_2ss
+                         - (shifted - src) ** 2 * inv_2rs)
+            acc += wgt * shifted
+            wsum += wgt
+    return DepthImage(data=(acc / wsum).astype(np.float32), pitch=img.pitch)
+
+
+def _ref_detect_edges(img: DepthImage, grad_threshold: float) -> list[_RefEdgePoint]:
+    if grad_threshold <= 0:
+        raise DegenerateInput("threshold must be positive")
+    d = img.data.astype(np.float64)
+    gx = np.zeros_like(d)
+    gy = np.zeros_like(d)
+    gx[:, 1:-1] = (d[:, 2:] - d[:, :-2]) * 0.5
+    gy[1:-1, :] = (d[2:, :] - d[:-2, :]) * 0.5
+    mag = np.hypot(gx, gy)
+    ys, xs = np.nonzero(mag >= grad_threshold)
+    h, w = d.shape
+    out: list[_RefEdgePoint] = []
+    for y, x in zip(ys, xs):
+        if x == 0 or x == w - 1 or y == 0 or y == h - 1:
+            continue
+        # Step along the dominant gradient axis, toward larger depth.
+        if abs(gx[y, x]) >= abs(gy[y, x]):
+            dx, dy = (1, 0) if gx[y, x] > 0 else (-1, 0)
+        else:
+            dx, dy = (0, 1) if gy[y, x] > 0 else (0, -1)
+        forward = d[y + dy, x + dx] - d[y, x]
+        backward = d[y, x] - d[y - dy, x - dx]
+        # Near side faces the jump: most of the discontinuity ahead of us.
+        if forward >= backward:
+            out.append(_RefEdgePoint(x=int(x), y=int(y), depth=float(d[y, x]),
+                                     grad=np.array([gx[y, x], gy[y, x]])))
+    return out
+
+
+def _ref_estimate_normals(edges: list[_RefEdgePoint], radius: float = 5.0) -> list[_RefEdgePoint]:
+    if radius < 2:
+        raise DegenerateInput("radius must be >= 2 px")
+    if not edges:
+        return []
+    pts = np.array([[e.x, e.y] for e in edges], dtype=np.float64)
+    tree = cKDTree(pts)
+    neighbor_lists = tree.query_ball_point(pts, r=radius)
+    out: list[_RefEdgePoint] = []
+    for i, e in enumerate(edges):
+        nbrs = neighbor_lists[i]
+        if len(nbrs) - 1 < 3:
+            continue
+        local = pts[nbrs] - pts[nbrs].mean(axis=0)
+        cov = local.T @ local
+        evals, evecs = np.linalg.eigh(cov)
+        tangent = evecs[:, int(np.argmax(evals))]
+        normal = np.array([-tangent[1], tangent[0]])
+        if normal @ e.grad < 0:
+            normal = -normal
+        n = np.linalg.norm(normal)
+        if n < 1e-12:
+            continue
+        out.append(_RefEdgePoint(x=e.x, y=e.y, depth=e.depth, grad=e.grad,
+                                 normal=normal / n))
+    return out
+
+
+def _ref_crop_rotated(img: DepthImage, center: tuple[float, float], theta: float,
+                      out_size: int) -> Patch:
+    cx, cy = center
+    if not (0 <= cx < img.width and 0 <= cy < img.height):
+        raise DegenerateInput("center outside image")
+    half = (out_size - 1) / 2.0
+    u = np.arange(out_size) - half          # along grasp axis
+    v = np.arange(out_size) - half
+    uu, vv = np.meshgrid(u, v, indexing="xy")
+    ct, st = np.cos(theta), np.sin(theta)
+    src_x = cx + uu * ct - vv * st
+    src_y = cy + uu * st + vv * ct
+    floor = float(img.data.max())
+    sampled = map_coordinates(img.data.astype(np.float64),
+                              np.stack([src_y.ravel(), src_x.ravel()]),
+                              order=1, mode="constant", cval=floor)
+    sampled = sampled.reshape(out_size, out_size)
+    center_depth = map_coordinates(img.data.astype(np.float64),
+                                   np.array([[cy], [cx]]), order=1,
+                                   mode="constant", cval=floor)[0]
+    return Patch(data=(sampled - center_depth).astype(np.float32), pitch=img.pitch)
+
+
+def force_closure_check_reference(pair: ContactPair, f: float) -> bool:
+    """The friction-cone test for one pair, with its `math.acos`."""
+    if f <= 0.0:
+        raise DegenerateInput("friction must be positive")
+    limit = math.atan(f)
+    for n, g in ((pair.n1, pair.g1), (pair.n2, pair.g2)):
+        cos_a = float(np.clip(-(n @ g), -1.0, 1.0))
+        if math.acos(cos_a) >= limit:
+            return False
+    return True
+
+
+def _ref_estimate_grasp_width(pair: ContactPair, pitch: float) -> float:
+    d = float(np.linalg.norm(np.asarray(pair.c2, float) - np.asarray(pair.c1, float)))
+    if d == 0.0:
+        raise DegenerateInput("coincident contacts")
+    return d * pitch
+
+
+def _ref_grasp_from_pair(pair: ContactPair, img: DepthImage, cfg: SamplerConfig) -> GraspPose:
+    c1 = np.asarray(pair.c1, float)
+    c2 = np.asarray(pair.c2, float)
+    mid = (c1 + c2) / 2.0
+    x = (mid[0] - (img.width - 1) / 2.0) * img.pitch
+    y = ((img.height - 1) / 2.0 - mid[1]) * img.pitch
+    surface = cfg.camera_height - min(pair.d1, pair.d2)
+    z = max(surface - ENGAGE_DEPTH, 0.0)
+    v = c2 - c1
+    # canonical half-plane so c1/c2 swap folds to the identical angle
+    if v[1] > 0.0 or (v[1] == 0.0 and v[0] < 0.0):
+        v = -v
+    theta = math.atan2(-v[1], v[0])             # image y runs downward
+    return GraspPose(x=x, y=y, z=z, theta=theta,
+                     w=_ref_estimate_grasp_width(pair, img.pitch))
+
+
+def _ref_crop_for(pair: ContactPair, pose: GraspPose, img: DepthImage,
+                  cfg: SamplerConfig) -> Patch:
+    mid = (np.asarray(pair.c1, float) + np.asarray(pair.c2, float)) / 2.0
+    # crop angle is in pixel axes; world theta flips the y sense
+    return _ref_crop_rotated(img, (mid[0], mid[1]), -pose.theta, cfg.patch_size)
+
+
+def sample_grasps_reference(img: DepthImage, cfg: SamplerConfig,
+                            rng: np.random.Generator) -> list[tuple[GraspPose, ContactPair, Patch]]:
+    """The grasp sampler in its per-item loop form; `sample_grasps` must
+    return the same candidates and draw the same numbers from rng."""
+    proc = downsample(img, cfg.downsample_factor)
+    proc = _ref_bilateral_filter(proc, BILATERAL_SPATIAL, BILATERAL_RANGE)
+    edges = _ref_estimate_normals(_ref_detect_edges(proc, GRAD_THRESHOLD), NORMAL_RADIUS)
+    if len(edges) < 2:
+        raise NoCandidates("fewer than two edge points")
+
+    pts = np.array([[e.x, e.y] for e in edges], dtype=np.float64)
+    depths = np.array([e.depth for e in edges])
+    normals = np.array([e.normal for e in edges])
+
+    out: list[tuple[GraspPose, ContactPair, Patch]] = []
+    seen: set[tuple[int, int]] = set()
+    for _ in range(MAX_PAIR_TRIALS):
+        if len(out) >= cfg.n:
+            break
+        i, j = (int(k) for k in rng.integers(0, len(edges), size=2))
+        if i == j:
+            continue
+        if i > j:
+            i, j = j, i
+        if (i, j) in seen:
+            continue
+        seen.add((i, j))
+        v = pts[j] - pts[i]
+        width = float(np.linalg.norm(v)) * proc.pitch
+        if width > W_MAX or width < MIN_PAIR_SEPARATION:
+            continue
+        if abs(depths[i] - depths[j]) > DEPTH_PAIR_TOL:
+            continue
+        g1 = v / np.linalg.norm(v)
+        pair = ContactPair(c1=pts[i].copy(), c2=pts[j].copy(),
+                           d1=float(depths[i]), d2=float(depths[j]),
+                           n1=normals[i].copy(), n2=normals[j].copy(),
+                           g1=g1, g2=-g1)
+        if not force_closure_check_reference(pair, cfg.f):
+            continue
+        pose = _ref_grasp_from_pair(pair, proc, cfg)
+        out.append((pose, pair, _ref_crop_for(pair, pose, proc, cfg)))
+
+    if not out:
+        raise NoCandidates("no force-closure pair found")
+    out.sort(key=lambda t: (t[0].z, t[0].x, t[0].y))
+    return out

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from graspforge.depthproc import (
-    DepthImage, Patch, add_noise, bilateral_filter, crop_rotated, detect_edges,
+    DepthImage, EdgePoints, Patch, add_noise, bilateral_filter, crop_rotated, detect_edges,
     downsample, estimate_normals, patch_from_record, record_bytes,
 )
 from graspforge.errors import DegenerateInput
@@ -59,14 +59,14 @@ class TestBilateral:
 
 class TestDetectEdges:
     def test_flat_no_edges(self):
-        assert detect_edges(flat(), 1.5) == []
+        assert len(detect_edges(flat(), 1.5)) == 0
 
     def test_vertical_step_single_near_column(self):
         img = step_image(near=50.0, far=70.0, split=25)
         edges = detect_edges(img, 1.5)
-        xs = sorted({e.x for e in edges})
+        xs = sorted(set(edges.xy[:, 0].tolist()))
         assert xs == [24]  # last near-side column
-        assert all(e.depth == pytest.approx(50.0) for e in edges)
+        assert edges.depth == pytest.approx(50.0)
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(4)
@@ -77,8 +77,8 @@ class TestDetectEdges:
         img1 = DepthImage(data=base.astype(np.float32), pitch=0.5)
         shifted = np.roll(base, (0, 3), axis=(0, 1)).astype(np.float32)
         img2 = DepthImage(data=shifted, pitch=0.5)
-        e1 = {(e.x + 3, e.y) for e in detect_edges(img1, 1.5) if 5 < e.x < 50}
-        e2 = {(e.x, e.y) for e in detect_edges(img2, 1.5) if 8 < e.x < 53}
+        e1 = {(x + 3, y) for x, y in detect_edges(img1, 1.5).xy.tolist() if 5 < x < 50}
+        e2 = {(x, y) for x, y in detect_edges(img2, 1.5).xy.tolist() if 8 < x < 53}
         assert e1 == e2
 
 
@@ -87,10 +87,10 @@ class TestNormals:
         img = step_image(near=50.0, far=70.0, split=25)
         edges = estimate_normals(detect_edges(img, 1.5), radius=5.0)
         assert len(edges) > 10
-        for e in edges:
-            assert abs(np.linalg.norm(e.normal) - 1.0) < 1e-6
+        for normal in edges.normal:
+            assert abs(np.linalg.norm(normal) - 1.0) < 1e-6
             # oriented toward the far (deeper) side, which is +x here
-            assert e.normal[0] == pytest.approx(1.0, abs=1e-6)
+            assert normal[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_circle_normals_radial(self):
         # disk of raised (nearer) depth: edge ring with outward-facing normals
@@ -102,31 +102,26 @@ class TestNormals:
         img = DepthImage(data=data, pitch=0.5)
         edges = estimate_normals(detect_edges(img, 1.5), radius=5.0)
         assert len(edges) > 40
-        for e in edges:
-            radial = np.array([e.x - c, e.y - c])
+        for xy, normal in zip(edges.xy, edges.normal):
+            radial = xy - c
             radial /= np.linalg.norm(radial)
-            angle = np.degrees(np.arccos(np.clip(e.normal @ radial, -1, 1)))
+            angle = np.degrees(np.arccos(np.clip(normal @ radial, -1, 1)))
             assert angle <= 5.0
 
     def test_isolated_points_dropped(self):
-        img_data = np.full((40, 60), 70.0, np.float32)
-        img_data[:, 30:] = 50.0
-        edges = detect_edges(DepthImage(data=img_data, pitch=0.5), 1.5)
-        two = edges[:2]
-        spaced = [two[0], two[1]]
-        # force isolation by moving them far apart
-        from graspforge.depthproc import EdgePoint
-        spaced = [EdgePoint(x=1, y=1, depth=50.0, grad=np.array([1.0, 0.0])),
-                  EdgePoint(x=50, y=30, depth=50.0, grad=np.array([1.0, 0.0]))]
-        assert estimate_normals(spaced, radius=5.0) == []
+        # two edge points far apart: neither has a neighbor
+        spaced = EdgePoints(xy=np.array([[1.0, 1.0], [50.0, 30.0]]),
+                            depth=np.array([50.0, 50.0]),
+                            grad=np.array([[1.0, 0.0], [1.0, 0.0]]))
+        assert len(estimate_normals(spaced, radius=5.0)) == 0
 
     def test_flip_x_negates_normal_x(self):
         img = step_image(near=50.0, far=70.0, split=25)
         flipped = DepthImage(data=img.data[:, ::-1].copy(), pitch=img.pitch)
         n1 = estimate_normals(detect_edges(img, 1.5), 5.0)
         n2 = estimate_normals(detect_edges(flipped, 1.5), 5.0)
-        m1 = np.mean([e.normal[0] for e in n1])
-        m2 = np.mean([e.normal[0] for e in n2])
+        m1 = np.mean(n1.normal[:, 0])
+        m2 = np.mean(n2.normal[:, 0])
         assert m1 == pytest.approx(-m2, abs=1e-6)
 
 

@@ -208,7 +208,9 @@ class TestEvaluatePolicy:
         assert rep1.successes + sum(rep1.failures_by_reason.values()) == 2
         assert 0.0 <= rep1.wilson_low <= rep1.rate <= rep1.wilson_high <= 1.0
         counted = sum(v["trials"] for v in rep1.by_cable_count.values())
-        assert counted == 2 - rep1.failures_by_reason.get("no_candidates", 0)
+        skipped = sum(rep1.failures_by_reason.get(k, 0)
+                      for k in ("overfilled", "no_candidates"))
+        assert counted == 2 - skipped
 
     def test_no_candidates_counted_as_failures(self):
         # hostile settings: heavy noise, tiny friction cone, coarse camera
@@ -220,6 +222,14 @@ class TestEvaluatePolicy:
         rep = evaluate_policy(PolicyConfig(kind="random"), None, cfg, 9)
         assert rep.failures_by_reason.get("no_candidates", 0) == 2
         assert rep.successes == 0
+
+    def test_overfilled_counted_apart_from_no_candidates(self):
+        # a bin too small for the cable: the trial's scene never settles
+        cfg = DatasetConfig(scene_count=1, cable_count_range=(1, 1),
+                            bin=BinSpec(inner_x=60.0, inner_y=50.0))
+        rep = evaluate_policy(PolicyConfig(kind="random"), None, cfg, 3)
+        assert rep.failures_by_reason == {"overfilled": 1}
+        assert rep.successes == 0 and rep.by_cable_count == {}
 
     def test_cgcnn_requires_net(self):
         cfg = DatasetConfig(scene_count=1)

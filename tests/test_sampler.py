@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from graspforge.depthproc import DepthImage
+from graspforge.depthproc import DepthImage, add_noise
 from graspforge.errors import DegenerateInput, NoCandidates
 from graspforge.sampler import (
-    ENGAGE_DEPTH, W_MAX, ContactPair, GraspPose, SamplerConfig, estimate_grasp_width,
-    force_closure_check, grasp_from_pair, sample_grasps,
+    ENGAGE_DEPTH, MAX_PAIR_TRIALS, W_MAX, ContactPair, GraspPose, SamplerConfig,
+    estimate_grasp_width, force_closure_check, grasp_from_pair, sample_grasps,
 )
 from graspforge.scene import BinSpec, CableSpec, Camera, render_depth, settle_scene
+from graspforge.simlab import DatasetConfig, scene_plan, settle_plan
+
+import oracles
 
 
 def make_pair(c1, c2, n1, n2, d1=60.0, d2=60.0):
@@ -72,6 +75,21 @@ class TestForceClosure:
         n1 = rot2(math.degrees(exact)) @ np.array([-1.0, 0.0])
         pair = make_pair((0, 0), (16, 0), n1=n1, n2=(1, 0))
         assert not force_closure_check(pair, f)
+
+    def test_stack_matches_reference_at_the_cone_edge(self):
+        # cosines within a few ulps of cos(arctan f), where math.acos and
+        # np.arccos can round to opposite sides of the limit
+        for f in np.linspace(0.05, 1.0, 400).tolist():
+            c0 = math.cos(math.atan(f))
+            cos = c0 + np.arange(-6, 7) * np.spacing(c0)
+            n1 = np.stack([-cos, np.sqrt(1.0 - cos * cos)], axis=1)
+            g1 = np.tile([1.0, 0.0], (len(cos), 1))
+            pairs = [make_pair((0, 0), (16, 0), n1=n, n2=-n) for n in n1]
+            stack = ContactPair(c1=np.zeros_like(g1), c2=16.0 * g1, d1=np.full(len(cos), 60.0),
+                                d2=np.full(len(cos), 60.0), n1=n1, n2=-n1, g1=g1, g2=-g1)
+            want = [oracles.force_closure_check_reference(p, f) for p in pairs]
+            assert force_closure_check(stack, f).tolist() == want
+            assert [force_closure_check(p, f) for p in pairs] == want
 
     def test_invalid_friction(self):
         pair = make_pair((0, 0), (16, 0), n1=(-1, 0), n2=(1, 0))
@@ -259,3 +277,93 @@ class TestSampleGrasps:
             SamplerConfig(n=0)
         with pytest.raises(DegenerateInput):
             SamplerConfig(f=-0.1)
+
+
+@pytest.fixture(scope="module")
+def noisy_piles():
+    """One rendered, noised pile of 3 to 5 cables per master seed."""
+    cfg = DatasetConfig(cable_count_range=(3, 5))
+    piles = []
+    for master_seed in (0, 1, 2):
+        plan = scene_plan(cfg, master_seed, 0)
+        img, _ = render_depth(settle_plan(cfg, plan), cfg.camera)
+        piles.append(add_noise(img, plan["rng"], cfg.gauss_sigma, cfg.salt_pepper_frac))
+    return piles
+
+
+def sampler_run(sample, img, cfg, seed):
+    """Everything a sampler call yields, as comparable values: candidate
+    poses and bytes (or the exception) and the rng state afterwards."""
+    rng = np.random.default_rng(seed)
+    try:
+        out = [(pose, [a.tobytes() for a in (pr.c1, pr.c2, pr.n1, pr.n2, pr.g1, pr.g2)],
+                pr.d1, pr.d2, patch.data.tobytes(), patch.pitch)
+               for pose, pr, patch in sample(img, cfg, rng)]
+    except NoCandidates as exc:
+        out = (type(exc), str(exc))
+    return out, rng.bit_generator.state
+
+
+class TestBitIdentity:
+    """The sampler returns the frozen loop form's bytes and leaves the rng
+    where the loop form leaves it."""
+
+    @pytest.mark.parametrize("pile", [0, 1, 2])
+    def test_early_stop_matches_reference(self, noisy_piles, pile):
+        cfg = SamplerConfig(n=5, f=0.4)
+        got = sampler_run(sample_grasps, noisy_piles[pile], cfg, 10 + pile)
+        assert len(got[0]) == cfg.n
+        assert got == sampler_run(oracles.sample_grasps_reference, noisy_piles[pile],
+                                  cfg, 10 + pile)
+
+    @pytest.mark.parametrize("pile", [0, 1, 2])
+    def test_all_trials_match_reference(self, noisy_piles, pile):
+        cfg = SamplerConfig(f=0.3)
+        got = sampler_run(sample_grasps, noisy_piles[pile], cfg, 20 + pile)
+        assert 0 < len(got[0]) < cfg.n  # never filled: every trial ran
+        assert got == sampler_run(oracles.sample_grasps_reference, noisy_piles[pile],
+                                  cfg, 20 + pile)
+
+    def test_no_force_closure_pair_matches_reference(self):
+        # one straight step: every normal points the same way, so no pair
+        # closes, and all trials run before NoCandidates
+        data = np.full((120, 160), 70.0, np.float32)
+        data[:, :80] = 50.0
+        img = add_noise(DepthImage(data=data, pitch=0.5), np.random.default_rng(5), 0.3)
+        cfg = SamplerConfig(f=0.4)
+        got = sampler_run(sample_grasps, img, cfg, 30)
+        assert got[0] == (NoCandidates, "no force-closure pair found")
+        assert got == sampler_run(oracles.sample_grasps_reference, img, cfg, 30)
+
+    def test_repeated_pairs_match_reference(self):
+        # a small disk has about 30 edge points, so most trials repeat a pair
+        yy, xx = np.mgrid[0:40, 0:40]
+        data = np.where(np.hypot(xx - 19.5, yy - 19.5) < 6, 50.0, 70.0)
+        img = DepthImage(data=data.astype(np.float32), pitch=0.5)
+        for n, stops_early in ((30, True), (10_000, False)):
+            cfg = SamplerConfig(n=n, f=0.4)
+            got = sampler_run(sample_grasps, img, cfg, 50)
+            assert (len(got[0]) == n) == stops_early
+            assert got == sampler_run(oracles.sample_grasps_reference, img, cfg, 50)
+
+    def test_flat_image_matches_reference(self):
+        got = sampler_run(sample_grasps, flat_image(), SamplerConfig(), 40)
+        assert got[0] == (NoCandidates, "fewer than two edge points")
+        assert got == sampler_run(oracles.sample_grasps_reference, flat_image(),
+                                  SamplerConfig(), 40)
+
+
+@pytest.mark.parametrize("trials", [MAX_PAIR_TRIALS, 777])
+@pytest.mark.parametrize("bound", [2, 5281, 6377, 2**31 - 1, 2**31 + 1])
+def test_batched_draws_equal_per_trial_draws(trials, bound):
+    """sample_grasps draws all pair trials in one call and, when it stops
+    early, redraws the trials it used from the saved state. Both rely on
+    one integers(size=(T, 2)) call giving the numbers and the end state of
+    T integers(size=2) calls, rejections included: for a bound just above
+    2**31 about half of the 32-bit draws are rejected."""
+    batched = np.random.default_rng(99)
+    single = np.random.default_rng(99)
+    drawn = batched.integers(0, bound, size=(trials, 2))
+    one_by_one = [single.integers(0, bound, size=2) for _ in range(trials)]
+    assert np.array_equal(drawn, np.array(one_by_one))
+    assert batched.bit_generator.state == single.bit_generator.state
