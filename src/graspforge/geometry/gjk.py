@@ -12,13 +12,32 @@ Exact-arithmetic contract. Settled poses, and through them every pinned
 artifact byte, depend on each float this kernel computes, so a rewrite
 must repeat the same IEEE operations on the same operands:
 
-- Every dot product of two 3-vectors is a numpy `@` of float64 arrays.
-  numpy hands it to the BLAS dot, which may fuse the multiply-adds into
-  an FMA chain; a plain `x0*y0 + x1*y1 + x2*y2` then differs in the last
-  bit in about a third of cases.
-- The support step is `verts @ d`, one BLAS gemv per body. Gemv may sum
-  in another order than the vector dot, so dots are never batched into a
-  matrix product, and the two forms are never mixed for one quantity.
+- Every dot product of two 3-vectors is `x.dot(y)` on float64 arrays.
+  numpy hands it to the BLAS ddot, as it does `x @ y`, at about half the
+  dispatch cost; the ddot may fuse the multiply-adds into an FMA chain,
+  and a plain `x0*y0 + x1*y1 + x2*y2` then differs in the last bit in
+  about a third of cases. `tests/test_gjk.py::TestDotForms` checks that
+  `.dot` and `@` still give the same bytes.
+- Every dot is turned into a Python float with `float(...)` where it is
+  formed. A numpy scalar left in an expression, as in
+  `-a.dot(ab) / ab.dot(ab)`, gave a NaN of the other sign than the frozen
+  kernel in the iteration-cap test.
+- The support step is `verts.dot(d)`, one BLAS gemv per body. Gemv may
+  sum in another order than the vector dot, so dots are never batched
+  into a matrix product, and the two forms are never mixed for one
+  quantity.
+- Each edge vector and vertex-edge dot is formed at most once per query:
+  they are kept by the serial numbers of their support points for the
+  whole `gjk_world` call, so a tetrahedron step reads the dots its
+  triangle step formed. Reusing a float is exact; only its cost changes.
+- A NaN's sign bit can depend on how a value is formed, not only on its
+  operands. Three rewrites that are exact on finite values gave other
+  NaN signs than the frozen kernel: witness sums as a Python `x + y`
+  chain, witness sums as `sum(map(operator.mul, ...))`, and a tetrahedron
+  step that reused the previous step's closest point and lambdas for its
+  first face (this one only in a fresh process). So the witness keeps its
+  generator `sum` and each step recomputes its faces. `TestBitIdentity`'s
+  iteration-cap case checks NaN signs, run alone or after the others.
 - Element-wise work (differences, scaling, cross products, witness sums)
   is correctly rounded either way and runs on Python floats, which costs
   less than numpy's per-call dispatch on 3-vectors. Each expression keeps
@@ -38,7 +57,6 @@ from ..errors import ConvergenceWarning
 _MAX_ITER = 128
 _EPS_ZERO = 1e-9          # |v| below this counts as touching
 _EPS_PROGRESS = 1e-12     # relative duality-gap termination
-_TETRA_FACES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 
 
 @dataclass(frozen=True)
@@ -49,32 +67,33 @@ class GjkResult:
     converged: bool
 
 
-class _Simplex:
-    """Simplex vertices as arrays (for dots) and as floats (for element-wise
-    work), with each edge vector and negated vertex-edge dot computed at
-    most once: the faces of a tetrahedron share them."""
+class _Memo:
+    """Edge vectors and negated vertex-edge dots of one query, each formed
+    at most once. Support points are tuples (serial, w, w as floats, sa,
+    sb); the serial names a point for the whole query, so a step reads the
+    dots that earlier steps formed."""
 
-    __slots__ = ("w", "wl", "_edges", "_dots")
+    __slots__ = ("edges", "dots")
 
-    def __init__(self, w: list[np.ndarray], wl: list[list[float]]):
-        self.w = w
-        self.wl = wl
-        self._edges: dict = {}
-        self._dots: dict = {}
+    def __init__(self):
+        self.edges: dict = {}
+        self.dots: dict = {}
 
-    def edge(self, i: int, j: int):
-        """w[j] - w[i], as an array and as floats."""
-        e = self._edges.get((i, j))
+    def edge(self, p, q):
+        """q.w - p.w, as an array and as floats."""
+        key = (p[0], q[0])
+        e = self.edges.get(key)
         if e is None:
-            arr = self.w[j] - self.w[i]
-            e = self._edges[i, j] = (arr, arr.tolist())
+            arr = q[1] - p[1]
+            e = self.edges[key] = (arr, arr.tolist())
         return e
 
-    def ndot(self, k: int, i: int, j: int) -> float:
-        """-(w[k] @ (w[j] - w[i]))."""
-        x = self._dots.get((k, i, j))
+    def ndot(self, r, p, q) -> float:
+        """-(r.w . (q.w - p.w))."""
+        key = (r[0], p[0], q[0])
+        x = self.dots.get(key)
         if x is None:
-            x = self._dots[k, i, j] = -float(self.w[k] @ self.edge(i, j)[0])
+            x = self.dots[key] = -float(r[1].dot(self.edge(p, q)[0]))
         return x
 
 
@@ -83,94 +102,92 @@ def _along(p: list[float], t: float, e: list[float]) -> np.ndarray:
     return np.array([p[0] + t * e[0], p[1] + t * e[1], p[2] + t * e[2]])
 
 
-def _closest_on_segment(s: _Simplex):
-    a, b = s.w
-    ab, abl = s.edge(0, 1)
-    denom = float(ab @ ab)
+def _closest_on_segment(m: _Memo, pts: list):
+    a, b = pts
+    ab, abl = m.edge(a, b)
+    denom = float(ab.dot(ab))
     if denom < 1e-30:
-        return a, (1.0,), [0]
-    t = -float(a @ ab) / denom
+        return a[1], (1.0,), [a]
+    t = m.ndot(a, a, b) / denom
     if t <= 0.0:
-        return a, (1.0,), [0]
+        return a[1], (1.0,), [a]
     if t >= 1.0:
-        return b, (1.0,), [1]
-    return _along(s.wl[0], t, abl), (1.0 - t, t), [0, 1]
+        return b[1], (1.0,), [b]
+    return _along(a[2], t, abl), (1.0 - t, t), pts
 
 
-def _closest_on_triangle(s: _Simplex, i: int, j: int, k: int):
-    # Ericson, Real-Time Collision Detection, 5.1.5 (query point = origin),
-    # on triangle (a, b, c) = (w[i], w[j], w[k]).
-    d1 = s.ndot(i, i, j)
-    d2 = s.ndot(i, i, k)
+def _closest_on_triangle(m: _Memo, a, b, c):
+    # Ericson, Real-Time Collision Detection, 5.1.5 (query point = origin)
+    ndot = m.ndot
+    d1 = ndot(a, a, b)
+    d2 = ndot(a, a, c)
     if d1 <= 0.0 and d2 <= 0.0:
-        return s.w[i], (1.0,), [i]
-    d3 = s.ndot(j, i, j)
-    d4 = s.ndot(j, i, k)
+        return a[1], (1.0,), [a]
+    d3 = ndot(b, a, b)
+    d4 = ndot(b, a, c)
     if d3 >= 0.0 and d4 <= d3:
-        return s.w[j], (1.0,), [j]
+        return b[1], (1.0,), [b]
     vc = d1 * d4 - d3 * d2
     if vc <= 0.0 and d1 >= 0.0 and d3 <= 0.0:
         t = d1 / (d1 - d3)
-        return _along(s.wl[i], t, s.edge(i, j)[1]), (1.0 - t, t), [i, j]
-    d5 = s.ndot(k, i, j)
-    d6 = s.ndot(k, i, k)
+        return _along(a[2], t, m.edge(a, b)[1]), (1.0 - t, t), [a, b]
+    d5 = ndot(c, a, b)
+    d6 = ndot(c, a, c)
     if d6 >= 0.0 and d5 <= d6:
-        return s.w[k], (1.0,), [k]
+        return c[1], (1.0,), [c]
     vb = d5 * d2 - d1 * d6
     if vb <= 0.0 and d2 >= 0.0 and d6 <= 0.0:
         t = d2 / (d2 - d6)
-        return _along(s.wl[i], t, s.edge(i, k)[1]), (1.0 - t, t), [i, k]
+        return _along(a[2], t, m.edge(a, c)[1]), (1.0 - t, t), [a, c]
     va = d3 * d6 - d5 * d4
     if va <= 0.0 and (d4 - d3) >= 0.0 and (d5 - d6) >= 0.0:
         t = (d4 - d3) / ((d4 - d3) + (d5 - d6))
-        return _along(s.wl[j], t, s.edge(j, k)[1]), (1.0 - t, t), [j, k]
+        return _along(b[2], t, m.edge(b, c)[1]), (1.0 - t, t), [b, c]
     denom = 1.0 / (va + vb + vc)
     v = vb * denom
     w = vc * denom
-    a, ab, ac = s.wl[i], s.edge(i, j)[1], s.edge(i, k)[1]
-    p = [a[0] + ab[0] * v + ac[0] * w, a[1] + ab[1] * v + ac[1] * w,
-         a[2] + ab[2] * v + ac[2] * w]
-    return np.array(p), (1.0 - v - w, v, w), [i, j, k]
+    p, ab, ac = a[2], m.edge(a, b)[1], m.edge(a, c)[1]
+    return (np.array([p[0] + ab[0] * v + ac[0] * w, p[1] + ab[1] * v + ac[1] * w,
+                      p[2] + ab[2] * v + ac[2] * w]),
+            (1.0 - v - w, v, w), [a, b, c])
 
 
-def _same_side(s: _Simplex, i: int, j: int, k: int, m: int) -> bool:
+def _same_side(m: _Memo, a, b, c, d) -> bool:
     """True when the origin is not strictly on the other side of plane
-    (w[i], w[j], w[k]) from w[m]."""
-    u = s.edge(i, j)[1]
-    v = s.edge(i, k)[1]
+    (a, b, c) from d."""
+    u = m.edge(a, b)[1]
+    v = m.edge(a, c)[1]
     n = np.array([u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
                   u[0] * v[1] - u[1] * v[0]])
-    # n @ -w[i] would differ only in the sign of a zero, which the test ignores
-    return -float(n @ s.w[i]) * float(n @ s.edge(i, m)[0]) >= 0.0
+    # n . -a would differ only in the sign of a zero, which the test ignores
+    return -float(n.dot(a[1])) * float(n.dot(m.edge(a, d)[0])) >= 0.0
 
 
-def _origin_in_tetra(s: _Simplex) -> bool:
-    return (_same_side(s, 0, 1, 2, 3) and _same_side(s, 0, 2, 3, 1)
-            and _same_side(s, 0, 3, 1, 2) and _same_side(s, 1, 3, 2, 0))
-
-
-def _closest_on_simplex(s: _Simplex):
-    """Closest point of conv(w) to the origin: (point, lambdas, kept indices)."""
-    k = len(s.w)
+def _closest_on_simplex(m: _Memo, pts: list):
+    """Closest point of the simplex to the origin: (point, lambdas, kept
+    points in their order)."""
+    k = len(pts)
     if k == 1:
-        return s.w[0], (1.0,), [0]
+        return pts[0][1], (1.0,), pts
     if k == 2:
-        return _closest_on_segment(s)
+        return _closest_on_segment(m, pts)
     if k == 3:
-        return _closest_on_triangle(s, 0, 1, 2)
-    if _origin_in_tetra(s):
+        return _closest_on_triangle(m, *pts)
+    a, b, c, d = pts
+    if (_same_side(m, a, b, c, d) and _same_side(m, a, c, d, b)
+            and _same_side(m, a, d, b, c) and _same_side(m, b, d, c, a)):
         # Inside: distance zero. Recover lambdas for witness points.
-        mat = np.vstack([np.column_stack(s.w), np.ones(4)])
+        mat = np.vstack([np.column_stack([p[1] for p in pts]), np.ones(4)])
         rhs = np.array([0.0, 0.0, 0.0, 1.0])
         lam, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
         lam = np.clip(lam, 0.0, None)
         total = lam.sum()
         lam = lam / total if total > 0 else np.full(4, 0.25)
-        return np.zeros(3), lam, [0, 1, 2, 3]
+        return np.zeros(3), lam, pts
     best = None
-    for f in _TETRA_FACES:
-        p, lam, keep = _closest_on_triangle(s, *f)
-        d2 = float(p @ p)
+    for f in ((a, b, c), (a, b, d), (a, c, d), (b, c, d)):
+        p, lam, keep = _closest_on_triangle(m, *f)
+        d2 = float(p.dot(p))
         if best is None or d2 < best[0]:
             best = (d2, p, lam, keep)
     return best[1], best[2], best[3]
@@ -182,8 +199,8 @@ def _witness(lam, points: list[list[float]]) -> np.ndarray:
 
 
 def _result(distance: float, lam, simplex: list, converged: bool) -> GjkResult:
-    return GjkResult(distance, _witness(lam, [p[2] for p in simplex]),
-                     _witness(lam, [p[3] for p in simplex]), converged)
+    return GjkResult(distance, _witness(lam, [p[3] for p in simplex]),
+                     _witness(lam, [p[4] for p in simplex]), converged)
 
 
 def gjk_world(
@@ -203,21 +220,22 @@ def gjk_world(
     vb = np.asarray(verts_b, dtype=np.float64)
     # the same floats as va.mean(axis=0) - vb.mean(axis=0)
     d = va.sum(axis=0) / len(va) - vb.sum(axis=0) / len(vb)
-    n = math.sqrt(float(d @ d))
+    n = math.sqrt(float(d.dot(d)))
     d = d / n if n > 1e-12 else np.array([1.0, 0.0, 0.0])
     rows_a = va.tolist()
     rows_b = vb.tolist()
 
-    # simplex points: (w = sa - sb as an array, w, sa, sb as floats)
+    memo = _Memo()
+    # support points: (serial, w = sa - sb as an array, w, sa, sb as floats)
     simplex: list[tuple] = []
     prev_norm = math.inf
     stalled = 0
 
-    for _ in range(_MAX_ITER):
+    for serial in range(_MAX_ITER):
         dx, dy, dz = d.tolist()
-        ax, ay, az = rows_a[(va @ d).argmax()]
-        # argmin of vb @ d is argmax of vb @ -d: negation is exact
-        bx, by, bz = rows_b[(vb @ d).argmin()]
+        ax, ay, az = rows_a[va.dot(d).argmax()]
+        # argmin of vb . d is argmax of vb . -d: negation is exact
+        bx, by, bz = rows_b[vb.dot(d).argmin()]
         sa = [ax - erosion_a * dx, ay - erosion_a * dy, az - erosion_a * dz]
         sb = [bx + erosion_b * dx, by + erosion_b * dy, bz + erosion_b * dz]
         wl = [sa[0] - sb[0], sa[1] - sb[1], sa[2] - sb[2]]
@@ -226,30 +244,28 @@ def gjk_world(
         if simplex:
             # current closest point (d was set to -v/|v|)
             v = np.array([-dx * v_norm, -dy * v_norm, -dz * v_norm])
-            gap = v_norm * v_norm - float(v @ w)
+            gap = v_norm * v_norm - float(v.dot(w))
             if gap <= max(_EPS_PROGRESS * v_norm, 1e-14):
                 return _result(v_norm, lam, simplex, True)
             if max_distance is not None:
-                lower = -float(w @ d)
+                lower = -float(w.dot(d))
                 if lower > max_distance:
                     return GjkResult(lower, np.array(sa), np.array(sb), True)
             for q in simplex:
                 # a duplicate (|w - q| < 1e-12) has every component below
                 # 2e-12, as a rounded sum of squares is no less than its
                 # largest rounded square; other points skip the dot
-                ql = q[1]
+                ql = q[2]
                 if (abs(wl[0] - ql[0]) < 2e-12 and abs(wl[1] - ql[1]) < 2e-12
                         and abs(wl[2] - ql[2]) < 2e-12):
-                    e = w - q[0]
-                    if math.sqrt(float(e @ e)) < 1e-12:
+                    e = w - q[1]
+                    if math.sqrt(float(e.dot(e))) < 1e-12:
                         return _result(v_norm, lam, simplex, True)
 
-        simplex.append((w, wl, sa, sb))
-        v, lam, keep = _closest_on_simplex(
-            _Simplex([p[0] for p in simplex], [p[1] for p in simplex]))
-        simplex = [simplex[i] for i in keep]
+        simplex.append((serial, w, wl, sa, sb))
+        v, lam, simplex = _closest_on_simplex(memo, simplex)
 
-        v_norm = math.sqrt(float(v @ v))
+        v_norm = math.sqrt(float(v.dot(v)))
         if v_norm < _EPS_ZERO:
             return _result(0.0, lam, simplex, True)
         # No measurable progress twice in a row: at the numerical optimum.

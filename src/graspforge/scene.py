@@ -293,6 +293,7 @@ class _WorldBody:
             self.verts = [pose.apply(p.vertices) for p in pieces]
         self.lo = np.array([v.min(axis=0) for v in self.verts])
         self.hi = np.array([v.max(axis=0) for v in self.verts])
+        self._flat: list[np.ndarray | None] = [None] * len(self.verts)
 
     def shifted(self, dz: float) -> "_WorldBody":
         out = _WorldBody.__new__(_WorldBody)
@@ -300,6 +301,7 @@ class _WorldBody:
         out.verts = [v + off for v in self.verts]
         out.lo = self.lo + off
         out.hi = self.hi + off
+        out._flat = [None] * len(out.verts)
         return out
 
     @property
@@ -310,12 +312,14 @@ class _WorldBody:
     def aabb_hi(self) -> np.ndarray:
         return self.hi.max(axis=0)
 
-
-def _xy_distance(va: np.ndarray, vb: np.ndarray) -> float:
-    """Separation of the xy projections (shapes flattened onto z = 0)."""
-    fa = np.column_stack([va[:, :2], np.zeros(len(va))])
-    fb = np.column_stack([vb[:, :2], np.zeros(len(vb))])
-    return gjk_world(fa, fb, max_distance=2.0 * CONTACT_EPS).distance
+    def flat(self, i: int) -> np.ndarray:
+        """Piece i flattened onto z = 0, built on first use: a static body
+        serves every drop that follows it."""
+        f = self._flat[i]
+        if f is None:
+            v = self.verts[i]
+            f = self._flat[i] = np.column_stack([v[:, :2], np.zeros(len(v))])
+        return f
 
 
 def _blocking_pairs(body: _WorldBody, statics: list[_WorldBody]):
@@ -323,15 +327,17 @@ def _blocking_pairs(body: _WorldBody, statics: list[_WorldBody]):
 
     A pair whose xy projections stay separated never collides under
     vertical translation, so only projection-overlapping pairs are kept.
-    The body's xy extent does not change while it falls, so the list is
-    valid for the whole drop.
+    Posed vertices' xy do not depend on the pose's z, so for one rotation
+    and xy the list is the same at every height: it holds for the whole
+    drop, and the lifts that re-seat one topple candidate share it.
     """
     pairs = []
     for st in statics:
         overlap = ~((body.hi[:, None, :2] < st.lo[None, :, :2] - CONTACT_EPS).any(axis=2)
                     | (body.lo[:, None, :2] > st.hi[None, :, :2] + CONTACT_EPS).any(axis=2))
         for i, j in np.argwhere(overlap):
-            if _xy_distance(body.verts[i], st.verts[j]) <= CONTACT_EPS:
+            r = gjk_world(body.flat(i), st.flat(j), max_distance=2.0 * CONTACT_EPS)
+            if r.distance <= CONTACT_EPS:
                 pairs.append((int(i), st, int(j)))
     return pairs
 
@@ -361,19 +367,18 @@ def _contact_points(body: _WorldBody, statics: list[_WorldBody],
     interior point (the toppling pivot must be the region's edge)."""
     pts = []
     for st in statics:
-        for i in range(len(body.verts)):
-            for j in range(len(st.verts)):
-                if (body.lo[i] > st.hi[j] + 2 * tol).any() or (body.hi[i] < st.lo[j] - 2 * tol).any():
-                    continue
-                r = gjk_world(body.verts[i], st.verts[j], max_distance=4 * tol)
-                if r.distance > tol:
-                    continue
-                pts.append(0.5 * (r.point_a + r.point_b))
-                near = ((body.verts[i] >= st.lo[j] - 2 * tol)
-                        & (body.verts[i] <= st.hi[j] + 2 * tol)).all(axis=1)
-                for v in body.verts[i][near]:
-                    if gjk_world(v[None, :], st.verts[j], max_distance=2 * tol).distance <= tol:
-                        pts.append(v)
+        far = ((body.lo[:, None, :] > st.hi[None, :, :] + 2 * tol).any(axis=2)
+               | (body.hi[:, None, :] < st.lo[None, :, :] - 2 * tol).any(axis=2))
+        for i, j in np.argwhere(~far):
+            r = gjk_world(body.verts[i], st.verts[j], max_distance=4 * tol)
+            if r.distance > tol:
+                continue
+            pts.append(0.5 * (r.point_a + r.point_b))
+            near = ((body.verts[i] >= st.lo[j] - 2 * tol)
+                    & (body.verts[i] <= st.hi[j] + 2 * tol)).all(axis=1)
+            for v in body.verts[i][near]:
+                if gjk_world(v[None, :], st.verts[j], max_distance=2 * tol).distance <= tol:
+                    pts.append(v)
     return pts
 
 
@@ -446,14 +451,13 @@ def _tip_rotation(com: np.ndarray, tip: list[np.ndarray], angle: float) -> Pose3
     return Pose3(p - rot.apply(p[None])[0], (1.0, 0.0, 0.0, 0.0)).compose(rot)
 
 
-def _advance_down(pieces: list[ConvexPiece], rotation: np.ndarray,
-                  cx: float, cy: float, z: float, statics: list[_WorldBody]):
-    """Conservative advancement straight down from z: each step moves by
-    the current minimum separation, which vertical motion cannot
+def _advance_down(body: _WorldBody, pairs, rotation: np.ndarray,
+                  cx: float, cy: float, z: float):
+    """Conservative advancement straight down from the body, posed at
+    (cx, cy, z) with rotation; pairs are its `_blocking_pairs`. Each step
+    moves by the current minimum separation, which vertical motion cannot
     overshoot, so the body never penetrates. Returns (body, pose) resting
     within CONTACT_EPS, or None when advancement fails to reach contact."""
-    body = _WorldBody(pieces, Pose3((cx, cy, z), rotation))
-    pairs = _blocking_pairs(body, statics)
     d = np.inf
     for it in range(128):
         d = _pairs_min_distance(body, pairs, cap=body.aabb_lo[2])
@@ -475,8 +479,9 @@ def _drop(pieces: list[ConvexPiece], rotation: np.ndarray, cx: float, cy: float,
     """Advancement drop starting above everything already placed."""
     base = _WorldBody(pieces, Pose3((cx, cy, 0.0), rotation))
     top = max(s.aabb_hi[2] for s in statics)
-    return _advance_down(pieces, rotation, cx, cy,
-                         top - base.aabb_lo[2] + 5.0, statics)
+    z = top - base.aabb_lo[2] + 5.0
+    body = _WorldBody(pieces, Pose3((cx, cy, z), rotation))
+    return _advance_down(body, _blocking_pairs(body, statics), rotation, cx, cy, z)
 
 
 def _inside_footprint(body: _WorldBody, lo_fp: np.ndarray, hi_fp: np.ndarray) -> bool:
@@ -534,6 +539,7 @@ def settle_scene(bin_spec: BinSpec, cable_specs: list[CableSpec],
             # only moves that strictly lower the mass center are kept
             for _ in range(64):
                 contacts = _contact_points(body, statics, tol=SUPPORT_TOL)
+                contacts_of = body
                 com = cur.apply(centroid)
                 fd, tip = _support_analysis(com, contacts)
                 if not tip:
@@ -544,11 +550,15 @@ def settle_scene(bin_spec: BinSpec, cable_specs: list[CableSpec],
                     if tipped is None:
                         break
                     cand = tipped.compose(cur)
-                    seated = None
+                    # every lift keeps the rotation and xy: one pair list
+                    tx, ty = cand.translation[0], cand.translation[1]
+                    seated = pairs = None
                     for lift in (1.0, 4.0, 16.0):
-                        seated = _advance_down(pieces, cand.rotation,
-                                               cand.translation[0], cand.translation[1],
-                                               cand.translation[2] + lift, statics)
+                        z = cand.translation[2] + lift
+                        start = _WorldBody(pieces, Pose3((tx, ty, z), cand.rotation))
+                        if pairs is None:
+                            pairs = _blocking_pairs(start, statics)
+                        seated = _advance_down(start, pairs, cand.rotation, tx, ty, z)
                         if seated is not None:
                             break
                     if seated is None:
@@ -581,7 +591,9 @@ def settle_scene(bin_spec: BinSpec, cable_specs: list[CableSpec],
                 if pen < pen0:
                     cur, body, pen0 = cand, cand_body, pen
 
-            contacts = _contact_points(body, statics, tol=SUPPORT_TOL)
+            # a rest the passes left in place keeps its contact set
+            if body is not contacts_of:
+                contacts = _contact_points(body, statics, tol=SUPPORT_TOL)
             com = cur.apply(centroid)
             fd, _ = _support_analysis(com, contacts)
             # reject rests poking above the rim: keeps piles physical and
@@ -605,21 +617,20 @@ def _penetration(body: _WorldBody, statics: list[_WorldBody]) -> float:
     separates the pair (0 when nothing is in contact)."""
     worst = 0.0
     for st in statics:
-        for i in range(len(body.verts)):
-            for j in range(len(st.verts)):
-                if (body.lo[i] > st.hi[j]).any() or (body.hi[i] < st.lo[j]).any():
-                    continue
-                if gjk_world(body.verts[i], st.verts[j]).distance > 0.0:
-                    continue
-                lo, hi = 0.0, OVERLAP_TOL * 2.0
-                for _ in range(6):
-                    mid = 0.5 * (lo + hi)
-                    if gjk_world(body.verts[i], st.verts[j],
-                                 erosion_a=mid / 2, erosion_b=mid / 2).distance > 0.0:
-                        hi = mid
-                    else:
-                        lo = mid
-                worst = max(worst, hi)
+        far = ((body.lo[:, None, :] > st.hi[None, :, :]).any(axis=2)
+               | (body.hi[:, None, :] < st.lo[None, :, :]).any(axis=2))
+        for i, j in np.argwhere(~far):
+            if gjk_world(body.verts[i], st.verts[j]).distance > 0.0:
+                continue
+            lo, hi = 0.0, OVERLAP_TOL * 2.0
+            for _ in range(6):
+                mid = 0.5 * (lo + hi)
+                if gjk_world(body.verts[i], st.verts[j],
+                             erosion_a=mid / 2, erosion_b=mid / 2).distance > 0.0:
+                    hi = mid
+                else:
+                    lo = mid
+            worst = max(worst, hi)
     return worst
 
 

@@ -4,15 +4,16 @@ Everything here is deliberately written from different math than the code
 under test: box distances come from separating axes plus brute-force
 feature enumeration, inside tests from crossing parity of a single ray,
 rendered depths from one Moller-Trumbore ray per pixel (`ray_triangles`,
-`ray_mesh`). There are three exceptions, same math on purpose, frozen copies
+`ray_mesh`). There are four exceptions, same math on purpose, frozen copies
 the library must match bit for bit: `gjk_world_reference`, the GJK kernel;
 `forward_backward_reference` (with `forward_batch_reference` and
 `backward_batch_reference`), the quality network's forward and backward
 pass as they stood while the backward pass still formed conv1's input
-gradient; and `sample_grasps_reference`, the grasp sampler with its
+gradient; `sample_grasps_reference`, the grasp sampler with its
 bilateral filter, edge detector, normal fit, rotated crop and friction-cone
 test as they stood while each was a Python loop over pixels, points and
-pair trials.
+pair trials; and `settle_scene_reference`, pile settling as it stood while
+every topple lift re-found its blocking pairs, run on `gjk_world_reference`.
 
 The fixtures section holds test inputs and measures the library has no use
 for: sphere and prism meshes, mesh volume, point-in-piece, pixel-to-world
@@ -30,7 +31,7 @@ from scipy.ndimage import map_coordinates
 from scipy.spatial import cKDTree
 
 from graspforge.depthproc import DepthImage, Patch, downsample
-from graspforge.errors import ConvergenceWarning, DegenerateInput, NoCandidates
+from graspforge.errors import ConvergenceWarning, DegenerateInput, NoCandidates, Overfilled
 from graspforge.geometry import ConvexPiece, GjkResult, Pose3, TriMesh
 from graspforge.model import QualityNet, init_net
 from graspforge.sampler import (
@@ -38,7 +39,11 @@ from graspforge.sampler import (
     MAX_PAIR_TRIALS, MIN_PAIR_SEPARATION, NORMAL_RADIUS, W_MAX, ContactPair, GraspPose,
     SamplerConfig,
 )
-from graspforge.scene import Camera
+from graspforge.scene import (
+    CONTACT_EPS, OVERLAP_TOL, SUPPORT_TOL, BinSpec, Camera, CableSpec, PlacedCable, Scene,
+    _inside_footprint, _support_analysis, _tip_rotation, bin_pieces, cable_decomposition,
+    make_cable_mesh,
+)
 
 
 def quat_from_rng(rng: np.random.Generator) -> np.ndarray:
@@ -849,3 +854,277 @@ def sample_grasps_reference(img: DepthImage, cfg: SamplerConfig,
         raise NoCandidates("no force-closure pair found")
     out.sort(key=lambda t: (t[0].z, t[0].x, t[0].y))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Frozen settling: `settle_scene` with its drop, advancement, blocking-pair,
+# contact and penetration steps as they stood while each lift of a topple
+# re-found its blocking pairs and each query flattened its pieces afresh,
+# on the frozen GJK kernel. `scene.settle_scene` must place every cable at
+# the same pose bytes.
+
+class _RefWorldBody:
+    """Pre-transformed piece vertex arrays with AABBs, for fast queries."""
+
+    def __init__(self, pieces: list[ConvexPiece], pose: Pose3 | None = None):
+        if pose is None:
+            self.verts = [p.vertices for p in pieces]
+        else:
+            self.verts = [pose.apply(p.vertices) for p in pieces]
+        self.lo = np.array([v.min(axis=0) for v in self.verts])
+        self.hi = np.array([v.max(axis=0) for v in self.verts])
+
+    def shifted(self, dz: float) -> "_RefWorldBody":
+        out = _RefWorldBody.__new__(_RefWorldBody)
+        off = np.array([0.0, 0.0, dz])
+        out.verts = [v + off for v in self.verts]
+        out.lo = self.lo + off
+        out.hi = self.hi + off
+        return out
+
+    @property
+    def aabb_lo(self) -> np.ndarray:
+        return self.lo.min(axis=0)
+
+    @property
+    def aabb_hi(self) -> np.ndarray:
+        return self.hi.max(axis=0)
+
+
+def _ref_xy_distance(va: np.ndarray, vb: np.ndarray) -> float:
+    """Separation of the xy projections (shapes flattened onto z = 0)."""
+    fa = np.column_stack([va[:, :2], np.zeros(len(va))])
+    fb = np.column_stack([vb[:, :2], np.zeros(len(vb))])
+    return gjk_world_reference(fa, fb, max_distance=2.0 * CONTACT_EPS).distance
+
+
+def _ref_blocking_pairs(body: _RefWorldBody, statics: list[_RefWorldBody]):
+    """Piece pairs that can obstruct straight-down motion of the body.
+
+    A pair whose xy projections stay separated never collides under
+    vertical translation, so only projection-overlapping pairs are kept.
+    The body's xy extent does not change while it falls, so the list is
+    valid for the whole drop.
+    """
+    pairs = []
+    for st in statics:
+        overlap = ~((body.hi[:, None, :2] < st.lo[None, :, :2] - CONTACT_EPS).any(axis=2)
+                    | (body.lo[:, None, :2] > st.hi[None, :, :2] + CONTACT_EPS).any(axis=2))
+        for i, j in np.argwhere(overlap):
+            if _ref_xy_distance(body.verts[i], st.verts[j]) <= CONTACT_EPS:
+                pairs.append((int(i), st, int(j)))
+    return pairs
+
+
+def _ref_pairs_min_distance(body: _RefWorldBody, pairs, cap: float) -> float:
+    """Min separation over the blocking pairs, early-exiting past cap."""
+    best = cap
+    for i, st, j in pairs:
+        # vertical gap already exceeding the working bound
+        if body.lo[i, 2] > st.hi[j, 2] + best or body.hi[i, 2] < st.lo[j, 2] - best:
+            continue
+        r = gjk_world_reference(body.verts[i], st.verts[j], max_distance=best)
+        if r.distance < best:
+            best = r.distance
+        if best <= 0.0:
+            return 0.0
+    return best
+
+
+def _ref_contact_points(body: _RefWorldBody, statics: list[_RefWorldBody],
+                    tol: float) -> list[np.ndarray]:
+    """Contact points between the body and its supports.
+
+    Besides the closest-point witness of each touching pair, body
+    vertices lying within tol of the support are added, so a flat-on-flat
+    rest reports the extremes of its true support region, not just one
+    interior point (the toppling pivot must be the region's edge)."""
+    pts = []
+    for st in statics:
+        for i in range(len(body.verts)):
+            for j in range(len(st.verts)):
+                if (body.lo[i] > st.hi[j] + 2 * tol).any() or (body.hi[i] < st.lo[j] - 2 * tol).any():
+                    continue
+                r = gjk_world_reference(body.verts[i], st.verts[j], max_distance=4 * tol)
+                if r.distance > tol:
+                    continue
+                pts.append(0.5 * (r.point_a + r.point_b))
+                near = ((body.verts[i] >= st.lo[j] - 2 * tol)
+                        & (body.verts[i] <= st.hi[j] + 2 * tol)).all(axis=1)
+                for v in body.verts[i][near]:
+                    if gjk_world_reference(v[None, :], st.verts[j], max_distance=2 * tol).distance <= tol:
+                        pts.append(v)
+    return pts
+
+
+def _ref_advance_down(pieces: list[ConvexPiece], rotation: np.ndarray,
+                  cx: float, cy: float, z: float, statics: list[_RefWorldBody]):
+    """Conservative advancement straight down from z: each step moves by
+    the current minimum separation, which vertical motion cannot
+    overshoot, so the body never penetrates. Returns (body, pose) resting
+    within CONTACT_EPS, or None when advancement fails to reach contact."""
+    body = _RefWorldBody(pieces, Pose3((cx, cy, z), rotation))
+    pairs = _ref_blocking_pairs(body, statics)
+    d = np.inf
+    for it in range(128):
+        d = _ref_pairs_min_distance(body, pairs, cap=body.aabb_lo[2])
+        if d <= CONTACT_EPS:
+            # a start already in contact cannot be certified overlap-free
+            if it == 0:
+                return None
+            break
+        step = d - 0.5 * CONTACT_EPS
+        body = body.shifted(-step)
+        z -= step
+    if d > CONTACT_EPS:
+        return None
+    return body, Pose3(np.array([cx, cy, z]), rotation)
+
+
+def _ref_drop(pieces: list[ConvexPiece], rotation: np.ndarray, cx: float, cy: float,
+          statics: list[_RefWorldBody]):
+    """Advancement drop starting above everything already placed."""
+    base = _RefWorldBody(pieces, Pose3((cx, cy, 0.0), rotation))
+    top = max(s.aabb_hi[2] for s in statics)
+    return _ref_advance_down(pieces, rotation, cx, cy,
+                         top - base.aabb_lo[2] + 5.0, statics)
+
+
+def settle_scene_reference(bin_spec: BinSpec, cable_specs: list[CableSpec],
+                 seed: int) -> Scene:
+    """Drop cables one at a time at random (x, y, yaw) until each rests in
+    contact and supported; raises Overfilled after 50 failed attempts for
+    any single cable. Same seed, same scene. `settle_scene` must return
+    the same bytes.
+
+    After first contact the cable topples quasi-statically: it pivots
+    about its support edge or point, re-drops, and keeps the move only
+    when its center of mass strictly descends, until the support polygon
+    brackets the mass center or no descent is possible.
+    """
+    if not 1 <= len(cable_specs) <= 30:
+        raise DegenerateInput("cable count must be in [1, 30]")
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    statics = [_RefWorldBody(bin_pieces(bin_spec))]
+    placed: list[PlacedCable] = []
+    lo_fp, hi_fp = bin_spec.footprint()
+
+    for cable_id, spec in enumerate(cable_specs):
+        mesh = make_cable_mesh(spec, rng)
+        pieces = cable_decomposition(mesh, spec.tube_sides)
+        centroid = mesh.centroid()
+
+        pose = None
+        for _ in range(50):
+            yaw = rng.uniform(0.0, 2.0 * math.pi)
+            yawed = _RefWorldBody(pieces, Pose3.from_yaw(yaw))
+            half_x = (yawed.aabb_hi[0] - yawed.aabb_lo[0]) / 2.0
+            half_y = (yawed.aabb_hi[1] - yawed.aabb_lo[1]) / 2.0
+            if half_x * 2 > bin_spec.inner_x or half_y * 2 > bin_spec.inner_y:
+                continue
+            center_off = (yawed.aabb_hi[:2] + yawed.aabb_lo[:2]) / 2.0
+            # leave room to topple without leaving the footprint
+            mx = min(12.0, max(0.0, (bin_spec.inner_x / 2.0 - half_x) * 0.5))
+            my = min(12.0, max(0.0, (bin_spec.inner_y / 2.0 - half_y) * 0.5))
+            cx = rng.uniform(lo_fp[0] + half_x + mx, hi_fp[0] - half_x - mx) - center_off[0]
+            cy = rng.uniform(lo_fp[1] + half_y + my, hi_fp[1] - half_y - my) - center_off[1]
+
+            dropped = _ref_drop(pieces, Pose3.from_yaw(yaw).rotation, cx, cy, statics)
+            if dropped is None:
+                continue
+            body, cur = dropped
+
+            # gravity-driven rolling to a supported rest: rotate about
+            # the support edge or point, then re-seat with a small lift
+            # and vertical advancement (absorbs the slight surface dip a
+            # discrete pivot causes without losing the pivot locality);
+            # only moves that strictly lower the mass center are kept
+            for _ in range(64):
+                contacts = _ref_contact_points(body, statics, tol=SUPPORT_TOL)
+                com = cur.apply(centroid)
+                fd, tip = _support_analysis(com, contacts)
+                if not tip:
+                    break  # mass center strictly inside the support
+                moved = False
+                for angle_deg in (6.0, 3.0, 1.5, 0.5, 0.15):
+                    tipped = _tip_rotation(com, tip, math.radians(angle_deg))
+                    if tipped is None:
+                        break
+                    cand = tipped.compose(cur)
+                    seated = None
+                    for lift in (1.0, 4.0, 16.0):
+                        seated = _ref_advance_down(pieces, cand.rotation,
+                                               cand.translation[0], cand.translation[1],
+                                               cand.translation[2] + lift, statics)
+                        if seated is not None:
+                            break
+                    if seated is None:
+                        continue
+                    cand_body, cand_pose = seated
+                    if not _inside_footprint(cand_body, lo_fp, hi_fp):
+                        continue
+                    if cand_pose.apply(centroid)[2] < com[2] - 1e-6:
+                        body, cur, moved = cand_body, cand_pose, True
+                        break
+                if not moved:
+                    break
+
+            # two perturbation passes: a random tilt is kept only when it
+            # strictly reduces the deepest penetration, so a contact-only
+            # rest (zero penetration) consumes the draws and keeps its pose
+            pen0 = _ref_penetration(body, statics)
+            for _ in range(2):
+                axis = rng.normal(size=3)
+                angle = math.radians(rng.uniform(0.0, 5.0))
+                if pen0 <= 0.0:
+                    continue
+                tilt = Pose3.from_axis_angle(axis, angle)
+                cand = Pose3(cur.translation,
+                             tilt.compose(Pose3((0, 0, 0), cur.rotation)).rotation)
+                cand_body = _RefWorldBody(pieces, cand)
+                if not _inside_footprint(cand_body, lo_fp, hi_fp):
+                    continue
+                pen = _ref_penetration(cand_body, statics)
+                if pen < pen0:
+                    cur, body, pen0 = cand, cand_body, pen
+
+            contacts = _ref_contact_points(body, statics, tol=SUPPORT_TOL)
+            com = cur.apply(centroid)
+            fd, _ = _support_analysis(com, contacts)
+            # reject rests poking above the rim: keeps piles physical and
+            # rendered depth within its contract band
+            rim = bin_spec.wall_height + 2.0 * spec.radius
+            if contacts and fd <= spec.radius and body.aabb_hi[2] <= rim:
+                pose = cur
+                break
+        if pose is None:
+            raise Overfilled(f"cable {cable_id} found no resting pose in 50 attempts")
+
+        placed.append(PlacedCable(id=cable_id, spec=spec, mesh=mesh,
+                                  pieces=pieces, pose=pose))
+        statics.append(_RefWorldBody(pieces, pose))
+
+    return Scene(bin=bin_spec, cables=placed, rng_seed=seed)
+
+
+def _ref_penetration(body: _RefWorldBody, statics: list[_RefWorldBody]) -> float:
+    """Deepest pairwise penetration, by bisecting the erosion radius that
+    separates the pair (0 when nothing is in contact)."""
+    worst = 0.0
+    for st in statics:
+        for i in range(len(body.verts)):
+            for j in range(len(st.verts)):
+                if (body.lo[i] > st.hi[j]).any() or (body.hi[i] < st.lo[j]).any():
+                    continue
+                if gjk_world_reference(body.verts[i], st.verts[j]).distance > 0.0:
+                    continue
+                lo, hi = 0.0, OVERLAP_TOL * 2.0
+                for _ in range(6):
+                    mid = 0.5 * (lo + hi)
+                    if gjk_world_reference(body.verts[i], st.verts[j],
+                                 erosion_a=mid / 2, erosion_b=mid / 2).distance > 0.0:
+                        hi = mid
+                    else:
+                        lo = mid
+                worst = max(worst, hi)
+    return worst

@@ -134,7 +134,7 @@ class TestRandomHulls:
 
 
 def _flat(v):
-    """Vertices flattened onto z = 0, as scene._xy_distance queries them."""
+    """Vertices flattened onto z = 0, as the scene's blocking-pair test queries them."""
     return np.column_stack([v[:, :2], np.zeros(len(v))])
 
 
@@ -255,3 +255,30 @@ class TestBitIdentity:
             got = gjk_world(va, vb)
         assert not got.converged
         assert self._fingerprint(got) == self._fingerprint(want)
+
+
+class TestDotForms:
+    """The kernel forms its dots with `ndarray.dot`, the frozen reference
+    with `@`. Both must reach the same BLAS ddot and gemv, so that a numpy
+    or BLAS upgrade that parts them fails here rather than shifting settled
+    poses unnoticed."""
+
+    @staticmethod
+    def _spread(rng, shape):
+        # finite values with magnitudes from about 1e-3 to 1e3, both signs
+        return rng.choice((-1.0, 1.0), size=shape) * 10.0 ** rng.uniform(-3.0, 3.0, size=shape)
+
+    def test_vector_dot(self):
+        rng = np.random.default_rng(11)
+        for _ in range(3000):
+            x, y = self._spread(rng, 3), self._spread(rng, 3)
+            assert np.float64(x.dot(y)).tobytes() == np.float64(x @ y).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 8, 24, 48])
+    def test_support_gemv(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(500):
+            verts = self._spread(rng, (n, 3))
+            d = self._spread(rng, 3)
+            d = d / np.sqrt(d.dot(d))
+            assert verts.dot(d).tobytes() == (verts @ d).tobytes()

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from graspforge import scene as scene_mod
 from graspforge.errors import DegenerateInput, Overfilled, SelfIntersecting
 from graspforge.geometry import Pose3, box_mesh, convex_hull, gjk_world, voxelize
 from graspforge.scene import (
@@ -193,6 +194,53 @@ class TestSettle:
         tiny = BinSpec(inner_x=60.0, inner_y=50.0)
         with pytest.raises(Overfilled):
             settle_scene(tiny, [straight_spec()], seed=5)
+
+
+class TestSettleBitIdentity:
+    """settle_scene must place every cable at the frozen reference's pose
+    bytes: pinned artifacts depend on every bit of a settled pose."""
+
+    # (seed, cables); each pile retries a topple at a higher lift and
+    # keeps a rest whose contact set the final check reuses
+    PILES = ((0, 3), (1, 4), (4, 4))
+
+    @pytest.mark.parametrize("seed, count", PILES)
+    def test_matches_reference_settle(self, monkeypatch, seed, count):
+        specs = [CableSpec() for _ in range(count)]
+        lifts, contact_calls = [], []
+        advance_down, contact_points = scene_mod._advance_down, scene_mod._contact_points
+
+        def spy_advance_down(body, pairs, *args):
+            lifts.append(pairs)
+            return advance_down(body, pairs, *args)
+
+        def spy_contact_points(*args, **kwargs):
+            contact_calls.append(None)
+            return contact_points(*args, **kwargs)
+
+        monkeypatch.setattr(scene_mod, "_advance_down", spy_advance_down)
+        monkeypatch.setattr(scene_mod, "_contact_points", spy_contact_points)
+        got = settle_scene(BinSpec(), specs, seed)
+        monkeypatch.undo()
+
+        ref_contact_calls = []
+        ref_contact_points = oracles._ref_contact_points
+
+        def spy_ref_contact_points(*args, **kwargs):
+            ref_contact_calls.append(None)
+            return ref_contact_points(*args, **kwargs)
+
+        monkeypatch.setattr(oracles, "_ref_contact_points", spy_ref_contact_points)
+        want = oracles.settle_scene_reference(BinSpec(), specs, seed)
+
+        assert len(got.cables) == len(want.cables) == count
+        for a, b in zip(got.cables, want.cables):
+            assert a.pose.translation.tobytes() == b.pose.translation.tobytes()
+            assert a.pose.rotation.tobytes() == b.pose.rotation.tobytes()
+        # a lift retry passes the same pair list again
+        assert any(a is b for a, b in zip(lifts, lifts[1:]))
+        # each reused contact set saves one of the reference's calls
+        assert len(contact_calls) < len(ref_contact_calls)
 
 
 class TestRenderDepth:
