@@ -1,5 +1,5 @@
-"""Command-line pipeline: decompose, scene generation, sampling, labeling,
-training, evaluation, and report plots.
+"""Command-line pipeline: scene generation, sampling, labeling, training,
+evaluation, and report plots.
 
 Every subcommand reads the shared run configuration (file plus flag
 overrides), writes its outputs atomically, and prints a one-line JSON
@@ -23,7 +23,6 @@ from .config import RunConfig, load_run_config
 from .errors import (DatasetNotFound, DegenerateInput, GraspForgeError,
                      NoCandidates, Overfilled)
 from .fileio import atomic_write
-from .geometry import decompose, load_obj, save_decomposition
 from .model import load_net, save_net, train, write_metrics
 from .policy import evaluate_policy, report_dict, write_stats
 from .scene import load_scene, save_scene
@@ -57,21 +56,6 @@ def _run_config(args) -> RunConfig:
 
 # ---------------------------------------------------------------------------
 # subcommands
-
-def _cmd_decompose(args) -> dict:
-    run = _run_config(args)
-    mesh = load_obj(args.mesh)
-    result = decompose(mesh, cell_size=run.decompose_cell,
-                       concavity_tol=run.decompose_tol,
-                       max_pieces=run.decompose_pieces)
-    out_dir = args.out or run.mesh_dir
-    stem = Path(args.mesh).stem
-    manifest = save_decomposition(result, out_dir, stem)
-    return {"command": "decompose", "mesh": args.mesh,
-            "pieces": len(result.pieces),
-            "max_concavity": result.max_concavity,
-            "manifest": manifest}
-
 
 def _cmd_make_scenes(args) -> dict:
     run = _run_config(args)
@@ -321,12 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="cable bin-picking pipeline: scenes, grasps, labels, "
                     "training, evaluation")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decompose", help="split a mesh into convex pieces")
-    p.add_argument("--mesh", required=True)
-    p.add_argument("--out", default=None)
-    _add_config_flags(p)
-    p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("make-scenes", help="settle cluttered scenes")
     p.add_argument("--out", default=None)

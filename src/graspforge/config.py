@@ -24,7 +24,6 @@ ENV_VAR = "GRASPFORGE_CONFIG"
 class RunConfig:
     master_seed: int = 0
     # output roots
-    mesh_dir: str = "meshes"
     dataset_dir: str = "datasets"
     checkpoint_dir: str = "checkpoints"
     report_dir: str = "reports"
@@ -39,10 +38,6 @@ class RunConfig:
     salt_pepper_frac: float = 0.002
     patch_size: int = 64
     resample_attempts: int = 10
-    # mesh decomposition; high-curvature tubes need a deep piece budget
-    decompose_tol: float = 0.05
-    decompose_cell: float = 2.0
-    decompose_pieces: int = 512
     # training
     epochs: int = 50
     batch_size: int = 32

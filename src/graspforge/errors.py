@@ -10,15 +10,10 @@ class GraspForgeError(Exception):
 
 
 class DegenerateInput(GraspForgeError):
-    """Point set is collinear/coplanar or too small for a hull."""
-
-
-class OpenMesh(GraspForgeError):
-    """Mesh failed the watertightness parity check during voxelization."""
-
-
-class EmptyShape(GraspForgeError):
-    """Voxel subset is empty."""
+    """An input the program cannot use: a bad config value, a malformed
+    file (config, OBJ, scene manifest or listing, record, checkpoint, report
+    input), a cable mesh that is not a closed tube, or a point set too small
+    or flat for a hull."""
 
 
 class SelfIntersecting(GraspForgeError):

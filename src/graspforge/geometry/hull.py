@@ -19,7 +19,6 @@ class ConvexPiece:
 
     vertices: np.ndarray
     equations: np.ndarray = field(repr=False, compare=False, default=None)
-    volume: float = field(compare=False, default=0.0)
 
 
 def convex_hull(points) -> ConvexPiece:
@@ -43,5 +42,4 @@ def convex_hull(points) -> ConvexPiece:
     return ConvexPiece(
         vertices=np.ascontiguousarray(pts[idx]),
         equations=np.ascontiguousarray(hull.equations),
-        volume=float(hull.volume),
     )

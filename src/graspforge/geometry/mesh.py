@@ -1,7 +1,7 @@
 """Triangle meshes: validation, centroid, OBJ import/export, a box builder.
 
-Coordinates are millimeters throughout. Meshes intended for voxelization or
-scene use must be closed and consistently wound (outward normals).
+Coordinates are millimeters throughout. Scene meshes must be closed and
+consistently wound (outward normals).
 """
 from __future__ import annotations
 
@@ -40,10 +40,6 @@ class TriMesh:
             raise DegenerateInput("face index out of range")
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "faces", f)
-
-    @property
-    def aabb(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
     def triangles(self) -> np.ndarray:
         """(m, 3, 3) array of triangle corner coordinates."""

@@ -221,27 +221,29 @@ def make_cable_mesh(spec: CableSpec, rng: np.random.Generator) -> TriMesh:
                 + np.outer(sin_a * spec.radius, a2))
         rings.append(ring)
 
-    verts = [np.vstack(rings)]
+    # the two end-cap centers follow the rings
+    verts = np.vstack(rings + [pts[[0]], pts[[-1]]])
+    mesh = TriMesh(verts, _tube_faces(len(pts), sides))
+    return TriMesh(mesh.vertices - mesh.centroid(), mesh.faces)
+
+
+def _tube_faces(ring_count: int, sides: int) -> np.ndarray:
+    """Faces of a make_cable_mesh tube, outward wound: two triangles per
+    side between consecutive rings, then the end caps, fans around the
+    center vertices that follow the rings. Closed for ring_count >= 2."""
     faces: list[list[int]] = []
-    for k in range(n_seg):
+    for k in range(ring_count - 1):
         base0, base1 = k * sides, (k + 1) * sides
         for s in range(sides):
             s2 = (s + 1) % sides
             faces.append([base0 + s, base0 + s2, base1 + s2])
             faces.append([base0 + s, base1 + s2, base1 + s])
-    # end caps: fan around the ring centers
-    cap0 = len(pts) * sides
-    cap1 = cap0 + 1
-    verts.append(pts[[0]])
-    verts.append(pts[[-1]])
+    cap0, last = ring_count * sides, (ring_count - 1) * sides
     for s in range(sides):
         s2 = (s + 1) % sides
         faces.append([cap0, s2, s])
-        last = (len(pts) - 1) * sides
-        faces.append([cap1, last + s, last + s2])
-
-    mesh = TriMesh(np.vstack(verts), np.array(faces))
-    return TriMesh(mesh.vertices - mesh.centroid(), mesh.faces)
+        faces.append([cap0 + 1, last + s, last + s2])
+    return np.array(faces, dtype=np.int64)
 
 
 def cable_decomposition(mesh: TriMesh, tube_sides: int) -> list[ConvexPiece]:
@@ -757,8 +759,10 @@ def load_scene(manifest_path: str) -> Scene:
     """Reload a saved scene; decompositions are recomputed (deterministic).
 
     A missing manifest or cable mesh raises DatasetNotFound. A manifest that
-    is not JSON, lacks a key or holds a value the scene types reject raises
-    DegenerateInput naming it.
+    is not JSON, lacks a key or holds a value the scene types reject, or a
+    cable mesh whose faces are not make_cable_mesh's closed tube, raises
+    DegenerateInput naming it. Rendering draws the faces while collision
+    uses hulls of the vertices alone, so the two agree only on that tube.
     """
     if not os.path.isfile(manifest_path):
         raise DatasetNotFound(manifest_path)
@@ -778,6 +782,9 @@ def load_scene(manifest_path: str) -> Scene:
                              radius=s["radius"],
                              bend_angle_range=tuple(s["bend_angle_range"]),
                              tube_sides=s["tube_sides"])
+            rings = (len(mesh.vertices) - 2) // spec.tube_sides
+            if not np.array_equal(mesh.faces, _tube_faces(rings, spec.tube_sides)):
+                raise DegenerateInput(f"{c['mesh']}: faces are not a closed cable tube")
             pieces = cable_decomposition(mesh, spec.tube_sides)
             pose = Pose3(np.array(c["pose"]["translation"]),
                          np.array(c["pose"]["rotation"]))

@@ -1,13 +1,13 @@
 """Command-line pipeline: exit codes, staged-chain artifacts, determinism."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from graspforge.cli import dispatch
 from graspforge.depthproc import Patch
-from graspforge.geometry import box_mesh, save_obj
 from graspforge.model import save_net
 from graspforge.simlab import DatasetConfig, generate_dataset, write_dataset
 from oracles import zeros_net
@@ -73,7 +73,7 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert dispatch(["--help"]) == 0
-        assert "decompose" in capsys.readouterr().out
+        assert "make-scenes" in capsys.readouterr().out
 
 
 class TestErrors:
@@ -192,20 +192,31 @@ class TestErrors:
                 assert out["error"] == error
                 assert str(manifest) in out["detail"]
 
-    def test_bad_decompose_inputs(self, capsys, tmp_path):
-        box = tmp_path / "box.obj"
-        save_obj(box_mesh(np.zeros(3), (10.0, 6.0, 4.0)), box)
-        short = tmp_path / "short.obj"
-        short.write_text("v 1 2\n")
-        cases = ((tmp_path / "nope.obj", [], "DatasetNotFound"),
-                 (short, [], "DegenerateInput"),
-                 (box, ["--decompose-cell", "0"], "DegenerateInput"))
-        for mesh, flags, error in cases:
-            rc, out = run(capsys, "decompose", "--mesh", str(mesh),
-                          "--out", str(tmp_path / "dec"), *flags)
-            assert rc == 1, (mesh, flags)
-            assert out["error"] == error
-        assert str(short) in run(capsys, "decompose", "--mesh", str(short))[1]["detail"]
+    def test_bad_cable_obj(self, capsys, chain, tmp_path):
+        """A missing, unparsable or open cable mesh fails sample and label
+        with a named error. The open one (faces dropped) would otherwise
+        render holes that the vertex hulls used for collision do not have."""
+        scenes = tmp_path / "scenes"
+        shutil.copytree(chain / "scenes", scenes)
+        listing = json.loads((scenes / "scenes.json").read_text())
+        manifest = scenes / listing["scenes"][0]["manifest"]
+        mesh_name = json.loads(manifest.read_text())["cables"][0]["mesh"]
+        obj = manifest.parent / mesh_name
+        good = obj.read_text().splitlines()
+        faces = [k for k, line in enumerate(good) if line.startswith("f ")]
+        open_mesh = [line for k, line in enumerate(good) if k not in faces[-6:]]
+        for lines, error, named in ((None, "DatasetNotFound", obj),
+                                    (["v 1 2"], "DegenerateInput", obj),
+                                    (open_mesh, "DegenerateInput", mesh_name)):
+            obj.unlink(missing_ok=True)
+            if lines is not None:
+                obj.write_text("\n".join(lines) + "\n")
+            for argv in (["sample"], ["label", "--candidates", str(chain / "candidates.idx")]):
+                rc, out = run(capsys, *argv, "--scenes", str(scenes / "scenes.json"),
+                              "--out", str(tmp_path / "out"), *BASE)
+                assert rc == 1, (error, argv)
+                assert out["error"] == error
+                assert str(named) in out["detail"]
 
     def test_bad_report_inputs(self, capsys, tmp_path):
         stats = tmp_path / "stats.json"
@@ -237,20 +248,6 @@ class TestErrors:
             assert rc == 1, sigma
             assert out["error"] == "DegenerateInput"
             assert "gauss_sigma" in out["detail"]
-
-
-class TestDecomposeCommand:
-    def test_box_mesh_summary(self, capsys, tmp_path):
-        mesh = box_mesh(np.zeros(3), (10.0, 6.0, 4.0))
-        obj = tmp_path / "box.obj"
-        save_obj(mesh, obj)
-        rc, out = run(capsys, "decompose", "--mesh", str(obj),
-                      "--out", str(tmp_path / "dec"))
-        assert rc == 0
-        assert out["pieces"] == 1
-        assert out["max_concavity"] <= 0.05
-        manifest = json.loads(open(out["manifest"]).read())
-        assert manifest["pieces"]
 
 
 class TestStagedChain:

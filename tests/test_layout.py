@@ -2,9 +2,11 @@
 names, so every cross-module dependency goes through a public API."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import graspforge
+from graspforge.config import RunConfig
 
 PACKAGE = Path(graspforge.__file__).parent
 
@@ -102,3 +104,13 @@ def unreferenced_public_names() -> list[str]:
 
 def test_no_product_code_only_tests_call():
     assert unreferenced_public_names() == []
+
+
+def test_every_run_config_key_is_read():
+    """Each RunConfig key is read by name (`x.<key>`) somewhere in the
+    package; the generic `fields()` loops that parse and override keys do
+    not count, so a key that nothing uses fails here."""
+    reads = {node.attr for path in PACKAGE.rglob("*.py")
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert [f.name for f in fields(RunConfig) if f.name not in reads] == []

@@ -7,7 +7,7 @@ import pytest
 
 from graspforge import scene as scene_mod
 from graspforge.errors import DegenerateInput, Overfilled, SelfIntersecting
-from graspforge.geometry import Pose3, box_mesh, convex_hull, gjk_world, voxelize
+from graspforge.geometry import Pose3, box_mesh, convex_hull, gjk_world
 from graspforge.scene import (
     BinSpec, CableSpec, Camera, PlacedCable, Scene, bin_mesh, cable_decomposition,
     load_scene, make_cable_mesh, render_depth, save_scene, settle_scene,
@@ -81,11 +81,16 @@ class TestCableMesh:
         assert a.vertices.tobytes() != b.vertices.tobytes()
 
     def test_bent_mesh_is_watertight(self):
+        # each directed edge once and its reverse once: every edge joins
+        # exactly two faces that wind it opposite ways, so the surface is
+        # closed and consistently oriented
         spec = CableSpec(segment_count=6, bend_angle_range=(0.0, 40.0))
-        mesh = make_cable_mesh(spec, rng_for(17))
-        # closed-surface voxelization raises on open meshes
-        grid = voxelize(mesh, 2.0)
-        assert grid.count > 0
+        for seed in (0, 4, 9, 17):
+            f = make_cable_mesh(spec, rng_for(seed)).faces
+            edges = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]]).tolist()
+            directed = set(map(tuple, edges))
+            assert len(directed) == len(edges), seed
+            assert directed == {(b, a) for a, b in directed}, seed
 
     def test_centered_on_volume_centroid(self):
         mesh = make_cable_mesh(CableSpec(), rng_for(4))
@@ -124,7 +129,7 @@ class TestCableDecomposition:
     def test_pieces_stay_inside_mesh_bounds(self):
         spec = CableSpec()
         mesh = make_cable_mesh(spec, rng_for(8))
-        lo, hi = mesh.aabb
+        lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
         for piece in cable_decomposition(mesh, spec.tube_sides):
             assert (piece.vertices >= lo - 1e-9).all()
             assert (piece.vertices <= hi + 1e-9).all()
