@@ -25,10 +25,10 @@ from .errors import (DatasetNotFound, DegenerateInput, GraspForgeError,
 from .fileio import atomic_write
 from .model import load_net, save_net, train, write_metrics
 from .policy import evaluate_policy, report_dict, write_stats
-from .scene import load_scene, save_scene
-from .simlab import (CANDIDATE_KEYS, candidate_rows, label_row, load_dataset,
-                     read_records, require_keys, sample_scene, scene_plan,
-                     settle_plan, write_dataset, write_records)
+from .scene import Scene, load_scene, save_scene
+from .simlab import (CANDIDATE_KEYS, DatasetConfig, candidate_rows, label_row,
+                     load_dataset, read_records, require_keys, sample_scene,
+                     scene_plan, settle_plan, write_dataset, write_records)
 
 
 def _emit(summary: dict) -> None:
@@ -102,6 +102,17 @@ def _load_listing(path: str) -> tuple[dict, Path]:
     return listing, p.parent
 
 
+def _load_scene(cfg: DatasetConfig, path: Path) -> Scene:
+    """The scene at path, whose bin and cable specs must be the ones
+    `settle_plan` settles with under cfg; any other raises DegenerateInput
+    naming the manifest, as a listing whose seeds disagree does."""
+    scene = load_scene(str(path))
+    if scene.bin != cfg.bin or any(c.spec != cfg.cable for c in scene.cables):
+        raise DegenerateInput(
+            f"{path}: scene manifest does not match the active configuration")
+    return scene
+
+
 def _cmd_sample(args) -> dict:
     run = _run_config(args)
     cfg = run.dataset_config()
@@ -115,7 +126,7 @@ def _cmd_sample(args) -> dict:
         if plan["scene_seed"] != entry["scene_seed"]:
             raise DegenerateInput(
                 "scene listing does not match the active configuration")
-        scene = load_scene(str(base / entry["manifest"]))
+        scene = _load_scene(cfg, base / entry["manifest"])
         try:
             rows += candidate_rows(entry["index"], sample_scene(cfg, scene, plan))
         except NoCandidates:
@@ -139,7 +150,7 @@ def _cmd_label(args) -> dict:
         entry = entries.get(index)
         if entry is None:
             raise DegenerateInput(f"candidates reference unknown scene {index}")
-        scene = load_scene(str(base / entry["manifest"]))
+        scene = _load_scene(cfg, base / entry["manifest"])
         rows += [label_row(cfg, scene, entry, cand) for cand in cands]
     skips = {"overfilled": listing["skipped"]["overfilled"],
              "no_candidates": len(listing["scenes"]) - len(by_scene)}

@@ -43,6 +43,7 @@ _MAGIC = b"GFD1"
 # Image rows per band of the bilateral filter: a band's working arrays stay
 # in a core's L2 cache while all window offsets pass over it.
 _FILTER_ROWS = 32
+PEPPER_VALUE = 120.0     # mm; the far dropout depth of add_noise (the near one is 0)
 
 
 @dataclass(frozen=True)
@@ -277,10 +278,10 @@ def crop_rotated(img: DepthImage, center: tuple[float, float], theta: float,
 
 
 def add_noise(img: DepthImage, rng: np.random.Generator, gauss_sigma: float = 0.0,
-              salt_pepper_frac: float = 0.0, pepper_value: float = 120.0) -> DepthImage:
+              salt_pepper_frac: float = 0.0) -> DepthImage:
     """Gaussian depth noise plus salt-and-pepper dropouts.
 
-    Affected pixels are replaced by 0 or pepper_value with equal odds.
+    Affected pixels are replaced by 0 or PEPPER_VALUE with equal odds.
     Results are clamped to stay non-negative.
     """
     if not 0.0 <= salt_pepper_frac <= 0.1:
@@ -290,7 +291,7 @@ def add_noise(img: DepthImage, rng: np.random.Generator, gauss_sigma: float = 0.
         data = data + rng.normal(0.0, gauss_sigma, size=data.shape)
     if salt_pepper_frac > 0:
         mask = rng.random(data.shape) < salt_pepper_frac
-        fill = np.where(rng.random(data.shape) < 0.5, 0.0, pepper_value)
+        fill = np.where(rng.random(data.shape) < 0.5, 0.0, PEPPER_VALUE)
         data = np.where(mask, fill, data)
     return DepthImage(data=np.clip(data, 0.0, None).astype(np.float32),
                       pitch=img.pitch)

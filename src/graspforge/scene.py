@@ -6,6 +6,12 @@ straight down by conservative advancement (each step moves by the current
 minimum separation, which a 1-Lipschitz distance field cannot overshoot),
 stops at contact, and is re-dropped elsewhere when its center of mass is
 not supported by the contact footprint.
+
+Every rest is certified. A step stops at least CONTACT_EPS/2 short of each
+piece the cable can meet on its way down, pieces it cannot meet are more
+than CONTACT_EPS apart in x and y, and a start already in contact is
+retried, so no two pieces of a pile come closer than CONTACT_EPS/2. A rest
+is never perturbed afterwards: the pose advancement found is the pose kept.
 """
 from __future__ import annotations
 
@@ -24,7 +30,6 @@ from .geometry import ConvexPiece, Pose3, TriMesh, convex_hull, gjk_world, load_
 
 CONTACT_EPS = 0.05       # mm; resting contact tolerance
 SUPPORT_TOL = 0.5        # mm; gap still counted as support during settling
-OVERLAP_TOL = 2.0        # mm; scene invariant on pairwise penetration
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +329,15 @@ class _WorldBody:
         return f
 
 
+def _aabb_pairs(body: _WorldBody, st: _WorldBody, pad: float, axes: int) -> np.ndarray:
+    """(i, j) index pairs, in row-major order, of body piece i and static
+    piece j whose boxes come within pad of each other on the first axes
+    coordinates (2: x and y, 3: x, y and z)."""
+    apart = ((body.hi[:, None, :axes] < st.lo[None, :, :axes] - pad).any(axis=2)
+             | (body.lo[:, None, :axes] > st.hi[None, :, :axes] + pad).any(axis=2))
+    return np.argwhere(~apart)
+
+
 def _blocking_pairs(body: _WorldBody, statics: list[_WorldBody]):
     """Piece pairs that can obstruct straight-down motion of the body.
 
@@ -335,9 +349,7 @@ def _blocking_pairs(body: _WorldBody, statics: list[_WorldBody]):
     """
     pairs = []
     for st in statics:
-        overlap = ~((body.hi[:, None, :2] < st.lo[None, :, :2] - CONTACT_EPS).any(axis=2)
-                    | (body.lo[:, None, :2] > st.hi[None, :, :2] + CONTACT_EPS).any(axis=2))
-        for i, j in np.argwhere(overlap):
+        for i, j in _aabb_pairs(body, st, CONTACT_EPS, axes=2):
             r = gjk_world(body.flat(i), st.flat(j), max_distance=2.0 * CONTACT_EPS)
             if r.distance <= CONTACT_EPS:
                 pairs.append((int(i), st, int(j)))
@@ -369,9 +381,7 @@ def _contact_points(body: _WorldBody, statics: list[_WorldBody],
     interior point (the toppling pivot must be the region's edge)."""
     pts = []
     for st in statics:
-        far = ((body.lo[:, None, :] > st.hi[None, :, :] + 2 * tol).any(axis=2)
-               | (body.hi[:, None, :] < st.lo[None, :, :] - 2 * tol).any(axis=2))
-        for i, j in np.argwhere(~far):
+        for i, j in _aabb_pairs(body, st, 2 * tol, axes=3):
             r = gjk_world(body.verts[i], st.verts[j], max_distance=4 * tol)
             if r.distance > tol:
                 continue
@@ -476,16 +486,6 @@ def _advance_down(body: _WorldBody, pairs, rotation: np.ndarray,
     return body, Pose3(np.array([cx, cy, z]), rotation)
 
 
-def _drop(pieces: list[ConvexPiece], rotation: np.ndarray, cx: float, cy: float,
-          statics: list[_WorldBody]):
-    """Advancement drop starting above everything already placed."""
-    base = _WorldBody(pieces, Pose3((cx, cy, 0.0), rotation))
-    top = max(s.aabb_hi[2] for s in statics)
-    z = top - base.aabb_lo[2] + 5.0
-    body = _WorldBody(pieces, Pose3((cx, cy, z), rotation))
-    return _advance_down(body, _blocking_pairs(body, statics), rotation, cx, cy, z)
-
-
 def _inside_footprint(body: _WorldBody, lo_fp: np.ndarray, hi_fp: np.ndarray) -> bool:
     return bool((body.aabb_lo[:2] >= lo_fp - 1e-9).all()
                 and (body.aabb_hi[:2] <= hi_fp + 1e-9).all())
@@ -516,8 +516,8 @@ def settle_scene(bin_spec: BinSpec, cable_specs: list[CableSpec],
 
         pose = None
         for _ in range(50):
-            yaw = rng.uniform(0.0, 2.0 * math.pi)
-            yawed = _WorldBody(pieces, Pose3.from_yaw(yaw))
+            rotation = Pose3.from_yaw(rng.uniform(0.0, 2.0 * math.pi)).rotation
+            yawed = _WorldBody(pieces, Pose3((0.0, 0.0, 0.0), rotation))
             half_x = (yawed.aabb_hi[0] - yawed.aabb_lo[0]) / 2.0
             half_y = (yawed.aabb_hi[1] - yawed.aabb_lo[1]) / 2.0
             if half_x * 2 > bin_spec.inner_x or half_y * 2 > bin_spec.inner_y:
@@ -529,7 +529,11 @@ def settle_scene(bin_spec: BinSpec, cable_specs: list[CableSpec],
             cx = rng.uniform(lo_fp[0] + half_x + mx, hi_fp[0] - half_x - mx) - center_off[0]
             cy = rng.uniform(lo_fp[1] + half_y + my, hi_fp[1] - half_y - my) - center_off[1]
 
-            dropped = _drop(pieces, Pose3.from_yaw(yaw).rotation, cx, cy, statics)
+            # start 5 mm above everything placed; the yawed body's lowest z
+            # is the posed one's, as the two differ only in x and y
+            z = max(s.aabb_hi[2] for s in statics) - yawed.aabb_lo[2] + 5.0
+            body = _WorldBody(pieces, Pose3((cx, cy, z), rotation))
+            dropped = _advance_down(body, _blocking_pairs(body, statics), rotation, cx, cy, z)
             if dropped is None:
                 continue
             body, cur = dropped
@@ -543,7 +547,7 @@ def settle_scene(bin_spec: BinSpec, cable_specs: list[CableSpec],
                 contacts = _contact_points(body, statics, tol=SUPPORT_TOL)
                 contacts_of = body
                 com = cur.apply(centroid)
-                fd, tip = _support_analysis(com, contacts)
+                _, tip = _support_analysis(com, contacts)
                 if not tip:
                     break  # mass center strictly inside the support
                 moved = False
@@ -574,30 +578,15 @@ def settle_scene(bin_spec: BinSpec, cable_specs: list[CableSpec],
                 if not moved:
                     break
 
-            # two perturbation passes: a random tilt is kept only when it
-            # strictly reduces the deepest penetration, so a contact-only
-            # rest (zero penetration) consumes the draws and keeps its pose
-            pen0 = _penetration(body, statics)
+            # unused draws: later attempts and cables read the stream after them
             for _ in range(2):
-                axis = rng.normal(size=3)
-                angle = math.radians(rng.uniform(0.0, 5.0))
-                if pen0 <= 0.0:
-                    continue
-                tilt = Pose3.from_axis_angle(axis, angle)
-                cand = Pose3(cur.translation,
-                             tilt.compose(Pose3((0, 0, 0), cur.rotation)).rotation)
-                cand_body = _WorldBody(pieces, cand)
-                if not _inside_footprint(cand_body, lo_fp, hi_fp):
-                    continue
-                pen = _penetration(cand_body, statics)
-                if pen < pen0:
-                    cur, body, pen0 = cand, cand_body, pen
+                rng.normal(size=3)
+                rng.uniform(0.0, 5.0)
 
-            # a rest the passes left in place keeps its contact set
+            # the topple loop's last contact set holds unless it ended on a move
             if body is not contacts_of:
                 contacts = _contact_points(body, statics, tol=SUPPORT_TOL)
-            com = cur.apply(centroid)
-            fd, _ = _support_analysis(com, contacts)
+            fd, _ = _support_analysis(cur.apply(centroid), contacts)
             # reject rests poking above the rim: keeps piles physical and
             # rendered depth within its contract band
             rim = bin_spec.wall_height + 2.0 * spec.radius
@@ -614,36 +603,15 @@ def settle_scene(bin_spec: BinSpec, cable_specs: list[CableSpec],
     return Scene(bin=bin_spec, cables=placed, rng_seed=seed)
 
 
-def _penetration(body: _WorldBody, statics: list[_WorldBody]) -> float:
-    """Deepest pairwise penetration, by bisecting the erosion radius that
-    separates the pair (0 when nothing is in contact)."""
-    worst = 0.0
-    for st in statics:
-        far = ((body.lo[:, None, :] > st.hi[None, :, :]).any(axis=2)
-               | (body.hi[:, None, :] < st.lo[None, :, :]).any(axis=2))
-        for i, j in np.argwhere(~far):
-            if gjk_world(body.verts[i], st.verts[j]).distance > 0.0:
-                continue
-            lo, hi = 0.0, OVERLAP_TOL * 2.0
-            for _ in range(6):
-                mid = 0.5 * (lo + hi)
-                if gjk_world(body.verts[i], st.verts[j],
-                             erosion_a=mid / 2, erosion_b=mid / 2).distance > 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            worst = max(worst, hi)
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # Camera and rendering
 
 @dataclass(frozen=True)
 class Camera:
-    """Downward orthographic camera centered over the bin."""
+    """Downward orthographic camera centered over the bin: the image center
+    sees the world origin, as render_depth's coverage check and the
+    sampler's grasp frame assume."""
 
-    center_xy: tuple[float, float] = (0.0, 0.0)
     height: float = 70.0
     pitch: float = 0.5
     width_px: int = 480
@@ -659,8 +627,8 @@ class Camera:
         return (self.width_px * self.pitch / 2.0, self.height_px * self.pitch / 2.0)
 
     def world_to_px(self, x: np.ndarray, y: np.ndarray):
-        px = (np.asarray(x) - self.center_xy[0]) / self.pitch + (self.width_px - 1) / 2.0
-        py = (self.height_px - 1) / 2.0 - (np.asarray(y) - self.center_xy[1]) / self.pitch
+        px = np.asarray(x) / self.pitch + (self.width_px - 1) / 2.0
+        py = (self.height_px - 1) / 2.0 - np.asarray(y) / self.pitch
         return px, py
 
 

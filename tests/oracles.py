@@ -40,7 +40,7 @@ from graspforge.sampler import (
     SamplerConfig,
 )
 from graspforge.scene import (
-    CONTACT_EPS, OVERLAP_TOL, SUPPORT_TOL, BinSpec, Camera, CableSpec, PlacedCable, Scene,
+    CONTACT_EPS, SUPPORT_TOL, BinSpec, Camera, CableSpec, PlacedCable, Scene,
     _inside_footprint, _support_analysis, _tip_rotation, bin_pieces, cable_decomposition,
     make_cable_mesh,
 )
@@ -252,8 +252,8 @@ def piece_contains(piece: ConvexPiece, points: np.ndarray, tol: float = 1e-9) ->
 
 def px_to_world(cam: Camera, px: np.ndarray, py: np.ndarray):
     """World (x, y) of pixel coordinates; the inverse of Camera.world_to_px."""
-    x = cam.center_xy[0] + (np.asarray(px) - (cam.width_px - 1) / 2.0) * cam.pitch
-    y = cam.center_xy[1] + ((cam.height_px - 1) / 2.0 - np.asarray(py)) * cam.pitch
+    x = (np.asarray(px) - (cam.width_px - 1) / 2.0) * cam.pitch
+    y = ((cam.height_px - 1) / 2.0 - np.asarray(py)) * cam.pitch
     return x, y
 
 
@@ -861,7 +861,11 @@ def sample_grasps_reference(img: DepthImage, cfg: SamplerConfig,
 # contact and penetration steps as they stood while each lift of a topple
 # re-found its blocking pairs and each query flattened its pieces afresh,
 # on the frozen GJK kernel. `scene.settle_scene` must place every cable at
-# the same pose bytes.
+# the same pose bytes. It has no penetration pass: the pass moves a rest only
+# at a penetration above 0, which conservative advancement never leaves.
+
+OVERLAP_TOL = 2.0        # mm; scene invariant on pairwise penetration
+
 
 class _RefWorldBody:
     """Pre-transformed piece vertex arrays with AABBs, for fast queries."""

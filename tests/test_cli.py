@@ -218,6 +218,28 @@ class TestErrors:
                 assert out["error"] == error
                 assert str(named) in out["detail"]
 
+    def test_manifest_disagrees_with_config(self, capsys, chain, tmp_path):
+        """A scene whose bin or cable spec is not the active configuration's
+        fails sample and label, naming the manifest; it would otherwise be
+        sampled and labelled against a pile the configuration never makes."""
+        scenes = tmp_path / "scenes"
+        shutil.copytree(chain / "scenes", scenes)
+        listing = json.loads((scenes / "scenes.json").read_text())
+        manifest = scenes / listing["scenes"][0]["manifest"]
+        good = json.loads(manifest.read_text())
+        for edit in ({"bin": {"inner_x": 150.0, "wall_height": 5.0}},
+                     {"cable": {"radius": 40.0, "segment_count": 2}}):
+            bad = json.loads(json.dumps(good))
+            bad["bin"].update(edit.get("bin", {}))
+            bad["cables"][0]["spec"].update(edit.get("cable", {}))
+            manifest.write_text(json.dumps(bad))
+            for argv in (["sample"], ["label", "--candidates", str(chain / "candidates.idx")]):
+                rc, out = run(capsys, *argv, "--scenes", str(scenes / "scenes.json"),
+                              "--out", str(tmp_path / "out"), *BASE)
+                assert rc == 1, (edit, argv)
+                assert out["error"] == "DegenerateInput"
+                assert str(manifest) in out["detail"]
+
     def test_bad_report_inputs(self, capsys, tmp_path):
         stats = tmp_path / "stats.json"
         metrics = tmp_path / "metrics.csv"

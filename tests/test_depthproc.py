@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from graspforge.depthproc import (
-    DepthImage, EdgePoints, Patch, add_noise, bilateral_filter, crop_rotated, detect_edges,
+    PEPPER_VALUE, DepthImage, EdgePoints, Patch, add_noise, bilateral_filter, crop_rotated, detect_edges,
     downsample, estimate_normals, patch_from_record, record_bytes,
 )
 from graspforge.errors import DegenerateInput
@@ -163,11 +163,11 @@ class TestNoise:
 
     def test_salt_pepper_count_binomial(self):
         img = flat(70.0, h=100, w=100)
-        out = add_noise(img, np.random.default_rng(1), 0.0, 0.02, pepper_value=120.0)
+        out = add_noise(img, np.random.default_rng(1), 0.0, 0.02)
         changed = int((out.data != 70.0).sum())
         assert 170 <= changed <= 230
         vals = set(np.unique(out.data[out.data != 70.0]).tolist())
-        assert vals <= {0.0, 120.0}
+        assert vals <= {0.0, PEPPER_VALUE}
 
     def test_gaussian_std(self):
         img = flat(70.0, h=1000, w=1000)

@@ -2,6 +2,7 @@
 names, so every cross-module dependency goes through a public API."""
 
 import ast
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -42,17 +43,21 @@ ENTRY_POINTS = {
 }
 
 
+CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
+
+
 def unreferenced_public_names() -> list[str]:
-    """Public functions, classes and methods that no live package code reads.
+    """Public functions, classes, methods and module-level UPPER_CASE
+    constants that no live package code reads.
 
     A module-level or class-level definition is live when its name is an
     entry point or a dunder, or is read by module-level code or by a live
     definition: a method is read as an attribute (`x.name`), anything else
     as an attribute or a bare name that is not a local variable of the
-    reader. Attributes of imported modules (`np.zeros`) are not reads, and
-    neither are the re-exports in `geometry/__init__.py`. Matching is by
-    name, so a method that shares its name with an attribute read anywhere
-    counts as live.
+    reader. A constant's value counts as module-level code. Attributes of
+    imported modules (`np.zeros`) are not reads, and neither are the
+    re-exports in `geometry/__init__.py`. Matching is by name, so a method
+    that shares its name with an attribute read anywhere counts as live.
     """
     defs = []     # (id, read form of the name, "file:line name")
     reads = {}    # id of the enclosing definition, or None -> names read
@@ -65,6 +70,11 @@ def unreferenced_public_names() -> list[str]:
                 defs.append((id(child), form, f"{rel}:{child.lineno} {child.name}"))
                 visit(child, id(child), modules, rel, isinstance(child, ast.ClassDef))
                 continue
+            if isinstance(child, (ast.Assign, ast.AnnAssign)) and owner is None:
+                targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                defs.extend((id(name), name.id, f"{rel}:{name.lineno} {name.id}")
+                            for target in targets for name in ast.walk(target)
+                            if isinstance(name, ast.Name) and CONSTANT.fullmatch(name.id))
             if isinstance(child, ast.Name):
                 kind = reads if isinstance(child.ctx, ast.Load) else stores
                 kind.setdefault(owner, set()).add(child.id)
