@@ -20,15 +20,17 @@ from dataclasses import fields
 from pathlib import Path
 
 from .config import RunConfig, load_run_config
-from .errors import (DatasetNotFound, DegenerateInput, GraspForgeError,
-                     NoCandidates, Overfilled)
-from .fileio import atomic_write
+from .errors import DegenerateInput, GraspForgeError, NoCandidates, Overfilled
+from .fileio import atomic_write, read_input, require_keys
 from .model import load_net, save_net, train, write_metrics
 from .policy import evaluate_policy, report_dict, write_stats
 from .scene import Scene, load_scene, save_scene
 from .simlab import (CANDIDATE_KEYS, DatasetConfig, candidate_rows, label_row,
-                     load_dataset, read_records, require_keys, sample_scene,
-                     scene_plan, settle_plan, write_dataset, write_records)
+                     load_dataset, read_records, sample_scene, scene_plan,
+                     settle_plan, write_dataset, write_records)
+
+
+_PLAN_KEYS = ("scene_seed", "cable_count", "f")   # a listing entry's scene_plan draws
 
 
 def _emit(summary: dict) -> None:
@@ -72,8 +74,7 @@ def _cmd_make_scenes(args) -> dict:
             continue
         manifest = save_scene(scene, str(out_dir / f"scene_{i:04d}"))
         entries.append({"index": i, "manifest": os.path.relpath(manifest, out_dir),
-                        "scene_seed": plan["scene_seed"],
-                        "cable_count": plan["cable_count"], "f": plan["f"]})
+                        **{k: plan[k] for k in _PLAN_KEYS}})
     listing = {"master_seed": run.master_seed, "scene_count": cfg.scene_count,
                "skipped": skipped, "scenes": entries}
     listing_path = out_dir / "scenes.json"
@@ -82,53 +83,50 @@ def _cmd_make_scenes(args) -> dict:
             "skipped": skipped["overfilled"], "listing": str(listing_path)}
 
 
-def _load_listing(path: str) -> tuple[dict, Path]:
-    """A make-scenes listing and its directory; a missing file raises
-    DatasetNotFound, anything else unusable DegenerateInput naming it."""
-    p = Path(path)
-    if not p.exists():
-        raise DatasetNotFound(str(p))
-    try:
-        listing = json.loads(p.read_text())
-    except ValueError as exc:   # bad JSON or bad UTF-8
-        raise DegenerateInput(f"{p}: scene listing is not valid JSON ({exc})") from None
-    require_keys(listing, ("master_seed", "scene_count", "skipped", "scenes"), str(p))
-    require_keys(listing["skipped"], ("overfilled",), f"{p}: skipped")
-    if not isinstance(listing["scenes"], list):
-        raise DegenerateInput(f"{p}: scenes must be a list")
-    for entry in listing["scenes"]:
-        require_keys(entry, ("index", "manifest", "scene_seed", "cable_count", "f"),
-                     f"{p}: scene entry")
-    return listing, p.parent
+def _load_listing(cfg: DatasetConfig, path: str) -> tuple[dict, dict]:
+    """A make-scenes listing, read through `read_input`, and by scene index
+    each entry's plan and manifest path. An entry whose seed, cable count or
+    friction is not what `scene_plan` draws under cfg (the configuration
+    changed between stages) raises DegenerateInput naming the file."""
+    base = Path(path).parent
+
+    def parse(data: bytes) -> tuple[dict, dict]:
+        listing = json.loads(data)
+        require_keys(listing, ("master_seed", "scene_count", "skipped", "scenes"), "listing")
+        require_keys(listing["skipped"], ("overfilled",), "skipped")
+        scenes = {}
+        for entry in listing["scenes"]:
+            require_keys(entry, ("index", "manifest", *_PLAN_KEYS), "scene entry")
+            plan = scene_plan(cfg, listing["master_seed"], entry["index"])
+            if any(plan[k] != entry[k] for k in _PLAN_KEYS):
+                raise DegenerateInput(f"scene {entry['index']} does not match the "
+                                      "active configuration")
+            scenes[entry["index"]] = plan, str(base / entry["manifest"])
+        return listing, scenes
+
+    return read_input(path, parse)
 
 
-def _load_scene(cfg: DatasetConfig, path: Path) -> Scene:
-    """The scene at path, whose bin and cable specs must be the ones
-    `settle_plan` settles with under cfg; any other raises DegenerateInput
-    naming the manifest, as a listing whose seeds disagree does."""
-    scene = load_scene(str(path))
-    if scene.bin != cfg.bin or any(c.spec != cfg.cable for c in scene.cables):
-        raise DegenerateInput(
-            f"{path}: scene manifest does not match the active configuration")
+def _entry_scene(cfg: DatasetConfig, plan: dict, manifest: str) -> Scene:
+    """The scene a listing entry names, which must be the pile its plan
+    settles: the plan's seed and cable count, or DegenerateInput names the
+    manifest."""
+    scene = load_scene(manifest, cfg.bin, cfg.cable)
+    if scene.rng_seed != plan["scene_seed"] or len(scene.cables) != plan["cable_count"]:
+        raise DegenerateInput(f"{manifest}: scene does not match its listing entry")
     return scene
 
 
 def _cmd_sample(args) -> dict:
     run = _run_config(args)
     cfg = run.dataset_config()
-    listing, base = _load_listing(args.scenes)
+    listing, scenes = _load_listing(cfg, args.scenes)
     rows = []
     no_candidates = 0
-    for entry in listing["scenes"]:
-        # re-derive the per-scene stream; the listing must agree or the
-        # config changed between stages
-        plan = scene_plan(cfg, listing["master_seed"], entry["index"])
-        if plan["scene_seed"] != entry["scene_seed"]:
-            raise DegenerateInput(
-                "scene listing does not match the active configuration")
-        scene = _load_scene(cfg, base / entry["manifest"])
+    for index, (plan, manifest) in scenes.items():
+        scene = _entry_scene(cfg, plan, manifest)
         try:
-            rows += candidate_rows(entry["index"], sample_scene(cfg, scene, plan))
+            rows += candidate_rows(index, sample_scene(cfg, scene, plan))
         except NoCandidates:
             no_candidates += 1
     idx_path = write_records(rows, args.out or run.dataset_dir, args.stem)
@@ -140,18 +138,17 @@ def _cmd_sample(args) -> dict:
 def _cmd_label(args) -> dict:
     run = _run_config(args)
     cfg = run.dataset_config()
-    listing, base = _load_listing(args.scenes)
+    listing, scenes = _load_listing(cfg, args.scenes)
     by_scene: dict[int, list] = {}
     for cand in read_records(args.candidates, CANDIDATE_KEYS):
         by_scene.setdefault(cand["scene_index"], []).append(cand)
-    entries = {e["index"]: e for e in listing["scenes"]}
     rows = []
     for index, cands in sorted(by_scene.items()):
-        entry = entries.get(index)
-        if entry is None:
+        if index not in scenes:
             raise DegenerateInput(f"candidates reference unknown scene {index}")
-        scene = _load_scene(cfg, base / entry["manifest"])
-        rows += [label_row(cfg, scene, entry, cand) for cand in cands]
+        plan, manifest = scenes[index]
+        scene = _entry_scene(cfg, plan, manifest)
+        rows += [label_row(cfg, scene, plan, cand) for cand in cands]
     skips = {"overfilled": listing["skipped"]["overfilled"],
              "no_candidates": len(listing["scenes"]) - len(by_scene)}
     index_path = write_dataset(rows, skips, listing["scene_count"],
@@ -263,30 +260,18 @@ def _line_chart_svg(title: str, series: list[tuple[str, list[float]]]) -> str:
     return "".join(parts) + "\n"
 
 
-def _stats_rates(text: str):
+def _stats_rates(data: bytes):
     """Policy and (cable count, success rate) pairs of an eval stats file."""
-    stats = json.loads(text)
+    stats = json.loads(data)
     return stats["policy"], [(count, float(row["rate"]))
                              for count, row in sorted(stats["by_cable_count"].items(),
                                                       key=lambda kv: int(kv[0]))]
 
 
-def _metric_curves(text: str):
+def _metric_curves(data: bytes):
     """Train loss and validation accuracy columns of a metrics CSV."""
-    rows = [r.split(",") for r in text.strip().splitlines()[1:]]
+    rows = [r.split(",") for r in data.decode().strip().splitlines()[1:]]
     return [float(r[1]) for r in rows], [float(r[2]) for r in rows]
-
-
-def _parse_file(path: str, parse):
-    """parse(text) of an input file; a missing file raises DatasetNotFound,
-    one that parse cannot read DegenerateInput naming it."""
-    p = Path(path)
-    if not p.is_file():
-        raise DatasetNotFound(str(p))
-    try:
-        return parse(p.read_text())
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-        raise DegenerateInput(f"{p}: cannot read it ({type(exc).__name__}: {exc})") from None
 
 
 def _cmd_report(args) -> dict:
@@ -294,12 +279,12 @@ def _cmd_report(args) -> dict:
     out_dir = Path(args.out or run.report_dir)
     figures = []
     for stats_path in args.stats or []:
-        policy, pairs = _parse_file(stats_path, _stats_rates)
+        policy, pairs = read_input(stats_path, _stats_rates)
         fig = out_dir / f"{Path(stats_path).stem}_by_count.svg"
         atomic_write(fig, _bar_chart_svg(f"success rate by cable count ({policy})", pairs))
         figures.append(str(fig))
     if args.metrics:
-        losses, accs = _parse_file(args.metrics, _metric_curves)
+        losses, accs = read_input(args.metrics, _metric_curves)
         fig = out_dir / f"{Path(args.metrics).stem}_curve.svg"
         atomic_write(fig, _line_chart_svg("training curves",
                                           [("train loss", losses), ("val acc", accs)]))

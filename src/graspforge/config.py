@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import DegenerateInput
+from .fileio import read_input
 from .model import TrainConfig
 from .policy import PolicyConfig
 from .simlab import DatasetConfig
@@ -125,16 +126,13 @@ def load_run_config(path: str | Path | None = None,
 
     With no path, GRASPFORGE_CONFIG names the file; unset means defaults.
     A string override (a command-line flag) is parsed like a file value, and
-    a None override is skipped.
+    a None override is skipped. A missing file raises DatasetNotFound.
     """
     if path is None:
         path = os.environ.get(ENV_VAR) or None
     values: dict = {}
     if path is not None:
-        p = Path(path)
-        if not p.exists():
-            raise DegenerateInput(f"config file not found: {p}")
-        values.update(parse_config_text(p.read_text()))
+        values.update(read_input(path, lambda data: parse_config_text(data.decode())))
     for key, val in (overrides or {}).items():
         if key not in _FIELD_TYPES:
             raise DegenerateInput(f"unknown config key {key!r}")

@@ -12,8 +12,8 @@ class GraspForgeError(Exception):
 class DegenerateInput(GraspForgeError):
     """An input the program cannot use: a bad config value, a malformed
     file (config, OBJ, scene manifest or listing, record, checkpoint, report
-    input), a cable mesh that is not a closed tube, or a point set too small
-    or flat for a hull."""
+    input), a cable mesh that is not its spec's tube, or a point set too
+    small or flat for a hull."""
 
 
 class SelfIntersecting(GraspForgeError):
@@ -41,7 +41,10 @@ class Empty(GraspForgeError):
 
 
 class DatasetNotFound(GraspForgeError):
-    """An input file (dataset, candidates, scene listing, checkpoint) does not exist."""
+    """An input file does not exist: a config file, scene listing, scene
+    manifest, cable mesh, candidates or dataset index or blob, checkpoint,
+    or report input (eval stats, metrics CSV). `fileio.read_input` raises
+    it for all of them."""
 
 
 class ConvergenceWarning(RuntimeWarning):

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import DatasetNotFound, DegenerateInput
-from ..fileio import atomic_write
+from ..errors import DegenerateInput
+from ..fileio import atomic_write, read_input
 
 
 @dataclass(frozen=True)
@@ -57,32 +57,24 @@ class TriMesh:
 
 
 def load_obj(path: str | Path) -> TriMesh:
-    """Read the v/f subset of ASCII OBJ (1-based indices, triangles only).
-
-    A missing file raises DatasetNotFound. A line that does not parse, or a
-    mesh that TriMesh rejects, raises DegenerateInput naming the file.
+    """Read the v/f subset of ASCII OBJ (1-based indices, triangles only)
+    through `read_input`: a missing file raises DatasetNotFound, a line that
+    does not parse or a mesh that TriMesh rejects DegenerateInput naming it.
     """
-    if not Path(path).is_file():
-        raise DatasetNotFound(str(path))
-    verts: list[list[float]] = []
-    faces: list[list[int]] = []
-    line = ""
-    try:
-        for line in Path(path).read_text().splitlines():
-            parts = line.split()
-            if parts[:1] == ["v"]:
-                verts.append([float(parts[1]), float(parts[2]), float(parts[3])])
-            elif parts[:1] == ["f"]:
-                idx = [int(tok.split("/")[0]) - 1 for tok in parts[1:]]
-                if len(idx) != 3:
-                    raise ValueError("non-triangle face")
-                faces.append(idx)
-    except (IndexError, ValueError) as exc:   # ValueError: bad UTF-8 too
-        raise DegenerateInput(f"{path}: bad OBJ line {line!r} ({exc})") from None
-    try:
-        return TriMesh(np.array(verts), np.array(faces))
-    except DegenerateInput as exc:
-        raise DegenerateInput(f"{path}: {exc}") from None
+    return read_input(path, _parse_obj)
+
+
+def _parse_obj(data: bytes) -> TriMesh:
+    verts, faces = [], []
+    for line in data.decode().splitlines():
+        parts = line.split()
+        if parts[:1] == ["v"]:
+            x, y, z = map(float, parts[1:])
+            verts.append((x, y, z))
+        elif parts[:1] == ["f"]:
+            a, b, c = (int(tok.split("/")[0]) - 1 for tok in parts[1:])
+            faces.append((a, b, c))
+    return TriMesh(np.array(verts), np.array(faces))
 
 
 def save_obj(mesh: TriMesh, path: str | Path) -> None:

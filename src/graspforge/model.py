@@ -31,8 +31,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .depthproc import Patch
-from .errors import DatasetNotFound, DegenerateInput, ShapeMismatch, SingleClass
-from .fileio import atomic_write
+from .errors import DegenerateInput, ShapeMismatch, SingleClass
+from .fileio import atomic_write, read_input
 from .simlab import ClassWeights, GraspSample, class_weights
 
 _MAGIC = b"GFQN"
@@ -468,26 +468,28 @@ def save_net(net: QualityNet, path: str | Path) -> None:
 
 
 def load_net(path: str | Path) -> QualityNet:
-    """Read a `save_net` checkpoint. A missing file raises DatasetNotFound;
-    a file that ends early, has bytes left over or has the wrong header
-    raises DegenerateInput naming the path."""
-    if not Path(path).is_file():
-        raise DatasetNotFound(str(path))
-    raw = Path(path).read_bytes()
+    """Read a `save_net` checkpoint through `read_input`: a missing file
+    raises DatasetNotFound; a file that ends early, has bytes left over,
+    has the wrong header or holds tensors of the wrong shapes raises
+    DegenerateInput naming the path."""
+    return read_input(path, _parse_net)
+
+
+def _parse_net(raw: bytes) -> QualityNet:
     offset = 0
 
     def take(n: int) -> bytes:
         nonlocal offset
         if offset + n > len(raw):
-            raise DegenerateInput(f"{path}: checkpoint ends early, at byte {len(raw)}")
+            raise DegenerateInput(f"checkpoint ends early, at byte {len(raw)}")
         offset += n
         return raw[offset - n:offset]
 
     if take(4) != _MAGIC:
-        raise DegenerateInput(f"{path}: bad checkpoint magic")
+        raise DegenerateInput("bad checkpoint magic")
     version, size = struct.unpack("<II", take(8))
     if version != _VERSION:
-        raise DegenerateInput(f"{path}: unsupported checkpoint version {version}")
+        raise DegenerateInput(f"unsupported checkpoint version {version}")
     params = []
     for _ in _PARAM_SHAPES:
         (rank,) = struct.unpack("<I", take(4))
@@ -495,5 +497,5 @@ def load_net(path: str | Path) -> QualityNet:
         arr = np.frombuffer(take(4 * math.prod(dims)), dtype="<f4")
         params.append(arr.reshape(dims).copy())
     if offset != len(raw):
-        raise DegenerateInput(f"{path}: {len(raw) - offset} bytes left over after the checkpoint")
+        raise DegenerateInput(f"{len(raw) - offset} bytes left over after the checkpoint")
     return QualityNet(size, params)

@@ -18,18 +18,19 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .depthproc import DepthImage
-from .errors import DatasetNotFound, DegenerateInput, Overfilled, SelfIntersecting
-from .fileio import atomic_write
+from .errors import DegenerateInput, Overfilled, SelfIntersecting
+from .fileio import atomic_write, read_input
 from .geometry import ConvexPiece, Pose3, TriMesh, convex_hull, gjk_world, load_obj, save_obj
 
 CONTACT_EPS = 0.05       # mm; resting contact tolerance
 SUPPORT_TOL = 0.5        # mm; gap still counted as support during settling
+_TUBE_TOL = 1e-6         # mm; a loaded tube's segment lengths and end radii
 
 
 # ---------------------------------------------------------------------------
@@ -257,18 +258,31 @@ def cable_decomposition(mesh: TriMesh, tube_sides: int) -> list[ConvexPiece]:
     by two planes), so each piece has zero concavity and the union covers
     the whole solid while staying tight to the surface.
 
-    Relies on the vertex layout of make_cable_mesh: ring k occupies
-    indices [k*tube_sides, (k+1)*tube_sides), followed by the two cap
-    center vertices.
+    Relies on the vertex layout of make_cable_mesh, which `load_scene`
+    checks: ring k occupies indices [k*tube_sides, (k+1)*tube_sides),
+    followed by the two cap center vertices.
     """
     n_rings = (len(mesh.vertices) - 2) // tube_sides
-    if n_rings < 2 or n_rings * tube_sides + 2 != len(mesh.vertices):
-        raise DegenerateInput("vertex layout is not a make_cable_mesh tube")
-    pieces = []
-    for k in range(n_rings - 1):
-        ring_pair = mesh.vertices[k * tube_sides:(k + 2) * tube_sides]
-        pieces.append(convex_hull(ring_pair))
-    return pieces
+    return [convex_hull(mesh.vertices[k * tube_sides:(k + 2) * tube_sides])
+            for k in range(n_rings - 1)]
+
+
+def _check_tube(mesh: TriMesh, spec: CableSpec, path: str) -> None:
+    """Raise DegenerateInput naming path unless mesh is a make_cable_mesh
+    tube of spec: its vertex count and faces, consecutive ring centers
+    segment_length apart and end-ring vertices at radius from their center,
+    to _TUBE_TOL. Interior rings are not held to radius: the miter
+    stretches them."""
+    sides, rings = spec.tube_sides, spec.segment_count + 1
+    if len(mesh.vertices) != rings * sides + 2 or not np.array_equal(
+            mesh.faces, _tube_faces(rings, sides)):
+        raise DegenerateInput(f"{path}: faces are not a closed cable tube")
+    ring = mesh.vertices[:-2].reshape(rings, sides, 3)
+    centers = ring.mean(axis=1)
+    lengths = np.linalg.norm(np.diff(centers, axis=0), axis=1) - spec.segment_length
+    radii = np.linalg.norm(ring[[0, -1]] - centers[[0, -1], None], axis=2) - spec.radius
+    if max(np.abs(lengths).max(), np.abs(radii).max()) > _TUBE_TOL:
+        raise DegenerateInput(f"{path}: vertices are not the cable spec's tube")
 
 
 # ---------------------------------------------------------------------------
@@ -687,6 +701,12 @@ def render_depth(scene: Scene, cam: Camera) -> tuple[DepthImage, np.ndarray]:
 # ---------------------------------------------------------------------------
 # Persistence
 
+def _fields(spec: BinSpec | CableSpec) -> dict:
+    """A spec as its manifest entry: `save_scene` writes it and
+    `load_scene` compares the stored one with it."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(spec).items()}
+
+
 def save_scene(scene: Scene, out_dir: str) -> str:
     """Write a JSON manifest plus one OBJ per cable; returns manifest path."""
     cables = []
@@ -700,65 +720,38 @@ def save_scene(scene: Scene, out_dir: str) -> str:
                 "translation": [float(v) for v in c.pose.translation],
                 "rotation": [float(v) for v in c.pose.rotation],
             },
-            "spec": {
-                "segment_count": c.spec.segment_count,
-                "segment_length": c.spec.segment_length,
-                "radius": c.spec.radius,
-                "bend_angle_range": list(c.spec.bend_angle_range),
-                "tube_sides": c.spec.tube_sides,
-            },
+            "spec": _fields(c.spec),
         })
-    manifest = {
-        "rng_seed": scene.rng_seed,
-        "bin": {
-            "inner_x": scene.bin.inner_x,
-            "inner_y": scene.bin.inner_y,
-            "wall_height": scene.bin.wall_height,
-            "thickness": scene.bin.thickness,
-        },
-        "cables": cables,
-    }
+    manifest = {"rng_seed": scene.rng_seed, "bin": _fields(scene.bin), "cables": cables}
     path = os.path.join(out_dir, "scene.json")
     atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
 
-def load_scene(manifest_path: str) -> Scene:
-    """Reload a saved scene; decompositions are recomputed (deterministic).
+def load_scene(manifest_path: str, bin_spec: BinSpec, cable_spec: CableSpec) -> Scene:
+    """Reload a saved pile of cable_spec cables in a bin_spec bin, through
+    `read_input`; decompositions are recomputed (deterministic). A manifest
+    that is not JSON, lacks a key, holds a value the scene types reject or
+    another bin or cable spec, or a cable mesh that is not the spec's tube
+    (`_check_tube`: rendering draws its faces, collision hulls its
+    vertices), raises DegenerateInput naming the file."""
+    base = os.path.dirname(manifest_path)
 
-    A missing manifest or cable mesh raises DatasetNotFound. A manifest that
-    is not JSON, lacks a key or holds a value the scene types reject, or a
-    cable mesh whose faces are not make_cable_mesh's closed tube, raises
-    DegenerateInput naming it. Rendering draws the faces while collision
-    uses hulls of the vertices alone, so the two agree only on that tube.
-    """
-    if not os.path.isfile(manifest_path):
-        raise DatasetNotFound(manifest_path)
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        base = os.path.dirname(manifest_path)
-        b = manifest["bin"]
-        bin_spec = BinSpec(inner_x=b["inner_x"], inner_y=b["inner_y"],
-                           wall_height=b["wall_height"], thickness=b["thickness"])
+    def parse(data: bytes) -> Scene:
+        manifest = json.loads(data)
+        if manifest["bin"] != _fields(bin_spec) or any(
+                c["spec"] != _fields(cable_spec) for c in manifest["cables"]):
+            raise DegenerateInput("scene manifest does not match the active configuration")
         cables = []
         for c in manifest["cables"]:
-            mesh = load_obj(os.path.join(base, c["mesh"]))
-            s = c["spec"]
-            spec = CableSpec(segment_count=s["segment_count"],
-                             segment_length=s["segment_length"],
-                             radius=s["radius"],
-                             bend_angle_range=tuple(s["bend_angle_range"]),
-                             tube_sides=s["tube_sides"])
-            rings = (len(mesh.vertices) - 2) // spec.tube_sides
-            if not np.array_equal(mesh.faces, _tube_faces(rings, spec.tube_sides)):
-                raise DegenerateInput(f"{c['mesh']}: faces are not a closed cable tube")
-            pieces = cable_decomposition(mesh, spec.tube_sides)
+            mesh_path = os.path.join(base, c["mesh"])
+            mesh = load_obj(mesh_path)
+            _check_tube(mesh, cable_spec, mesh_path)
             pose = Pose3(np.array(c["pose"]["translation"]),
                          np.array(c["pose"]["rotation"]))
-            cables.append(PlacedCable(id=c["id"], spec=spec, mesh=mesh,
-                                      pieces=pieces, pose=pose))
+            cables.append(PlacedCable(id=c["id"], spec=cable_spec, mesh=mesh,
+                                      pieces=cable_decomposition(mesh, cable_spec.tube_sides),
+                                      pose=pose))
         return Scene(bin=bin_spec, cables=cables, rng_seed=manifest["rng_seed"])
-    except (DegenerateInput, KeyError, TypeError, ValueError) as exc:   # ValueError: bad JSON too
-        raise DegenerateInput(
-            f"{manifest_path}: bad scene manifest ({type(exc).__name__}: {exc})") from None
+
+    return read_input(manifest_path, parse)

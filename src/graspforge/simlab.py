@@ -37,9 +37,8 @@ from pathlib import Path
 import numpy as np
 
 from .depthproc import Patch, add_noise, patch_from_record, record_bytes
-from .errors import (DatasetNotFound, DegenerateInput, NoCandidates, Overfilled,
-                     ShapeMismatch, SingleClass)
-from .fileio import atomic_write
+from .errors import DegenerateInput, NoCandidates, Overfilled, SingleClass
+from .fileio import atomic_write, read_input, require_keys
 from .geometry import gjk_world
 from .sampler import GraspPose, SamplerConfig, sample_grasps
 from .scene import BinSpec, CableSpec, Camera, Scene, bin_pieces, render_depth, settle_scene
@@ -420,16 +419,6 @@ def generate_dataset(cfg: DatasetConfig, master_seed: int, out_dir: str | Path) 
     return write_dataset(rows, skips, cfg.scene_count, master_seed, out_dir)
 
 
-def require_keys(obj, keys, where: str) -> None:
-    """Raise DegenerateInput naming `where` unless `obj` is a JSON object
-    holding every key in `keys`."""
-    if not isinstance(obj, dict):
-        raise DegenerateInput(f"{where}: expected a JSON object")
-    missing = [k for k in keys if k not in obj]
-    if missing:
-        raise DegenerateInput(f"{where}: missing key(s) {', '.join(missing)}")
-
-
 def write_records(rows: list[dict], out_dir: str | Path, stem: str) -> Path:
     """Store rows as a blob+index pair; returns the index path.
 
@@ -455,32 +444,33 @@ def write_records(rows: list[dict], out_dir: str | Path, stem: str) -> Path:
 
 def read_records(index_path: str | Path, keys) -> list[dict]:
     """Rows of a `write_records` pair, each with its "patch" back in place
-    of the offset and size. A missing index or blob raises DatasetNotFound;
-    a line that is not a JSON object holding `keys`, or a record that does
-    not fit the blob, raises DegenerateInput naming the file."""
+    of the offset and size. Reads both files through `read_input`: a
+    missing index or blob raises DatasetNotFound; a line that is not a JSON
+    object holding `keys`, or a record that does not fit the blob, raises
+    DegenerateInput naming the file."""
     path = Path(index_path)
-    blob_path = path.with_suffix(".blob")
-    for p in (path, blob_path):
-        if not p.exists():
-            raise DatasetNotFound(str(p))
-    blob = blob_path.read_bytes()
-    rows = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except ValueError as exc:
-            raise DegenerateInput(f"{path}:{lineno}: not JSON ({exc})") from None
-        require_keys(row, (*keys, "patch_offset", "patch_size_px"), f"{path}:{lineno}")
-        offset = row.pop("patch_offset")
-        del row["patch_size_px"]
-        try:
-            row["patch"] = patch_from_record(blob, offset)
-        except (DegenerateInput, ShapeMismatch) as exc:
-            raise DegenerateInput(f"{blob_path}: {exc}") from None
-        rows.append(row)
-    return rows
+
+    def parse_index(data: bytes) -> list[dict]:
+        rows = []
+        for lineno, line in enumerate(data.decode().splitlines(), start=1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except ValueError as exc:
+                raise DegenerateInput(f"line {lineno}: not JSON ({exc})") from None
+            require_keys(row, (*keys, "patch_offset", "patch_size_px"), f"line {lineno}")
+            rows.append(row)
+        return rows
+
+    def parse_blob(blob: bytes) -> list[dict]:
+        for row in rows:
+            del row["patch_size_px"]
+            row["patch"] = patch_from_record(blob, row.pop("patch_offset"))
+        return rows
+
+    rows = read_input(path, parse_index)
+    return read_input(path.with_suffix(".blob"), parse_blob)
 
 
 def write_dataset(rows: list, skips: dict, scene_count: int, master_seed: int,

@@ -25,6 +25,15 @@ def run(capsys, *argv) -> tuple[int, dict]:
     return rc, last
 
 
+def sample_and_label_fail(capsys, listing, candidates, out_dir, error, named):
+    """sample, then label, on `listing` under BASE: each exits 1 with
+    `error`, and its detail names `named`."""
+    for argv in (["sample"], ["label", "--candidates", str(candidates)]):
+        rc, out = run(capsys, *argv, "--scenes", str(listing), "--out", str(out_dir), *BASE)
+        assert (rc, out.get("error")) == (1, error), argv
+        assert str(named) in out["detail"]
+
+
 @pytest.fixture(scope="module")
 def chain(tmp_path_factory):
     """Artifacts from one staged make-scenes -> sample -> label run."""
@@ -124,11 +133,8 @@ class TestErrors:
         listing = tmp_path / "scenes.json"
         for bad in ({}, {k: v for k, v in full.items() if k != "scene_count"}, full):
             listing.write_text(json.dumps(bad))
-            for argv in (["sample"], ["label", "--candidates", str(tmp_path / "c.idx")]):
-                rc, out = run(capsys, *argv, "--scenes", str(listing))
-                assert rc == 1, (bad, argv)
-                assert out["error"] == "DegenerateInput"
-                assert str(listing) in out["detail"]
+            sample_and_label_fail(capsys, listing, tmp_path / "c.idx", tmp_path / "out",
+                                  "DegenerateInput", listing)
 
     def test_damaged_candidates(self, capsys, chain, tmp_path):
         idx = tmp_path / "candidates.idx"
@@ -148,7 +154,7 @@ class TestErrors:
             if data is not None:
                 blob.write_bytes(data)
             rc, out = run(capsys, "label", "--scenes", str(chain / "scenes/scenes.json"),
-                          "--candidates", str(idx), "--out", str(tmp_path / "out"))
+                          "--candidates", str(idx), "--out", str(tmp_path / "out"), *BASE)
             assert rc == 1, text[:40]
             assert out["error"] == error
             assert str(named) in out["detail"]
@@ -185,17 +191,15 @@ class TestErrors:
             manifest.unlink(missing_ok=True)
             if text is not None:
                 manifest.write_text(text)
-            for argv in (["sample"], ["label", "--candidates", str(chain / "candidates.idx")]):
-                rc, out = run(capsys, *argv, "--scenes", str(listing_path),
-                              "--out", str(tmp_path / "out"), *BASE)
-                assert rc == 1, (text, argv)
-                assert out["error"] == error
-                assert str(manifest) in out["detail"]
+            sample_and_label_fail(capsys, listing_path, chain / "candidates.idx",
+                                  tmp_path / "out", error, manifest)
 
     def test_bad_cable_obj(self, capsys, chain, tmp_path):
-        """A missing, unparsable or open cable mesh fails sample and label
-        with a named error. The open one (faces dropped) would otherwise
-        render holes that the vertex hulls used for collision do not have."""
+        """A missing, unparsable, open or scaled cable mesh fails sample and
+        label with a named error. The open one (faces dropped) would
+        otherwise render holes that the vertex hulls used for collision do
+        not have; the scaled one, a cable twice the spec's size, would be
+        sampled and labelled in a pile settled for the spec's."""
         scenes = tmp_path / "scenes"
         shutil.copytree(chain / "scenes", scenes)
         listing = json.loads((scenes / "scenes.json").read_text())
@@ -205,40 +209,53 @@ class TestErrors:
         good = obj.read_text().splitlines()
         faces = [k for k, line in enumerate(good) if line.startswith("f ")]
         open_mesh = [line for k, line in enumerate(good) if k not in faces[-6:]]
+        scaled = [" ".join(["v"] + [repr(2 * float(t)) for t in line.split()[1:]])
+                  if line.startswith("v ") else line for line in good]
         for lines, error, named in ((None, "DatasetNotFound", obj),
                                     (["v 1 2"], "DegenerateInput", obj),
-                                    (open_mesh, "DegenerateInput", mesh_name)):
+                                    (open_mesh, "DegenerateInput", mesh_name),
+                                    (scaled, "DegenerateInput", obj)):
             obj.unlink(missing_ok=True)
             if lines is not None:
                 obj.write_text("\n".join(lines) + "\n")
-            for argv in (["sample"], ["label", "--candidates", str(chain / "candidates.idx")]):
-                rc, out = run(capsys, *argv, "--scenes", str(scenes / "scenes.json"),
-                              "--out", str(tmp_path / "out"), *BASE)
-                assert rc == 1, (error, argv)
-                assert out["error"] == error
-                assert str(named) in out["detail"]
+            sample_and_label_fail(capsys, scenes / "scenes.json", chain / "candidates.idx",
+                                  tmp_path / "out", error, named)
 
     def test_manifest_disagrees_with_config(self, capsys, chain, tmp_path):
-        """A scene whose bin or cable spec is not the active configuration's
-        fails sample and label, naming the manifest; it would otherwise be
+        """A scene whose bin or cable spec is not the active configuration's,
+        or whose seed or cable count is not its listing entry's, fails
+        sample and label, naming the manifest; it would otherwise be
         sampled and labelled against a pile the configuration never makes."""
         scenes = tmp_path / "scenes"
         shutil.copytree(chain / "scenes", scenes)
         listing = json.loads((scenes / "scenes.json").read_text())
         manifest = scenes / listing["scenes"][0]["manifest"]
         good = json.loads(manifest.read_text())
-        for edit in ({"bin": {"inner_x": 150.0, "wall_height": 5.0}},
-                     {"cable": {"radius": 40.0, "segment_count": 2}}):
+        for edit in (lambda m: m["bin"].update(inner_x=150.0, wall_height=5.0),
+                     lambda m: m["cables"][0]["spec"].update(radius=40.0, segment_count=2),
+                     lambda m: m["cables"].pop(),
+                     lambda m: m.update(rng_seed=m["rng_seed"] + 1)):
             bad = json.loads(json.dumps(good))
-            bad["bin"].update(edit.get("bin", {}))
-            bad["cables"][0]["spec"].update(edit.get("cable", {}))
+            edit(bad)
             manifest.write_text(json.dumps(bad))
-            for argv in (["sample"], ["label", "--candidates", str(chain / "candidates.idx")]):
-                rc, out = run(capsys, *argv, "--scenes", str(scenes / "scenes.json"),
-                              "--out", str(tmp_path / "out"), *BASE)
-                assert rc == 1, (edit, argv)
-                assert out["error"] == "DegenerateInput"
-                assert str(manifest) in out["detail"]
+            sample_and_label_fail(capsys, scenes / "scenes.json", chain / "candidates.idx",
+                                  tmp_path / "out", "DegenerateInput", manifest)
+
+    def test_listing_disagrees_with_config(self, capsys, chain, tmp_path):
+        """A listing entry whose seed, cable count or friction is not the
+        one `scene_plan` draws under the active configuration fails sample
+        and label, naming the listing; label would otherwise store the
+        edited count and friction against the pile the seed settles."""
+        listing = tmp_path / "scenes/scenes.json"
+        shutil.copytree(chain / "scenes", listing.parent)
+        good = json.loads(listing.read_text())
+        for edit in ({"f": 2.0}, {"cable_count": 7},
+                     {"scene_seed": good["scenes"][0]["scene_seed"] + 1}):
+            bad = json.loads(json.dumps(good))
+            bad["scenes"][0].update(edit)
+            listing.write_text(json.dumps(bad))
+            sample_and_label_fail(capsys, listing, chain / "candidates.idx",
+                                  tmp_path / "out", "DegenerateInput", listing)
 
     def test_bad_report_inputs(self, capsys, tmp_path):
         stats = tmp_path / "stats.json"

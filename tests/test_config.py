@@ -3,7 +3,7 @@
 import pytest
 
 from graspforge.config import ENV_VAR, RunConfig, load_run_config, parse_config_text
-from graspforge.errors import DegenerateInput
+from graspforge.errors import DatasetNotFound, DegenerateInput
 
 
 class TestParse:
@@ -82,7 +82,7 @@ class TestLoad:
         assert load_run_config(direct).scene_count == 3
 
     def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(DegenerateInput, match="not found"):
+        with pytest.raises(DatasetNotFound, match="absent.cfg"):
             load_run_config(tmp_path / "absent.cfg")
 
     def test_unknown_override_rejected(self):

@@ -34,6 +34,33 @@ def test_no_private_cross_module_imports():
     assert [line for path in modules for line in private_imports(path)] == []
 
 
+# Calls that open, read, write or probe a file; `json.load` counts, json.loads does not.
+FILE_CALLS = {"open", "read_text", "read_bytes", "write_text", "write_bytes",
+              "is_file", "exists", "isfile"}
+
+
+def file_io_calls(path: Path) -> list[str]:
+    """Calls in one file of a function or method named in FILE_CALLS, or
+    of json.load."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        if name in FILE_CALLS or ast.unparse(func) == "json.load":
+            found.append(f"{path.relative_to(PACKAGE)}:{node.lineno} calls {ast.unparse(func)}")
+    return found
+
+
+def test_only_fileio_touches_files():
+    """Every input is read through `fileio.read_input` and every output
+    written through `fileio.atomic_write`, so one place maps a missing or
+    unreadable file to a named error; no other module does file I/O."""
+    assert [line for path in sorted(PACKAGE.rglob("*.py")) if path.name != "fileio.py"
+            for line in file_io_calls(path)] == []
+
+
 # Public names that no code in the package calls, each kept on purpose.
 ENTRY_POINTS = {
     "main",              # cli: the `graspforge` console script in pyproject.toml

@@ -342,7 +342,7 @@ class TestScenePersistence:
     def test_roundtrip_preserves_scene(self, tmp_path):
         scene = settle_scene(BinSpec(), [CableSpec() for _ in range(3)], seed=77)
         manifest = save_scene(scene, str(tmp_path / "scene"))
-        loaded = load_scene(manifest)
+        loaded = load_scene(manifest, BinSpec(), CableSpec())
         assert loaded.rng_seed == scene.rng_seed
         assert loaded.bin == scene.bin
         assert len(loaded.cables) == len(scene.cables)
@@ -355,7 +355,7 @@ class TestScenePersistence:
     def test_roundtrip_renders_identically(self, tmp_path):
         scene = settle_scene(BinSpec(), [CableSpec(), CableSpec()], seed=31)
         manifest = save_scene(scene, str(tmp_path / "scene"))
-        loaded = load_scene(manifest)
+        loaded = load_scene(manifest, BinSpec(), CableSpec())
         cam = Camera()
         a = render_depth(scene, cam)[0]
         b = render_depth(loaded, cam)[0]
