@@ -145,7 +145,8 @@ def _cmd_label(args) -> dict:
     rows = []
     for index, cands in sorted(by_scene.items()):
         if index not in scenes:
-            raise DegenerateInput(f"candidates reference unknown scene {index}")
+            raise DegenerateInput(f"{args.candidates}: scene {index} is not in the "
+                                  f"listing {args.scenes}")
         plan, manifest = scenes[index]
         scene = _entry_scene(cfg, plan, manifest)
         rows += [label_row(cfg, scene, plan, cand) for cand in cands]

@@ -12,6 +12,9 @@ piece the cable can meet on its way down, pieces it cannot meet are more
 than CONTACT_EPS apart in x and y, and a start already in contact is
 retried, so no two pieces of a pile come closer than CONTACT_EPS/2. A rest
 is never perturbed afterwards: the pose advancement found is the pose kept.
+
+Pieces enter the world frame only here: a settling cable carries its pose
+down, and the grasp oracle reads the scene's posed pieces, `Scene.bodies`.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -303,22 +307,34 @@ class Scene:
     cables: list[PlacedCable]
     rng_seed: int
 
+    @cached_property
+    def bodies(self) -> list[tuple[int, _WorldBody]]:
+        """The pile's collision model in the world frame, built once per
+        scene: (owner, body) pairs, the bin under -1, then each cable under
+        its id. The grasp oracle reads it."""
+        return [(-1, _WorldBody(bin_pieces(self.bin)))] + [
+            (c.id, _WorldBody(c.pieces, c.pose)) for c in self.cables]
+
 
 class _WorldBody:
-    """Pre-transformed piece vertex arrays with AABBs, for fast queries."""
+    """Convex pieces posed into the world frame (pose None: they already
+    are), with each piece's posed vertices and box, for fast queries."""
 
     def __init__(self, pieces: list[ConvexPiece], pose: Pose3 | None = None):
-        if pose is None:
-            self.verts = [p.vertices for p in pieces]
-        else:
-            self.verts = [pose.apply(p.vertices) for p in pieces]
+        self.pieces, self.pose = pieces, pose
+        self.verts = [p.vertices if pose is None else pose.apply(p.vertices) for p in pieces]
         self.lo = np.array([v.min(axis=0) for v in self.verts])
         self.hi = np.array([v.max(axis=0) for v in self.verts])
         self._flat: list[np.ndarray | None] = [None] * len(self.verts)
 
     def shifted(self, dz: float) -> "_WorldBody":
+        """The body moved by dz along z, its pose with it. The vertices are
+        shifted, not posed again: a rest keeps the bytes its steps made."""
         out = _WorldBody.__new__(_WorldBody)
         off = np.array([0.0, 0.0, dz])
+        t = self.pose.translation.copy()
+        t[2] += dz
+        out.pieces, out.pose = self.pieces, Pose3(t, self.pose.rotation)
         out.verts = [v + off for v in self.verts]
         out.lo = self.lo + off
         out.hi = self.hi + off
@@ -332,6 +348,19 @@ class _WorldBody:
     @property
     def aabb_hi(self) -> np.ndarray:
         return self.hi.max(axis=0)
+
+    def near(self, lo: np.ndarray, hi: np.ndarray, pad: float) -> np.ndarray:
+        """Indices of the pieces whose boxes come within pad of [lo, hi]."""
+        return np.flatnonzero(((lo - pad) <= self.hi).all(axis=1)
+                              & ((hi + pad) >= self.lo).all(axis=1))
+
+    def equations(self, i: int) -> np.ndarray:
+        """Piece i's outward face planes (n, d) in the world frame."""
+        eq = self.pieces[i].equations
+        if self.pose is None:
+            return eq
+        normals = eq[:, :3] @ self.pose.matrix().T
+        return np.column_stack([normals, eq[:, 3] - normals @ self.pose.translation])
 
     def flat(self, i: int) -> np.ndarray:
         """Piece i flattened onto z = 0, built on first use: a static body
@@ -477,13 +506,12 @@ def _tip_rotation(com: np.ndarray, tip: list[np.ndarray], angle: float) -> Pose3
     return Pose3(p - rot.apply(p[None])[0], (1.0, 0.0, 0.0, 0.0)).compose(rot)
 
 
-def _advance_down(body: _WorldBody, pairs, rotation: np.ndarray,
-                  cx: float, cy: float, z: float):
-    """Conservative advancement straight down from the body, posed at
-    (cx, cy, z) with rotation; pairs are its `_blocking_pairs`. Each step
-    moves by the current minimum separation, which vertical motion cannot
-    overshoot, so the body never penetrates. Returns (body, pose) resting
-    within CONTACT_EPS, or None when advancement fails to reach contact."""
+def _advance_down(body: _WorldBody, pairs):
+    """Conservative advancement straight down from the body; pairs are its
+    `_blocking_pairs`. Each step moves by the current minimum separation,
+    which vertical motion cannot overshoot, so the body never penetrates.
+    Returns the body resting within CONTACT_EPS, or None when advancement
+    fails to reach contact."""
     d = np.inf
     for it in range(128):
         d = _pairs_min_distance(body, pairs, cap=body.aabb_lo[2])
@@ -492,12 +520,10 @@ def _advance_down(body: _WorldBody, pairs, rotation: np.ndarray,
             if it == 0:
                 return None
             break
-        step = d - 0.5 * CONTACT_EPS
-        body = body.shifted(-step)
-        z -= step
+        body = body.shifted(-(d - 0.5 * CONTACT_EPS))
     if d > CONTACT_EPS:
         return None
-    return body, Pose3(np.array([cx, cy, z]), rotation)
+    return body
 
 
 def _inside_footprint(body: _WorldBody, lo_fp: np.ndarray, hi_fp: np.ndarray) -> bool:
@@ -547,10 +573,9 @@ def settle_scene(bin_spec: BinSpec, cable_specs: list[CableSpec],
             # is the posed one's, as the two differ only in x and y
             z = max(s.aabb_hi[2] for s in statics) - yawed.aabb_lo[2] + 5.0
             body = _WorldBody(pieces, Pose3((cx, cy, z), rotation))
-            dropped = _advance_down(body, _blocking_pairs(body, statics), rotation, cx, cy, z)
-            if dropped is None:
+            body = _advance_down(body, _blocking_pairs(body, statics))
+            if body is None:
                 continue
-            body, cur = dropped
 
             # gravity-driven rolling to a supported rest: rotate about
             # the support edge or point, then re-seat with a small lift
@@ -560,7 +585,7 @@ def settle_scene(bin_spec: BinSpec, cable_specs: list[CableSpec],
             for _ in range(64):
                 contacts = _contact_points(body, statics, tol=SUPPORT_TOL)
                 contacts_of = body
-                com = cur.apply(centroid)
+                com = body.pose.apply(centroid)
                 _, tip = _support_analysis(com, contacts)
                 if not tip:
                     break  # mass center strictly inside the support
@@ -569,7 +594,7 @@ def settle_scene(bin_spec: BinSpec, cable_specs: list[CableSpec],
                     tipped = _tip_rotation(com, tip, math.radians(angle_deg))
                     if tipped is None:
                         break
-                    cand = tipped.compose(cur)
+                    cand = tipped.compose(body.pose)
                     # every lift keeps the rotation and xy: one pair list
                     tx, ty = cand.translation[0], cand.translation[1]
                     seated = pairs = None
@@ -578,16 +603,13 @@ def settle_scene(bin_spec: BinSpec, cable_specs: list[CableSpec],
                         start = _WorldBody(pieces, Pose3((tx, ty, z), cand.rotation))
                         if pairs is None:
                             pairs = _blocking_pairs(start, statics)
-                        seated = _advance_down(start, pairs, cand.rotation, tx, ty, z)
+                        seated = _advance_down(start, pairs)
                         if seated is not None:
                             break
-                    if seated is None:
+                    if seated is None or not _inside_footprint(seated, lo_fp, hi_fp):
                         continue
-                    cand_body, cand_pose = seated
-                    if not _inside_footprint(cand_body, lo_fp, hi_fp):
-                        continue
-                    if cand_pose.apply(centroid)[2] < com[2] - 1e-6:
-                        body, cur, moved = cand_body, cand_pose, True
+                    if seated.pose.apply(centroid)[2] < com[2] - 1e-6:
+                        body, moved = seated, True
                         break
                 if not moved:
                     break
@@ -600,12 +622,12 @@ def settle_scene(bin_spec: BinSpec, cable_specs: list[CableSpec],
             # the topple loop's last contact set holds unless it ended on a move
             if body is not contacts_of:
                 contacts = _contact_points(body, statics, tol=SUPPORT_TOL)
-            fd, _ = _support_analysis(cur.apply(centroid), contacts)
+            fd, _ = _support_analysis(body.pose.apply(centroid), contacts)
             # reject rests poking above the rim: keeps piles physical and
             # rendered depth within its contract band
             rim = bin_spec.wall_height + 2.0 * spec.radius
             if contacts and fd <= spec.radius and body.aabb_hi[2] <= rim:
-                pose = cur
+                pose = body.pose
                 break
         if pose is None:
             raise Overfilled(f"cable {cable_id} found no resting pose in 50 attempts")
@@ -646,24 +668,22 @@ class Camera:
         return px, py
 
 
-def render_depth(scene: Scene, cam: Camera) -> tuple[DepthImage, np.ndarray]:
+def render_depth(scene: Scene, cam: Camera) -> DepthImage:
     """Top-down z-buffer over all triangles; equivalent to a per-pixel
-    downward raycast. Returns the depth image and a per-pixel cable-id map
-    (-1 for bin, floor, or background)."""
+    downward raycast."""
     half_x, half_y = cam.footprint_half_extents()
     if (half_x < scene.bin.inner_x / 2.0 - 1e-9
             or half_y < scene.bin.inner_y / 2.0 - 1e-9):
         raise DegenerateInput("camera frustum does not cover the bin interior")
     W, H = cam.width_px, cam.height_px
     zbuf = np.zeros((H, W), dtype=np.float64)   # floor plane z = 0
-    idmap = np.full((H, W), -1, dtype=np.int32)
 
-    groups = [(-1, bin_mesh(scene.bin).triangles())]
+    groups = [bin_mesh(scene.bin).triangles()]
     for c in scene.cables:
         tris = c.mesh.triangles().reshape(-1, 3)
-        groups.append((c.id, c.pose.apply(tris).reshape(-1, 3, 3)))
+        groups.append(c.pose.apply(tris).reshape(-1, 3, 3))
 
-    for gid, tris in groups:
+    for tris in groups:
         for tri in tris:
             px, py = cam.world_to_px(tri[:, 0], tri[:, 1])
             x0 = max(0, int(np.ceil(px.min())))
@@ -688,14 +708,12 @@ def render_depth(scene: Scene, cam: Camera) -> tuple[DepthImage, np.ndarray]:
             if not inside.any():
                 continue
             z = tri[0, 2] + u * (tri[1, 2] - tri[0, 2]) + v * (tri[2, 2] - tri[0, 2])
-            sel = inside & (z > zbuf[y0:y1 + 1, x0:x1 + 1])
             zb = zbuf[y0:y1 + 1, x0:x1 + 1]
-            im = idmap[y0:y1 + 1, x0:x1 + 1]
+            sel = inside & (z > zb)
             zb[sel] = z[sel]
-            im[sel] = gid
 
     depth = (cam.height - zbuf).astype(np.float32)
-    return DepthImage(data=depth, pitch=cam.pitch), idmap
+    return DepthImage(data=depth, pitch=cam.pitch)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from .errors import DegenerateInput, NoCandidates, Overfilled, SingleClass
 from .fileio import atomic_write, read_input, require_keys
 from .geometry import gjk_world
 from .sampler import GraspPose, SamplerConfig, sample_grasps
-from .scene import BinSpec, CableSpec, Camera, Scene, bin_pieces, render_depth, settle_scene
+from .scene import BinSpec, CableSpec, Camera, Scene, render_depth, settle_scene
 
 FAILURE_REASONS = ("none", "approach_collision", "multi_object",
                    "no_force_closure", "empty_close")
@@ -141,36 +141,6 @@ def _jaw_verts(g: GraspPose, side: float, offset: float,
     return np.array(corners)
 
 
-class _Body:
-    """One world-frame convex piece with its owner (-1 = bin)."""
-
-    __slots__ = ("owner", "verts", "equations", "lo", "hi")
-
-    def __init__(self, owner: int, verts: np.ndarray, equations: np.ndarray):
-        self.owner = owner
-        self.verts = verts
-        self.equations = equations
-        self.lo = verts.min(axis=0)
-        self.hi = verts.max(axis=0)
-
-
-def _scene_bodies(scene: Scene) -> list[_Body]:
-    bodies = [_Body(-1, p.vertices, p.equations) for p in bin_pieces(scene.bin)]
-    for cable in scene.cables:
-        rot = cable.pose.matrix()
-        t = cable.pose.translation
-        for piece in cable.pieces:
-            verts = cable.pose.apply(piece.vertices)
-            normals = piece.equations[:, :3] @ rot.T
-            offsets = piece.equations[:, 3] - normals @ t
-            bodies.append(_Body(cable.id, verts, np.column_stack([normals, offsets])))
-    return bodies
-
-
-def _overlaps(lo_a, hi_a, body: _Body, pad: float = 0.0) -> bool:
-    return bool(((lo_a - pad) <= body.hi).all() and ((hi_a + pad) >= body.lo).all())
-
-
 def _face_normal(equations: np.ndarray, point: np.ndarray, hint: np.ndarray) -> np.ndarray:
     """Outward unit normal of the face supporting `point`; ties at an edge
     or vertex resolve toward the face best aligned with `hint`."""
@@ -180,50 +150,53 @@ def _face_normal(equations: np.ndarray, point: np.ndarray, hint: np.ndarray) -> 
     return equations[best, :3]
 
 
-def _close_jaw(g: GraspPose, side: float, a_start: float, bodies: list[_Body]):
+def _close_jaw(g: GraspPose, side: float, a_start: float, bodies):
     """Advance one jaw from separation a_start toward the grasp center until
     it touches something or its inner face reaches the center. Returns the
-    bodies resting against the final jaw position."""
+    ((owner, body, piece index), GJK result) of each piece resting against
+    the final jaw position."""
     first = _jaw_verts(g, side, a_start)
     last = _jaw_verts(g, side, 0.0)
     lo = np.minimum(first.min(axis=0), last.min(axis=0))
     hi = np.maximum(first.max(axis=0), last.max(axis=0))
-    near = [b for b in bodies if _overlaps(lo, hi, b, pad=CONTACT_TOL)]
+    near = [(owner, body, i) for owner, body in bodies
+            for i in body.near(lo, hi, CONTACT_TOL)]
     if not near:
         return []
 
     def probe(a: float):
         jaw = _jaw_verts(g, side, a)
-        return [(b, gjk_world(jaw, b.verts, max_distance=a_start + 1.0)) for b in near]
+        return [((owner, body, i), gjk_world(jaw, body.verts[i], max_distance=a_start + 1.0))
+                for owner, body, i in near]
 
     a = a_start
     results = probe(a)
     for _ in range(_CLOSE_ITER_CAP):
         dmin = min(r.distance for _, r in results)
         if dmin <= CONTACT_TOL:
-            return [(b, r) for b, r in results if r.distance <= CONTACT_TOL]
+            return [(p, r) for p, r in results if r.distance <= CONTACT_TOL]
         step = dmin - CONTACT_TOL / 2.0
         if a - step <= 0.0:
             results = probe(0.0)
-            return [(b, r) for b, r in results if r.distance <= CONTACT_TOL]
+            return [(p, r) for p, r in results if r.distance <= CONTACT_TOL]
         a -= step
         results = probe(a)
     # conservative steps cannot tunnel, so landing here means a grazing
-    # trajectory; accept the nearest bodies as the contact set
+    # trajectory; accept the nearest pieces as the contact set
     dmin = min(r.distance for _, r in results)
-    return [(b, r) for b, r in results if r.distance <= dmin + CONTACT_TOL]
+    return [(p, r) for p, r in results if r.distance <= dmin + CONTACT_TOL]
 
 
 def execute_grasp(scene: Scene, g: GraspPose, f: float) -> GraspOutcome:
-    """Label one grasp: approach, close, hold, lift. Every failure mode maps
-    to a labeled outcome; only a grasp that passes all four stages holding
-    exactly one cable gets label 1."""
+    """Label one grasp against `scene.bodies`: approach, close, hold, lift.
+    Every failure mode maps to a labeled outcome; only a grasp that passes
+    all four stages holding exactly one cable gets label 1."""
     if f <= 0.0:
         raise DegenerateInput("friction coefficient must be positive")
-    bodies = _scene_bodies(scene)
+    bodies = scene.bodies
     u, _ = _grasp_axes(g.theta)
     w_open = g.w + OPEN_CLEARANCE
-    top_z = max(b.hi[2] for b in bodies) + 1.0
+    top_z = max(body.aabb_hi[2] for _, body in bodies) + 1.0
 
     # stage 1: straight-down approach of both open jaws. The swept volume of
     # a box translating along -z is itself a box, so one exact query per jaw
@@ -231,16 +204,15 @@ def execute_grasp(scene: Scene, g: GraspPose, f: float) -> GraspOutcome:
     for side in (1.0, -1.0):
         sweep = _jaw_verts(g, side, w_open / 2.0, z_top=top_z + FINGER_LENGTH)
         lo, hi = sweep.min(axis=0), sweep.max(axis=0)
-        for b in bodies:
-            if not _overlaps(lo, hi, b):
-                continue
-            if gjk_world(sweep, b.verts, max_distance=1.0).distance <= _TOUCH:
-                return GraspOutcome(0, "approach_collision", frozenset())
+        for _, body in bodies:
+            for i in body.near(lo, hi, 0.0):
+                if gjk_world(sweep, body.verts[i], max_distance=1.0).distance <= _TOUCH:
+                    return GraspOutcome(0, "approach_collision", frozenset())
 
     # stage 2: close both jaws independently; each stops at first touch
     contacts = {side: _close_jaw(g, side, w_open / 2.0, bodies)
                 for side in (1.0, -1.0)}
-    ids = {b.owner for side in contacts for b, _ in contacts[side] if b.owner >= 0}
+    ids = {owner for side in contacts for (owner, _, _), _ in contacts[side] if owner >= 0}
     if not ids:
         return GraspOutcome(0, "empty_close", frozenset())
     if len(ids) >= 2:
@@ -250,33 +222,30 @@ def execute_grasp(scene: Scene, g: GraspPose, f: float) -> GraspOutcome:
     # stage 3: antipodal friction-cone test at the two closing contacts
     limit = math.atan(f)
     for side in (1.0, -1.0):
-        on_cable = [(b, r) for b, r in contacts[side] if b.owner == cid]
+        on_cable = [(p, r) for p, r in contacts[side] if p[0] == cid]
         if not on_cable:
             # pinched from one side only (other jaw on the bin or nothing)
             return GraspOutcome(0, "no_force_closure", frozenset(ids))
-        body, res = min(on_cable, key=lambda t: t[1].distance)
-        normal = _face_normal(body.equations, res.point_b, side * u)
+        (_, body, i), res = min(on_cable, key=lambda t: t[1].distance)
+        normal = _face_normal(body.equations(i), res.point_b, side * u)
         cos_a = float(np.clip(normal @ (side * u), -1.0, 1.0))
         if math.acos(cos_a) >= limit:
             return GraspOutcome(0, "no_force_closure", frozenset(ids))
 
     # stage 4: lift the held cable straight up; another cable overlapping the
     # swept volume deeply enough would be dragged along
-    lift = top_z + FINGER_LENGTH
-    shift = np.array([0.0, 0.0, lift])
-    for held in (b for b in bodies if b.owner == cid):
-        swept = np.vstack([held.verts, held.verts + shift])
-        lo = held.lo
-        hi = held.hi + shift
-        for other in bodies:
-            if other.owner < 0 or other.owner == cid:
-                continue
-            if not _overlaps(lo, hi, other):
-                continue
-            res = gjk_world(swept, other.verts, erosion_a=ENTANGLE_EROSION,
-                            erosion_b=ENTANGLE_EROSION, max_distance=1.0)
-            if res.distance <= _TOUCH:
-                return GraspOutcome(0, "multi_object", frozenset({cid, other.owner}))
+    shift = np.array([0.0, 0.0, top_z + FINGER_LENGTH])
+    for held in (body for owner, body in bodies if owner == cid):
+        for verts, lo, hi in zip(held.verts, held.lo, held.hi + shift):
+            swept = np.vstack([verts, verts + shift])
+            for owner, other in bodies:
+                if owner < 0 or owner == cid:
+                    continue
+                for j in other.near(lo, hi, 0.0):
+                    res = gjk_world(swept, other.verts[j], erosion_a=ENTANGLE_EROSION,
+                                    erosion_b=ENTANGLE_EROSION, max_distance=1.0)
+                    if res.distance <= _TOUCH:
+                        return GraspOutcome(0, "multi_object", frozenset({cid, owner}))
 
     return GraspOutcome(1, "none", frozenset(ids))
 
@@ -358,7 +327,7 @@ def sample_scene(cfg: DatasetConfig, scene: Scene, plan: dict) -> list:
     drawing fresh noise after each empty try. Returns the sampler's
     (pose, pair, patch) candidates; raises NoCandidates once
     cfg.resample_attempts tries have all come back empty."""
-    img, _ = render_depth(scene, cfg.camera)
+    img = render_depth(scene, cfg.camera)
     scfg = SamplerConfig(n=cfg.grasps_per_scene, f=plan["f"], patch_size=cfg.patch_size,
                          camera_height=cfg.camera.height)
     rng = plan["rng"]
@@ -506,13 +475,18 @@ def write_dataset(rows: list, skips: dict, scene_count: int, master_seed: int,
 
 
 def load_dataset(index_path: str | Path) -> list[GraspSample]:
-    """Read an index plus its sibling blob back into memory."""
+    """Read an index plus its sibling blob back into memory. A row that is
+    not a valid GraspSample raises DegenerateInput naming the index and the
+    row, counted from 0."""
     samples = []
-    for row in read_records(index_path, ("label",)):
+    for n, row in enumerate(read_records(index_path, ("label",))):
         patch, label = row.pop("patch"), row.pop("label")
-        if label not in (0, 1):
-            raise DegenerateInput(f"{index_path}: label {label!r} is not 0 or 1")
-        samples.append(GraspSample(patch=patch, label=int(label), meta=row))
+        try:
+            if label not in (0, 1):
+                raise DegenerateInput(f"label {label!r} is not 0 or 1")
+            samples.append(GraspSample(patch=patch, label=int(label), meta=row))
+        except DegenerateInput as exc:
+            raise DegenerateInput(f"{index_path}: row {n}: {exc}") from None
     return samples
 
 

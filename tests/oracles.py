@@ -4,7 +4,7 @@ Everything here is deliberately written from different math than the code
 under test: box distances come from separating axes plus brute-force
 feature enumeration, inside tests from crossing parity of a single ray,
 rendered depths from one Moller-Trumbore ray per pixel (`ray_triangles`,
-`ray_mesh`). There are four exceptions, same math on purpose, frozen copies
+`ray_mesh`). There are five exceptions, same math on purpose, frozen copies
 the library must match bit for bit: `gjk_world_reference`, the GJK kernel;
 `forward_backward_reference` (with `forward_batch_reference` and
 `backward_batch_reference`), the quality network's forward and backward
@@ -12,8 +12,10 @@ pass as they stood while the backward pass still formed conv1's input
 gradient; `sample_grasps_reference`, the grasp sampler with its
 bilateral filter, edge detector, normal fit, rotated crop and friction-cone
 test as they stood while each was a Python loop over pixels, points and
-pair trials; and `settle_scene_reference`, pile settling as it stood while
-every topple lift re-found its blocking pairs, run on `gjk_world_reference`.
+pair trials; `settle_scene_reference`, pile settling as it stood while
+every topple lift re-found its blocking pairs, run on `gjk_world_reference`;
+and `execute_grasp_reference`, the grasp oracle as it stood while every call
+posed the scene's pieces afresh.
 
 The fixtures section holds test inputs and measures the library has no use
 for: sphere and prism meshes, mesh volume, point-in-piece, pixel-to-world
@@ -32,7 +34,7 @@ from scipy.spatial import cKDTree
 
 from graspforge.depthproc import DepthImage, Patch, downsample
 from graspforge.errors import ConvergenceWarning, DegenerateInput, NoCandidates, Overfilled
-from graspforge.geometry import ConvexPiece, GjkResult, Pose3, TriMesh
+from graspforge.geometry import ConvexPiece, GjkResult, Pose3, TriMesh, gjk_world
 from graspforge.model import QualityNet, init_net
 from graspforge.sampler import (
     BILATERAL_RANGE, BILATERAL_SPATIAL, DEPTH_PAIR_TOL, ENGAGE_DEPTH, GRAD_THRESHOLD,
@@ -43,6 +45,10 @@ from graspforge.scene import (
     CONTACT_EPS, SUPPORT_TOL, BinSpec, Camera, CableSpec, PlacedCable, Scene,
     _inside_footprint, _support_analysis, _tip_rotation, bin_pieces, cable_decomposition,
     make_cable_mesh,
+)
+from graspforge.simlab import (
+    _CLOSE_ITER_CAP, _TOUCH, CONTACT_TOL, ENTANGLE_EROSION, FINGER_LENGTH, OPEN_CLEARANCE,
+    GraspOutcome, _face_normal, _grasp_axes, _jaw_verts,
 )
 
 
@@ -1132,3 +1138,124 @@ def _ref_penetration(body: _RefWorldBody, statics: list[_RefWorldBody]) -> float
                         lo = mid
                 worst = max(worst, hi)
     return worst
+
+
+# Frozen grasp oracle: `execute_grasp` as it stood while each call posed the
+# bin and every cable piece into the world frame afresh (`_RefBody`), on the
+# live GJK kernel, jaw boxes and face-normal pick. `simlab.execute_grasp`
+# reads `Scene.bodies` instead and must give the same label, reason and
+# contacted ids.
+
+class _RefBody:
+    """One world-frame convex piece with its owner (-1 = bin)."""
+
+    __slots__ = ("owner", "verts", "equations", "lo", "hi")
+
+    def __init__(self, owner: int, verts: np.ndarray, equations: np.ndarray):
+        self.owner = owner
+        self.verts = verts
+        self.equations = equations
+        self.lo = verts.min(axis=0)
+        self.hi = verts.max(axis=0)
+
+
+def _ref_scene_bodies(scene: Scene) -> list[_RefBody]:
+    bodies = [_RefBody(-1, p.vertices, p.equations) for p in bin_pieces(scene.bin)]
+    for cable in scene.cables:
+        rot = cable.pose.matrix()
+        t = cable.pose.translation
+        for piece in cable.pieces:
+            verts = cable.pose.apply(piece.vertices)
+            normals = piece.equations[:, :3] @ rot.T
+            offsets = piece.equations[:, 3] - normals @ t
+            bodies.append(_RefBody(cable.id, verts, np.column_stack([normals, offsets])))
+    return bodies
+
+
+def _ref_overlaps(lo_a, hi_a, body: _RefBody, pad: float = 0.0) -> bool:
+    return bool(((lo_a - pad) <= body.hi).all() and ((hi_a + pad) >= body.lo).all())
+
+
+def _ref_close_jaw(g: GraspPose, side: float, a_start: float, bodies: list[_RefBody]):
+    first = _jaw_verts(g, side, a_start)
+    last = _jaw_verts(g, side, 0.0)
+    lo = np.minimum(first.min(axis=0), last.min(axis=0))
+    hi = np.maximum(first.max(axis=0), last.max(axis=0))
+    near = [b for b in bodies if _ref_overlaps(lo, hi, b, pad=CONTACT_TOL)]
+    if not near:
+        return []
+
+    def probe(a: float):
+        jaw = _jaw_verts(g, side, a)
+        return [(b, gjk_world(jaw, b.verts, max_distance=a_start + 1.0)) for b in near]
+
+    a = a_start
+    results = probe(a)
+    for _ in range(_CLOSE_ITER_CAP):
+        dmin = min(r.distance for _, r in results)
+        if dmin <= CONTACT_TOL:
+            return [(b, r) for b, r in results if r.distance <= CONTACT_TOL]
+        step = dmin - CONTACT_TOL / 2.0
+        if a - step <= 0.0:
+            results = probe(0.0)
+            return [(b, r) for b, r in results if r.distance <= CONTACT_TOL]
+        a -= step
+        results = probe(a)
+    dmin = min(r.distance for _, r in results)
+    return [(b, r) for b, r in results if r.distance <= dmin + CONTACT_TOL]
+
+
+def execute_grasp_reference(scene: Scene, g: GraspPose, f: float) -> GraspOutcome:
+    if f <= 0.0:
+        raise DegenerateInput("friction coefficient must be positive")
+    bodies = _ref_scene_bodies(scene)
+    u, _ = _grasp_axes(g.theta)
+    w_open = g.w + OPEN_CLEARANCE
+    top_z = max(b.hi[2] for b in bodies) + 1.0
+
+    for side in (1.0, -1.0):
+        sweep = _jaw_verts(g, side, w_open / 2.0, z_top=top_z + FINGER_LENGTH)
+        lo, hi = sweep.min(axis=0), sweep.max(axis=0)
+        for b in bodies:
+            if not _ref_overlaps(lo, hi, b):
+                continue
+            if gjk_world(sweep, b.verts, max_distance=1.0).distance <= _TOUCH:
+                return GraspOutcome(0, "approach_collision", frozenset())
+
+    contacts = {side: _ref_close_jaw(g, side, w_open / 2.0, bodies)
+                for side in (1.0, -1.0)}
+    ids = {b.owner for side in contacts for b, _ in contacts[side] if b.owner >= 0}
+    if not ids:
+        return GraspOutcome(0, "empty_close", frozenset())
+    if len(ids) >= 2:
+        return GraspOutcome(0, "multi_object", frozenset(ids))
+    cid = next(iter(ids))
+
+    limit = math.atan(f)
+    for side in (1.0, -1.0):
+        on_cable = [(b, r) for b, r in contacts[side] if b.owner == cid]
+        if not on_cable:
+            return GraspOutcome(0, "no_force_closure", frozenset(ids))
+        body, res = min(on_cable, key=lambda t: t[1].distance)
+        normal = _face_normal(body.equations, res.point_b, side * u)
+        cos_a = float(np.clip(normal @ (side * u), -1.0, 1.0))
+        if math.acos(cos_a) >= limit:
+            return GraspOutcome(0, "no_force_closure", frozenset(ids))
+
+    lift = top_z + FINGER_LENGTH
+    shift = np.array([0.0, 0.0, lift])
+    for held in (b for b in bodies if b.owner == cid):
+        swept = np.vstack([held.verts, held.verts + shift])
+        lo = held.lo
+        hi = held.hi + shift
+        for other in bodies:
+            if other.owner < 0 or other.owner == cid:
+                continue
+            if not _ref_overlaps(lo, hi, other):
+                continue
+            res = gjk_world(swept, other.verts, erosion_a=ENTANGLE_EROSION,
+                            erosion_b=ENTANGLE_EROSION, max_distance=1.0)
+            if res.distance <= _TOUCH:
+                return GraspOutcome(0, "multi_object", frozenset({cid, other.owner}))
+
+    return GraspOutcome(1, "none", frozenset(ids))

@@ -178,6 +178,33 @@ class TestErrors:
             assert out["error"] == "DegenerateInput"
             assert str(named) in out["detail"]
 
+    def test_label_contradicts_reason(self, capsys, chain, tmp_path):
+        """A dataset row whose label disagrees with its stored reason fails
+        train with a detail naming the index and the row."""
+        idx = tmp_path / "dataset.idx"
+        shutil.copy(chain / "dataset.blob", tmp_path / "dataset.blob")
+        rows = [json.loads(line) for line in (chain / "dataset.idx").read_text().splitlines()]
+        rows[0]["label"] = 1 - rows[0]["label"]
+        idx.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        rc, out = run(capsys, "train", "--dataset", str(idx),
+                      "--out", str(tmp_path / "ckpt"), "--epochs", "1")
+        assert (rc, out["error"]) == (1, "DegenerateInput")
+        assert str(idx) in out["detail"] and "row 0" in out["detail"]
+
+    def test_candidates_name_unknown_scene(self, capsys, chain, tmp_path):
+        """Candidates of a scene the listing lacks fail label with a detail
+        naming the candidates index and the listing."""
+        idx = tmp_path / "candidates.idx"
+        shutil.copy(chain / "candidates.blob", tmp_path / "candidates.blob")
+        rows = [json.loads(line) for line in (chain / "candidates.idx").read_text().splitlines()]
+        rows[0]["scene_index"] = 9
+        idx.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        listing = chain / "scenes/scenes.json"
+        rc, out = run(capsys, "label", "--scenes", str(listing), "--candidates", str(idx),
+                      "--out", str(tmp_path / "out"), *BASE)
+        assert (rc, out["error"]) == (1, "DegenerateInput")
+        assert str(idx) in out["detail"] and str(listing) in out["detail"]
+
     def test_bad_scene_manifest(self, capsys, chain, tmp_path):
         listing = json.loads((chain / "scenes/scenes.json").read_text())
         for entry in listing["scenes"]:

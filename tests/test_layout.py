@@ -61,6 +61,31 @@ def test_only_fileio_touches_files():
             for line in file_io_calls(path)] == []
 
 
+def pose_applications(path: Path) -> list[str]:
+    """`.apply(` calls in one file, each with its enclosing definition."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "apply":
+                found.append(f"{path.relative_to(PACKAGE)}:{child.lineno} {where} "
+                             f"calls {ast.unparse(child.func)}")
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, child.name if named else where)
+
+    visit(ast.parse(path.read_text(), str(path)), "<module>")
+    return found
+
+
+def test_only_scene_poses_pieces():
+    """`scene` is the one module that poses pieces into the world frame
+    (`Pose3.apply`, defined in `geometry`); the grasp oracle reads
+    `Scene.bodies` rather than posing its own copy."""
+    assert [line for path in sorted(PACKAGE.rglob("*.py"))
+            if path.name != "scene.py" and path.parent.name != "geometry"
+            for line in pose_applications(path)] == []
+
+
 # Public names that no code in the package calls, each kept on purpose.
 ENTRY_POINTS = {
     "main",              # cli: the `graspforge` console script in pyproject.toml

@@ -187,7 +187,7 @@ class TestSampleGrasps:
     def test_rendered_cable_matches_silhouette(self):
         scene = settle_scene(BinSpec(), [CableSpec(bend_angle_range=(0.0, 0.0))],
                              seed=12)
-        img, _ = render_depth(scene, Camera(width_px=400, height_px=300))
+        img = render_depth(scene, Camera(width_px=400, height_px=300))
         cands = sample_grasps(img, SamplerConfig(n=200, f=0.5),
                               np.random.default_rng(5))
         v = scene.cables[0].pose.apply(scene.cables[0].mesh.vertices)
@@ -286,7 +286,7 @@ def noisy_piles():
     piles = []
     for master_seed in (0, 1, 2):
         plan = scene_plan(cfg, master_seed, 0)
-        img, _ = render_depth(settle_plan(cfg, plan), cfg.camera)
+        img = render_depth(settle_plan(cfg, plan), cfg.camera)
         piles.append(add_noise(img, plan["rng"], cfg.gauss_sigma, cfg.salt_pepper_frac))
     return piles
 

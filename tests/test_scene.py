@@ -256,20 +256,21 @@ class TestRenderDepth:
     def test_empty_bin_constant_height(self):
         scene = Scene(bin=BinSpec(), cables=[], rng_seed=0)
         cam = self.interior_camera()
-        img, idmap = render_depth(scene, cam)
+        img = render_depth(scene, cam)
         assert np.abs(img.data - cam.height).max() < 1e-9
-        assert (idmap == -1).all()
 
     def test_box_reads_height_minus_h(self):
         h = 18.0
         scene = box_scene((15.0, 10.0, h / 2.0), (0.0, 0.0, h / 2.0))
         cam = self.interior_camera()
-        img, idmap = render_depth(scene, cam)
+        img = render_depth(scene, cam)
         cx, cy = cam.world_to_px(0.0, 0.0)
         px, py = int(round(cx)), int(round(cy))
         d = img.data.reshape(img.height, img.width)
         assert abs(d[py, px] - (cam.height - h)) < 1e-9
-        assert idmap[py, px] == 0
+        # 5 mm past the box's +x face the floor shows again
+        ox, _ = cam.world_to_px(20.0, 0.0)
+        assert abs(d[py, int(round(ox))] - cam.height) < 1e-9
         assert abs(d[0, 0] - cam.height) < 1e-9
 
     def test_sphere_center_pixel_analytic(self):
@@ -282,34 +283,35 @@ class TestRenderDepth:
                       rng_seed=0)
         # odd pixel counts center a pixel exactly on the sphere apex
         cam = Camera(width_px=481, height_px=361)
-        img, _ = render_depth(scene, cam)
+        img = render_depth(scene, cam)
         d = img.data.reshape(361, 481)
         assert abs(d[180, 240] - (cam.height - (cz + radius))) < 1e-9
 
-    def test_depth_band_and_id_map(self):
+    def test_depth_band_and_cable_pixels(self):
         scene = settle_scene(BinSpec(), [CableSpec() for _ in range(8)], seed=41)
         cam = Camera()
-        img, idmap = render_depth(scene, cam)
+        img = render_depth(scene, cam)
         diameter = 2.0 * max(c.spec.radius for c in scene.cables)
         lo = cam.height - scene.bin.wall_height - diameter
         assert img.data.min() >= lo - 1e-6
         assert img.data.max() <= cam.height + 1e-6
-        ids = set(np.unique(idmap).tolist())
-        assert ids <= set(range(-1, 8))
-        assert (idmap >= 0).sum() > 1000
+        # inside the walls, anything above the floor is cable
+        x, y = px_to_world(cam, *np.meshgrid(np.arange(cam.width_px), np.arange(cam.height_px)))
+        interior = (np.abs(x) < scene.bin.inner_x / 2.0) & (np.abs(y) < scene.bin.inner_y / 2.0)
+        assert (img.data[interior] < cam.height - 1e-6).sum() > 1000
 
     def test_adding_cable_never_raises_depth(self):
         full = settle_scene(BinSpec(), [CableSpec() for _ in range(6)], seed=200)
         fewer = Scene(bin=full.bin, cables=full.cables[:-1], rng_seed=full.rng_seed)
         cam = Camera()
-        d_full = render_depth(full, cam)[0].data
-        d_fewer = render_depth(fewer, cam)[0].data
+        d_full = render_depth(full, cam).data
+        d_fewer = render_depth(fewer, cam).data
         assert (d_full <= d_fewer + 1e-9).all()
 
     def test_matches_direct_raycast(self):
         scene = settle_scene(BinSpec(), [CableSpec() for _ in range(5)], seed=23)
         cam = Camera()
-        img, _ = render_depth(scene, cam)
+        img = render_depth(scene, cam)
         d = img.data.reshape(cam.height_px, cam.width_px)
         tris = scene_triangles(scene)
         rng = rng_for(0)
@@ -357,8 +359,8 @@ class TestScenePersistence:
         manifest = save_scene(scene, str(tmp_path / "scene"))
         loaded = load_scene(manifest, BinSpec(), CableSpec())
         cam = Camera()
-        a = render_depth(scene, cam)[0]
-        b = render_depth(loaded, cam)[0]
+        a = render_depth(scene, cam)
+        b = render_depth(loaded, cam)
         assert a.data.tobytes() == b.data.tobytes()
 
     def test_manifest_lists_mesh_files(self, tmp_path):

@@ -7,16 +7,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from graspforge import scene as scene_mod
 from graspforge.depthproc import Patch
 from graspforge.errors import DatasetNotFound, DegenerateInput, SingleClass
 from graspforge.geometry import Pose3, convex_hull, gjk_world
 from graspforge.sampler import GraspPose
 from graspforge.scene import (BinSpec, CableSpec, Camera, PlacedCable, Scene,
                               cable_decomposition, make_cable_mesh, settle_scene)
-from graspforge.simlab import (ClassWeights, DatasetConfig, GraspOutcome,
-                               GraspSample, _jaw_verts, class_weights,
+from graspforge.simlab import (FAILURE_REASONS, ClassWeights, DatasetConfig,
+                               GraspOutcome, GraspSample, _jaw_verts, class_weights,
                                execute_grasp, generate_dataset, load_dataset,
-                               replay_sample, write_dataset)
+                               replay_sample, scene_candidates, write_dataset)
+
+import oracles
 
 
 def straight_cable(cid, pose):
@@ -32,6 +35,49 @@ def lone_cable_scene():
 
 # perpendicular, centered, engaged 5 mm below the 8 mm cable top
 PERP = GraspPose(x=0.0, y=0.0, z=3.0, theta=math.pi / 2, w=8.0)
+# closing axis tilted 25 degrees off the cable's normal plane
+SKEWED = GraspPose(x=0.0, y=0.0, z=3.0, theta=math.pi / 2 - math.radians(25.0), w=9.0)
+# open jaw box [105, 109] x the wall slab starting at x = 100
+WALL_SWEEP = GraspPose(x=96.0, y=0.0, z=3.0, theta=0.0, w=8.0)
+FREE_SPACE = GraspPose(x=-60.0, y=40.0, z=3.0, theta=0.0, w=8.0)
+# jaws straddle the wall and clamp it
+WALL_TOP = GraspPose(x=104.0, y=0.0, z=25.0, theta=0.0, w=8.0)
+# between two side-by-side cables, closing across both
+BETWEEN = GraspPose(x=0.0, y=4.1, z=0.0, theta=math.pi / 2, w=16.0)
+# diagonal over a crossing
+DIAGONAL = GraspPose(x=0.0, y=0.0, z=0.0, theta=math.pi / 4, w=16.0)
+# on the held cable, 30 mm from where the rider crosses it
+OFF_CROSSING = GraspPose(x=-30.0, y=0.0, z=3.0, theta=math.pi / 2, w=8.0)
+
+
+def side_by_side_scene():
+    return Scene(BinSpec(), [straight_cable(0, Pose3(np.array([0.0, 0.0, 4.0]))),
+                             straight_cable(1, Pose3(np.array([0.0, 8.2, 4.0])))], 0)
+
+
+def crossing_scene():
+    # second cable rests across the first
+    return Scene(BinSpec(), [straight_cable(0, Pose3(np.array([0.0, 0.0, 4.0]))),
+                             straight_cable(1, Pose3.from_yaw(math.pi / 2, (0.0, 0.0, 12.0)))], 0)
+
+
+def rider_scene(rider=True):
+    # a second cable rests across the first at x = 30
+    cables = [straight_cable(0, Pose3(np.array([0.0, 0.0, 4.0])))]
+    if rider:
+        cables.append(straight_cable(1, Pose3.from_yaw(math.pi / 2, (30.0, 0.0, 12.0))))
+    return Scene(BinSpec(), cables, 0)
+
+
+# every hand-built (scene, grasp, friction) case of TestExecuteGrasp
+HAND_BUILT = [
+    (lone_cable_scene, PERP, 0.2), (lone_cable_scene, PERP, 0.3),
+    (lone_cable_scene, PERP, 0.4), (lone_cable_scene, SKEWED, 0.3),
+    (lone_cable_scene, WALL_SWEEP, 0.4), (lone_cable_scene, FREE_SPACE, 0.4),
+    (lone_cable_scene, WALL_TOP, 0.4), (side_by_side_scene, BETWEEN, 0.4),
+    (crossing_scene, DIAGONAL, 0.4), (rider_scene, OFF_CROSSING, 0.4),
+    (lambda: rider_scene(rider=False), OFF_CROSSING, 0.4),
+]
 
 
 @pytest.fixture(scope="module")
@@ -122,65 +168,89 @@ class TestExecuteGrasp:
     def test_skewed_closing_axis_fails_hold(self):
         # tube surface normals are perpendicular to the cable axis, so a
         # closing axis tilted 25 degrees cannot fall inside atan(0.3)
-        g = GraspPose(x=0.0, y=0.0, z=3.0,
-                      theta=math.pi / 2 - math.radians(25.0), w=9.0)
-        out = execute_grasp(lone_cable_scene(), g, 0.3)
+        out = execute_grasp(lone_cable_scene(), SKEWED, 0.3)
         assert out.failure_reason == "no_force_closure"
 
     def test_wall_sweep_collides(self):
-        # open jaw box [105, 109] x the wall slab starting at x = 100
-        g = GraspPose(x=96.0, y=0.0, z=3.0, theta=0.0, w=8.0)
-        out = execute_grasp(lone_cable_scene(), g, 0.4)
+        out = execute_grasp(lone_cable_scene(), WALL_SWEEP, 0.4)
         assert out.failure_reason == "approach_collision"
         assert out.contacted_ids == frozenset()
 
     def test_free_space_empty_close(self):
-        g = GraspPose(x=-60.0, y=40.0, z=3.0, theta=0.0, w=8.0)
-        out = execute_grasp(lone_cable_scene(), g, 0.4)
+        out = execute_grasp(lone_cable_scene(), FREE_SPACE, 0.4)
         assert out.failure_reason == "empty_close"
 
     def test_wall_top_grasp_is_empty_close(self):
-        # jaws straddle the wall and clamp it: contact, but no cable
-        g = GraspPose(x=104.0, y=0.0, z=25.0, theta=0.0, w=8.0)
-        out = execute_grasp(lone_cable_scene(), g, 0.4)
+        # contact, but no cable
+        out = execute_grasp(lone_cable_scene(), WALL_TOP, 0.4)
         assert out.failure_reason == "empty_close"
 
     def test_side_by_side_multi_object(self):
-        cables = [straight_cable(0, Pose3(np.array([0.0, 0.0, 4.0]))),
-                  straight_cable(1, Pose3(np.array([0.0, 8.2, 4.0])))]
-        scene = Scene(BinSpec(), cables, 0)
-        g = GraspPose(x=0.0, y=4.1, z=0.0, theta=math.pi / 2, w=16.0)
-        out = execute_grasp(scene, g, 0.4)
+        out = execute_grasp(side_by_side_scene(), BETWEEN, 0.4)
         assert out.failure_reason == "multi_object"
         assert out.contacted_ids == frozenset({0, 1})
 
     def test_crossing_multi_object(self):
-        # second cable rests across the first; a diagonal grasp over the
-        # crossing touches both at the same separation
-        cables = [straight_cable(0, Pose3(np.array([0.0, 0.0, 4.0]))),
-                  straight_cable(1, Pose3.from_yaw(math.pi / 2, (0.0, 0.0, 12.0)))]
-        scene = Scene(BinSpec(), cables, 0)
-        g = GraspPose(x=0.0, y=0.0, z=0.0, theta=math.pi / 4, w=16.0)
-        out = execute_grasp(scene, g, 0.4)
+        # the diagonal grasp touches both at the same separation
+        out = execute_grasp(crossing_scene(), DIAGONAL, 0.4)
         assert out.failure_reason == "multi_object"
         assert out.contacted_ids == frozenset({0, 1})
 
     def test_lift_entanglement(self):
         # grasp far from a crossing: approach, close, and hold all pass, but
         # lifting would drag the cable resting on top
-        held = straight_cable(0, Pose3(np.array([0.0, 0.0, 4.0])))
-        rider = straight_cable(1, Pose3.from_yaw(math.pi / 2, (30.0, 0.0, 12.0)))
-        g = GraspPose(x=-30.0, y=0.0, z=3.0, theta=math.pi / 2, w=8.0)
-        out = execute_grasp(Scene(BinSpec(), [held, rider], 0), g, 0.4)
+        out = execute_grasp(rider_scene(), OFF_CROSSING, 0.4)
         assert out.failure_reason == "multi_object"
         assert out.contacted_ids == frozenset({0, 1})
         # removing the rider turns the same grasp into a success
-        alone = execute_grasp(Scene(BinSpec(), [held], 0), g, 0.4)
+        alone = execute_grasp(rider_scene(rider=False), OFF_CROSSING, 0.4)
         assert alone.label == 1
 
     def test_friction_must_be_positive(self):
         with pytest.raises(DegenerateInput):
             execute_grasp(lone_cable_scene(), PERP, 0.0)
+
+
+def outcome(out):
+    return out.label, out.failure_reason, out.contacted_ids
+
+
+class TestOracleReference:
+    """execute_grasp reads the scene's cached world-frame bodies; it must
+    label every grasp as the frozen per-call rebuild does."""
+
+    @pytest.mark.parametrize("case", range(len(HAND_BUILT)))
+    def test_hand_built_scenes(self, case):
+        make_scene, g, f = HAND_BUILT[case]
+        scene = make_scene()
+        assert outcome(execute_grasp(scene, g, f)) == outcome(
+            oracles.execute_grasp_reference(scene, g, f))
+
+    def test_grasps_reuse_the_scene_bodies(self, monkeypatch):
+        # once built, the posed pieces serve every grasp on the scene
+        scene = lone_cable_scene()
+        bodies = scene.bodies
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("a grasp posed pieces or built a hull")
+
+        monkeypatch.setattr(Pose3, "apply", rebuilt)
+        monkeypatch.setattr(scene_mod, "convex_hull", rebuilt)
+        assert execute_grasp(scene, PERP, 0.4).label == 1
+        assert scene.bodies is bodies
+
+    def test_sampled_candidates_of_seeded_piles(self):
+        # (master seed, scene index) of three default piles of 6 to 10
+        # cables whose 71 candidates meet every failure reason
+        cfg = DatasetConfig()
+        reasons = set()
+        for seed, index in ((0, 0), (1, 1), (2, 2)):
+            scene, cands, plan = scene_candidates(cfg, seed, index)
+            for pose, _, _ in cands:
+                got = outcome(execute_grasp(scene, pose, plan["f"]))
+                assert got == outcome(oracles.execute_grasp_reference(scene, pose, plan["f"]))
+                reasons.add(got[1])
+        assert reasons == set(FAILURE_REASONS)
 
 
 class TestClassWeights:
