@@ -140,16 +140,22 @@ def _cmd_label(args) -> dict:
     cfg = run.dataset_config()
     listing, scenes = _load_listing(cfg, args.scenes)
     by_scene: dict[int, list] = {}
-    for cand in read_records(args.candidates, CANDIDATE_KEYS):
-        by_scene.setdefault(cand["scene_index"], []).append(cand)
+    for n, cand in enumerate(read_records(args.candidates, CANDIDATE_KEYS)):
+        if any(type(cand[k]) is not int for k in ("scene_index", "candidate_index")):
+            raise DegenerateInput(f"{args.candidates}: row {n}: an index is not an integer")
+        if cand["scene_index"] not in scenes:
+            raise DegenerateInput(f"{args.candidates}: scene {cand['scene_index']} is not "
+                                  f"in the listing {args.scenes}")
+        by_scene.setdefault(cand["scene_index"], []).append((n, cand))
     rows = []
     for index, cands in sorted(by_scene.items()):
-        if index not in scenes:
-            raise DegenerateInput(f"{args.candidates}: scene {index} is not in the "
-                                  f"listing {args.scenes}")
         plan, manifest = scenes[index]
         scene = _entry_scene(cfg, plan, manifest)
-        rows += [label_row(cfg, scene, plan, cand) for cand in cands]
+        for n, cand in cands:
+            try:
+                rows.append(label_row(cfg, scene, plan, cand))
+            except DegenerateInput as exc:
+                raise DegenerateInput(f"{args.candidates}: row {n}: {exc}") from None
     skips = {"overfilled": listing["skipped"]["overfilled"],
              "no_candidates": len(listing["scenes"]) - len(by_scene)}
     index_path = write_dataset(rows, skips, listing["scene_count"],

@@ -21,8 +21,8 @@ class Pose3:
     def __post_init__(self):
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
         q = np.asarray(self.rotation, dtype=np.float64).reshape(4)
-        if abs(np.linalg.norm(q) - 1.0) > 1e-9:
-            raise DegenerateInput("quaternion is not unit length")
+        if not (np.isfinite(t).all() and abs(np.linalg.norm(q) - 1.0) <= 1e-9):
+            raise DegenerateInput("pose is not finite or its quaternion not unit length")
         object.__setattr__(self, "translation", t)
         object.__setattr__(self, "rotation", q)
 

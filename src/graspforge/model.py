@@ -14,8 +14,9 @@ forms conv1's input gradient, the gradient of the image, as no parameter
 reads it.
 
 Training minimizes class-weighted binary cross-entropy with per-class
-weights from the label distribution, on a stratified split, with optional
-4-way flip augmentation. The best validation-accuracy checkpoint wins.
+weights from the label distribution, on a stratified split of the stacked
+patches. Optional augmentation flips the stacked training block 4 ways, in
+one array operation. The best validation-accuracy checkpoint wins.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .depthproc import Patch
 from .errors import DegenerateInput, ShapeMismatch, SingleClass
 from .fileio import atomic_write, read_input
-from .simlab import ClassWeights, GraspSample, class_weights
+from .simlab import ClassWeights, class_weights
 
 _MAGIC = b"GFQN"
 _VERSION = 1
@@ -266,12 +266,9 @@ def loss(y_hat, y, phi: ClassWeights) -> float:
 def gradients(net: QualityNet, batch, phi: ClassWeights) -> list:
     """Exact reverse-mode gradients of the mean batch loss.
 
-    `batch` is (patches, labels) with patches an (N, S, S) array or a list
-    of Patch objects.
+    `batch` is (patches, labels) with patches an (N, S, S) array.
     """
     x, y = batch
-    if not isinstance(x, np.ndarray):
-        x = np.stack([p.data for p in x])
     y = np.asarray(y, dtype=np.float64)
     if len(x) == 0:
         raise DegenerateInput("batch must be nonempty")
@@ -340,23 +337,12 @@ def adam_step(state: AdamState, grads: list, cfg: TrainConfig) -> AdamState:
     return state
 
 
-def _flip_patch(patch: Patch, horizontal: bool, vertical: bool) -> Patch:
-    data = patch.data
-    if horizontal:
-        data = data[:, ::-1]
-    if vertical:
-        data = data[::-1, :]
-    return Patch(data=np.ascontiguousarray(data), pitch=patch.pitch)
-
-
-def augment(sample: GraspSample) -> list:
-    """Original plus horizontal, vertical, and double flip; a parallel-jaw
-    grasp is symmetric under all four, so labels carry over unchanged."""
-    return [sample] + [
-        GraspSample(patch=_flip_patch(sample.patch, h, v), label=sample.label,
-                    meta=sample.meta)
-        for h, v in ((True, False), (False, True), (True, True))
-    ]
+def augment(x: np.ndarray) -> np.ndarray:
+    """(N, S, S) patches to (4N, S, S): each patch, then its columns
+    reversed, its rows reversed, and both. A parallel-jaw grasp is symmetric
+    under all four flips, so each patch's label carries over unchanged."""
+    flips = np.stack([x, x[:, :, ::-1], x[:, ::-1, :], x[:, ::-1, ::-1]], axis=1)
+    return flips.reshape(-1, *x.shape[1:])
 
 
 @dataclass
@@ -398,14 +384,17 @@ def _val_metrics(net: QualityNet, x: np.ndarray, y: np.ndarray):
 def train(dataset, cfg: TrainConfig) -> TrainResult:
     """Stratified split, shuffled minibatch Adam on the weighted loss,
     per-epoch metrics, best-validation-accuracy checkpoint. Deterministic
-    per seed."""
+    per seed.
+
+    The samples' patches are stacked once into an (N, S, S) array; the
+    splits select rows of it, and augmentation flips the training block."""
     samples = list(dataset)
     if not samples:
         raise DegenerateInput("dataset is empty")
-    size = samples[0].patch.size
+    x = np.stack([s.patch.data for s in samples])
+    labels = np.array([s.label for s in samples])
     rng = np.random.default_rng(cfg.seed)
 
-    labels = np.array([s.label for s in samples])
     pos = np.flatnonzero(labels == 1)
     neg = np.flatnonzero(labels == 0)
     if len(pos) == 0 or len(neg) == 0:
@@ -419,21 +408,18 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
     val_idx = np.concatenate([pos[:n_val_pos], neg[:n_val_neg]])
     train_idx = np.concatenate([pos[n_val_pos:], neg[n_val_neg:]])
 
-    train_samples = [samples[i] for i in train_idx]
+    x_train, y_train = x[train_idx], labels[train_idx].astype(np.float64)
     if cfg.augment:
-        train_samples = [v for s in train_samples for v in augment(s)]
-    x_train = np.stack([s.patch.data for s in train_samples])
-    y_train = np.array([s.label for s in train_samples], dtype=np.float64)
+        x_train, y_train = augment(x_train), np.repeat(y_train, 4)
     phi = class_weights(y_train)
-    x_val = np.stack([samples[i].patch.data for i in val_idx])
-    y_val = np.array([samples[i].label for i in val_idx], dtype=np.float64)
+    x_val, y_val = x[val_idx], labels[val_idx].astype(np.float64)
 
-    net = init_net(size, rng)
+    net = init_net(x.shape[1], rng)
     state = AdamState(params=net.params)
     best = ([p.copy() for p in net.params], 0, -1.0)
     history = []
     for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(len(train_samples))
+        order = rng.permutation(len(x_train))
         total, seen = 0.0, 0
         for start in range(0, len(order), cfg.batch_size):
             sel = order[start:start + cfg.batch_size]
@@ -451,7 +437,7 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
                         "val_acc": acc, "val_prec": prec, "val_rec": rec})
         if acc > best[2]:
             best = ([p.copy() for p in net.params], epoch, acc)
-    return TrainResult(net=QualityNet(size, best[0]), history=history,
+    return TrainResult(net=QualityNet(net.size, best[0]), history=history,
                        best_epoch=best[1], best_val_acc=best[2])
 
 

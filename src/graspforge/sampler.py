@@ -78,6 +78,10 @@ class GraspPose:
     w: float       # mm
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise DegenerateInput(f"pose field {name} is {value!r}, not a finite number")
         if self.w <= 0.0:
             raise DegenerateInput("grasp width must be positive")
         if not (0.0 <= self.theta < math.pi):

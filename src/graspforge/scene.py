@@ -749,10 +749,11 @@ def save_scene(scene: Scene, out_dir: str) -> str:
 def load_scene(manifest_path: str, bin_spec: BinSpec, cable_spec: CableSpec) -> Scene:
     """Reload a saved pile of cable_spec cables in a bin_spec bin, through
     `read_input`; decompositions are recomputed (deterministic). A manifest
-    that is not JSON, lacks a key, holds a value the scene types reject or
-    another bin or cable spec, or a cable mesh that is not the spec's tube
-    (`_check_tube`: rendering draws its faces, collision hulls its
-    vertices), raises DegenerateInput naming the file."""
+    that is not JSON, lacks a key, holds a value the scene types reject,
+    another bin or cable spec, a cable k whose id (the oracle's owner) is
+    not k, or a cable mesh that is not the spec's tube (`_check_tube`:
+    rendering draws its faces, collision hulls its vertices), raises
+    DegenerateInput naming the file."""
     base = os.path.dirname(manifest_path)
 
     def parse(data: bytes) -> Scene:
@@ -761,7 +762,9 @@ def load_scene(manifest_path: str, bin_spec: BinSpec, cable_spec: CableSpec) -> 
                 c["spec"] != _fields(cable_spec) for c in manifest["cables"]):
             raise DegenerateInput("scene manifest does not match the active configuration")
         cables = []
-        for c in manifest["cables"]:
+        for k, c in enumerate(manifest["cables"]):
+            if type(c["id"]) is not int or c["id"] != k:
+                raise DegenerateInput(f"cable {k} has id {c['id']!r}, not {k}")
             mesh_path = os.path.join(base, c["mesh"])
             mesh = load_obj(mesh_path)
             _check_tube(mesh, cable_spec, mesh_path)

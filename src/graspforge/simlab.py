@@ -90,8 +90,6 @@ class GraspSample:
     meta: dict
 
     def __post_init__(self):
-        if not np.isfinite(self.patch.data).all():
-            raise DegenerateInput("patch contains non-finite values")
         if self.label not in (0, 1):
             raise DegenerateInput("label must be 0 or 1")
         reason = self.meta.get("reason")
@@ -476,14 +474,16 @@ def write_dataset(rows: list, skips: dict, scene_count: int, master_seed: int,
 
 def load_dataset(index_path: str | Path) -> list[GraspSample]:
     """Read an index plus its sibling blob back into memory. A row that is
-    not a valid GraspSample raises DegenerateInput naming the index and the
-    row, counted from 0."""
+    not a valid GraspSample, or whose patch size is not row 0's, raises
+    DegenerateInput naming the index and the row, counted from 0."""
     samples = []
     for n, row in enumerate(read_records(index_path, ("label",))):
         patch, label = row.pop("patch"), row.pop("label")
         try:
             if label not in (0, 1):
                 raise DegenerateInput(f"label {label!r} is not 0 or 1")
+            if samples and patch.size != samples[0].patch.size:
+                raise DegenerateInput(f"patch size {patch.size} is not row 0's")
             samples.append(GraspSample(patch=patch, label=int(label), meta=row))
         except DegenerateInput as exc:
             raise DegenerateInput(f"{index_path}: row {n}: {exc}") from None

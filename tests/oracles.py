@@ -4,12 +4,13 @@ Everything here is deliberately written from different math than the code
 under test: box distances come from separating axes plus brute-force
 feature enumeration, inside tests from crossing parity of a single ray,
 rendered depths from one Moller-Trumbore ray per pixel (`ray_triangles`,
-`ray_mesh`). There are five exceptions, same math on purpose, frozen copies
+`ray_mesh`). There are six exceptions, same math on purpose, frozen copies
 the library must match bit for bit: `gjk_world_reference`, the GJK kernel;
 `forward_backward_reference` (with `forward_batch_reference` and
 `backward_batch_reference`), the quality network's forward and backward
 pass as they stood while the backward pass still formed conv1's input
-gradient; `sample_grasps_reference`, the grasp sampler with its
+gradient; `augment_reference`, training's flip augmentation as it stood
+while it copied each sample into four new ones; `sample_grasps_reference`, the grasp sampler with its
 bilateral filter, edge detector, normal fit, rotated crop and friction-cone
 test as they stood while each was a Python loop over pixels, points and
 pair trials; `settle_scene_reference`, pile settling as it stood while
@@ -48,7 +49,7 @@ from graspforge.scene import (
 )
 from graspforge.simlab import (
     _CLOSE_ITER_CAP, _TOUCH, CONTACT_TOL, ENTANGLE_EROSION, FINGER_LENGTH, OPEN_CLEARANCE,
-    GraspOutcome, _face_normal, _grasp_axes, _jaw_verts,
+    GraspOutcome, GraspSample, _face_normal, _grasp_axes, _jaw_verts,
 )
 
 
@@ -652,6 +653,29 @@ def forward_backward_reference(net: QualityNet, x: np.ndarray, dlogits_of):
     gradient `dlogits_of(logits)`, by the frozen pass."""
     logits, cache = forward_batch_reference(net, x)
     return logits, backward_batch_reference(dlogits_of(logits), cache)
+
+
+# ---------------------------------------------------------------------------
+# Frozen flip augmentation: one sample in, four out, each flip a new Patch
+# and GraspSample. `model.augment` on the stacked training block must give
+# the same bytes in the same order.
+
+def _ref_flip_patch(patch: Patch, horizontal: bool, vertical: bool) -> Patch:
+    data = patch.data
+    if horizontal:
+        data = data[:, ::-1]
+    if vertical:
+        data = data[::-1, :]
+    return Patch(data=np.ascontiguousarray(data), pitch=patch.pitch)
+
+
+def augment_reference(sample: GraspSample) -> list[GraspSample]:
+    """Original plus horizontal, vertical, and double flip."""
+    return [sample] + [
+        GraspSample(patch=_ref_flip_patch(sample.patch, h, v), label=sample.label,
+                    meta=sample.meta)
+        for h, v in ((True, False), (False, True), (True, True))
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -50,13 +50,15 @@ def chain(tmp_path_factory):
     return staged
 
 
-def toy_dataset(out_dir, n=40, size=16):
-    """Separable labeled rows in the on-disk dataset format."""
+def toy_dataset(out_dir, n=40, size=16, first_size=None):
+    """Separable labeled rows in the on-disk dataset format; row 0's patch
+    side is first_size if given."""
     rng = np.random.default_rng(0)
     rows = []
     for i in range(n):
         label = i % 2
-        data = rng.normal(0.0, 0.05, (size, size))
+        side = first_size if i == 0 and first_size else size
+        data = rng.normal(0.0, 0.05, (side, side))
         data[5:11, 5:11] += 3.0 if label else -3.0
         rows.append({
             "scene_index": i, "candidate_index": 0,
@@ -204,6 +206,50 @@ class TestErrors:
                       "--out", str(tmp_path / "out"), *BASE)
         assert (rc, out["error"]) == (1, "DegenerateInput")
         assert str(idx) in out["detail"] and str(listing) in out["detail"]
+
+    def test_mixed_patch_sizes(self, capsys, tmp_path):
+        """A dataset whose patches differ in size fails train, naming the
+        index and the first row that differs from row 0; training stacks
+        the patches into one array."""
+        idx = toy_dataset(tmp_path, n=20, size=64, first_size=32)
+        rc, out = run(capsys, "train", "--dataset", str(idx),
+                      "--out", str(tmp_path / "ckpt"), "--epochs", "1")
+        assert (rc, out["error"]) == (1, "DegenerateInput")
+        assert str(idx) in out["detail"] and "row 1" in out["detail"]
+
+    def test_candidate_pose_types(self, capsys, chain, tmp_path):
+        """A candidate pose field that is not a finite number (a number as a
+        string, NaN, null, a bool) fails label, naming the candidates index
+        and the row; NaN would otherwise be labelled."""
+        idx = tmp_path / "candidates.idx"
+        shutil.copy(chain / "candidates.blob", tmp_path / "candidates.blob")
+        lines = (chain / "candidates.idx").read_text().splitlines()
+        row = json.loads(lines[0])
+        for key, value in (("w", str(row["w"])), ("x", float("nan")), ("theta", None),
+                           ("z", True)):
+            idx.write_text("".join(json.dumps(r) + "\n" for r in
+                                   [{**row, key: value}] + [json.loads(t) for t in lines[1:]]))
+            rc, out = run(capsys, "label", "--scenes", str(chain / "scenes/scenes.json"),
+                          "--candidates", str(idx), "--out", str(tmp_path / "out"), *BASE)
+            assert (rc, out.get("error")) == (1, "DegenerateInput"), key
+            assert str(idx) in out["detail"] and "row 0" in out["detail"]
+
+    def test_cable_ids(self, capsys, chain, tmp_path):
+        """A manifest whose cable k does not have id k fails sample and label,
+        naming the manifest. The grasp oracle owns each body by its cable's
+        id: a negative one would pass for the bin, a repeated one would merge
+        two cables into one, and a string would end in a traceback."""
+        scenes = tmp_path / "scenes"
+        shutil.copytree(chain / "scenes", scenes)
+        listing = json.loads((scenes / "scenes.json").read_text())
+        manifest = scenes / listing["scenes"][0]["manifest"]
+        good = json.loads(manifest.read_text())
+        for k, cid in ((2, "a"), (1, 0), (2, 1), (0, -1), (1, 1.0), (1, True)):
+            bad = json.loads(json.dumps(good))
+            bad["cables"][k]["id"] = cid
+            manifest.write_text(json.dumps(bad))
+            sample_and_label_fail(capsys, scenes / "scenes.json", chain / "candidates.idx",
+                                  tmp_path / "out", "DegenerateInput", manifest)
 
     def test_bad_scene_manifest(self, capsys, chain, tmp_path):
         listing = json.loads((chain / "scenes/scenes.json").read_text())

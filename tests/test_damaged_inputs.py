@@ -1,10 +1,12 @@
 """Every staged artifact, truncated, with a byte flipped or deleted, ends the
 command that reads it with exit 0 or a named error (exit 1), never a
-traceback; a deleted one is DatasetNotFound."""
+traceback; a deleted one is DatasetNotFound. So does every JSON artifact
+with one leaf value retyped."""
 
 import contextlib
 import io
 import json
+import math
 import warnings
 
 import pytest
@@ -85,3 +87,52 @@ def test_damaged_artifact_is_a_named_error(chain, artifact, damage, at, mask):
     if damage == "delete":
         assert (rc, out["error"]) == (1, "DatasetNotFound")
         assert str(path) in out["detail"]
+
+
+# JSON artifact -> the command that reads it; label, not sample, is the one
+# that reads a cable's id, so it stands for the listing and the manifest
+RETYPE_READERS = {
+    "scenes/scenes.json": READERS["candidates.idx"],
+    "scenes/scene_0000/scene.json": READERS["candidates.idx"],
+    "candidates.idx": READERS["candidates.idx"],
+    "dataset.idx": READERS["dataset.idx"],
+    "eval_cgcnn.json": READERS["eval_cgcnn.json"],
+}
+
+
+def leaf_paths(doc, path=()) -> list[tuple]:
+    """Key and index paths of the scalar leaves of a JSON value."""
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        return [leaf for k, v in items for leaf in leaf_paths(v, path + (k,))]
+    return [path]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(artifact=st.sampled_from(sorted(RETYPE_READERS)), at=st.integers(min_value=0),
+       value=st.sampled_from((str, None, True, math.nan)))
+@example(artifact="candidates.idx", at=(0, "w"), value=str)
+@example(artifact="scenes/scene_0000/scene.json", at=(0, "cables", 1, "id"), value=str)
+def test_retyped_leaf_is_a_named_error(chain, artifact, at, value):
+    """One leaf value of a JSON artifact (a line of an .idx file) becomes a
+    string (`str`: the old value's text), null, true or NaN. `at` picks the
+    leaf by position among all leaves, or names its path: the line, then
+    keys and indices."""
+    path = chain / artifact
+    good = path.read_text()
+    docs = [json.loads(text) for text in
+            (good.splitlines() if artifact.endswith(".idx") else [good])]
+    leaves = leaf_paths(docs)
+    leaf = at if isinstance(at, tuple) else leaves[at % len(leaves)]
+    *parents, key = leaf
+    node = docs
+    for k in parents:
+        node = node[k]
+    node[key] = str(node[key]) if value is str else value
+    try:
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        argv = [a.format(chain) for a in RETYPE_READERS[artifact]]
+        rc, out = run(argv + ["--out", str(chain / "out")] + BASE)
+    finally:
+        path.write_text(good)
+    assert rc in (0, 1), out

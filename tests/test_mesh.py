@@ -145,3 +145,10 @@ class TestPose3:
     def test_nonunit_quaternion_rejected(self):
         with pytest.raises(DegenerateInput):
             Pose3(np.zeros(3), np.array([1.0, 1.0, 0.0, 0.0]))
+
+    def test_non_finite_pose_rejected(self):
+        # a NaN pose would pass a norm test and pose a cable nowhere
+        with pytest.raises(DegenerateInput):
+            Pose3(np.array([0.0, np.nan, 0.0]))
+        with pytest.raises(DegenerateInput):
+            Pose3(np.zeros(3), np.array([np.nan, 0.0, 0.0, 0.0]))

@@ -15,8 +15,8 @@ from graspforge.model import (AdamState, QualityNet, TrainConfig, adam_step,
                               write_metrics, _conv_forward, _depthwise_forward,
                               _dlogits, _forward_batch, _pool_forward, _sigmoid)
 from graspforge.simlab import ClassWeights, GraspSample
-from oracles import (backward_batch_reference, forward_backward_reference,
-                     forward_batch_reference, zeros_net)
+from oracles import (augment_reference, backward_batch_reference,
+                     forward_backward_reference, forward_batch_reference, zeros_net)
 
 # Seeds under which the finite-difference probe point below is smooth: no
 # max-pool tie sits within the h-step's reach, verified by full-coordinate
@@ -243,18 +243,6 @@ class TestGradients:
         g = gradients(net, (x, np.array([1.0, 0.0, 1.0])), {0: 0.0, 1: 0.0})
         assert all(np.all(t == 0.0) for t in g)
 
-    def test_accepts_patch_list(self):
-        rng = np.random.default_rng(2)
-        net = init_net(16, rng)
-        patches = [rand_patch(rng) for _ in range(3)]
-        x = np.stack([p.data for p in patches])
-        phi = ClassWeights(phi=(1.0, 1.0))
-        y = np.array([1.0, 0.0, 1.0])
-        ga = gradients(net, (patches, y), phi)
-        gb = gradients(net, (x, y), phi)
-        for a, b in zip(ga, gb):
-            assert np.array_equal(a, b)
-
     def test_empty_batch(self):
         net = zeros_net(16)
         with pytest.raises(DegenerateInput):
@@ -388,28 +376,35 @@ class TestAdam:
 
 
 class TestAugment:
-    def test_four_variants_same_label(self):
+    def test_matches_per_sample_reference(self):
+        # the flipped block holds the per-sample flips' bytes in their order:
+        # sample by sample, the original, columns reversed, rows reversed, both
         rng = np.random.default_rng(8)
-        s = GraspSample(patch=rand_patch(rng), label=1, meta={"f": 0.3})
-        out = augment(s)
-        assert len(out) == 4
-        assert all(v.label == 1 for v in out)
-        assert all(v.patch.pitch == s.patch.pitch for v in out)
-        blobs = {v.patch.data.tobytes() for v in out}
-        assert len(blobs) == 4
+        patches = [rand_patch(rng) for _ in range(5)]
+        patches.append(Patch(data=np.ones((16, 16), dtype=np.float32), pitch=0.5))
+        samples = [GraspSample(patch=p, label=i % 2, meta={}) for i, p in enumerate(patches)]
+        ref = [v for s in samples for v in augment_reference(s)]
+        block = augment(np.stack([p.data for p in patches]))
+        assert block.dtype == np.float32 and block.flags.c_contiguous
+        assert block.tobytes() == np.stack([v.patch.data for v in ref]).tobytes()
+        labels = np.array([s.label for s in samples], dtype=np.float64)
+        assert np.repeat(labels, 4).tolist() == [v.label for v in ref]
+
+    def test_four_distinct_variants(self):
+        x = rand_patch(np.random.default_rng(8)).data[None]
+        out = augment(x)
+        assert out.shape == (4, 16, 16)
+        assert out[0].tobytes() == x[0].tobytes()
+        assert len({v.tobytes() for v in out}) == 4
 
     def test_double_flip_restores_original(self):
-        rng = np.random.default_rng(9)
-        s = GraspSample(patch=rand_patch(rng), label=0, meta={})
-        hflip = augment(s)[1]
-        again = augment(hflip)[1]
-        assert again.patch.data.tobytes() == s.patch.data.tobytes()
+        x = rand_patch(np.random.default_rng(9)).data[None]
+        hflip = augment(x)[1:2]
+        assert augment(hflip)[1].tobytes() == x[0].tobytes()
 
     def test_symmetric_patch_collapses(self):
-        s = GraspSample(patch=Patch(data=np.ones((16, 16), dtype=np.float32),
-                                    pitch=0.5), label=0, meta={})
-        blobs = {v.patch.data.tobytes() for v in augment(s)}
-        assert len(blobs) == 1
+        out = augment(np.ones((1, 16, 16), dtype=np.float32))
+        assert len({v.tobytes() for v in out}) == 1
 
 
 @pytest.fixture(scope="module")
@@ -438,7 +433,8 @@ class TestTrain:
         agree = 0
         for s in data[:40]:
             q = quality(result.net, s.patch)
-            qh = quality(result.net, augment(s)[1].patch)
+            hflip = Patch(data=augment(s.patch.data[None])[1], pitch=s.patch.pitch)
+            qh = quality(result.net, hflip)
             agree += abs(q - qh) <= 0.15
         assert agree >= 36   # within 0.15 on at least 90%
 

@@ -168,6 +168,11 @@ class TestPoseFromPair:
             GraspPose(x=0, y=0, z=0, theta=0.0, w=0.0)
         with pytest.raises(DegenerateInput):
             GraspPose(x=0, y=0, z=0, theta=math.pi, w=5.0)
+        # a stored candidate row can carry any JSON value into a field
+        for bad in ("5.0", None, True, math.nan, math.inf):
+            with pytest.raises(DegenerateInput, match="finite number"):
+                GraspPose(x=bad, y=0, z=0, theta=0.0, w=5.0)
+        GraspPose(x=np.float64(1.5), y=0, z=2, theta=0.0, w=5)
 
 
 class TestSampleGrasps:
