@@ -85,18 +85,32 @@ def _cmd_make_scenes(args) -> dict:
 
 def _load_listing(cfg: DatasetConfig, path: str) -> tuple[dict, dict]:
     """A make-scenes listing, read through `read_input`, and by scene index
-    each entry's plan and manifest path. An entry whose seed, cable count or
-    friction is not what `scene_plan` draws under cfg (the configuration
-    changed between stages) raises DegenerateInput naming the file."""
+    each entry's plan and manifest path. DegenerateInput names the file when
+    scene_count or skipped.overfilled is not a non-negative integer, when
+    the entries and the overfilled scenes do not add up to scene_count, when
+    an index repeats or lies outside [0, scene_count), and when an entry's
+    seed, cable count or friction is not what `scene_plan` draws under cfg
+    (the configuration changed between stages)."""
     base = Path(path).parent
 
     def parse(data: bytes) -> tuple[dict, dict]:
         listing = json.loads(data)
         require_keys(listing, ("master_seed", "scene_count", "skipped", "scenes"), "listing")
         require_keys(listing["skipped"], ("overfilled",), "skipped")
+        count, overfilled = listing["scene_count"], listing["skipped"]["overfilled"]
+        if not all(type(n) is int and n >= 0 for n in (count, overfilled)):
+            raise DegenerateInput("scene_count and skipped.overfilled must be "
+                                  "non-negative integers")
+        if len(listing["scenes"]) + overfilled != count:
+            raise DegenerateInput(f"{len(listing['scenes'])} entries and {overfilled} "
+                                  f"overfilled scenes do not add up to scene_count {count}")
         scenes = {}
         for entry in listing["scenes"]:
             require_keys(entry, ("index", "manifest", *_PLAN_KEYS), "scene entry")
+            if type(entry["index"]) is not int or not 0 <= entry["index"] < count:
+                raise DegenerateInput(f"scene index {entry['index']!r} is not in [0, {count})")
+            if entry["index"] in scenes:
+                raise DegenerateInput(f"scene {entry['index']} is listed twice")
             plan = scene_plan(cfg, listing["master_seed"], entry["index"])
             if any(plan[k] != entry[k] for k in _PLAN_KEYS):
                 raise DegenerateInput(f"scene {entry['index']} does not match the "
@@ -168,8 +182,9 @@ def _cmd_label(args) -> dict:
 
 def _cmd_train(args) -> dict:
     run = _run_config(args)
+    cfg = run.train_config()
     dataset = load_dataset(args.dataset)
-    result = train(dataset, run.train_config())
+    result = train(dataset, cfg)
     out_dir = Path(args.out or run.checkpoint_dir)
     net_path = out_dir / f"{args.stem}.gfqn"
     save_net(result.net, net_path)

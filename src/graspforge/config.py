@@ -54,6 +54,10 @@ class RunConfig:
     eval_cable_max: int = 15
     candidates_per_scene: int = 25
 
+    def __post_init__(self):
+        if self.master_seed < 0:
+            raise DegenerateInput("master_seed must be non-negative")
+
     def dataset_config(self) -> DatasetConfig:
         return self._scenes(self.scene_count, (self.cable_count_min, self.cable_count_max),
                             self.grasps_per_scene)

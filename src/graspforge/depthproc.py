@@ -284,8 +284,6 @@ def add_noise(img: DepthImage, rng: np.random.Generator, gauss_sigma: float = 0.
     Affected pixels are replaced by 0 or PEPPER_VALUE with equal odds.
     Results are clamped to stay non-negative.
     """
-    if not 0.0 <= salt_pepper_frac <= 0.1:
-        raise DegenerateInput("salt_pepper_frac must be in [0, 0.1]")
     data = img.data.astype(np.float64)
     if gauss_sigma > 0:
         data = data + rng.normal(0.0, gauss_sigma, size=data.shape)

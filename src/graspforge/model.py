@@ -295,8 +295,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr < 0.0:
-            raise DegenerateInput("learning rate must be non-negative")
+        if not 0.0 <= self.lr < math.inf:
+            raise DegenerateInput("learning rate must be finite and non-negative")
+        if self.seed < 0:
+            raise DegenerateInput("seed must be non-negative")
         if not 0.0 < self.val_fraction < 1.0:
             raise DegenerateInput("val_fraction must be in (0, 1)")
         if self.epochs < 1 or self.batch_size < 1:

@@ -65,7 +65,7 @@ def score_candidates(candidates, net: QualityNet, lam: float) -> list:
     if not candidates:
         raise Empty("no candidates to score")
     n = len(candidates)
-    qs = forward_many(net, [c[2] for c in candidates])
+    qs = forward_many(net, [c[1] for c in candidates])
     order = sorted(range(n), key=lambda i: (-candidates[i][0].z, i))
     ranks = [0] * n
     for r, i in enumerate(order):

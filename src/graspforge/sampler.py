@@ -20,8 +20,10 @@ loop over trials (frozen in `tests/oracles.sample_grasps_reference`):
 - Each unordered pair is judged at its first draw only, kept or not
   (`np.unique` with `return_index`); i == j is no pair.
 - Distances are `sqrt(np.vecdot(v, v))`: the BLAS dot and square root that
-  `np.linalg.norm` of a 2-vector computes. The friction-cone dots are
-  `np.vecdot` as well, the same BLAS dot as a 2-vector `@`.
+  `np.linalg.norm` of a 2-vector computes. A pose's width is the search's
+  `dist * pitch`, the bytes of the loop's `np.linalg.norm(v) * pitch`. The
+  friction-cone dots are `np.vecdot` as well, the same BLAS dot as a
+  2-vector `@`.
 - The cone test keeps `math.acos`: `np.arccos` differs from it in the last
   bit on about one input in eleven, which flips pairs at the cone's edge.
 """
@@ -88,79 +90,42 @@ class GraspPose:
             raise DegenerateInput("theta must lie in [0, pi)")
 
 
-@dataclass(frozen=True)
-class ContactPair:
-    """Opposing contact candidates in the image plane.
-
-    c1/c2 are pixel coordinates, d1/d2 their depths; n1/n2 unit in-plane
-    surface normals pointing off the near surface; g1 the unit closing
-    direction from c1 toward c2 and g2 its negation. The fields may also
-    hold stacks of m pairs, (m, 2) and (m,) arrays.
-    """
-
-    c1: np.ndarray
-    c2: np.ndarray
-    d1: float
-    d2: float
-    n1: np.ndarray
-    n2: np.ndarray
-    g1: np.ndarray
-    g2: np.ndarray
-
-
-def force_closure_check(pair: ContactPair, f: float) -> bool | np.ndarray:
-    """Both contacts must see the closing line inside their friction cone:
-    angle(n, -g) < arctan(f) at each side, strictly. A pair of stacks gets
-    a bool array, one answer per row."""
-    if f <= 0.0:
-        raise DegenerateInput("friction must be positive")
+def _inside_cones(n1: np.ndarray, n2: np.ndarray, g1: np.ndarray, f: float) -> np.ndarray:
+    """Row k: both contacts see the closing line inside their friction cone,
+    angle(n, -g) < arctan(f) at each side, strictly. n1, n2 are the unit
+    in-plane normals of the two contacts, g1 the unit closing direction
+    from the first toward the second, and -g1 the second's."""
     limit = math.atan(f)
-    cos1 = np.clip(-np.vecdot(pair.n1, pair.g1), -1.0, 1.0)
-    cos2 = np.clip(-np.vecdot(pair.n2, pair.g2), -1.0, 1.0)
-    inside = [math.acos(a) < limit and math.acos(b) < limit
-              for a, b in zip(np.ravel(cos1).tolist(), np.ravel(cos2).tolist())]
-    return np.array(inside, dtype=bool) if np.ndim(cos1) else inside[0]
+    cos1 = np.clip(-np.vecdot(n1, g1), -1.0, 1.0).tolist()
+    cos2 = np.clip(-np.vecdot(n2, -g1), -1.0, 1.0).tolist()
+    return np.array([math.acos(a) < limit and math.acos(b) < limit
+                     for a, b in zip(cos1, cos2)], dtype=bool)
 
 
-def estimate_grasp_width(pair: ContactPair, pitch: float) -> float:
-    """Contact separation in mm: pixel distance scaled by pitch."""
-    d = float(np.linalg.norm(np.asarray(pair.c2, float) - np.asarray(pair.c1, float)))
-    if d == 0.0:
-        raise DegenerateInput("coincident contacts")
-    return d * pitch
-
-
-def grasp_from_pair(pair: ContactPair, img: DepthImage, cfg: SamplerConfig) -> GraspPose:
-    """Pose from a contact pair; symmetric under c1/c2 swap.
+def _candidate(c1: np.ndarray, c2: np.ndarray, d1: float, d2: float, w: float,
+               img: DepthImage, cfg: SamplerConfig) -> tuple[GraspPose, Patch]:
+    """Pose and patch of the contacts at pixels c1, c2 with depths d1, d2,
+    w mm apart; symmetric under a c1/c2 swap.
 
     World frame: origin under the image center, x right, y up, z off the
     floor. z engages ENGAGE_DEPTH below the shallower contact surface.
     """
-    c1 = np.asarray(pair.c1, float)
-    c2 = np.asarray(pair.c2, float)
     mid = (c1 + c2) / 2.0
     x = (mid[0] - (img.width - 1) / 2.0) * img.pitch
     y = ((img.height - 1) / 2.0 - mid[1]) * img.pitch
-    surface = cfg.camera_height - min(pair.d1, pair.d2)
-    z = max(surface - ENGAGE_DEPTH, 0.0)
+    z = max(cfg.camera_height - min(d1, d2) - ENGAGE_DEPTH, 0.0)
     v = c2 - c1
     # canonical half-plane so c1/c2 swap folds to the identical angle
     if v[1] > 0.0 or (v[1] == 0.0 and v[0] < 0.0):
         v = -v
     theta = math.atan2(-v[1], v[0])             # image y runs downward
-    return GraspPose(x=x, y=y, z=z, theta=theta,
-                     w=estimate_grasp_width(pair, img.pitch))
-
-
-def _crop_for(pair: ContactPair, pose: GraspPose, img: DepthImage,
-              cfg: SamplerConfig) -> Patch:
-    mid = (np.asarray(pair.c1, float) + np.asarray(pair.c2, float)) / 2.0
     # crop angle is in pixel axes; world theta flips the y sense
-    return crop_rotated(img, (mid[0], mid[1]), -pose.theta, cfg.patch_size)
+    return (GraspPose(x=x, y=y, z=z, theta=theta, w=w),
+            crop_rotated(img, (mid[0], mid[1]), -theta, cfg.patch_size))
 
 
 def sample_grasps(img: DepthImage, cfg: SamplerConfig,
-                  rng: np.random.Generator) -> list[tuple[GraspPose, ContactPair, Patch]]:
+                  rng: np.random.Generator) -> list[tuple[GraspPose, Patch]]:
     """Draw up to cfg.n force-closure candidates from one depth image.
 
     Deterministic per rng state. Raises NoCandidates when nothing survives;
@@ -187,27 +152,17 @@ def sample_grasps(img: DepthImage, cfg: SamplerConfig,
     width = dist * proc.pitch
     near = ((width <= W_MAX) & (width >= MIN_PAIR_SEPARATION)
             & (np.abs(edges.depth[i] - edges.depth[j]) <= DEPTH_PAIR_TOL))
-    trials, i, j = trials[near], i[near], j[near]
+    trials, i, j, width = trials[near], i[near], j[near], width[near]
     g1 = v[near] / dist[near, None]
-    closed = force_closure_check(
-        ContactPair(c1=edges.xy[i], c2=edges.xy[j], d1=edges.depth[i], d2=edges.depth[j],
-                    n1=edges.normal[i], n2=edges.normal[j], g1=g1, g2=-g1), cfg.f)
-    hits = np.flatnonzero(closed)[:cfg.n].tolist()
+    hits = np.flatnonzero(_inside_cones(edges.normal[i], edges.normal[j], g1, cfg.f))[:cfg.n]
     if len(hits) == cfg.n:
         # The search stops after the n-th hit: draw only the trials up to it.
         rng.bit_generator.state = state
         rng.integers(0, m, size=(int(trials[hits[-1]]) + 1, 2))
 
-    out: list[tuple[GraspPose, ContactPair, Patch]] = []
-    for k in hits:
-        a, b = i[k], j[k]
-        pair = ContactPair(c1=edges.xy[a].copy(), c2=edges.xy[b].copy(),
-                           d1=float(edges.depth[a]), d2=float(edges.depth[b]),
-                           n1=edges.normal[a].copy(), n2=edges.normal[b].copy(),
-                           g1=g1[k].copy(), g2=-g1[k])
-        pose = grasp_from_pair(pair, proc, cfg)
-        out.append((pose, pair, _crop_for(pair, pose, proc, cfg)))
-
+    depth = edges.depth.tolist()
+    out = [_candidate(edges.xy[a], edges.xy[b], depth[a], depth[b], w, proc, cfg)
+           for a, b, w in zip(i[hits].tolist(), j[hits].tolist(), width[hits].tolist())]
     if not out:
         raise NoCandidates("no force-closure pair found")
     out.sort(key=lambda t: (t[0].z, t[0].x, t[0].y))

@@ -286,12 +286,14 @@ class DatasetConfig:
         if self.grasps_per_scene < 1:
             raise DegenerateInput("grasps_per_scene must be at least 1")
         f_lo, f_hi = self.friction_range
-        if not 0.0 < f_lo <= f_hi:
-            raise DegenerateInput("friction_range must satisfy 0 < lo <= hi")
+        if not 0.0 < f_lo <= f_hi < math.inf:
+            raise DegenerateInput("friction_range must satisfy 0 < lo <= hi < inf")
         if self.resample_attempts < 1:
             raise DegenerateInput("resample_attempts must be at least 1")
         if not 0.0 <= self.gauss_sigma < math.inf:
             raise DegenerateInput("gauss_sigma must be finite and non-negative")
+        if not 0.0 <= self.salt_pepper_frac <= 0.1:
+            raise DegenerateInput("salt_pepper_frac must be in [0, 0.1]")
 
 
 def _scene_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -323,7 +325,7 @@ def settle_plan(cfg: DatasetConfig, plan: dict) -> Scene:
 def sample_scene(cfg: DatasetConfig, scene: Scene, plan: dict) -> list:
     """Render the scene, then add noise and sample grasps from plan["rng"],
     drawing fresh noise after each empty try. Returns the sampler's
-    (pose, pair, patch) candidates; raises NoCandidates once
+    (pose, patch) candidates; raises NoCandidates once
     cfg.resample_attempts tries have all come back empty."""
     img = render_depth(scene, cfg.camera)
     scfg = SamplerConfig(n=cfg.grasps_per_scene, f=plan["f"], patch_size=cfg.patch_size,
@@ -351,7 +353,7 @@ def candidate_rows(index: int, candidates) -> list[dict]:
     command stores it: the indices, the pose fields and the patch."""
     return [{"scene_index": index, "candidate_index": j, "x": pose.x, "y": pose.y,
              "z": pose.z, "theta": pose.theta, "w": pose.w, "patch": patch}
-            for j, (pose, _, patch) in enumerate(candidates)]
+            for j, (pose, patch) in enumerate(candidates)]
 
 
 def label_row(cfg: DatasetConfig, scene: Scene, plan: dict, cand: dict) -> dict:

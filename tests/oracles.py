@@ -13,7 +13,7 @@ gradient; `augment_reference`, training's flip augmentation as it stood
 while it copied each sample into four new ones; `sample_grasps_reference`, the grasp sampler with its
 bilateral filter, edge detector, normal fit, rotated crop and friction-cone
 test as they stood while each was a Python loop over pixels, points and
-pair trials; `settle_scene_reference`, pile settling as it stood while
+pair trials, each trial a `ContactPair`; `settle_scene_reference`, pile settling as it stood while
 every topple lift re-found its blocking pairs, run on `gjk_world_reference`;
 and `execute_grasp_reference`, the grasp oracle as it stood while every call
 posed the scene's pieces afresh.
@@ -39,8 +39,7 @@ from graspforge.geometry import ConvexPiece, GjkResult, Pose3, TriMesh, gjk_worl
 from graspforge.model import QualityNet, init_net
 from graspforge.sampler import (
     BILATERAL_RANGE, BILATERAL_SPATIAL, DEPTH_PAIR_TOL, ENGAGE_DEPTH, GRAD_THRESHOLD,
-    MAX_PAIR_TRIALS, MIN_PAIR_SEPARATION, NORMAL_RADIUS, W_MAX, ContactPair, GraspPose,
-    SamplerConfig,
+    MAX_PAIR_TRIALS, MIN_PAIR_SEPARATION, NORMAL_RADIUS, W_MAX, GraspPose, SamplerConfig,
 )
 from graspforge.scene import (
     CONTACT_EPS, SUPPORT_TOL, BinSpec, Camera, CableSpec, PlacedCable, Scene,
@@ -794,6 +793,25 @@ def _ref_crop_rotated(img: DepthImage, center: tuple[float, float], theta: float
     return Patch(data=(sampled - center_depth).astype(np.float32), pitch=img.pitch)
 
 
+@dataclass(frozen=True)
+class ContactPair:
+    """Opposing contact candidates in the image plane.
+
+    c1/c2 are pixel coordinates, d1/d2 their depths; n1/n2 unit in-plane
+    surface normals pointing off the near surface; g1 the unit closing
+    direction from c1 toward c2 and g2 its negation.
+    """
+
+    c1: np.ndarray
+    c2: np.ndarray
+    d1: float
+    d2: float
+    n1: np.ndarray
+    n2: np.ndarray
+    g1: np.ndarray
+    g2: np.ndarray
+
+
 def force_closure_check_reference(pair: ContactPair, f: float) -> bool:
     """The friction-cone test for one pair, with its `math.acos`."""
     if f <= 0.0:
@@ -838,9 +856,10 @@ def _ref_crop_for(pair: ContactPair, pose: GraspPose, img: DepthImage,
 
 
 def sample_grasps_reference(img: DepthImage, cfg: SamplerConfig,
-                            rng: np.random.Generator) -> list[tuple[GraspPose, ContactPair, Patch]]:
-    """The grasp sampler in its per-item loop form; `sample_grasps` must
-    return the same candidates and draw the same numbers from rng."""
+                            rng: np.random.Generator) -> list[tuple[GraspPose, Patch]]:
+    """The grasp sampler in its per-item loop form, one `ContactPair` per
+    trial; `sample_grasps` must return the same (pose, patch) candidates and
+    draw the same numbers from rng."""
     proc = downsample(img, cfg.downsample_factor)
     proc = _ref_bilateral_filter(proc, BILATERAL_SPATIAL, BILATERAL_RANGE)
     edges = _ref_estimate_normals(_ref_detect_edges(proc, GRAD_THRESHOLD), NORMAL_RADIUS)
@@ -851,7 +870,7 @@ def sample_grasps_reference(img: DepthImage, cfg: SamplerConfig,
     depths = np.array([e.depth for e in edges])
     normals = np.array([e.normal for e in edges])
 
-    out: list[tuple[GraspPose, ContactPair, Patch]] = []
+    out: list[tuple[GraspPose, Patch]] = []
     seen: set[tuple[int, int]] = set()
     for _ in range(MAX_PAIR_TRIALS):
         if len(out) >= cfg.n:
@@ -878,7 +897,7 @@ def sample_grasps_reference(img: DepthImage, cfg: SamplerConfig,
         if not force_closure_check_reference(pair, cfg.f):
             continue
         pose = _ref_grasp_from_pair(pair, proc, cfg)
-        out.append((pose, pair, _ref_crop_for(pair, pose, proc, cfg)))
+        out.append((pose, _ref_crop_for(pair, pose, proc, cfg)))
 
     if not out:
         raise NoCandidates("no force-closure pair found")

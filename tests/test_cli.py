@@ -330,6 +330,31 @@ class TestErrors:
             sample_and_label_fail(capsys, listing, chain / "candidates.idx",
                                   tmp_path / "out", "DegenerateInput", listing)
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["scenes"].__setitem__(1, d["scenes"][0]),          # index twice
+        lambda d: d.update(scene_count=1, scenes=d["scenes"][1:]),     # index 1 of 1
+        lambda d: d.update(scene_count="many"),
+        lambda d: d.update(scene_count=True),
+        lambda d: d.update(scene_count=-2),
+        lambda d: d["skipped"].update(overfilled=None),
+        lambda d: d["skipped"].update(overfilled=1),                   # 2 + 1 != 2
+        lambda d: d.update(scene_count=3),                             # 2 + 0 != 3
+    ], ids=["duplicate", "out_of_range", "count_str", "count_bool", "count_negative",
+            "overfilled_null", "overfilled_extra", "count_short"])
+    def test_listing_counts_and_indices(self, capsys, chain, tmp_path, edit):
+        """A listing whose scene_count or overfilled count is not a
+        non-negative integer, whose entries and overfilled scenes do not add
+        up to scene_count, or whose index repeats or lies outside
+        [0, scene_count) fails sample and label, naming the listing; label
+        would otherwise copy the counts into the dataset summary."""
+        listing = tmp_path / "scenes/scenes.json"
+        shutil.copytree(chain / "scenes", listing.parent)
+        bad = json.loads(listing.read_text())
+        edit(bad)
+        listing.write_text(json.dumps(bad))
+        sample_and_label_fail(capsys, listing, chain / "candidates.idx",
+                              tmp_path / "out", "DegenerateInput", listing)
+
     def test_bad_report_inputs(self, capsys, tmp_path):
         stats = tmp_path / "stats.json"
         metrics = tmp_path / "metrics.csv"
@@ -360,6 +385,26 @@ class TestErrors:
             assert rc == 1, sigma
             assert out["error"] == "DegenerateInput"
             assert "gauss_sigma" in out["detail"]
+
+
+    @pytest.mark.parametrize("argv, named", [
+        (["make-scenes", "--master-seed", "-1"], "master_seed"),
+        (["evaluate", "--policy", "random", "--master-seed", "-1"], "master_seed"),
+        (["train", "--dataset", "none.idx", "--train-seed", "-1"], "seed"),
+        (["make-scenes", "--friction-max", "inf"], "friction_range"),
+        (["train", "--dataset", "none.idx", "--lr", "nan"], "learning rate"),
+        (["train", "--dataset", "none.idx", "--lr", "inf"], "learning rate"),
+        (["make-scenes", "--salt-pepper-frac", "0.5"], "salt_pepper_frac"),
+    ], ids=["master_seed", "master_seed_evaluate", "train_seed", "friction_max", "lr_nan",
+            "lr_inf", "salt_pepper_frac"])
+    def test_config_value_rejected_when_built(self, capsys, tmp_path, argv, named):
+        """A config value that would end in a traceback, or fail only after
+        the work it configures (an `lr` of nan trains every epoch, a
+        `salt_pepper_frac` of 0.5 passes make-scenes), fails as the command
+        builds its configuration."""
+        rc, out = run(capsys, *argv, "--out", str(tmp_path))
+        assert (rc, out.get("error")) == (1, "DegenerateInput")
+        assert named in out["detail"]
 
 
 class TestStagedChain:

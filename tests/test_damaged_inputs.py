@@ -1,19 +1,22 @@
 """Every staged artifact, truncated, with a byte flipped or deleted, ends the
 command that reads it with exit 0 or a named error (exit 1), never a
 traceback; a deleted one is DatasetNotFound. So does every JSON artifact
-with one leaf value retyped."""
+with one leaf value retyped, and every numeric config value set to nan, inf
+or -1."""
 
 import contextlib
 import io
 import json
 import math
 import warnings
+from dataclasses import fields
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graspforge.cli import dispatch
+from graspforge.config import RunConfig
 
 # one scene of two cables; this seed labels both classes, so train and
 # evaluate run to the end on the undamaged chain
@@ -136,3 +139,27 @@ def test_retyped_leaf_is_a_named_error(chain, artifact, at, value):
     finally:
         path.write_text(good)
     assert rc in (0, 1), out
+
+
+# numeric RunConfig key -> the first command of the chain that uses it
+KEY_READERS = {
+    **dict.fromkeys(("master_seed", "scene_count", "cable_count_min", "cable_count_max",
+                     "friction_min", "friction_max"), ["make-scenes"]),
+    **dict.fromkeys(("grasps_per_scene", "gauss_sigma", "salt_pepper_frac", "patch_size",
+                     "resample_attempts"), READERS["scenes/scenes.json"]),
+    **dict.fromkeys(("epochs", "batch_size", "lr", "val_fraction", "train_seed"),
+                    READERS["dataset.idx"]),
+    **dict.fromkeys(("lam", "trials", "eval_cable_min", "eval_cable_max",
+                     "candidates_per_scene"), READERS["qualitynet.gfqn"]),
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("key", [f.name for f in fields(RunConfig) if f.type in ("int", "float")])
+def test_bad_config_number_is_a_named_error(chain, key, value):
+    """A numeric config value of nan, inf or -1 ends the first command that
+    uses it with exit 0 or a named error, never a traceback."""
+    argv = [a.format(chain) for a in KEY_READERS[key]]
+    rc, out = run(argv + ["--out", str(chain / "out")] + BASE
+                  + ["--" + key.replace("_", "-"), value])
+    assert rc in (0, 1) and out, out

@@ -20,7 +20,7 @@ from oracles import zeros_net
 def make_candidate(x=0.0, y=0.0, z=5.0, patch_fill=0.0, size=16):
     pose = GraspPose(x=x, y=y, z=z, theta=0.0, w=8.0)
     data = np.full((size, size), patch_fill, dtype=np.float32)
-    return (pose, None, Patch(data=data, pitch=0.5))
+    return (pose, Patch(data=data, pitch=0.5))
 
 
 def passthrough_net(size=16):
@@ -252,11 +252,9 @@ class TestEvaluatePolicy:
             yaw = math.atan2(u[1], u[0])
             theta = (yaw + math.pi / 2) % math.pi
             good = (GraspPose(x=cx, y=cy, z=3.0, theta=theta, w=8.0),
-                    None, Patch(data=np.zeros((64, 64), dtype=np.float32),
-                                pitch=0.5))
+                    Patch(data=np.zeros((64, 64), dtype=np.float32), pitch=0.5))
             decoy = (GraspPose(x=cx + 60.0, y=cy, z=0.5, theta=0.0, w=8.0),
-                     None, Patch(data=np.zeros((64, 64), dtype=np.float32),
-                                 pitch=0.5))
+                     Patch(data=np.zeros((64, 64), dtype=np.float32), pitch=0.5))
             picked = select_cgcnn([decoy, good], net, 0.2)
             assert picked is good[0]
             out = execute_grasp(scene, picked, 0.4)

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from graspforge.depthproc import DepthImage, add_noise
+from graspforge.depthproc import (
+    DepthImage, add_noise, bilateral_filter, detect_edges, estimate_normals,
+)
 from graspforge.errors import DegenerateInput, NoCandidates
 from graspforge.sampler import (
-    ENGAGE_DEPTH, MAX_PAIR_TRIALS, W_MAX, ContactPair, GraspPose, SamplerConfig,
-    estimate_grasp_width, force_closure_check, grasp_from_pair, sample_grasps,
+    BILATERAL_RANGE, BILATERAL_SPATIAL, ENGAGE_DEPTH, GRAD_THRESHOLD, MAX_PAIR_TRIALS,
+    MIN_PAIR_SEPARATION, NORMAL_RADIUS, W_MAX, GraspPose, SamplerConfig, _candidate,
+    _inside_cones, sample_grasps,
 )
 from graspforge.scene import BinSpec, CableSpec, Camera, render_depth, settle_scene
 from graspforge.simlab import DatasetConfig, scene_plan, settle_plan
@@ -19,9 +22,34 @@ def make_pair(c1, c2, n1, n2, d1=60.0, d2=60.0):
     c1 = np.asarray(c1, float)
     c2 = np.asarray(c2, float)
     g1 = (c2 - c1) / np.linalg.norm(c2 - c1)
-    return ContactPair(c1=c1, c2=c2, d1=d1, d2=d2,
-                       n1=np.asarray(n1, float), n2=np.asarray(n2, float),
-                       g1=g1, g2=-g1)
+    return oracles.ContactPair(c1=c1, c2=c2, d1=d1, d2=d2,
+                               n1=np.asarray(n1, float), n2=np.asarray(n2, float),
+                               g1=g1, g2=-g1)
+
+
+def closes(pair, f) -> bool:
+    """The sampler's cone test on one pair."""
+    return bool(_inside_cones(pair.n1[None], pair.n2[None], pair.g1[None], f)[0])
+
+
+def candidate(c1, c2, d1=60.0, d2=60.0):
+    """The sampler's pose and patch for contacts at pixels c1, c2 of a
+    flat image."""
+    img = flat_image()
+    c1, c2 = np.asarray(c1, float), np.asarray(c2, float)
+    return _candidate(c1, c2, d1, d2, math.dist(c1, c2) * img.pitch, img, SamplerConfig())
+
+
+def contacts(pose, img) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The two contact pixels a pose was built from: its center, axis and
+    width mapped back into the image, each within 1e-6 px of a pixel."""
+    mid = np.array([pose.x / img.pitch + (img.width - 1) / 2.0,
+                    (img.height - 1) / 2.0 - pose.y / img.pitch])
+    half = pose.w / img.pitch / 2.0 * np.array([math.cos(pose.theta), -math.sin(pose.theta)])
+    ends = [mid - half, mid + half]
+    for end in ends:
+        assert np.abs(end - np.round(end)).max() < 1e-6
+    return tuple(tuple(int(c) for c in np.round(end)) for end in ends)
 
 
 def rot2(deg):
@@ -47,6 +75,13 @@ def flat_image(depth=70.0, size=100):
     return DepthImage(data=np.full((size, size), depth, np.float32), pitch=0.5)
 
 
+def disk_image(pitch=0.5):
+    """A small disk of about 30 edge points, so most trials repeat a pair."""
+    yy, xx = np.mgrid[0:40, 0:40]
+    data = np.where(np.hypot(xx - 19.5, yy - 19.5) < 6, 50.0, 70.0)
+    return DepthImage(data=data.astype(np.float32), pitch=pitch)
+
+
 def theta_dev(theta, perp):
     d = abs(theta - perp) % math.pi
     return min(d, math.pi - d)
@@ -55,26 +90,26 @@ def theta_dev(theta, perp):
 class TestForceClosure:
     def test_perfectly_antipodal(self):
         pair = make_pair((0, 0), (16, 0), n1=(-1, 0), n2=(1, 0))
-        assert force_closure_check(pair, 0.5)
+        assert closes(pair, 0.5)
 
     def test_tangential_contact_fails(self):
         pair = make_pair((0, 0), (16, 0), n1=(0, 1), n2=(1, 0))
-        assert not force_closure_check(pair, 10.0)
+        assert not closes(pair, 10.0)
 
     def test_20_degree_misalignment_threshold(self):
         # arctan(0.5) = 26.57 deg admits 20 deg; arctan(0.1) = 5.71 does not
         n1 = rot2(20.0) @ np.array([-1.0, 0.0])
         n2 = rot2(20.0) @ np.array([1.0, 0.0])
         pair = make_pair((0, 0), (16, 0), n1=n1, n2=n2)
-        assert force_closure_check(pair, 0.5)
-        assert not force_closure_check(pair, 0.1)
+        assert closes(pair, 0.5)
+        assert not closes(pair, 0.1)
 
     def test_boundary_is_strict(self):
         f = 0.5
         exact = math.atan(f)
         n1 = rot2(math.degrees(exact)) @ np.array([-1.0, 0.0])
         pair = make_pair((0, 0), (16, 0), n1=n1, n2=(1, 0))
-        assert not force_closure_check(pair, f)
+        assert not closes(pair, f)
 
     def test_stack_matches_reference_at_the_cone_edge(self):
         # cosines within a few ulps of cos(arctan f), where math.acos and
@@ -85,82 +120,61 @@ class TestForceClosure:
             n1 = np.stack([-cos, np.sqrt(1.0 - cos * cos)], axis=1)
             g1 = np.tile([1.0, 0.0], (len(cos), 1))
             pairs = [make_pair((0, 0), (16, 0), n1=n, n2=-n) for n in n1]
-            stack = ContactPair(c1=np.zeros_like(g1), c2=16.0 * g1, d1=np.full(len(cos), 60.0),
-                                d2=np.full(len(cos), 60.0), n1=n1, n2=-n1, g1=g1, g2=-g1)
             want = [oracles.force_closure_check_reference(p, f) for p in pairs]
-            assert force_closure_check(stack, f).tolist() == want
-            assert [force_closure_check(p, f) for p in pairs] == want
+            assert _inside_cones(n1, -n1, g1, f).tolist() == want
+            assert [closes(p, f) for p in pairs] == want
 
     def test_invalid_friction(self):
-        pair = make_pair((0, 0), (16, 0), n1=(-1, 0), n2=(1, 0))
-        with pytest.raises(DegenerateInput):
-            force_closure_check(pair, 0.0)
+        # the cone test has no check of its own: the config rejects f <= 0
+        for f in (0.0, -0.1):
+            with pytest.raises(DegenerateInput):
+                SamplerConfig(f=f)
 
 
 class TestGraspWidth:
-    def test_horizontal_pair(self):
-        pair = make_pair((0, 0), (20, 0), n1=(-1, 0), n2=(1, 0))
-        assert estimate_grasp_width(pair, 0.5) == pytest.approx(10.0)
-
-    def test_three_four_five(self):
-        pair = make_pair((0, 0), (3, 4), n1=(-1, 0), n2=(1, 0))
-        assert estimate_grasp_width(pair, 1.0) == pytest.approx(5.0)
-
     def test_matches_recomputation(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            c1 = rng.uniform(0, 100, 2)
-            c2 = rng.uniform(0, 100, 2)
-            if np.allclose(c1, c2):
-                continue
-            pitch = rng.uniform(0.1, 2.0)
-            pair = make_pair(c1, c2, n1=(-1, 0), n2=(1, 0))
-            want = math.hypot(*(c2 - c1)) * pitch
-            assert estimate_grasp_width(pair, pitch) == pytest.approx(want, rel=1e-12)
+        # a pose's width is its contacts' pixel distance times the pitch
+        for pitch in (0.5, 0.37):
+            img = cylinder_image(35.0, pitch=pitch)
+            cands = sample_grasps(img, SamplerConfig(n=100, f=0.5), np.random.default_rng(11))
+            assert len(cands) > 20
+            for pose, _ in cands:
+                c1, c2 = contacts(pose, img)
+                assert pose.w == pytest.approx(math.dist(c1, c2) * pitch, rel=1e-12)
 
     def test_coincident_rejected(self):
-        pair = make_pair((5, 5), (6, 6), n1=(-1, 0), n2=(1, 0))
-        bad = ContactPair(c1=pair.c1, c2=pair.c1, d1=60.0, d2=60.0,
-                          n1=pair.n1, n2=pair.n2, g1=pair.g1, g2=pair.g2)
-        with pytest.raises(DegenerateInput):
-            estimate_grasp_width(bad, 0.5)
+        # at 0.25 mm per pixel neighbouring edge points are closer than
+        # MIN_PAIR_SEPARATION: they never pair up
+        img = disk_image(pitch=0.25)
+        cands = sample_grasps(img, SamplerConfig(n=10_000, f=0.4), np.random.default_rng(6))
+        assert cands
+        assert min(pose.w for pose, _ in cands) >= MIN_PAIR_SEPARATION
 
 
 class TestPoseFromPair:
     def test_swap_gives_same_pose(self):
-        img = flat_image()
-        cfg = SamplerConfig()
-        a = make_pair((30, 40), (50, 61), n1=(-1, 0), n2=(1, 0), d1=62.0, d2=64.0)
-        b = make_pair((50, 61), (30, 40), n1=(1, 0), n2=(-1, 0), d1=64.0, d2=62.0)
-        pa = grasp_from_pair(a, img, cfg)
-        pb = grasp_from_pair(b, img, cfg)
+        pa, ta = candidate((30, 40), (50, 61), d1=62.0, d2=64.0)
+        pb, tb = candidate((50, 61), (30, 40), d1=64.0, d2=62.0)
         assert (pa.x, pa.y, pa.z, pa.theta, pa.w) == (pb.x, pb.y, pb.z, pb.theta, pb.w)
+        assert ta.data.tobytes() == tb.data.tobytes()
 
     def test_z_engages_below_shallower_contact(self):
-        img = flat_image()
-        cfg = SamplerConfig()
-        pair = make_pair((30, 40), (50, 40), n1=(-1, 0), n2=(1, 0), d1=58.0, d2=60.0)
-        pose = grasp_from_pair(pair, img, cfg)
+        pose, _ = candidate((30, 40), (50, 40), d1=58.0, d2=60.0)
         # shallower contact depth 58 -> surface at 12; engage 5 below
         assert pose.z == pytest.approx(12.0 - ENGAGE_DEPTH)
 
     def test_z_never_below_floor(self):
-        img = flat_image()
-        pair = make_pair((30, 40), (50, 40), n1=(-1, 0), n2=(1, 0),
-                         d1=69.0, d2=69.0)
-        pose = grasp_from_pair(pair, img, SamplerConfig())
+        pose, _ = candidate((30, 40), (50, 40), d1=69.0, d2=69.0)
         assert pose.z == 0.0
 
     def test_theta_in_range(self):
-        img = flat_image()
-        cfg = SamplerConfig()
         rng = np.random.default_rng(3)
         for _ in range(100):
             c1 = rng.uniform(5, 90, 2)
             c2 = rng.uniform(5, 90, 2)
             if np.allclose(c1, c2):
                 continue
-            pose = grasp_from_pair(make_pair(c1, c2, (-1, 0), (1, 0)), img, cfg)
+            pose, _ = candidate(c1, c2)
             assert 0.0 <= pose.theta < math.pi
 
     def test_grasp_pose_validation(self):
@@ -185,7 +199,7 @@ class TestSampleGrasps:
         assert len(cands) > 50
         perp = math.radians(120.0) % math.pi
         bound = math.atan(0.5) + math.radians(3.0)  # slack for normal fits
-        for pose, pair, _ in cands:
+        for pose, _ in cands:
             assert 7.0 <= pose.w <= 10.0
             assert theta_dev(pose.theta, perp) < bound
 
@@ -199,7 +213,7 @@ class TestSampleGrasps:
         axis = np.linalg.svd(v[:, :2] - v[:, :2].mean(0))[2][0]
         perp = (math.atan2(axis[1], axis[0]) + math.pi / 2.0) % math.pi
         bound = math.atan(0.5) + math.radians(3.0)
-        for pose, _, _ in cands:
+        for pose, _ in cands:
             assert 7.0 <= pose.w <= 10.0
             assert theta_dev(pose.theta, perp) < bound
 
@@ -214,27 +228,30 @@ class TestSampleGrasps:
         cands = sample_grasps(img, SamplerConfig(n=500, f=0.5),
                               np.random.default_rng(3))
         H = img.height
-        for _, pair, _ in cands:
-            y1 = ((H - 1) / 2.0 - pair.c1[1]) * img.pitch
-            y2 = ((H - 1) / 2.0 - pair.c2[1]) * img.pitch
+        for pose, _ in cands:
+            y1, y2 = (((H - 1) / 2.0 - c[1]) * img.pitch for c in contacts(pose, img))
             assert (y1 > 0) == (y2 > 0)
 
     def test_emitted_candidates_repass_closure(self):
         img = cylinder_image(75.0)
         cfg = SamplerConfig(n=200, f=0.3)
         cands = sample_grasps(img, cfg, np.random.default_rng(8))
-        for _, pair, _ in cands:
-            assert force_closure_check(pair, cfg.f)
-            assert np.linalg.norm(pair.n1) == pytest.approx(1.0)
-            assert np.linalg.norm(pair.g1 + pair.g2) == 0.0
+        proc = bilateral_filter(img, BILATERAL_SPATIAL, BILATERAL_RANGE)
+        edges = estimate_normals(detect_edges(proc, GRAD_THRESHOLD), NORMAL_RADIUS)
+        normal = {tuple(int(c) for c in xy): n for xy, n in zip(edges.xy, edges.normal)}
+        for pose, _ in cands:
+            c1, c2 = contacts(pose, img)
+            g1 = np.subtract(c2, c1) / math.dist(c1, c2)
+            assert np.linalg.norm(normal[c1]) == pytest.approx(1.0)
+            assert _inside_cones(normal[c1][None], normal[c2][None], g1[None], cfg.f)[0]
 
     def test_widths_capped_and_sorted(self):
         img = cylinder_image(10.0)
         cfg = SamplerConfig(n=150, f=0.5)
         cands = sample_grasps(img, cfg, np.random.default_rng(4))
-        keys = [(p.z, p.x, p.y) for p, _, _ in cands]
+        keys = [(p.z, p.x, p.y) for p, _ in cands]
         assert keys == sorted(keys)
-        assert all(p.w <= W_MAX for p, _, _ in cands)
+        assert all(p.w <= W_MAX for p, _ in cands)
 
     def test_friction_shrinks_candidates(self):
         img = cylinder_image(30.0)
@@ -242,7 +259,7 @@ class TestSampleGrasps:
         for f in (0.1, 0.3, 0.5):
             cands = sample_grasps(img, SamplerConfig(n=20000, f=f),
                                   np.random.default_rng(7))
-            sets[f] = {(tuple(pr.c1), tuple(pr.c2)) for _, pr, _ in cands}
+            sets[f] = {(p.x, p.y, p.theta, p.w) for p, _ in cands}
         assert sets[0.1] <= sets[0.3] <= sets[0.5]
         assert len(sets[0.1]) < len(sets[0.5])
 
@@ -252,7 +269,7 @@ class TestSampleGrasps:
         img = cylinder_image(30.0)
         cands = sample_grasps(img, SamplerConfig(n=120, f=0.5),
                               np.random.default_rng(2))
-        for pose, _, patch in cands:
+        for pose, patch in cands:
             d = patch.data
             mid = d.shape[0] // 2
             probe = int(round(pose.w / 2.0 / patch.pitch + 3))
@@ -266,9 +283,8 @@ class TestSampleGrasps:
         a = sample_grasps(img, cfg, np.random.default_rng(42))
         b = sample_grasps(img, cfg, np.random.default_rng(42))
         assert len(a) == len(b)
-        for (pa, ra, ta), (pb, rb, tb) in zip(a, b):
+        for (pa, ta), (pb, tb) in zip(a, b):
             assert pa == pb
-            assert ra.c1.tobytes() == rb.c1.tobytes()
             assert ta.data.tobytes() == tb.data.tobytes()
 
     def test_candidate_cap(self):
@@ -301,9 +317,8 @@ def sampler_run(sample, img, cfg, seed):
     poses and bytes (or the exception) and the rng state afterwards."""
     rng = np.random.default_rng(seed)
     try:
-        out = [(pose, [a.tobytes() for a in (pr.c1, pr.c2, pr.n1, pr.n2, pr.g1, pr.g2)],
-                pr.d1, pr.d2, patch.data.tobytes(), patch.pitch)
-               for pose, pr, patch in sample(img, cfg, rng)]
+        out = [(pose, patch.data.tobytes(), patch.pitch)
+               for pose, patch in sample(img, cfg, rng)]
     except NoCandidates as exc:
         out = (type(exc), str(exc))
     return out, rng.bit_generator.state
@@ -342,9 +357,7 @@ class TestBitIdentity:
 
     def test_repeated_pairs_match_reference(self):
         # a small disk has about 30 edge points, so most trials repeat a pair
-        yy, xx = np.mgrid[0:40, 0:40]
-        data = np.where(np.hypot(xx - 19.5, yy - 19.5) < 6, 50.0, 70.0)
-        img = DepthImage(data=data.astype(np.float32), pitch=0.5)
+        img = disk_image()
         for n, stops_early in ((30, True), (10_000, False)):
             cfg = SamplerConfig(n=n, f=0.4)
             got = sampler_run(sample_grasps, img, cfg, 50)

@@ -246,7 +246,7 @@ class TestOracleReference:
         reasons = set()
         for seed, index in ((0, 0), (1, 1), (2, 2)):
             scene, cands, plan = scene_candidates(cfg, seed, index)
-            for pose, _, _ in cands:
+            for pose, _ in cands:
                 got = outcome(execute_grasp(scene, pose, plan["f"]))
                 assert got == outcome(oracles.execute_grasp_reference(scene, pose, plan["f"]))
                 reasons.add(got[1])
