@@ -13,6 +13,16 @@ pass must keep each float operation and its order. The backward pass never
 forms conv1's input gradient, the gradient of the image, as no parameter
 reads it.
 
+Each sample's conv -> ReLU -> pool chain, forward and backward, depends on
+no other sample. So the three conv stages run over contiguous spans of the
+batch, one span per usable core, each in chunks of a few samples; the spans
+write per-sample results into whole-batch arrays. The batch reductions run
+once on those arrays after every span has ended: each conv weight gradient
+sums its per-sample products over the batch axis, and each bias gradient
+sums the whole output gradient. The depthwise block, pointwise layer, GAP
+and fc head run on the whole batch. No float operation moves between
+samples, so the bytes do not depend on the core count.
+
 Training minimizes class-weighted binary cross-entropy with per-class
 weights from the label distribution, on a stratified split of the stacked
 patches. Optional augmentation flips the stacked training block 4 ways, in
@@ -24,7 +34,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,16 +45,23 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateInput, ShapeMismatch, SingleClass
 from .fileio import atomic_write, read_input
-from .simlab import ClassWeights, class_weights
+from .simlab import ClassWeights, check_patch_size, class_weights
 
 _MAGIC = b"GFQN"
 _VERSION = 1
 _EPS_CLAMP = 1e-7
-_MIN_SIZE = 8    # three halvings need the input side divisible by 8
 # Adam moment decay rates and denominator guard
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# the conv stages run over contiguous spans of the batch, one per usable
+# core: the calling thread takes the first span and this pool the others.
+# Its threads start on first use, so one core starts none.
+_CORES = len(os.sched_getaffinity(0))
+_POOL = ThreadPoolExecutor(max_workers=max(_CORES - 1, 1))
+# samples per pass inside a span, so that a chunk's full-resolution
+# activations stay in the core's cache
+_CHUNK = 4
 
 # parameter tensor shapes, fixed given the input size
 _PARAM_SHAPES = (
@@ -63,8 +82,7 @@ class QualityNet:
     params: list
 
     def __post_init__(self):
-        if self.size < _MIN_SIZE or self.size % 8 != 0:
-            raise DegenerateInput("input size must be a positive multiple of 8")
+        check_patch_size(self.size)
         if len(self.params) != len(_PARAM_SHAPES):
             raise ShapeMismatch("wrong parameter count")
         for arr, (name, shape) in zip(self.params, _PARAM_SHAPES):
@@ -120,15 +138,6 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     return out.reshape(n, co, h, wd), cols
 
 
-def _conv_param_grads(dy: np.ndarray, cols: np.ndarray, w_shape):
-    """(dW, db) of a conv layer from its output gradient and forward im2col."""
-    n, co, h, wd = dy.shape
-    dyf = dy.reshape(n, co, h * wd)
-    dw = np.matmul(dyf, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w_shape)
-    db = dy.sum(axis=(0, 2, 3))
-    return dw, db
-
-
 def _conv_input_grad(dy: np.ndarray, w: np.ndarray) -> np.ndarray:
     # dX of a same-padded correlation is a same-padded correlation with the
     # spatially flipped, channel-transposed kernel
@@ -170,10 +179,10 @@ def _pool_forward(x: np.ndarray):
     return out, arg
 
 
-def _pool_relu_backward(dy: np.ndarray, arg: np.ndarray, mask: np.ndarray):
+def _pool_relu_backward(dy: np.ndarray, arg: np.ndarray, mask: np.ndarray,
+                        dx: np.ndarray) -> np.ndarray:
     """Gradient through the pool into each winning cell, +0.0 elsewhere,
-    then through the ReLU mask."""
-    dx = np.empty(mask.shape)
+    then through the ReLU mask; written into and returned as dx."""
     # a bitwise AND with all-ones or all-zeros picks dy's bytes or +0.0
     # without a data-dependent branch per element
     dx_bits = dx.view(np.int64)
@@ -185,19 +194,50 @@ def _pool_relu_backward(dy: np.ndarray, arg: np.ndarray, mask: np.ndarray):
     return dx
 
 
+def _spans(n: int) -> list[tuple[int, int]]:
+    """Contiguous (start, stop) spans of range(n), each a whole number of
+    chunks but the last, at most one per core."""
+    chunks = -(-n // _CHUNK)
+    k = min(_CORES, chunks)
+    edges = [min(j * chunks // k * _CHUNK, n) for j in range(k + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _fan_out(task, n: int) -> None:
+    """task(start, stop) over `_spans(n)`: the calling thread takes the first
+    span and the pool the others. Returns once every span has ended, and
+    raises the first span's error, else the first failed worker's."""
+    first, *rest = _spans(n)
+    futures = [_POOL.submit(task, *span) for span in rest]
+    try:
+        task(*first)
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
 def _forward_batch(net: QualityNet, x: np.ndarray):
     """Logits plus the cache needed for one backward pass; x is (N, S, S)."""
     p = [a.astype(np.float64) for a in net.params]
-    cache = {"acts": [], "p": p}
-    h = x.astype(np.float64)[:, None, :, :]
-    for i in range(3):
-        w, b = p[2 * i], p[2 * i + 1]
-        z, cols = _conv_forward(h, w, b)
-        mask = z > 0
-        z *= mask
-        h, arg = _pool_forward(z)
-        cache["acts"].append((cols, mask, arg))
-    z, win = _depthwise_forward(h, p[6], p[7])
+    n, s = x.shape[0], x.shape[-1]
+    # conv stage i reads ins[i] and writes its ReLU mask, its pool winners
+    # and ins[i + 1]; the spans fill these whole-batch arrays in place
+    ins = [x.astype(np.float64)[:, None, :, :]]
+    ins += [np.empty((n, 8, s >> i, s >> i)) for i in (1, 2, 3)]
+    masks = [np.empty((n, 8, s >> i, s >> i), dtype=bool) for i in (0, 1, 2)]
+    args = [np.empty((n, 8, s >> i, s >> i), dtype=np.int8) for i in (1, 2, 3)]
+
+    def conv_stages(start: int, stop: int) -> None:
+        for a in range(start, stop, _CHUNK):
+            b = min(a + _CHUNK, stop)
+            for i in range(3):
+                z, _ = _conv_forward(ins[i][a:b], p[2 * i], p[2 * i + 1])
+                z *= np.greater(z, 0, out=masks[i][a:b])
+                ins[i + 1][a:b], args[i][a:b] = _pool_forward(z)
+
+    _fan_out(conv_stages, n)
+    z, win = _depthwise_forward(ins[3], p[6], p[7])
     dw_mask = z > 0
     hd = z * dw_mask
     zp = np.einsum("nchw,kc->nkhw", hd, p[8], optimize=True) + p[9][None, :, None, None]
@@ -205,8 +245,9 @@ def _forward_batch(net: QualityNet, x: np.ndarray):
     hp = zp * pw_mask
     pooled = hp.mean(axis=(2, 3))
     logits = pooled @ p[10] + p[11][0]
-    cache.update(win=win, dw_mask=dw_mask, hd=hd, pw_mask=pw_mask,
-                 hp_shape=hp.shape, pooled=pooled)
+    cache = {"p": p, "acts": list(zip(ins, masks, args)), "win": win,
+             "dw_mask": dw_mask, "hd": hd, "pw_mask": pw_mask,
+             "hp_shape": hp.shape, "pooled": pooled}
     return logits, cache
 
 
@@ -225,12 +266,28 @@ def _backward_batch(dlogits: np.ndarray, cache):
     dhd = np.einsum("nkhw,kc->nchw", dzp, p[8], optimize=True)
     dz = dhd * cache["dw_mask"]
     dh, grads[6], grads[7] = _depthwise_backward(dz, cache["win"], p[6])
-    for i in reversed(range(3)):
-        cols, mask, arg = cache["acts"][i]
-        dz = _pool_relu_backward(dh, arg, mask)
-        grads[2 * i], grads[2 * i + 1] = _conv_param_grads(dz, cols, p[2 * i].shape)
-        if i > 0:   # no parameter reads the image's gradient
-            dh = _conv_input_grad(dz, p[2 * i])
+    acts = cache["acts"]
+    # each conv stage's output gradient and per-sample weight-gradient
+    # products, filled by the spans and summed over the batch after the join
+    dzs = [np.empty(mask.shape) for _, mask, _ in acts]
+    prods = [np.empty((n, 8, 9 * h.shape[1])) for h, _, _ in acts]
+
+    def conv_stages(start: int, stop: int) -> None:
+        for a in range(start, stop, _CHUNK):
+            b = min(a + _CHUNK, stop)
+            d = dh[a:b]
+            for i in reversed(range(3)):
+                h, mask, arg = acts[i]
+                dz = _pool_relu_backward(d, arg[a:b], mask[a:b], dzs[i][a:b])
+                np.matmul(dz.reshape(b - a, 8, -1), _conv_cols(h[a:b]).transpose(0, 2, 1),
+                          out=prods[i][a:b])
+                if i > 0:   # no parameter reads the image's gradient
+                    d = _conv_input_grad(dz, p[2 * i])
+
+    _fan_out(conv_stages, n)
+    for i in range(3):
+        grads[2 * i] = prods[i].sum(axis=0).reshape(p[2 * i].shape)
+        grads[2 * i + 1] = dzs[i].sum(axis=(0, 2, 3))
     return grads
 
 

@@ -261,6 +261,13 @@ def class_weights(labels) -> ClassWeights:
     return ClassWeights(phi=(float(phi[0]), float(phi[1])))
 
 
+def check_patch_size(size: int) -> None:
+    """Raise DegenerateInput unless `size` is a patch side the quality
+    network takes: its three 2x2 max-pools need a positive multiple of 8."""
+    if size < 8 or size % 8 != 0:
+        raise DegenerateInput(f"patch_size must be a positive multiple of 8, got {size}")
+
+
 @dataclass(frozen=True)
 class DatasetConfig:
     """Domain randomization ranges plus the fixed scene setup."""
@@ -294,6 +301,7 @@ class DatasetConfig:
             raise DegenerateInput("gauss_sigma must be finite and non-negative")
         if not 0.0 <= self.salt_pepper_frac <= 0.1:
             raise DegenerateInput("salt_pepper_frac must be in [0, 0.1]")
+        check_patch_size(self.patch_size)
 
 
 def _scene_rng(master_seed: int, index: int) -> np.random.Generator:

@@ -395,13 +395,15 @@ class TestErrors:
         (["train", "--dataset", "none.idx", "--lr", "nan"], "learning rate"),
         (["train", "--dataset", "none.idx", "--lr", "inf"], "learning rate"),
         (["make-scenes", "--salt-pepper-frac", "0.5"], "salt_pepper_frac"),
+        (["make-scenes", "--patch-size", "12"], "patch_size"),
     ], ids=["master_seed", "master_seed_evaluate", "train_seed", "friction_max", "lr_nan",
-            "lr_inf", "salt_pepper_frac"])
+            "lr_inf", "salt_pepper_frac", "patch_size"])
     def test_config_value_rejected_when_built(self, capsys, tmp_path, argv, named):
         """A config value that would end in a traceback, or fail only after
         the work it configures (an `lr` of nan trains every epoch, a
-        `salt_pepper_frac` of 0.5 passes make-scenes), fails as the command
-        builds its configuration."""
+        `salt_pepper_frac` of 0.5 passes make-scenes, a `patch_size` of 12
+        passes make-scenes, sample and label and fails only in train), fails
+        as the command builds its configuration."""
         rc, out = run(capsys, *argv, "--out", str(tmp_path))
         assert (rc, out.get("error")) == (1, "DegenerateInput")
         assert named in out["detail"]

@@ -86,6 +86,32 @@ def test_only_scene_poses_pieces():
             for line in pose_applications(path)] == []
 
 
+CONCURRENCY = {"threading", "concurrent", "multiprocessing"}
+
+
+def concurrency_imports(path: Path) -> list[str]:
+    """Imports in one file of a module named in CONCURRENCY or below it."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{path.relative_to(PACKAGE)}:{node.lineno} imports {name}"
+                  for name in names if name.split(".")[0] in CONCURRENCY]
+    return found
+
+
+def test_only_model_runs_threads():
+    """Concurrency has one home: `model` runs the conv stages' sample spans
+    on a thread pool, and no other module imports a threading or process
+    module."""
+    assert [line for path in sorted(PACKAGE.rglob("*.py")) if path.name != "model.py"
+            for line in concurrency_imports(path)] == []
+
+
 # Public names that no code in the package calls, each kept on purpose.
 ENTRY_POINTS = {
     "main",              # cli: the `graspforge` console script in pyproject.toml

@@ -1,7 +1,10 @@
 """Quality network: forward, loss, gradients, Adam, augmentation, training."""
 
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -250,13 +253,14 @@ class TestGradients:
                       ClassWeights(phi=(1.0, 1.0)))
 
 
-def plateau_case(seed):
+def plateau_case(seed, n=None):
     """Seeded net, batch and labels with zero plateaus in the input, so that
     2x2 pooling windows tie and ReLU passes -0.0. Input side cycles through
-    8, 16 and 64; batch length is 1 to 40."""
+    8, 16 and 64; batch length is 1 to 40, or n if given."""
     rng = np.random.default_rng(seed)
     size = (8, 16, 64)[seed % 3]
-    n = int(rng.integers(1, 41))
+    drawn = int(rng.integers(1, 41))   # drawn even when n is given, so the rest stays put
+    n = n or drawn
     net = init_net(size, rng)
     if seed % 2:
         # nonzero biases move the ReLU threshold off the plateaus' exact zero
@@ -322,20 +326,106 @@ class TestBitIdentity:
         assert ours.history == ref.history
 
 
+@contextmanager
+def conv_cores(k):
+    """The conv stages split as on a host with k usable cores: `_CORES` is k
+    and the pool has k - 1 threads (one, unused, when k is 1)."""
+    pool = ThreadPoolExecutor(max_workers=max(k - 1, 1))
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "_CORES", k)
+            mp.setattr(model, "_POOL", pool)
+            yield
+    finally:
+        pool.shutdown(wait=True)
+
+
+class TestSpans:
+    """The conv stages' per-sample spans: the bytes do not depend on how the
+    batch is split, and a failing span fails the call."""
+
+    PHI = ClassWeights(phi=(0.7, 1.3))
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 9, 31, 33])
+    def test_bytes_independent_of_core_count(self, n):
+        # plateau_case(2) is a 64x64 net
+        net, x, y = plateau_case(2, n=n)
+        phi = self.PHI
+        ref_logits, ref_grads = forward_backward_reference(
+            net, x, lambda lg: _dlogits(_sigmoid(lg), y, phi))
+        for k in (1, 2, 3):
+            with conv_cores(k):
+                assert len(model._spans(n)) == min(k, -(-n // model._CHUNK))
+                logits, _ = _forward_batch(net, x)
+                grads = gradients(net, (x, y), phi)
+            assert logits.tobytes() == ref_logits.tobytes(), k
+            assert len(grads) == 12
+            for i, (g, r) in enumerate(zip(grads, ref_grads)):
+                assert g.tobytes() == r.tobytes(), (k, i)
+
+    def test_training_run_independent_of_core_count(self, tmp_path):
+        data = blob_dataset(n=60, size=16, seed=9)
+        cfg = TrainConfig(epochs=3, batch_size=10, seed=4)
+        runs = []
+        for k in (1, 2):
+            with conv_cores(k):
+                runs.append(train(data, cfg))
+            save_net(runs[-1].net, tmp_path / f"k{k}.gfqn")
+        assert (tmp_path / "k1.gfqn").read_bytes() == (tmp_path / "k2.gfqn").read_bytes()
+        assert runs[0].history == runs[1].history
+
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        net, x, y = plateau_case(2, n=8)
+        conv_forward = model._conv_forward
+
+        def fail_off_caller(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("span failed")
+            return conv_forward(*args)
+
+        with conv_cores(2):
+            monkeypatch.setattr(model, "_conv_forward", fail_off_caller)
+            with pytest.raises(RuntimeError, match="span failed"):
+                _forward_batch(net, x)
+            monkeypatch.setattr(model, "_conv_forward", conv_forward)
+            logits, _ = _forward_batch(net, x)
+        ref_logits, _ = forward_backward_reference(net, x, lambda lg: lg)
+        assert logits.tobytes() == ref_logits.tobytes()
+
+
+def traced_peak_mib(call) -> float:
+    """Peak traced allocation of call(), in MiB, with the conv stages split
+    over 2 cores: each further core adds one chunk's temporaries."""
+    with conv_cores(2):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    return peak / 2**20
+
+
 def test_gradients_peak_memory():
-    # one training-size batch: 32 patches of 64x64; about 57 MiB once conv1's
-    # input gradient is no longer formed, 125 MiB when it was
+    # one training-size batch: 32 patches of 64x64; about 23 MiB once the
+    # conv stages run in chunks and the forward keeps no im2col copies,
+    # 57 MiB when it kept them, 125 MiB when conv1's input gradient was formed
     rng = np.random.default_rng(0)
     net = init_net(64, rng)
     x = rng.normal(size=(32, 64, 64)).astype(np.float32)
     y = (np.arange(32) % 2).astype(np.float64)
-    tracemalloc.start()
-    try:
-        gradients(net, (x, y), ClassWeights(phi=(1.0, 1.0)))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak / 2**20 < 90.0, peak
+    peak = traced_peak_mib(lambda: gradients(net, (x, y), ClassWeights(phi=(1.0, 1.0))))
+    assert peak < 40.0, peak
+
+
+def test_validation_forward_peak_memory():
+    # one validation chunk: 256 patches of 64x64; about 54 MiB, and 324 MiB
+    # when the forward kept every stage's im2col copy
+    rng = np.random.default_rng(0)
+    net = init_net(64, rng)
+    x = rng.normal(size=(256, 64, 64)).astype(np.float32)
+    peak = traced_peak_mib(lambda: _forward_batch(net, x))
+    assert peak < 80.0, peak
 
 
 class TestAdam:
