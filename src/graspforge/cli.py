@@ -1,9 +1,12 @@
 """Command-line pipeline: scene generation, sampling, labeling, training,
 evaluation, and report plots.
 
-Every subcommand reads the shared run configuration (file plus flag
-overrides), writes its outputs atomically, and prints a one-line JSON
-summary. Exit codes: 0 success, 1 domain error, 2 usage error.
+Every subcommand reads the shared run configuration (the --config file
+plus flag overrides), writes its outputs atomically under --out with fixed
+names (scenes/, candidates.*, dataset.* in datasets/; qualitynet.gfqn and
+qualitynet_metrics.csv in checkpoints/; eval_<policy>.* and figures in
+reports/ by default), and prints a one-line JSON summary. Exit codes: 0
+success, 1 domain error, 2 usage error.
 
 make-scenes, sample and label run `simlab`'s scene stages one stage at a
 time and only read and write their files; evaluate runs the same stages
@@ -37,7 +40,9 @@ def _emit(summary: dict) -> None:
     print(json.dumps(summary, sort_keys=True))
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_run_flags(parser: argparse.ArgumentParser, out: str) -> None:
+    parser.add_argument("--out", default=out,
+                        help="output directory (default: %(default)s)")
     parser.add_argument("--config", default=None,
                         help="run configuration file (key = value lines)")
     group = parser.add_argument_group("configuration overrides")
@@ -62,7 +67,7 @@ def _run_config(args) -> RunConfig:
 def _cmd_make_scenes(args) -> dict:
     run = _run_config(args)
     cfg = run.dataset_config()
-    out_dir = Path(args.out or run.dataset_dir) / "scenes"
+    out_dir = Path(args.out) / "scenes"
     entries = []
     skipped = {"overfilled": 0}
     for i in range(cfg.scene_count):
@@ -132,8 +137,7 @@ def _entry_scene(cfg: DatasetConfig, plan: dict, manifest: str) -> Scene:
 
 
 def _cmd_sample(args) -> dict:
-    run = _run_config(args)
-    cfg = run.dataset_config()
+    cfg = _run_config(args).dataset_config()
     listing, scenes = _load_listing(cfg, args.scenes)
     rows = []
     no_candidates = 0
@@ -143,15 +147,14 @@ def _cmd_sample(args) -> dict:
             rows += candidate_rows(index, sample_scene(cfg, scene, plan))
         except NoCandidates:
             no_candidates += 1
-    idx_path = write_records(rows, args.out or run.dataset_dir, args.stem)
+    idx_path = write_records(rows, args.out, "candidates")
     return {"command": "sample", "scenes": len(listing["scenes"]),
             "candidates": len(rows), "no_candidates": no_candidates,
             "index": str(idx_path)}
 
 
 def _cmd_label(args) -> dict:
-    run = _run_config(args)
-    cfg = run.dataset_config()
+    cfg = _run_config(args).dataset_config()
     listing, scenes = _load_listing(cfg, args.scenes)
     by_scene: dict[int, list] = {}
     for n, cand in enumerate(read_records(args.candidates, CANDIDATE_KEYS)):
@@ -173,22 +176,19 @@ def _cmd_label(args) -> dict:
     skips = {"overfilled": listing["skipped"]["overfilled"],
              "no_candidates": len(listing["scenes"]) - len(by_scene)}
     index_path = write_dataset(rows, skips, listing["scene_count"],
-                               listing["master_seed"], args.out or run.dataset_dir,
-                               args.stem)
+                               listing["master_seed"], args.out)
     positives = sum(r["label"] for r in rows)
     return {"command": "label", "samples": len(rows), "positives": positives,
             "index": str(index_path)}
 
 
 def _cmd_train(args) -> dict:
-    run = _run_config(args)
-    cfg = run.train_config()
+    cfg = _run_config(args).train_config()
     dataset = load_dataset(args.dataset)
     result = train(dataset, cfg)
-    out_dir = Path(args.out or run.checkpoint_dir)
-    net_path = out_dir / f"{args.stem}.gfqn"
+    net_path = Path(args.out) / "qualitynet.gfqn"
     save_net(result.net, net_path)
-    metrics_path = out_dir / f"{args.stem}_metrics.csv"
+    metrics_path = Path(args.out) / "qualitynet_metrics.csv"
     write_metrics(result.history, metrics_path)
     return {"command": "train", "samples": len(dataset),
             "epochs": len(result.history), "best_epoch": result.best_epoch,
@@ -201,9 +201,8 @@ def _cmd_evaluate(args) -> dict:
     policy = run.policy_config()
     net = load_net(args.net) if args.net else None
     report = evaluate_policy(policy, net, run.eval_config(), run.master_seed)
-    out_dir = Path(args.out or run.report_dir)
-    json_path = out_dir / f"{args.stem}_{policy.kind}.json"
-    csv_path = out_dir / f"{args.stem}_{policy.kind}.csv"
+    json_path = Path(args.out) / f"eval_{policy.kind}.json"
+    csv_path = Path(args.out) / f"eval_{policy.kind}.csv"
     write_stats(report, json_path, csv_path)
     summary = report_dict(report)
     summary.update(command="evaluate", stats=str(json_path))
@@ -297,8 +296,8 @@ def _metric_curves(data: bytes):
 
 
 def _cmd_report(args) -> dict:
-    run = _run_config(args)
-    out_dir = Path(args.out or run.report_dir)
+    _run_config(args)   # a bad --config fails here as in every command
+    out_dir = Path(args.out)
     figures = []
     for stats_path in args.stats or []:
         policy, pairs = read_input(stats_path, _stats_rates)
@@ -325,44 +324,34 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("make-scenes", help="settle cluttered scenes")
-    p.add_argument("--out", default=None)
-    _add_config_flags(p)
+    _add_run_flags(p, "datasets")
     p.set_defaults(func=_cmd_make_scenes)
 
     p = sub.add_parser("sample", help="sample grasp candidates per scene")
     p.add_argument("--scenes", required=True, help="scenes.json listing")
-    p.add_argument("--out", default=None)
-    p.add_argument("--stem", default="candidates")
-    _add_config_flags(p)
+    _add_run_flags(p, "datasets")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("label", help="run the grasp oracle over candidates")
     p.add_argument("--scenes", required=True)
     p.add_argument("--candidates", required=True, help="candidate .idx path")
-    p.add_argument("--out", default=None)
-    p.add_argument("--stem", default="dataset")
-    _add_config_flags(p)
+    _add_run_flags(p, "datasets")
     p.set_defaults(func=_cmd_label)
 
     p = sub.add_parser("train", help="fit the quality network")
     p.add_argument("--dataset", required=True, help="dataset .idx path")
-    p.add_argument("--out", default=None)
-    p.add_argument("--stem", default="qualitynet")
-    _add_config_flags(p)
+    _add_run_flags(p, "checkpoints")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("evaluate", help="run policy trials and write stats")
     p.add_argument("--net", default=None, help="checkpoint for cgcnn")
-    p.add_argument("--out", default=None)
-    p.add_argument("--stem", default="eval")
-    _add_config_flags(p)
+    _add_run_flags(p, "reports")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("report", help="emit SVG charts from stats/metrics")
     p.add_argument("--stats", action="append", default=[])
     p.add_argument("--metrics", default=None)
-    p.add_argument("--out", default=None)
-    _add_config_flags(p)
+    _add_run_flags(p, "reports")
     p.set_defaults(func=_cmd_report)
     return parser
 

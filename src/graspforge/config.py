@@ -1,14 +1,12 @@
 """Flat key = value run configuration shared by the command-line tools.
 
-One plain-text file drives every pipeline stage; each key can also be set
-on the command line, and a flag always wins over the file. The environment
-variable GRASPFORGE_CONFIG names a default file used when no --config flag
-is given.
+One plain-text file, named by --config, drives every pipeline stage; each
+key can also be set on the command line, and a flag always wins over the
+file. With no file, the defaults below apply.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -18,16 +16,10 @@ from .model import TrainConfig
 from .policy import PolicyConfig
 from .simlab import DatasetConfig
 
-ENV_VAR = "GRASPFORGE_CONFIG"
-
 
 @dataclass
 class RunConfig:
     master_seed: int = 0
-    # output roots
-    dataset_dir: str = "datasets"
-    checkpoint_dir: str = "checkpoints"
-    report_dir: str = "reports"
     # scene generation and labeling
     scene_count: int = 80
     cable_count_min: int = 4
@@ -128,12 +120,10 @@ def load_run_config(path: str | Path | None = None,
                     overrides: dict | None = None) -> RunConfig:
     """Defaults, then the config file, then explicit overrides.
 
-    With no path, GRASPFORGE_CONFIG names the file; unset means defaults.
-    A string override (a command-line flag) is parsed like a file value, and
-    a None override is skipped. A missing file raises DatasetNotFound.
+    With no path, the file step is skipped. A string override (a
+    command-line flag) is parsed like a file value, and a None override is
+    skipped. A missing file raises DatasetNotFound.
     """
-    if path is None:
-        path = os.environ.get(ENV_VAR) or None
     values: dict = {}
     if path is not None:
         values.update(read_input(path, lambda data: parse_config_text(data.decode())))

@@ -45,7 +45,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateInput, ShapeMismatch, SingleClass
 from .fileio import atomic_write, read_input
-from .simlab import ClassWeights, check_patch_size, class_weights
+from .simlab import check_patch_size, class_weights
 
 _MAGIC = b"GFQN"
 _VERSION = 1
@@ -304,7 +304,7 @@ def forward_many(net: QualityNet, patches) -> np.ndarray:
     return _sigmoid(logits)
 
 
-def loss(y_hat, y, phi: ClassWeights) -> float:
+def loss(y_hat, y, phi: tuple[float, float]) -> float:
     """Class-weighted binary cross-entropy, averaged over the batch.
 
     Predictions are clamped to [1e-7, 1 - 1e-7] so a confidently wrong
@@ -320,7 +320,7 @@ def loss(y_hat, y, phi: ClassWeights) -> float:
     return float(per.mean())
 
 
-def gradients(net: QualityNet, batch, phi: ClassWeights) -> list:
+def gradients(net: QualityNet, batch, phi: tuple[float, float]) -> list:
     """Exact reverse-mode gradients of the mean batch loss.
 
     `batch` is (patches, labels) with patches an (N, S, S) array.
@@ -333,7 +333,7 @@ def gradients(net: QualityNet, batch, phi: ClassWeights) -> list:
     return _backward_batch(_dlogits(_sigmoid(logits), y, phi), cache)
 
 
-def _dlogits(q: np.ndarray, y: np.ndarray, phi: ClassWeights) -> np.ndarray:
+def _dlogits(q: np.ndarray, y: np.ndarray, phi: tuple[float, float]) -> np.ndarray:
     """Gradient of the mean weighted loss with respect to the logits, given
     the batch's predictions q."""
     w = np.where(y == 1, phi[1], phi[0])

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateInput, Empty, NoCandidates, Overfilled
+from .errors import DegenerateInput, Empty, NoCandidates, Overfilled, ShapeMismatch
 from .model import QualityNet, forward_many
 from .sampler import GraspPose
 from .fileio import atomic_write
@@ -122,10 +122,13 @@ def evaluate_policy(policy: PolicyConfig, net: QualityNet | None,
     when its cables found no resting pose in the bin, "no_candidates" when
     the sampler came back empty. Trials use per-index seed streams, so
     results are independent of execution order and deterministic per
-    master seed.
+    master seed. A cgcnn net whose input side is not cfg.patch_size fails
+    before the first trial.
     """
     if policy.kind == "cgcnn" and net is None:
         raise DegenerateInput("cgcnn policy needs a trained net")
+    if policy.kind == "cgcnn" and net.size != cfg.patch_size:
+        raise ShapeMismatch(f"net input {net.size} != patch size {cfg.patch_size}")
     trials = cfg.scene_count
     successes = 0
     reasons: dict[str, int] = {}

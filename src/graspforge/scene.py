@@ -34,6 +34,7 @@ from .geometry import ConvexPiece, Pose3, TriMesh, convex_hull, gjk_world, load_
 
 CONTACT_EPS = 0.05       # mm; resting contact tolerance
 SUPPORT_TOL = 0.5        # mm; gap still counted as support during settling
+MAX_CABLES = 30          # the most cables one pile may hold
 _TUBE_TOL = 1e-6         # mm; a loaded tube's segment lengths and end radii
 
 
@@ -542,8 +543,8 @@ def settle_scene(bin_spec: BinSpec, cable_specs: list[CableSpec],
     when its center of mass strictly descends, until the support polygon
     brackets the mass center or no descent is possible.
     """
-    if not 1 <= len(cable_specs) <= 30:
-        raise DegenerateInput("cable count must be in [1, 30]")
+    if not 1 <= len(cable_specs) <= MAX_CABLES:
+        raise DegenerateInput(f"cable count must be in [1, {MAX_CABLES}]")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     statics = [_WorldBody(bin_pieces(bin_spec))]
     placed: list[PlacedCable] = []

@@ -41,7 +41,8 @@ from .errors import DegenerateInput, NoCandidates, Overfilled, SingleClass
 from .fileio import atomic_write, read_input, require_keys
 from .geometry import gjk_world
 from .sampler import GraspPose, SamplerConfig, sample_grasps
-from .scene import BinSpec, CableSpec, Camera, Scene, render_depth, settle_scene
+from .scene import (MAX_CABLES, BinSpec, CableSpec, Camera, Scene, render_depth,
+                    settle_scene)
 
 FAILURE_REASONS = ("none", "approach_collision", "multi_object",
                    "no_force_closure", "empty_close")
@@ -95,24 +96,6 @@ class GraspSample:
         reason = self.meta.get("reason")
         if reason is not None and (self.label == 1) != (reason == "none"):
             raise DegenerateInput("label does not match stored outcome")
-
-
-@dataclass(frozen=True)
-class ClassWeights:
-    """Per-class loss weights, inverse to class frequency, mean 1."""
-
-    phi: tuple[float, float]
-
-    def __post_init__(self):
-        if len(self.phi) != 2:
-            raise DegenerateInput("exactly two classes are supported")
-        if any(p <= 0.0 for p in self.phi):
-            raise DegenerateInput("class weights must be positive")
-        if abs((self.phi[0] + self.phi[1]) / 2.0 - 1.0) > 1e-9:
-            raise DegenerateInput("class weights must average to 1")
-
-    def __getitem__(self, label: int) -> float:
-        return self.phi[int(label)]
 
 
 def _grasp_axes(theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -248,8 +231,9 @@ def execute_grasp(scene: Scene, g: GraspPose, f: float) -> GraspOutcome:
     return GraspOutcome(1, "none", frozenset(ids))
 
 
-def class_weights(labels) -> ClassWeights:
-    """Inverse-frequency class weights normalized to mean 1, from 0/1 labels."""
+def class_weights(labels) -> tuple[float, float]:
+    """Inverse-frequency loss weights (phi0, phi1) of the two classes,
+    normalized to mean 1, from 0/1 labels."""
     labels = np.asarray(labels)
     if not np.isin(labels, (0, 1)).all():
         raise DegenerateInput("labels must be 0 or 1")
@@ -258,7 +242,7 @@ def class_weights(labels) -> ClassWeights:
         raise SingleClass(f"need both classes, got counts {counts.tolist()}")
     inv = 1.0 / counts
     phi = inv / inv.mean()
-    return ClassWeights(phi=(float(phi[0]), float(phi[1])))
+    return float(phi[0]), float(phi[1])
 
 
 def check_patch_size(size: int) -> None:
@@ -288,8 +272,8 @@ class DatasetConfig:
         if self.scene_count < 1:
             raise DegenerateInput("scene_count must be at least 1")
         lo, hi = self.cable_count_range
-        if not 1 <= lo <= hi:
-            raise DegenerateInput("cable_count_range must satisfy 1 <= lo <= hi")
+        if not 1 <= lo <= hi <= MAX_CABLES:
+            raise DegenerateInput(f"cable_count_range must be 1 <= lo <= hi <= {MAX_CABLES}")
         if self.grasps_per_scene < 1:
             raise DegenerateInput("grasps_per_scene must be at least 1")
         f_lo, f_hi = self.friction_range

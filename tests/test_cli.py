@@ -6,6 +6,8 @@ import shutil
 import numpy as np
 import pytest
 
+import graspforge.cli as cli_mod
+import graspforge.policy as policy_mod
 from graspforge.cli import dispatch
 from graspforge.depthproc import Patch
 from graspforge.model import save_net
@@ -396,14 +398,23 @@ class TestErrors:
         (["train", "--dataset", "none.idx", "--lr", "inf"], "learning rate"),
         (["make-scenes", "--salt-pepper-frac", "0.5"], "salt_pepper_frac"),
         (["make-scenes", "--patch-size", "12"], "patch_size"),
+        (["make-scenes", "--cable-count-max", "31"], "cable_count_range"),
+        (["evaluate", "--policy", "random", "--eval-cable-max", "31"], "cable_count_range"),
     ], ids=["master_seed", "master_seed_evaluate", "train_seed", "friction_max", "lr_nan",
-            "lr_inf", "salt_pepper_frac", "patch_size"])
-    def test_config_value_rejected_when_built(self, capsys, tmp_path, argv, named):
+            "lr_inf", "salt_pepper_frac", "patch_size", "cable_count_max",
+            "eval_cable_max"])
+    def test_config_value_rejected_when_built(self, capsys, tmp_path, monkeypatch,
+                                              argv, named):
         """A config value that would end in a traceback, or fail only after
         the work it configures (an `lr` of nan trains every epoch, a
         `salt_pepper_frac` of 0.5 passes make-scenes, a `patch_size` of 12
-        passes make-scenes, sample and label and fails only in train), fails
-        as the command builds its configuration."""
+        passes make-scenes, sample and label and fails only in train, a
+        pile of 31 cables fails only when a scene draws it), fails as the
+        command builds its configuration, before any scene is built."""
+        def no_scene(*args):
+            raise AssertionError("a scene was built")
+        monkeypatch.setattr(cli_mod, "settle_plan", no_scene)
+        monkeypatch.setattr(policy_mod, "scene_candidates", no_scene)
         rc, out = run(capsys, *argv, "--out", str(tmp_path))
         assert (rc, out.get("error")) == (1, "DegenerateInput")
         assert named in out["detail"]
@@ -500,11 +511,46 @@ class TestConfigPlumbing:
         assert rc == 0
         assert out["scenes"] + out["skipped"] == 2
 
-    def test_env_var_supplies_config(self, capsys, tmp_path, monkeypatch):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("scene_count = 1\ncable_count_min = 2\n"
-                       "cable_count_max = 2\nmaster_seed = 5\n")
-        monkeypatch.setenv("GRASPFORGE_CONFIG", str(cfg))
-        rc, out = run(capsys, "make-scenes", "--out", str(tmp_path / "s"))
-        assert rc == 0
-        assert out["scenes"] + out["skipped"] == 1
+    def test_removed_output_keys_rejected(self, capsys, tmp_path):
+        # output directories are set by --out alone; a config file that still
+        # names one fails instead of being ignored
+        for key in ("dataset_dir", "checkpoint_dir", "report_dir"):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key} = x\n")
+            rc, out = run(capsys, "report", "--config", str(cfg))
+            assert (rc, out.get("error")) == (1, "DegenerateInput"), key
+            assert key in out["detail"]
+
+    def test_removed_flags_are_usage_errors(self, capsys):
+        for argv in (["sample", "--scenes", "s.json", "--stem", "x"],
+                     ["report", "--dataset-dir", "x"]):
+            assert dispatch(argv) == 2, argv
+
+
+class TestDefaultOutputs:
+    def test_chain_without_out_uses_fixed_names(self, capsys, tmp_path, monkeypatch):
+        """With no --out, each command writes under its default directory
+        in the working directory, under the fixed file names."""
+        monkeypatch.chdir(tmp_path)
+        small = ["--scene-count", "1", "--cable-count-min", "2", "--cable-count-max", "2",
+                 "--grasps-per-scene", "4", "--master-seed", "5"]
+        toy = toy_dataset(tmp_path / "toy")
+        for argv in (["make-scenes", *small],
+                     ["sample", "--scenes", "datasets/scenes/scenes.json", *small],
+                     ["label", "--scenes", "datasets/scenes/scenes.json",
+                      "--candidates", "datasets/candidates.idx", *small],
+                     ["train", "--dataset", str(toy), "--epochs", "1", "--batch-size", "8"],
+                     ["evaluate", "--policy", "random", "--trials", "1",
+                      "--eval-cable-min", "2", "--eval-cable-max", "2",
+                      "--candidates-per-scene", "4"],
+                     ["report", "--stats", "reports/eval_random.json",
+                      "--metrics", "checkpoints/qualitynet_metrics.csv"]):
+            assert run(capsys, *argv)[0] == 0, argv
+        for name in ("datasets/scenes/scenes.json", "datasets/candidates.idx",
+                     "datasets/candidates.blob", "datasets/dataset.idx",
+                     "datasets/dataset.blob", "datasets/dataset.summary.json",
+                     "checkpoints/qualitynet.gfqn", "checkpoints/qualitynet_metrics.csv",
+                     "reports/eval_random.json", "reports/eval_random.csv",
+                     "reports/eval_random_by_count.svg",
+                     "reports/qualitynet_metrics_curve.svg"):
+            assert (tmp_path / name).is_file(), name

@@ -1,8 +1,8 @@
-"""Run-configuration parsing: file format, env fallback, flag overrides."""
+"""Run-configuration parsing: file format, flag overrides, converters."""
 
 import pytest
 
-from graspforge.config import ENV_VAR, RunConfig, load_run_config, parse_config_text
+from graspforge.config import RunConfig, load_run_config, parse_config_text
 from graspforge.errors import DatasetNotFound, DegenerateInput
 
 
@@ -16,8 +16,9 @@ class TestParse:
         assert parse_config_text(text) == {"scene_count": 12}
 
     def test_quoted_string_values(self):
-        values = parse_config_text('dataset_dir = "out/data"\n')
-        assert values == {"dataset_dir": "out/data"}
+        values = parse_config_text('policy = "random"\n')
+        assert values == {"policy": "random"}
+        assert parse_config_text("policy = 'cgcnn'\n") == {"policy": "cgcnn"}
 
     def test_boolean_spellings(self):
         for raw, want in (("true", True), ("1", True), ("yes", True),
@@ -42,8 +43,7 @@ class TestParse:
 
 
 class TestLoad:
-    def test_defaults_without_file(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
+    def test_defaults_without_file(self):
         cfg = load_run_config()
         assert cfg == RunConfig()
 
@@ -66,20 +66,6 @@ class TestLoad:
         p.write_text("master_seed = 11\n")
         cfg = load_run_config(p, {"master_seed": None})
         assert cfg.master_seed == 11
-
-    def test_env_var_names_default_file(self, tmp_path, monkeypatch):
-        p = tmp_path / "run.cfg"
-        p.write_text("scene_count = 7\n")
-        monkeypatch.setenv(ENV_VAR, str(p))
-        assert load_run_config().scene_count == 7
-
-    def test_explicit_path_beats_env(self, tmp_path, monkeypatch):
-        envp = tmp_path / "env.cfg"
-        envp.write_text("scene_count = 7\n")
-        monkeypatch.setenv(ENV_VAR, str(envp))
-        direct = tmp_path / "direct.cfg"
-        direct.write_text("scene_count = 3\n")
-        assert load_run_config(direct).scene_count == 3
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(DatasetNotFound, match="absent.cfg"):

@@ -112,6 +112,28 @@ def test_only_model_runs_threads():
             for line in concurrency_imports(path)] == []
 
 
+ENVIRONMENT_READS = {"environ", "environb", "getenv"}
+
+
+def environment_reads(path: Path) -> list[str]:
+    """Uses in one file of a name in ENVIRONMENT_READS: as an attribute
+    (`os.environ`), a bare name, or an imported name."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        name = (getattr(node, "attr", None) or getattr(node, "id", None)
+                or (node.name if isinstance(node, ast.alias) else None))
+        if name in ENVIRONMENT_READS:
+            found.append(f"{path.relative_to(PACKAGE)}:{node.lineno} reads {name}")
+    return found
+
+
+def test_no_environment_reads():
+    """A run is set by its flags and its --config file alone: no module
+    reads an environment variable, so a caller's shell cannot change it."""
+    assert [line for path in sorted(PACKAGE.rglob("*.py"))
+            for line in environment_reads(path)] == []
+
+
 # Public names that no code in the package calls, each kept on purpose.
 ENTRY_POINTS = {
     "main",              # cli: the `graspforge` console script in pyproject.toml

@@ -17,7 +17,7 @@ from graspforge.model import (AdamState, QualityNet, TrainConfig, adam_step,
                               init_net, load_net, loss, save_net, train,
                               write_metrics, _conv_forward, _depthwise_forward,
                               _dlogits, _forward_batch, _pool_forward, _sigmoid)
-from graspforge.simlab import ClassWeights, GraspSample
+from graspforge.simlab import GraspSample
 from oracles import (augment_reference, backward_batch_reference,
                      forward_backward_reference, forward_batch_reference, zeros_net)
 
@@ -77,7 +77,7 @@ def fd_gradient_worst_error(seed, h=1e-3, coords_per_tensor=None):
     """Max relative error of backprop vs central differences."""
     net, x = smooth_net_and_batch(seed)
     y = np.array([1.0, 0.0, 1.0])
-    phi = ClassWeights(phi=(0.5, 1.5))
+    phi = (0.5, 1.5)
     grads = gradients(net, (x, y), phi)
 
     def batch_loss():
@@ -188,21 +188,21 @@ class TestQualityNet:
 
 class TestLoss:
     def test_uninformative_prediction(self):
-        phi = ClassWeights(phi=(1.0, 1.0))
+        phi = (1.0, 1.0)
         assert loss(0.5, 1, phi) == pytest.approx(math.log(2.0), abs=1e-12)
         assert loss(0.5, 0, phi) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_perfect_prediction_clamped(self):
-        phi = ClassWeights(phi=(1.0, 1.0))
+        phi = (1.0, 1.0)
         v = loss(1.0, 1, phi)
         assert 0.0 < v < 2e-7
 
     def test_weighted_example(self):
-        phi = ClassWeights(phi=(1.5, 0.5))
+        phi = (1.5, 0.5)
         assert loss(0.1, 1, phi) == pytest.approx(0.5 * -math.log(0.1), abs=1e-9)
 
     def test_batch_mean(self):
-        phi = ClassWeights(phi=(1.0, 1.0))
+        phi = (1.0, 1.0)
         lone = loss(0.8, 1, phi)
         other = loss(0.3, 0, phi)
         both = loss(np.array([0.8, 0.3]), np.array([1, 0]), phi)
@@ -210,7 +210,7 @@ class TestLoss:
 
     def test_non_negative_everywhere(self):
         rng = np.random.default_rng(5)
-        phi = ClassWeights(phi=(0.4, 1.6))
+        phi = (0.4, 1.6)
         q = rng.random(100)
         y = rng.integers(0, 2, size=100)
         per = [loss(qi, yi, phi) for qi, yi in zip(q, y)]
@@ -218,7 +218,7 @@ class TestLoss:
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            loss(np.array([0.5, 0.5]), np.array([1]), ClassWeights(phi=(1.0, 1.0)))
+            loss(np.array([0.5, 0.5]), np.array([1]), (1.0, 1.0))
 
 
 class TestGradients:
@@ -232,7 +232,7 @@ class TestGradients:
 
     def test_duplicated_batch_same_gradient(self):
         net, x = smooth_net_and_batch(21, n=1)
-        phi = ClassWeights(phi=(0.5, 1.5))
+        phi = (0.5, 1.5)
         y = np.array([1.0])
         g1 = gradients(net, (x, y), phi)
         g2 = gradients(net, (np.concatenate([x, x]), np.array([1.0, 1.0])), phi)
@@ -240,17 +240,17 @@ class TestGradients:
             assert np.allclose(a, b, atol=1e-12)
 
     def test_zero_weights_zero_gradients(self):
-        # an all-zero weighting is invalid as ClassWeights; a plain mapping
-        # stands in to show the loss scale factors the whole gradient
+        # an all-zero weighting, which class_weights never returns, shows
+        # that the loss scale factors the whole gradient
         net, x = smooth_net_and_batch(31)
-        g = gradients(net, (x, np.array([1.0, 0.0, 1.0])), {0: 0.0, 1: 0.0})
+        g = gradients(net, (x, np.array([1.0, 0.0, 1.0])), (0.0, 0.0))
         assert all(np.all(t == 0.0) for t in g)
 
     def test_empty_batch(self):
         net = zeros_net(16)
         with pytest.raises(DegenerateInput):
             gradients(net, (np.zeros((0, 16, 16)), np.zeros(0)),
-                      ClassWeights(phi=(1.0, 1.0)))
+                      (1.0, 1.0))
 
 
 def plateau_case(seed, n=None):
@@ -282,7 +282,7 @@ class TestBitIdentity:
     """The network pass returns the frozen reference's bytes: logits, every
     parameter gradient, and a whole training run's checkpoint."""
 
-    PHI = ClassWeights(phi=(0.7, 1.3))
+    PHI = (0.7, 1.3)
 
     @pytest.mark.parametrize("seed", range(18))
     def test_logits_and_gradients(self, seed):
@@ -344,7 +344,7 @@ class TestSpans:
     """The conv stages' per-sample spans: the bytes do not depend on how the
     batch is split, and a failing span fails the call."""
 
-    PHI = ClassWeights(phi=(0.7, 1.3))
+    PHI = (0.7, 1.3)
 
     @pytest.mark.parametrize("n", [1, 3, 4, 5, 9, 31, 33])
     def test_bytes_independent_of_core_count(self, n):
@@ -414,7 +414,7 @@ def test_gradients_peak_memory():
     net = init_net(64, rng)
     x = rng.normal(size=(32, 64, 64)).astype(np.float32)
     y = (np.arange(32) % 2).astype(np.float64)
-    peak = traced_peak_mib(lambda: gradients(net, (x, y), ClassWeights(phi=(1.0, 1.0))))
+    peak = traced_peak_mib(lambda: gradients(net, (x, y), (1.0, 1.0)))
     assert peak < 40.0, peak
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import graspforge.policy as policy_mod
 from graspforge.depthproc import Patch
-from graspforge.errors import DegenerateInput, Empty
+from graspforge.errors import DegenerateInput, Empty, ShapeMismatch
 from graspforge.policy import (PolicyConfig, evaluate_policy, score_candidates,
                                select_cgcnn, select_random, wilson_interval)
 from graspforge.sampler import GraspPose
@@ -235,6 +235,17 @@ class TestEvaluatePolicy:
         cfg = DatasetConfig(scene_count=1)
         with pytest.raises(DegenerateInput):
             evaluate_policy(PolicyConfig(kind="cgcnn"), None, cfg, 0)
+
+    def test_cgcnn_net_size_checked_before_trials(self, monkeypatch):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(policy_mod, "scene_candidates", no_trial)
+        cfg = DatasetConfig(scene_count=1)
+        with pytest.raises(ShapeMismatch, match="32 != patch size 64"):
+            evaluate_policy(PolicyConfig(kind="cgcnn"), zeros_net(32), cfg, 40)
+        # a random pick ignores the net
+        with pytest.raises(AssertionError, match="a trial ran"):
+            evaluate_policy(PolicyConfig(kind="random"), zeros_net(32), cfg, 40)
 
     def test_rigged_scenes_perfect_rate(self):
         """Isolated cable, candidate list rigged so the height bonus ranks

@@ -12,9 +12,9 @@ from graspforge.depthproc import Patch
 from graspforge.errors import DatasetNotFound, DegenerateInput, SingleClass
 from graspforge.geometry import Pose3, convex_hull, gjk_world
 from graspforge.sampler import GraspPose
-from graspforge.scene import (BinSpec, CableSpec, Camera, PlacedCable, Scene,
+from graspforge.scene import (MAX_CABLES, BinSpec, CableSpec, Camera, PlacedCable, Scene,
                               cable_decomposition, make_cable_mesh, settle_scene)
-from graspforge.simlab import (FAILURE_REASONS, ClassWeights, DatasetConfig,
+from graspforge.simlab import (FAILURE_REASONS, DatasetConfig,
                                GraspOutcome, GraspSample, _jaw_verts, class_weights,
                                execute_grasp, generate_dataset, load_dataset,
                                replay_sample, scene_candidates, write_dataset)
@@ -129,14 +129,6 @@ class TestOutcomeTypes:
             GraspOutcome(1, "none", frozenset({0, 1}))
         with pytest.raises(DegenerateInput):
             GraspOutcome(0, "fell_off_table", frozenset())
-
-    def test_class_weights_validation(self):
-        w = ClassWeights(phi=(0.5, 1.5))
-        assert w[0] == 0.5 and w[1] == 1.5
-        with pytest.raises(DegenerateInput):
-            ClassWeights(phi=(1.0, 2.0))
-        with pytest.raises(DegenerateInput):
-            ClassWeights(phi=(-0.5, 2.5))
 
     def test_sample_validation(self):
         patch = Patch(data=np.zeros((4, 4), dtype=np.float32), pitch=0.5)
@@ -256,7 +248,7 @@ class TestOracleReference:
 class TestClassWeights:
     def test_balanced(self):
         w = class_weights([0] * 100 + [1] * 100)
-        assert w.phi == (1.0, 1.0)
+        assert w == (1.0, 1.0)
 
     def test_inverse_frequency(self):
         w = class_weights([0] * 300 + [1] * 100)
@@ -275,7 +267,7 @@ class TestClassWeights:
 
     def test_accepts_float_label_array(self):
         # train passes its float64 label array
-        assert class_weights(np.array([0.0, 1.0, 1.0, 0.0])).phi == (1.0, 1.0)
+        assert class_weights(np.array([0.0, 1.0, 1.0, 0.0])) == (1.0, 1.0)
         with pytest.raises(DegenerateInput):
             class_weights(np.array([0.0, 0.5, 1.0]))
 
@@ -440,6 +432,9 @@ class TestGenerateDataset:
             DatasetConfig(scene_count=0)
         with pytest.raises(DegenerateInput):
             DatasetConfig(cable_count_range=(0, 3))
+        with pytest.raises(DegenerateInput, match="cable_count_range"):
+            DatasetConfig(cable_count_range=(4, MAX_CABLES + 1))
+        DatasetConfig(cable_count_range=(MAX_CABLES, MAX_CABLES))
         with pytest.raises(DegenerateInput):
             DatasetConfig(friction_range=(0.0, 0.5))
         with pytest.raises(DegenerateInput):
