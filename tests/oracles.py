@@ -4,7 +4,7 @@ Everything here is deliberately written from different math than the code
 under test: box distances come from separating axes plus brute-force
 feature enumeration, inside tests from crossing parity of a single ray,
 rendered depths from one Moller-Trumbore ray per pixel (`ray_triangles`,
-`ray_mesh`). There are six exceptions, same math on purpose, frozen copies
+`ray_mesh`). There are seven exceptions, same math on purpose, frozen copies
 the library must match bit for bit: `gjk_world_reference`, the GJK kernel;
 `forward_backward_reference` (with `forward_batch_reference` and
 `backward_batch_reference`), the quality network's forward and backward
@@ -15,8 +15,9 @@ bilateral filter, edge detector, normal fit, rotated crop and friction-cone
 test as they stood while each was a Python loop over pixels, points and
 pair trials, each trial a `ContactPair`; `settle_scene_reference`, pile settling as it stood while
 every topple lift re-found its blocking pairs, run on `gjk_world_reference`;
-and `execute_grasp_reference`, the grasp oracle as it stood while every call
-posed the scene's pieces afresh.
+`execute_grasp_reference`, the grasp oracle as it stood while every call
+posed the scene's pieces afresh; and `render_depth_reference`, the depth
+renderer as it stood while it drew one triangle at a time.
 
 The fixtures section holds test inputs and measures the library has no use
 for: sphere and prism meshes, mesh volume, point-in-piece, pixel-to-world
@@ -43,8 +44,8 @@ from graspforge.sampler import (
 )
 from graspforge.scene import (
     CONTACT_EPS, SUPPORT_TOL, BinSpec, Camera, CableSpec, PlacedCable, Scene,
-    _inside_footprint, _support_analysis, _tip_rotation, bin_pieces, cable_decomposition,
-    make_cable_mesh,
+    _inside_footprint, _support_analysis, _tip_rotation, bin_mesh, bin_pieces,
+    cable_decomposition, make_cable_mesh,
 )
 from graspforge.simlab import (
     _CLOSE_ITER_CAP, _TOUCH, CONTACT_TOL, ENTANGLE_EROSION, FINGER_LENGTH, OPEN_CLEARANCE,
@@ -191,8 +192,9 @@ def sample_interior_points(mesh_tris: np.ndarray, n: int,
     return np.concatenate(out)[:n]
 
 
-# Render oracle: first hits of single rays against triangle meshes, to
-# check the scanline depth renderer pixel by pixel.
+# Render oracles: first hits of single rays against triangle meshes, to
+# check the depth renderer pixel by pixel, and the frozen per-triangle
+# renderer it must match byte for byte.
 
 # Barycentric slack so rays through shared edges and vertices still hit.
 _EDGE_TOL = 1e-9
@@ -234,6 +236,55 @@ def ray_mesh(origin: np.ndarray, direction: np.ndarray, mesh: TriMesh,
     if pose is not None:
         tris = pose.apply(tris.reshape(-1, 3)).reshape(tris.shape)
     return ray_triangles(origin, direction, tris)
+
+
+def render_depth_reference(scene: Scene, cam: Camera) -> DepthImage:
+    """Frozen renderer: `render_depth` as it stood while it rasterised one
+    triangle at a time, writing each covered pixel where its depth beat
+    the buffer. `scene.render_depth` must return the same bytes."""
+    half_x, half_y = cam.footprint_half_extents()
+    if (half_x < scene.bin.inner_x / 2.0 - 1e-9
+            or half_y < scene.bin.inner_y / 2.0 - 1e-9):
+        raise DegenerateInput("camera frustum does not cover the bin interior")
+    W, H = cam.width_px, cam.height_px
+    zbuf = np.zeros((H, W), dtype=np.float64)   # floor plane z = 0
+
+    groups = [bin_mesh(scene.bin).triangles()]
+    for c in scene.cables:
+        tris = c.mesh.triangles().reshape(-1, 3)
+        groups.append(c.pose.apply(tris).reshape(-1, 3, 3))
+
+    for tris in groups:
+        for tri in tris:
+            px, py = cam.world_to_px(tri[:, 0], tri[:, 1])
+            x0 = max(0, int(np.ceil(px.min())))
+            x1 = min(W - 1, int(np.floor(px.max())))
+            y0 = max(0, int(np.ceil(py.min())))
+            y1 = min(H - 1, int(np.floor(py.max())))
+            if x1 < x0 or y1 < y0:
+                continue
+            gx, gy = np.meshgrid(np.arange(x0, x1 + 1), np.arange(y0, y1 + 1))
+            # barycentric in pixel space
+            ax, ay = px[0], py[0]
+            v0 = np.array([px[1] - ax, py[1] - ay])
+            v1 = np.array([px[2] - ax, py[2] - ay])
+            den = v0[0] * v1[1] - v0[1] * v1[0]
+            if abs(den) < 1e-12:
+                continue
+            qx = gx - ax
+            qy = gy - ay
+            u = (qx * v1[1] - qy * v1[0]) / den
+            v = (qy * v0[0] - qx * v0[1]) / den
+            inside = (u >= -1e-9) & (v >= -1e-9) & (u + v <= 1.0 + 1e-9)
+            if not inside.any():
+                continue
+            z = tri[0, 2] + u * (tri[1, 2] - tri[0, 2]) + v * (tri[2, 2] - tri[0, 2])
+            zb = zbuf[y0:y1 + 1, x0:x1 + 1]
+            sel = inside & (z > zb)
+            zb[sel] = z[sel]
+
+    depth = (cam.height - zbuf).astype(np.float32)
+    return DepthImage(data=depth, pitch=cam.pitch)
 
 
 

@@ -1,17 +1,21 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from graspforge import scene as scene_mod
+from graspforge.config import RunConfig
 from graspforge.errors import DegenerateInput, Overfilled, SelfIntersecting
-from graspforge.geometry import Pose3, box_mesh, convex_hull, gjk_world
+from graspforge.geometry import ConvexPiece, Pose3, TriMesh, box_mesh, convex_hull, gjk_world
 from graspforge.scene import (
-    BinSpec, CableSpec, Camera, PlacedCable, Scene, bin_mesh, cable_decomposition,
-    load_scene, make_cable_mesh, render_depth, save_scene, settle_scene,
+    CONTACT_EPS, BinSpec, CableSpec, Camera, PlacedCable, Scene, bin_mesh,
+    cable_decomposition, load_scene, make_cable_mesh, render_depth, save_scene,
+    settle_scene,
 )
+from graspforge.simlab import scene_plan, settle_plan
 
 import oracles
 from oracles import mesh_volume, px_to_world, uv_sphere
@@ -56,6 +60,23 @@ def box_scene(half_extents, center, bin_spec=None):
     placed = PlacedCable(id=0, spec=CableSpec(), mesh=mesh,
                          pieces=[convex_hull(mesh.vertices)], pose=Pose3(np.zeros(3)))
     return Scene(bin=bin_spec or BinSpec(), cables=[placed], rng_seed=0)
+
+
+# (master seed, scene index, evaluation pile): the `pipeline` benchmark's
+# 6-cable dataset pile and 8-cable evaluation pile, then default dataset
+# scenes 0-2
+SEEDED_PILES = ((40, 0, False), (40, 0, True), (0, 0, False), (0, 1, False), (0, 2, False))
+
+
+def settle_seeded(seed, index, evaluation):
+    rc = RunConfig()
+    cfg = rc.eval_config() if evaluation else rc.dataset_config()
+    return settle_plan(cfg, scene_plan(cfg, seed, index))
+
+
+@pytest.fixture(scope="module")
+def pipeline_piles():
+    return [settle_seeded(*pile) for pile in SEEDED_PILES[:2]]
 
 
 class TestCableMesh:
@@ -248,6 +269,75 @@ class TestSettleBitIdentity:
         assert len(contact_calls) < len(ref_contact_calls)
 
 
+class TestBlockingPairs:
+    """`_blocking_pairs` certifies most keep-or-drop decisions with 2-D
+    separating-axis tests; every one must be the flattened kernel query's."""
+
+    @staticmethod
+    def kernel_keeps(body, st, i, j):
+        r = gjk_world(body.flat(i), st.flat(j), max_distance=2.0 * CONTACT_EPS)
+        return r.distance <= CONTACT_EPS
+
+    def test_certified_decisions_match_kernel(self, monkeypatch):
+        tol = scene_mod._CERT_TOL
+        seen = {"keep": 0, "drop": 0, "band": 0}
+        blocking = scene_mod._blocking_pairs
+
+        def spy_blocking_pairs(body, statics):
+            cand = [(st, i, j) for st in statics
+                    for i, j in scene_mod._aabb_pairs(body, st, CONTACT_EPS, axes=2).tolist()]
+            want = []
+            if cand:
+                for (st, i, j), gap, depth in zip(cand, *scene_mod._xy_gaps(body, cand)):
+                    keeps = self.kernel_keeps(body, st, i, j)
+                    if depth < -tol:
+                        assert keeps
+                        seen["keep"] += 1
+                    elif gap > CONTACT_EPS + tol:
+                        assert not keeps
+                        seen["drop"] += 1
+                    else:
+                        seen["band"] += 1
+                    if keeps:
+                        want.append((i, st, j))
+            got = blocking(body, statics)
+            assert got == want
+            return got
+
+        monkeypatch.setattr(scene_mod, "_blocking_pairs", spy_blocking_pairs)
+        for pile in SEEDED_PILES:
+            settle_seeded(*pile)
+        assert seen["keep"] > 0 and seen["drop"] > 0
+        # the kernel still decides the band
+        assert seen["band"] > 0
+
+    def test_sliver_outline_falls_back_to_kernel(self, monkeypatch):
+        # a vertical plate over the diagonal y = x: its xy projection is a
+        # segment, which qhull cannot hull
+        a, b = np.array([0.0, 0.0]), np.array([40.0, 40.0])
+        plate = np.array([[*p, z] for p in (a, b) for z in (0.0, 10.0)])
+        st = scene_mod._WorldBody([ConvexPiece(vertices=plate)])
+        assert np.isnan(st.outline(0)).all()
+        calls = []
+
+        def spy_gjk_world(*args, **kwargs):
+            calls.append(None)
+            return gjk_world(*args, **kwargs)
+
+        monkeypatch.setattr(scene_mod, "gjk_world", spy_gjk_world)
+        box = convex_hull(box_mesh(np.zeros(3), (1.0, 1.0, 1.0)).vertices)
+        # box centers: across the plate, 0.03 mm from it and 1 mm from it,
+        # all inside its box in x and y
+        off = np.array([1.0, -1.0]) / math.sqrt(2.0)
+        for gap, keep in ((-1.0, True), (0.03, True), (1.0, False)):
+            center = np.array([20.0, 20.0]) + (math.sqrt(2.0) + gap) * off
+            body = scene_mod._WorldBody([box], Pose3((*center, 5.0)))
+            pairs = scene_mod._blocking_pairs(body, [st])
+            assert pairs == ([(0, st, 0)] if keep else [])
+            assert self.kernel_keeps(body, st, 0, 0) == keep
+        assert len(calls) == 3
+
+
 class TestRenderDepth:
     def interior_camera(self):
         # frustum exactly over the bin interior: no wall pixels
@@ -323,6 +413,57 @@ class TestRenderDepth:
             t = oracles.ray_triangles(np.array([x, y, cam.height]), down, tris)
             expected = t if t is not None else cam.height
             assert abs(d[py, px] - expected) < 1e-6
+
+    def test_matches_reference_bytes(self, pipeline_piles):
+        # the default camera, one whose frame cuts the wall triangles at
+        # the image border, and one with odd pixel counts and pitch
+        cams = (Camera(), self.interior_camera(),
+                Camera(width_px=433, height_px=321, pitch=0.47))
+        for scene in pipeline_piles:
+            for cam in cams:
+                got = render_depth(scene, cam).data
+                assert got.tobytes() == oracles.render_depth_reference(scene, cam).data.tobytes()
+
+    def test_matches_reference_on_vertical_and_sunken_faces(self):
+        # open vertical plates along y = 20 whose top edge leans by 0 to
+        # 1e-6 mm: den is 0, then falls on both sides of the
+        # degenerate-triangle cut-off (for the odd-sized camera, about 6e-13
+        # and 1.1e-12 px^2 at one and two ulps of py). Then boxes wholly
+        # below the floor, through it, just above it, and one whose top
+        # face's edges run through that camera's pixel centers.
+        def placed(k, verts, faces):
+            return PlacedCable(id=k, spec=CableSpec(), mesh=TriMesh(verts, faces),
+                               pieces=[], pose=Pose3(np.zeros(3)))
+
+        cables = []
+        quad = np.array([[0, 1, 2], [0, 2, 3], [0, 2, 1], [0, 3, 2]])
+        for k, lean in enumerate((0.0, 1.5e-14, 3e-14, 6e-14, 1e-12, 1e-9, 1e-6)):
+            x0 = -90.0 + 25.0 * k
+            verts = [[x0, 20.0, 2.0], [x0 + 10.0, 20.0, 2.0],
+                     [x0 + 10.0, 20.0 + lean, 12.0], [x0, 20.0 + lean, 12.0]]
+            cables.append(placed(k, verts, quad))
+        for center, half in (((-50.0, -40.0, -6.0), (20.0, 10.0, 5.0)),
+                             ((0.0, -40.0, 0.5), (20.0, 10.0, 5.0)),
+                             ((50.0, -40.0, 0.3), (10.0, 10.0, 0.5)),
+                             ((50.0, 50.0, 3.0), (10.0, 10.0, 3.0))):
+            box = box_mesh(np.array(center), half)
+            cables.append(placed(len(cables), box.vertices, box.faces))
+        scene = Scene(bin=BinSpec(), cables=cables, rng_seed=0)
+        for cam in (Camera(), self.interior_camera(), Camera(width_px=481, height_px=361)):
+            got = render_depth(scene, cam).data
+            assert got.tobytes() == oracles.render_depth_reference(scene, cam).data.tobytes()
+
+    def test_peak_memory_bounded(self, pipeline_piles):
+        # the 8-cable pile: about 17 MiB in passes of 64k box pixels, about
+        # 100 MiB when every triangle's box is rasterised in one pass
+        scene, cam = pipeline_piles[1], Camera()
+        tracemalloc.start()
+        try:
+            render_depth(scene, cam)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / 2**20 < 24.0
 
     def test_pixel_mapping_roundtrip(self):
         cam = Camera()
