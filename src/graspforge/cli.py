@@ -2,8 +2,9 @@
 evaluation, and report plots.
 
 Every subcommand reads the shared run configuration (the --config file
-plus flag overrides), writes its outputs atomically under --out with fixed
-names (scenes/, candidates.*, dataset.* in datasets/; qualitynet.gfqn and
+plus flag overrides; report, which reads no value of it, takes no
+overrides), writes its outputs atomically under --out with fixed names
+(scenes/, candidates.*, dataset.* in datasets/; qualitynet.gfqn and
 qualitynet_metrics.csv in checkpoints/; eval_<policy>.* and figures in
 reports/ by default), and prints a one-line JSON summary. Exit codes: 0
 success, 1 domain error, 2 usage error.
@@ -40,11 +41,15 @@ def _emit(summary: dict) -> None:
     print(json.dumps(summary, sort_keys=True))
 
 
-def _add_run_flags(parser: argparse.ArgumentParser, out: str) -> None:
+def _add_out_flags(parser: argparse.ArgumentParser, out: str) -> None:
     parser.add_argument("--out", default=out,
                         help="output directory (default: %(default)s)")
     parser.add_argument("--config", default=None,
                         help="run configuration file (key = value lines)")
+
+
+def _add_run_flags(parser: argparse.ArgumentParser, out: str) -> None:
+    _add_out_flags(parser, out)
     group = parser.add_argument_group("configuration overrides")
     for f in fields(RunConfig):
         flags = ["--" + f.name.replace("_", "-")]
@@ -296,7 +301,7 @@ def _metric_curves(data: bytes):
 
 
 def _cmd_report(args) -> dict:
-    _run_config(args)   # a bad --config fails here as in every command
+    load_run_config(args.config)   # a bad --config fails here as in every command
     out_dir = Path(args.out)
     figures = []
     for stats_path in args.stats or []:
@@ -351,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="emit SVG charts from stats/metrics")
     p.add_argument("--stats", action="append", default=[])
     p.add_argument("--metrics", default=None)
-    _add_run_flags(p, "reports")
+    _add_out_flags(p, "reports")   # report reads no configuration value
     p.set_defaults(func=_cmd_report)
     return parser
 

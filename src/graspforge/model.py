@@ -19,14 +19,24 @@ batch, one span per usable core, each in chunks of a few samples; the spans
 write per-sample results into whole-batch arrays. The batch reductions run
 once on those arrays after every span has ended: each conv weight gradient
 sums its per-sample products over the batch axis, and each bias gradient
-sums the whole output gradient. The depthwise block, pointwise layer, GAP
-and fc head run on the whole batch. No float operation moves between
-samples, so the bytes do not depend on the core count.
+sums its per-sample partials (each sample's output gradient summed over the
+map) over the batch axis, which numpy does in the order, and so with the
+bytes, of one sum of the whole-batch output gradient over the sample and map
+axes. The depthwise block, pointwise layer, GAP and fc head run on the whole
+batch. No float operation moves between samples, so the bytes do not depend
+on the core count.
+
+Each `train`, `gradients` or `forward_many` call builds one workspace and
+drops it when it returns: the whole-batch arrays of the conv stages, sized
+for the call's largest pass, and each span's chunk scratch. Every pass
+reuses it, a shorter one through a row prefix, so no training step
+allocates a large array.
 
 Training minimizes class-weighted binary cross-entropy with per-class
 weights from the label distribution, on a stratified split of the stacked
-patches. Optional augmentation flips the stacked training block 4 ways, in
-one array operation. The best validation-accuracy checkpoint wins.
+patches. Optional augmentation flips each patch 4 ways: each batch draws
+its rows of the flip block, which is never formed. The best
+validation-accuracy checkpoint wins.
 """
 
 from __future__ import annotations
@@ -62,6 +72,8 @@ _POOL = ThreadPoolExecutor(max_workers=max(_CORES - 1, 1))
 # samples per pass inside a span, so that a chunk's full-resolution
 # activations stay in the core's cache
 _CHUNK = 4
+# samples per validation forward pass; the logits' bytes depend on it
+_VAL_CHUNK = 256
 
 # parameter tensor shapes, fixed given the input size
 _PARAM_SHAPES = (
@@ -122,28 +134,35 @@ def _pad1(x: np.ndarray) -> np.ndarray:
     return padded
 
 
-def _conv_cols(x: np.ndarray) -> np.ndarray:
-    """im2col for 3x3 stride-1 same-padding: (N,C,H,W) -> (N, C*9, H*W)."""
-    n, c, h, w = x.shape
-    win = sliding_window_view(_pad1(x), (3, 3), axis=(2, 3))   # (N,C,H,W,3,3)
-    return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * 9, h * w)
+# the taps of a 3x3 kernel in im2col row order
+_TAPS = tuple((dy, dx) for dy in range(3) for dx in range(3))
 
 
-def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    n, _, h, wd = x.shape
+def _im2col(x: np.ndarray, pad: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """im2col for 3x3 stride-1 same-padding: (m,C,H,W) -> (m, C*9, H*W).
+
+    x is copied into the interior of `pad`, whose border holds zeros, and the
+    nine shifted windows of `pad` into a prefix of the flat scratch `cols`;
+    the result is a view of that prefix."""
+    m, c, h, w = x.shape
+    pad = pad[:m]
+    pad[:, :, 1:-1, 1:-1] = x
+    out = cols[:m * c * 9 * h * w].reshape(m, c, 9, h, w)
+    for k, (dy, dx) in enumerate(_TAPS):
+        out[:, :, k] = pad[:, :, dy:dy + h, dx:dx + w]
+    return out.reshape(m, c * 9, h * w)
+
+
+def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, pad: np.ndarray,
+                  cols: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """3x3 same-padded correlation of x plus the bias, as a view of a prefix
+    of the flat scratch `out`; `pad` and `cols` are `_im2col`'s scratch."""
+    m, _, h, wd = x.shape
     co = w.shape[0]
-    cols = _conv_cols(x)
-    out = np.matmul(w.reshape(co, -1), cols)
-    out += b[:, None]
-    return out.reshape(n, co, h, wd), cols
-
-
-def _conv_input_grad(dy: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # dX of a same-padded correlation is a same-padded correlation with the
-    # spatially flipped, channel-transposed kernel
-    w_flip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    dx, _ = _conv_forward(dy, np.ascontiguousarray(w_flip), np.zeros(w.shape[1]))
-    return dx
+    z = np.matmul(w.reshape(co, -1), _im2col(x, pad, cols),
+                  out=out[:m * co * h * wd].reshape(m, co, h * wd))
+    z += b[:, None]
+    return z.reshape(m, co, h, wd)
 
 
 def _depthwise_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -204,35 +223,72 @@ def _spans(n: int) -> list[tuple[int, int]]:
 
 
 def _fan_out(task, n: int) -> None:
-    """task(start, stop) over `_spans(n)`: the calling thread takes the first
-    span and the pool the others. Returns once every span has ended, and
-    raises the first span's error, else the first failed worker's."""
+    """task(j, start, stop) for the j-th of `_spans(n)`: the calling thread
+    takes the first span and the pool the others. Returns once every span
+    has ended, and raises the first span's error, else the first failed
+    worker's."""
     first, *rest = _spans(n)
-    futures = [_POOL.submit(task, *span) for span in rest]
+    futures = [_POOL.submit(task, j, *span) for j, span in enumerate(rest, 1)]
     try:
-        task(*first)
+        task(0, *first)
     finally:
         wait(futures)
     for future in futures:
         future.result()
 
 
-def _forward_batch(net: QualityNet, x: np.ndarray):
-    """Logits plus the cache needed for one backward pass; x is (N, S, S)."""
-    p = [a.astype(np.float64) for a in net.params]
+class _SpanScratch:
+    """One span's chunk buffers: a zero-bordered input per conv stage shape
+    (the border is written once) and one flat buffer per role (im2col rows,
+    conv output, stage output gradient) sized for the largest stage; each
+    use takes a reshaped prefix."""
+
+    def __init__(self, stages: list[tuple[int, int]]):
+        self.pads = [np.zeros((_CHUNK, c, h + 2, h + 2)) for c, h in stages]
+        self.cols = np.empty(_CHUNK * max(9 * c * h * h for c, h in stages))
+        self.out = np.empty(_CHUNK * 8 * stages[0][1] ** 2)
+        self.dz = np.empty_like(self.out)
+
+
+class _Workspace:
+    """The large arrays of the passes of one `train`, `gradients` or
+    `forward_many` call over batches of up to `rows` S x S samples. A pass
+    of n rows uses the first n of each whole-batch array; the conv stages'
+    j-th span uses `spans[j]`. It lives as long as the call."""
+
+    def __init__(self, rows: int, s: int):
+        # conv stage i's input channels and side
+        stages = [(c, s >> i) for i, c in enumerate((1, 8, 8))]
+        self.ins = [np.empty((rows, c, h, h)) for c, h in stages]
+        self.ins.append(np.empty((rows, 8, s >> 3, s >> 3)))
+        self.masks = [np.empty((rows, 8, h, h), dtype=bool) for _, h in stages]
+        self.args = [np.empty((rows, 8, h >> 1, h >> 1), dtype=np.int8) for _, h in stages]
+        # per-sample bias-gradient partials and weight-gradient products
+        self.partials = [np.empty((rows, 8)) for _ in stages]
+        self.prods = [np.empty((rows, 8, 9 * c)) for c, _ in stages]
+        self.spans = [_SpanScratch(stages) for _ in _spans(rows)]
+
+
+def _forward_batch(net: QualityNet, x: np.ndarray, ws: _Workspace | None = None):
+    """Logits plus the cache needed for one backward pass; x is (N, S, S).
+    The conv stages' arrays live in `ws`, by default a workspace of N rows,
+    until its next pass."""
     n, s = x.shape[0], x.shape[-1]
+    if ws is None:
+        ws = _Workspace(n, s)
+    p = [a.astype(np.float64) for a in net.params]
     # conv stage i reads ins[i] and writes its ReLU mask, its pool winners
     # and ins[i + 1]; the spans fill these whole-batch arrays in place
-    ins = [x.astype(np.float64)[:, None, :, :]]
-    ins += [np.empty((n, 8, s >> i, s >> i)) for i in (1, 2, 3)]
-    masks = [np.empty((n, 8, s >> i, s >> i), dtype=bool) for i in (0, 1, 2)]
-    args = [np.empty((n, 8, s >> i, s >> i), dtype=np.int8) for i in (1, 2, 3)]
+    ins, masks, args = ([a[:n] for a in arrs] for arrs in (ws.ins, ws.masks, ws.args))
+    ins[0][:, 0] = x
 
-    def conv_stages(start: int, stop: int) -> None:
+    def conv_stages(j: int, start: int, stop: int) -> None:
+        sc = ws.spans[j]
         for a in range(start, stop, _CHUNK):
             b = min(a + _CHUNK, stop)
             for i in range(3):
-                z, _ = _conv_forward(ins[i][a:b], p[2 * i], p[2 * i + 1])
+                z = _conv_forward(ins[i][a:b], p[2 * i], p[2 * i + 1],
+                                  sc.pads[i], sc.cols, sc.out)
                 z *= np.greater(z, 0, out=masks[i][a:b])
                 ins[i + 1][a:b], args[i][a:b] = _pool_forward(z)
 
@@ -245,7 +301,7 @@ def _forward_batch(net: QualityNet, x: np.ndarray):
     hp = zp * pw_mask
     pooled = hp.mean(axis=(2, 3))
     logits = pooled @ p[10] + p[11][0]
-    cache = {"p": p, "acts": list(zip(ins, masks, args)), "win": win,
+    cache = {"p": p, "ws": ws, "acts": list(zip(ins, masks, args)), "win": win,
              "dw_mask": dw_mask, "hd": hd, "pw_mask": pw_mask,
              "hp_shape": hp.shape, "pooled": pooled}
     return logits, cache
@@ -266,28 +322,36 @@ def _backward_batch(dlogits: np.ndarray, cache):
     dhd = np.einsum("nkhw,kc->nchw", dzp, p[8], optimize=True)
     dz = dhd * cache["dw_mask"]
     dh, grads[6], grads[7] = _depthwise_backward(dz, cache["win"], p[6])
-    acts = cache["acts"]
-    # each conv stage's output gradient and per-sample weight-gradient
+    acts, ws = cache["acts"], cache["ws"]
+    # each conv stage's per-sample bias-gradient partials and weight-gradient
     # products, filled by the spans and summed over the batch after the join
-    dzs = [np.empty(mask.shape) for _, mask, _ in acts]
-    prods = [np.empty((n, 8, 9 * h.shape[1])) for h, _, _ in acts]
+    partials = [a[:n] for a in ws.partials]
+    prods = [a[:n] for a in ws.prods]
+    # dX of a same-padded correlation is a same-padded correlation with the
+    # spatially flipped, channel-transposed kernel, and no bias
+    w_flip = {i: np.ascontiguousarray(p[2 * i][:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+              for i in (1, 2)}
+    no_bias = np.zeros(8)
 
-    def conv_stages(start: int, stop: int) -> None:
+    def conv_stages(j: int, start: int, stop: int) -> None:
+        sc = ws.spans[j]
         for a in range(start, stop, _CHUNK):
             b = min(a + _CHUNK, stop)
             d = dh[a:b]
             for i in reversed(range(3)):
-                h, mask, arg = acts[i]
-                dz = _pool_relu_backward(d, arg[a:b], mask[a:b], dzs[i][a:b])
-                np.matmul(dz.reshape(b - a, 8, -1), _conv_cols(h[a:b]).transpose(0, 2, 1),
+                h, mask, arg = (arr[a:b] for arr in acts[i])
+                dz = _pool_relu_backward(d, arg, mask, sc.dz[:mask.size].reshape(mask.shape))
+                dzf = dz.reshape(b - a, 8, -1)
+                np.sum(dzf, axis=2, out=partials[i][a:b])
+                np.matmul(dzf, _im2col(h, sc.pads[i], sc.cols).transpose(0, 2, 1),
                           out=prods[i][a:b])
                 if i > 0:   # no parameter reads the image's gradient
-                    d = _conv_input_grad(dz, p[2 * i])
+                    d = _conv_forward(dz, w_flip[i], no_bias, sc.pads[i], sc.cols, sc.out)
 
     _fan_out(conv_stages, n)
     for i in range(3):
         grads[2 * i] = prods[i].sum(axis=0).reshape(p[2 * i].shape)
-        grads[2 * i + 1] = dzs[i].sum(axis=(0, 2, 3))
+        grads[2 * i + 1] = partials[i].sum(axis=0)
     return grads
 
 
@@ -396,12 +460,18 @@ def adam_step(state: AdamState, grads: list, cfg: TrainConfig) -> AdamState:
     return state
 
 
-def augment(x: np.ndarray) -> np.ndarray:
-    """(N, S, S) patches to (4N, S, S): each patch, then its columns
-    reversed, its rows reversed, and both. A parallel-jaw grasp is symmetric
-    under all four flips, so each patch's label carries over unchanged."""
-    flips = np.stack([x, x[:, :, ::-1], x[:, ::-1, :], x[:, ::-1, ::-1]], axis=1)
-    return flips.reshape(-1, *x.shape[1:])
+def augment(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The given rows, in order, of the (4N, S, S) flip block of the (N, S, S)
+    patches x, without forming the block: row 4i + k is patch i under flip k,
+    which is none, columns reversed, rows reversed, then both. A parallel-jaw
+    grasp is symmetric under all four flips, so each patch's label carries
+    over unchanged."""
+    src, flip = np.divmod(rows, 4)
+    out = np.empty((len(rows), *x.shape[1:]), dtype=x.dtype)
+    for k, view in enumerate((x, x[:, :, ::-1], x[:, ::-1, :], x[:, ::-1, ::-1])):
+        pick = flip == k
+        out[pick] = view[src[pick]]
+    return out
 
 
 @dataclass
@@ -425,11 +495,13 @@ def write_metrics(history: list, path: str | Path) -> None:
     atomic_write(path, text.getvalue())
 
 
-def _val_metrics(net: QualityNet, x: np.ndarray, y: np.ndarray):
+def _val_metrics(net: QualityNet, x: np.ndarray, idx: np.ndarray, y: np.ndarray,
+                 ws: _Workspace):
+    """Accuracy, precision and recall on the rows `idx` of x, labelled y."""
     preds = np.zeros(len(y))
-    for start in range(0, len(y), 256):
-        logits, _ = _forward_batch(net, x[start:start + 256])
-        preds[start:start + 256] = _sigmoid(logits)
+    for start in range(0, len(y), _VAL_CHUNK):
+        logits, _ = _forward_batch(net, x[idx[start:start + _VAL_CHUNK]], ws)
+        preds[start:start + _VAL_CHUNK] = _sigmoid(logits)
     hard = preds >= 0.5
     acc = float((hard == (y == 1)).mean())
     tp = float(np.sum(hard & (y == 1)))
@@ -445,8 +517,10 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
     per-epoch metrics, best-validation-accuracy checkpoint. Deterministic
     per seed.
 
-    The samples' patches are stacked once into an (N, S, S) array; the
-    splits select rows of it, and augmentation flips the training block."""
+    The samples' patches are stacked once into an (N, S, S) array x, which
+    is the only copy: each batch draws its rows of x's flip block (rows
+    4i + k with augmentation, 4i without) and each validation chunk its rows
+    of x. One workspace serves every pass."""
     samples = list(dataset)
     if not samples:
         raise DegenerateInput("dataset is empty")
@@ -467,31 +541,33 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
     val_idx = np.concatenate([pos[:n_val_pos], neg[:n_val_neg]])
     train_idx = np.concatenate([pos[n_val_pos:], neg[n_val_neg:]])
 
-    x_train, y_train = x[train_idx], labels[train_idx].astype(np.float64)
+    y_train = labels[train_idx].astype(np.float64)
     if cfg.augment:
-        x_train, y_train = augment(x_train), np.repeat(y_train, 4)
+        rows, y_train = (4 * train_idx[:, None] + np.arange(4)).ravel(), np.repeat(y_train, 4)
+    else:
+        rows = 4 * train_idx
     phi = class_weights(y_train)
-    x_val, y_val = x[val_idx], labels[val_idx].astype(np.float64)
+    y_val = labels[val_idx].astype(np.float64)
+    ws = _Workspace(max(min(cfg.batch_size, len(rows)), min(_VAL_CHUNK, len(val_idx))),
+                    x.shape[1])
 
     net = init_net(x.shape[1], rng)
     state = AdamState(params=net.params)
     best = ([p.copy() for p in net.params], 0, -1.0)
     history = []
     for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(len(x_train))
+        order = rng.permutation(len(rows))
         total, seen = 0.0, 0
         for start in range(0, len(order), cfg.batch_size):
             sel = order[start:start + cfg.batch_size]
-            xb, yb = x_train[sel], y_train[sel]
-            # `cache` stays bound until the next forward pass allocates its own;
-            # freed sooner, its pages go back to the OS and fault in every batch
-            logits, cache = _forward_batch(net, xb)
+            xb, yb = augment(x, rows[sel]), y_train[sel]
+            logits, cache = _forward_batch(net, xb, ws)
             q = _sigmoid(logits)
             total += loss(q, yb, phi) * len(sel)
             seen += len(sel)
             state = adam_step(state, _backward_batch(_dlogits(q, yb, phi), cache), cfg)
             net.params = state.params
-        acc, prec, rec = _val_metrics(net, x_val, y_val)
+        acc, prec, rec = _val_metrics(net, x, val_idx, y_val, ws)
         history.append({"epoch": epoch, "train_loss": total / seen,
                         "val_acc": acc, "val_prec": prec, "val_rec": rec})
         if acc > best[2]:

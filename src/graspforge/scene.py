@@ -483,9 +483,13 @@ def _contact_points(body: _WorldBody, statics: list[_WorldBody],
     Besides the closest-point witness of each touching pair, body
     vertices lying within tol of the support are added, so a flat-on-flat
     rest reports the extremes of its true support region, not just one
-    interior point (the toppling pivot must be the region's edge)."""
+    interior point (the toppling pivot must be the region's edge).
+
+    A vertex that adjacent body pieces share is tested against a static
+    piece once per call, and added at each of its occurrences."""
     pts = []
     for st in statics:
+        touches: dict[tuple[int, bytes], bool] = {}   # (static piece, vertex bytes)
         for i, j in _aabb_pairs(body, st, 2 * tol, axes=3):
             r = gjk_world(body.verts[i], st.verts[j], max_distance=4 * tol)
             if r.distance > tol:
@@ -494,7 +498,11 @@ def _contact_points(body: _WorldBody, statics: list[_WorldBody],
             near = ((body.verts[i] >= st.lo[j] - 2 * tol)
                     & (body.verts[i] <= st.hi[j] + 2 * tol)).all(axis=1)
             for v in body.verts[i][near]:
-                if gjk_world(v[None, :], st.verts[j], max_distance=2 * tol).distance <= tol:
+                key = (j, v.tobytes())
+                if key not in touches:
+                    touches[key] = gjk_world(v[None, :], st.verts[j],
+                                             max_distance=2 * tol).distance <= tol
+                if touches[key]:
                     pts.append(v)
     return pts
 

@@ -373,7 +373,7 @@ class TestErrors:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epochs = soon\n")
         for argv in (["--config", str(cfg)], ["--epochs", "soon"], ["--lr", "fast"]):
-            rc, out = run(capsys, "report", *argv)
+            rc, out = run(capsys, "train", "--dataset", "missing.idx", *argv)
             assert rc == 1, argv
             assert out["error"] == "DegenerateInput"
 
@@ -525,6 +525,15 @@ class TestConfigPlumbing:
         for argv in (["sample", "--scenes", "s.json", "--stem", "x"],
                      ["report", "--dataset-dir", "x"]):
             assert dispatch(argv) == 2, argv
+
+    def test_report_takes_no_overrides(self, capsys, tmp_path):
+        # report reads no configuration value, so an override there is a
+        # usage error, not a setting that does nothing
+        for flags in (["--epochs", "5"], ["--scene-count", "3"], ["--seed", "1"]):
+            assert dispatch(["report", *flags, "--out", str(tmp_path / "x")]) == 2, flags
+        assert not (tmp_path / "x").exists()
+        rc, out = run(capsys, "report", "--out", str(tmp_path / "x"))
+        assert (rc, out) == (0, {"command": "report", "figures": []})
 
 
 class TestDefaultOutputs:

@@ -42,6 +42,13 @@ READERS = {
 }
 
 
+def chain_argv(argv, root, out) -> list[str]:
+    """A READERS command line for the chain directory root, writing under
+    out, with the BASE settings; report reads no setting and takes none."""
+    argv = [a.format(root) for a in argv] + ["--out", str(out)]
+    return argv if argv[0] == "report" else argv + BASE
+
+
 def run(argv) -> tuple[int, dict]:
     """dispatch with stdout captured and warnings ignored: the command line
     prints a warning (an overflow on damaged floats, a GJK cap hit) and goes
@@ -61,7 +68,7 @@ def chain(tmp_path_factory):
                  READERS["dataset.idx"], READERS["qualitynet.gfqn"],
                  ["report", "--stats", "{}/eval_cgcnn.json",
                   "--metrics", "{}/qualitynet_metrics.csv"]):
-        rc, out = run([a.format(root) for a in argv] + ["--out", str(root)] + BASE)
+        rc, out = run(chain_argv(argv, root, root))
         assert rc == 0, out
     return root
 
@@ -82,8 +89,7 @@ def test_damaged_artifact_is_a_named_error(chain, artifact, damage, at, mask):
         else:
             k = at % len(good)
             path.write_bytes(good[:k] + bytes([good[k] ^ mask]) + good[k + 1:])
-        argv = [a.format(chain) for a in READERS[artifact]]
-        rc, out = run(argv + ["--out", str(chain / "out")] + BASE)
+        rc, out = run(chain_argv(READERS[artifact], chain, chain / "out"))
     finally:
         path.write_bytes(good)
     assert rc in (0, 1), out
@@ -134,8 +140,7 @@ def test_retyped_leaf_is_a_named_error(chain, artifact, at, value):
     node[key] = str(node[key]) if value is str else value
     try:
         path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
-        argv = [a.format(chain) for a in RETYPE_READERS[artifact]]
-        rc, out = run(argv + ["--out", str(chain / "out")] + BASE)
+        rc, out = run(chain_argv(RETYPE_READERS[artifact], chain, chain / "out"))
     finally:
         path.write_text(good)
     assert rc in (0, 1), out
@@ -159,7 +164,6 @@ KEY_READERS = {
 def test_bad_config_number_is_a_named_error(chain, key, value):
     """A numeric config value of nan, inf or -1 ends the first command that
     uses it with exit 0 or a named error, never a traceback."""
-    argv = [a.format(chain) for a in KEY_READERS[key]]
-    rc, out = run(argv + ["--out", str(chain / "out")] + BASE
+    rc, out = run(chain_argv(KEY_READERS[key], chain, chain / "out")
                   + ["--" + key.replace("_", "-"), value])
     assert rc in (0, 1) and out, out

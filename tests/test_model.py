@@ -15,10 +15,10 @@ from graspforge.errors import DegenerateInput, ShapeMismatch, SingleClass
 from graspforge.model import (AdamState, QualityNet, TrainConfig, adam_step,
                               augment, forward_many, gradients,
                               init_net, load_net, loss, save_net, train,
-                              write_metrics, _conv_forward, _depthwise_forward,
+                              write_metrics, _depthwise_forward,
                               _dlogits, _forward_batch, _pool_forward, _sigmoid)
 from graspforge.simlab import GraspSample
-from oracles import (augment_reference, backward_batch_reference,
+from oracles import (_ref_conv_forward, augment_reference, backward_batch_reference,
                      forward_backward_reference, forward_batch_reference, zeros_net)
 
 # Seeds under which the finite-difference probe point below is smooth: no
@@ -52,7 +52,7 @@ def smooth_net_and_batch(seed, size=8, n=3):
     x = np.abs(rng.normal(size=(n, size, size))) + 0.1
     h = x[:, None, :, :]
     for i in range(3):
-        z, _ = _conv_forward(h, params[2 * i], params[2 * i + 1])
+        z, _ = _ref_conv_forward(h, params[2 * i], params[2 * i + 1])
         s = float(np.sqrt((z ** 2).mean()))
         params[2 * i] /= s
         params[2 * i + 1] /= s
@@ -306,7 +306,7 @@ class TestBitIdentity:
             p = [a.astype(np.float64) for a in net.params]
             h = x.astype(np.float64)[:, None]
             for i in range(3):
-                z, _ = _conv_forward(h, p[2 * i], p[2 * i + 1])
+                z, _ = _ref_conv_forward(h, p[2 * i], p[2 * i + 1])
                 act = z * (z > 0)
                 negzero += int(np.sum((act == 0.0) & np.signbit(act)))
                 ties += int(np.sum(act[:, :, 0::2, 0::2] == act[:, :, 0::2, 1::2]))
@@ -317,7 +317,8 @@ class TestBitIdentity:
         data = blob_dataset(n=60, size=16, seed=9)
         cfg = TrainConfig(epochs=3, batch_size=8, seed=4)
         ours = train(data, cfg)
-        monkeypatch.setattr(model, "_forward_batch", forward_batch_reference)
+        monkeypatch.setattr(model, "_forward_batch",
+                            lambda net, x, ws: forward_batch_reference(net, x))
         monkeypatch.setattr(model, "_backward_batch", backward_batch_reference)
         ref = train(data, cfg)
         save_net(ours.net, tmp_path / "ours.gfqn")
@@ -407,9 +408,10 @@ def traced_peak_mib(call) -> float:
 
 
 def test_gradients_peak_memory():
-    # one training-size batch: 32 patches of 64x64; about 23 MiB once the
-    # conv stages run in chunks and the forward keeps no im2col copies,
-    # 57 MiB when it kept them, 125 MiB when conv1's input gradient was formed
+    # one training-size batch: 32 patches of 64x64; about 18 MiB with one
+    # workspace per call, 23 MiB when each chunk allocated its temporaries,
+    # 57 MiB when the forward kept its im2col copies, 125 MiB when conv1's
+    # input gradient was formed
     rng = np.random.default_rng(0)
     net = init_net(64, rng)
     x = rng.normal(size=(32, 64, 64)).astype(np.float32)
@@ -419,13 +421,44 @@ def test_gradients_peak_memory():
 
 
 def test_validation_forward_peak_memory():
-    # one validation chunk: 256 patches of 64x64; about 54 MiB, and 324 MiB
-    # when the forward kept every stage's im2col copy
+    # one validation chunk: 256 patches of 64x64; about 66 MiB with the
+    # call's workspace, which also holds the buffers only a backward pass
+    # touches, 54 MiB before, and 324 MiB when the forward kept every
+    # stage's im2col copy
     rng = np.random.default_rng(0)
     net = init_net(64, rng)
     x = rng.normal(size=(256, 64, 64)).astype(np.float32)
     peak = traced_peak_mib(lambda: _forward_batch(net, x))
     assert peak < 80.0, peak
+
+
+def test_train_peak_memory():
+    # the `train` benchmark workload's size: 160 patches of 64x64, 3 epochs;
+    # about 21 MiB once every pass reuses one workspace, 34 MiB when each
+    # step allocated its arrays and the flipped training block was formed
+    rng = np.random.default_rng(0)
+    labels = np.zeros(160, dtype=int)
+    labels[rng.choice(160, size=32, replace=False)] = 1
+    data = [GraspSample(patch=Patch(data=rng.normal(0.0, 3.0, (64, 64)).astype(np.float32),
+                                    pitch=0.5), label=int(label), meta={})
+            for label in labels]
+    peak = traced_peak_mib(lambda: train(data, TrainConfig(epochs=3, seed=0)))
+    assert peak < 28.0, peak
+
+
+@pytest.mark.parametrize("side", [64, 32, 16])
+def test_bias_partials_sum_like_whole_batch(side):
+    # a conv bias gradient sums per-sample partials, each chunk's written by
+    # its span, over the batch; numpy must give the bytes of the whole-batch
+    # sum over the sample and both map axes
+    rng = np.random.default_rng(side)
+    for n in range(1, 34):
+        dz = rng.normal(size=(n, 8, side, side)) * (rng.random((n, 8, side, side)) < 0.3)
+        partials = np.empty((n, 8))
+        for a in range(0, n, model._CHUNK):
+            b = min(a + model._CHUNK, n)
+            np.sum(dz[a:b].reshape(b - a, 8, -1), axis=2, out=partials[a:b])
+        assert partials.sum(axis=0).tobytes() == dz.sum(axis=(0, 2, 3)).tobytes(), n
 
 
 class TestAdam:
@@ -465,6 +498,11 @@ class TestAdam:
             adam_step(state, [np.zeros(3)], TrainConfig())
 
 
+def flip_block(x):
+    """All 4N rows of the flip block of the (N, S, S) patches x."""
+    return augment(x, np.arange(4 * len(x)))
+
+
 class TestAugment:
     def test_matches_per_sample_reference(self):
         # the flipped block holds the per-sample flips' bytes in their order:
@@ -474,26 +512,43 @@ class TestAugment:
         patches.append(Patch(data=np.ones((16, 16), dtype=np.float32), pitch=0.5))
         samples = [GraspSample(patch=p, label=i % 2, meta={}) for i, p in enumerate(patches)]
         ref = [v for s in samples for v in augment_reference(s)]
-        block = augment(np.stack([p.data for p in patches]))
+        block = flip_block(np.stack([p.data for p in patches]))
         assert block.dtype == np.float32 and block.flags.c_contiguous
         assert block.tobytes() == np.stack([v.patch.data for v in ref]).tobytes()
         labels = np.array([s.label for s in samples], dtype=np.float64)
         assert np.repeat(labels, 4).tolist() == [v.label for v in ref]
 
+    def test_rows_match_reference(self):
+        # as training draws them: shuffled batches of rows, the last one
+        # short, and rows that repeat
+        rng = np.random.default_rng(3)
+        patches = [rand_patch(rng) for _ in range(7)]
+        x = np.stack([p.data for p in patches])
+        ref = [v.patch.data for p in patches
+               for v in augment_reference(GraspSample(patch=p, label=0, meta={}))]
+        order = rng.permutation(4 * len(x))
+        draws = [order[a:a + 8] for a in range(0, len(order), 8)]
+        draws.append(rng.integers(0, 4 * len(x), size=20))
+        assert len(draws[-2]) == 4
+        for rows in draws:
+            got = augment(x, rows)
+            assert got.dtype == np.float32 and got.flags.c_contiguous
+            assert got.tobytes() == np.stack([ref[r] for r in rows]).tobytes()
+
     def test_four_distinct_variants(self):
         x = rand_patch(np.random.default_rng(8)).data[None]
-        out = augment(x)
+        out = flip_block(x)
         assert out.shape == (4, 16, 16)
         assert out[0].tobytes() == x[0].tobytes()
         assert len({v.tobytes() for v in out}) == 4
 
     def test_double_flip_restores_original(self):
         x = rand_patch(np.random.default_rng(9)).data[None]
-        hflip = augment(x)[1:2]
-        assert augment(hflip)[1].tobytes() == x[0].tobytes()
+        hflip = augment(x, [1])
+        assert augment(hflip, [1])[0].tobytes() == x[0].tobytes()
 
     def test_symmetric_patch_collapses(self):
-        out = augment(np.ones((1, 16, 16), dtype=np.float32))
+        out = flip_block(np.ones((1, 16, 16), dtype=np.float32))
         assert len({v.tobytes() for v in out}) == 1
 
 
@@ -523,7 +578,7 @@ class TestTrain:
         agree = 0
         for s in data[:40]:
             q = quality(result.net, s.patch)
-            hflip = Patch(data=augment(s.patch.data[None])[1], pitch=s.patch.pitch)
+            hflip = Patch(data=augment(s.patch.data[None], [1])[0], pitch=s.patch.pitch)
             qh = quality(result.net, hflip)
             agree += abs(q - qh) <= 0.15
         assert agree >= 36   # within 0.15 on at least 90%

@@ -269,6 +269,41 @@ class TestSettleBitIdentity:
         assert len(contact_calls) < len(ref_contact_calls)
 
 
+class TestContactPoints:
+    def test_shared_vertices_queried_once(self, monkeypatch):
+        # adjacent body pieces share their joint vertices: the memoised call
+        # gives the unmemoised loop's contact list, byte for byte, with fewer
+        # kernel calls
+        calls = {"got": 0, "want": 0}
+        phase = [None]
+
+        def counted(kernel):
+            def call(*args, **kwargs):
+                if phase[0] is not None:
+                    calls[phase[0]] += 1
+                return kernel(*args, **kwargs)
+            return call
+
+        contact_points = scene_mod._contact_points
+
+        def spy_contact_points(body, statics, tol):
+            phase[0] = "got"
+            got = contact_points(body, statics, tol)
+            phase[0] = "want"
+            want = oracles._ref_contact_points(body, statics, tol)
+            phase[0] = None
+            assert len(got) == len(want)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            return got
+
+        monkeypatch.setattr(scene_mod, "gjk_world", counted(scene_mod.gjk_world))
+        monkeypatch.setattr(oracles, "gjk_world_reference",
+                            counted(oracles.gjk_world_reference))
+        monkeypatch.setattr(scene_mod, "_contact_points", spy_contact_points)
+        settle_seeded(*SEEDED_PILES[0])
+        assert 0 < calls["got"] < calls["want"]
+
+
 class TestBlockingPairs:
     """`_blocking_pairs` certifies most keep-or-drop decisions with 2-D
     separating-axis tests; every one must be the flattened kernel query's."""
