@@ -25,17 +25,20 @@ loop form is frozen in `tests/oracles.sample_grasps_reference`.
 - A crop reads the image's float64 copy and maximum depth, cached on the
   image (`DepthImage.depth64`, `DepthImage.max_depth`), so both are made
   once per image rather than once per crop.
+
+scipy (`cKDTree`, `map_coordinates`) is imported inside the two functions
+that call it, on first use, so that `train` and `report`, which read
+patches but never filter an image, never load it.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
 import numpy as np
-from scipy.ndimage import map_coordinates
-from scipy.spatial import cKDTree
 
 from .errors import DegenerateInput, ShapeMismatch
 
@@ -44,6 +47,11 @@ _MAGIC = b"GFD1"
 # in a core's L2 cache while all window offsets pass over it.
 _FILTER_ROWS = 32
 PEPPER_VALUE = 120.0     # mm; the far dropout depth of add_noise (the near one is 0)
+
+
+def _check_pitch(pitch) -> None:
+    if not (math.isfinite(pitch) and pitch > 0):
+        raise DegenerateInput(f"pitch must be finite and positive, got {pitch!r}")
 
 
 @dataclass(frozen=True)
@@ -59,8 +67,7 @@ class DepthImage:
             raise ShapeMismatch("depth data must be 2-D")
         if not np.isfinite(arr).all() or (arr < 0).any():
             raise DegenerateInput("depths must be finite and non-negative")
-        if self.pitch <= 0:
-            raise DegenerateInput("pitch must be positive")
+        _check_pitch(self.pitch)
         object.__setattr__(self, "data", arr)
 
     @property
@@ -97,6 +104,7 @@ class Patch:
             raise ShapeMismatch("patch must be square")
         if not np.isfinite(arr).all():
             raise DegenerateInput("patch values must be finite")
+        _check_pitch(self.pitch)
         object.__setattr__(self, "data", arr)
 
     @property
@@ -224,6 +232,8 @@ def estimate_normals(edges: EdgePoints, radius: float = 5.0) -> EdgePoints:
     """Fit a line through each edge point's neighbors; the normal is the
     in-plane perpendicular oriented from near side to far side (along the
     stored depth gradient). Points with fewer than 3 neighbors are dropped."""
+    from scipy.spatial import cKDTree
+
     if radius < 2:
         raise DegenerateInput("radius must be >= 2 px")
     pts = edges.xy
@@ -259,6 +269,8 @@ def crop_rotated(img: DepthImage, center: tuple[float, float], theta: float,
     """Bilinear crop with the theta direction mapped to patch +x and the
     sampled center depth shifted to 0. Out-of-window samples take the
     image's maximum depth (the floor of a rendered scene)."""
+    from scipy.ndimage import map_coordinates
+
     cx, cy = center
     if not (0 <= cx < img.width and 0 <= cy < img.height):
         raise DegenerateInput("center outside image")

@@ -1,10 +1,14 @@
-"""Convex pieces backed by Qhull."""
+"""Convex hulls backed by Qhull.
+
+This is the only module that calls Qhull. scipy is imported inside the
+functions that call it, on first use, so that commands which never build a
+hull (`train`, `report`) never load it.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from ..errors import DegenerateInput
 
@@ -27,6 +31,8 @@ def convex_hull(points) -> ConvexPiece:
     Returned vertices are the extreme input points (ascending input order);
     interior points are discarded.
     """
+    from scipy.spatial import ConvexHull, QhullError
+
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise DegenerateInput("points must be (n, 3)")
@@ -43,3 +49,17 @@ def convex_hull(points) -> ConvexPiece:
         vertices=np.ascontiguousarray(pts[idx]),
         equations=np.ascontiguousarray(hull.equations),
     )
+
+
+def hull_2d(points) -> tuple[np.ndarray, np.ndarray] | None:
+    """Qhull's 2-D hull of (n, 2) points as its `(equations, vertices)`
+    arrays, unchanged: outward edge lines (nx, ny, c) with unit n and
+    n . p + c <= 0 inside, and the hull's point indices in counterclockwise
+    order. None when Qhull cannot hull the points, such as a collinear set."""
+    from scipy.spatial import ConvexHull, QhullError
+
+    try:
+        hull = ConvexHull(points)
+    except QhullError:
+        return None
+    return hull.equations, hull.vertices

@@ -29,12 +29,12 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .depthproc import DepthImage
 from .errors import DegenerateInput, Overfilled, SelfIntersecting
 from .fileio import atomic_write, read_input
-from .geometry import ConvexPiece, Pose3, TriMesh, convex_hull, gjk_world, load_obj, save_obj
+from .geometry import (ConvexPiece, Pose3, TriMesh, convex_hull, gjk_world, hull_2d, load_obj,
+                       save_obj)
 
 CONTACT_EPS = 0.05       # mm; resting contact tolerance
 SUPPORT_TOL = 0.5        # mm; gap still counted as support during settling
@@ -387,11 +387,8 @@ class _WorldBody:
         which no gap test certifies."""
         o = self._outline[i]
         if o is None:
-            try:
-                o = ConvexHull(self.verts[i][:, :2]).equations
-            except QhullError:
-                o = np.full((1, 3), np.nan)
-            self._outline[i] = o
+            hull = hull_2d(self.verts[i][:, :2])
+            o = self._outline[i] = np.full((1, 3), np.nan) if hull is None else hull[0]
         return o
 
 
@@ -517,15 +514,12 @@ def _support_analysis(com: np.ndarray, contacts: list[np.ndarray]):
     com_xy = com[:2]
     xy = pts3[:, :2]
     pts_idx = list(range(len(pts3)))
-    if len(pts3) >= 3:
-        try:
-            hull = ConvexHull(xy)
-            eq = hull.equations
-            if (eq[:, :2] @ com_xy + eq[:, 2] <= 1e-12).all():
-                return 0.0, []
-            pts_idx = [int(v) for v in hull.vertices]
-        except QhullError:
-            pass
+    hull = hull_2d(xy) if len(pts3) >= 3 else None
+    if hull is not None:
+        eq, vertices = hull
+        if (eq[:, :2] @ com_xy + eq[:, 2] <= 1e-12).all():
+            return 0.0, []
+        pts_idx = [int(v) for v in vertices]
     best = np.inf
     tip: list[np.ndarray] = []
     for i in pts_idx:

@@ -2,6 +2,9 @@
 
 import json
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -499,6 +502,48 @@ class TestReportCommand:
             text = open(fig).read()
             assert text.startswith("<svg")
             assert text.rstrip().endswith("</svg>")
+
+
+# Runs in a fresh interpreter: puts argv[1] on the path, imports the CLI,
+# dispatches each command line in the JSON list argv[2], then prints the exit
+# codes and the scipy modules the process has loaded.
+SCIPY_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from graspforge.cli import dispatch
+codes = [dispatch(argv) for argv in json.loads(sys.argv[2])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def fresh_process_scipy(*argvs) -> list[str]:
+    """The scipy modules a fresh process has loaded after importing the CLI
+    and running each command line, which must all exit 0."""
+    src = Path(cli_mod.__file__).parents[1]
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(src), json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=300, check=True)
+    codes, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(argvs)
+    return modules
+
+
+class TestStartUp:
+    def test_train_and_report_load_no_scipy(self, tmp_path):
+        """`train` and `report` never build a hull or filter an image, so
+        neither they nor the CLI's import load scipy; `make-scenes`, which
+        builds hulls, loads it at its first hull."""
+        idx = toy_dataset(tmp_path)
+        ckpt, figs = tmp_path / "ckpt", tmp_path / "figs"
+        assert fresh_process_scipy() == []
+        assert fresh_process_scipy(
+            ["train", "--dataset", str(idx), "--out", str(ckpt), "--epochs", "1",
+             "--batch-size", "8"],
+            ["report", "--metrics", str(ckpt / "qualitynet_metrics.csv"), "--out", str(figs)],
+        ) == []
+        assert (figs / "qualitynet_metrics_curve.svg").is_file()
+        scenes = ["make-scenes", "--out", str(tmp_path / "scenes"), "--scene-count", "1",
+                  "--cable-count-min", "1", "--cable-count-max", "1"]
+        assert "scipy.spatial" in fresh_process_scipy(scenes)
 
 
 class TestConfigPlumbing:

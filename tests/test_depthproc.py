@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,13 @@ class TestIO:
                             (blob, len(blob)), (blob, "3")):
             with pytest.raises(DegenerateInput):
                 patch_from_record(buf, offset)
+
+    def test_bad_pitch_is_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf, 0.0, -0.5):
+            with pytest.raises(DegenerateInput, match="pitch"):
+                Patch(data=np.zeros((4, 4), np.float32), pitch=bad)
+            with pytest.raises(DegenerateInput, match="pitch"):
+                DepthImage(data=np.zeros((4, 6), np.float32), pitch=bad)
 
     def test_downsample(self):
         img = flat(70.0, h=40, w=60, pitch=0.5)

@@ -89,19 +89,20 @@ def test_only_scene_poses_pieces():
 CONCURRENCY = {"threading", "concurrent", "multiprocessing"}
 
 
+def imported_modules(node: ast.AST) -> list[str]:
+    """Absolute module names an import statement loads; [] for any other node."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module]
+    return []
+
+
 def concurrency_imports(path: Path) -> list[str]:
     """Imports in one file of a module named in CONCURRENCY or below it."""
-    found = []
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
-        else:
-            continue
-        found += [f"{path.relative_to(PACKAGE)}:{node.lineno} imports {name}"
-                  for name in names if name.split(".")[0] in CONCURRENCY]
-    return found
+    return [f"{path.relative_to(PACKAGE)}:{node.lineno} imports {name}"
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            for name in imported_modules(node) if name.split(".")[0] in CONCURRENCY]
 
 
 def test_only_model_runs_threads():
@@ -110,6 +111,38 @@ def test_only_model_runs_threads():
     module."""
     assert [line for path in sorted(PACKAGE.rglob("*.py")) if path.name != "model.py"
             for line in concurrency_imports(path)] == []
+
+
+# The modules that may call scipy, each only from inside a function.
+SCIPY_HOMES = {Path("geometry/hull.py"), Path("depthproc.py")}
+
+
+def scipy_imports(path: Path) -> list[str]:
+    """Imports in one file of scipy or a module below it, each marked as
+    made at module level or inside a function."""
+    found = []
+
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            found.extend(f"{path.relative_to(PACKAGE)}:{child.lineno} imports {name} "
+                         f"{'in a function' if in_function else 'at module level'}"
+                         for name in imported_modules(child) if name.split(".")[0] == "scipy")
+            visit(child, in_function or isinstance(child, (ast.FunctionDef,
+                                                           ast.AsyncFunctionDef)))
+
+    visit(ast.parse(path.read_text(), str(path)), False)
+    return found
+
+
+def test_scipy_is_loaded_where_it_is_called():
+    """Only `geometry/hull.py` (Qhull) and `depthproc.py` (the normal fit's
+    k-d tree, the crop's interpolation) call scipy, and both import it inside
+    the function that calls it: loading the package, as `train` and `report`
+    do, loads no scipy module."""
+    assert [line for path in sorted(PACKAGE.rglob("*.py"))
+            for line in scipy_imports(path)
+            if path.relative_to(PACKAGE) not in SCIPY_HOMES
+            or line.endswith("at module level")] == []
 
 
 ENVIRONMENT_READS = {"environ", "environb", "getenv"}

@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -399,6 +400,27 @@ class TestGenerateDataset:
         orphan.write_text("")
         with pytest.raises(DatasetNotFound):
             load_dataset(orphan)
+
+    def test_bad_pitch_names_blob(self, tmp_path):
+        """A record whose pitch is not finite and positive fails the load,
+        naming the blob, rather than loading a patch that nothing can scale."""
+        rows = [{
+            "scene_index": i, "candidate_index": 0,
+            "patch": Patch(data=np.zeros((4, 4), np.float32), pitch=1.0),
+            "label": i % 2, "reason": None,
+            "contacted_ids": [0], "scene_seed": i, "cable_count": 1, "f": 0.3,
+            "pose": {"x": 0.0, "y": 0.0, "z": 1.0, "theta": 0.0, "w": 8.0},
+        } for i in range(2)]
+        idx = write_dataset(rows, {"overfilled": 0, "no_candidates": 0}, 2, 0, tmp_path)
+        blob = idx.with_suffix(".blob")
+        good = blob.read_bytes()
+        assert load_dataset(idx)[0].patch.pitch == 1.0
+        # the first record's header: magic, width, height, then the f32 pitch
+        for bad in (math.nan, math.inf, 0.0, -0.5):
+            blob.write_bytes(good[:12] + struct.pack("<f", bad) + good[16:])
+            with pytest.raises(DegenerateInput, match="pitch") as err:
+                load_dataset(idx)
+            assert str(blob) in str(err.value)
 
     def test_write_dataset_counts_missing_reasons(self, tmp_path):
         reasons = [None, None, "none", "multi_object", "slip"]
