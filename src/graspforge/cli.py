@@ -175,7 +175,7 @@ def _cmd_label(args) -> dict:
         scene = _entry_scene(cfg, plan, manifest)
         for n, cand in cands:
             try:
-                rows.append(label_row(cfg, scene, plan, cand))
+                rows.append(label_row(scene, plan, cand))
             except DegenerateInput as exc:
                 raise DegenerateInput(f"{args.candidates}: row {n}: {exc}") from None
     skips = {"overfilled": listing["skipped"]["overfilled"],
@@ -189,13 +189,13 @@ def _cmd_label(args) -> dict:
 
 def _cmd_train(args) -> dict:
     cfg = _run_config(args).train_config()
-    dataset = load_dataset(args.dataset)
-    result = train(dataset, cfg)
+    x, labels, _ = load_dataset(args.dataset)
+    result = train(x, labels, cfg)
     net_path = Path(args.out) / "qualitynet.gfqn"
     save_net(result.net, net_path)
     metrics_path = Path(args.out) / "qualitynet_metrics.csv"
     write_metrics(result.history, metrics_path)
-    return {"command": "train", "samples": len(dataset),
+    return {"command": "train", "samples": len(labels),
             "epochs": len(result.history), "best_epoch": result.best_epoch,
             "best_val_acc": result.best_val_acc,
             "checkpoint": str(net_path), "metrics": str(metrics_path)}

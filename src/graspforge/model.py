@@ -11,7 +11,9 @@ checkpoint and metric are pinned byte for byte, signed zeros and pooling
 ties included (`tests/oracles.forward_backward_reference`). A rewrite of the
 pass must keep each float operation and its order. The backward pass never
 forms conv1's input gradient, the gradient of the image, as no parameter
-reads it.
+reads it. In the fc head's `pooled @ p[10]` the first 4*floor(n/4) rows of
+an n-row pass have the bytes of a longer pass and the last n mod 4 may not,
+so `_VAL_CHUNK` (256, a multiple of 4) and `batch_size` are pinned too.
 
 Each sample's conv -> ReLU -> pool chain, forward and backward, depends on
 no other sample. So the three conv stages run over contiguous spans of the
@@ -26,17 +28,17 @@ axes. The depthwise block, pointwise layer, GAP and fc head run on the whole
 batch. No float operation moves between samples, so the bytes do not depend
 on the core count.
 
-Each `train`, `gradients` or `forward_many` call builds one workspace and
-drops it when it returns: the whole-batch arrays of the conv stages, sized
-for the call's largest pass, and each span's chunk scratch. Every pass
-reuses it, a shorter one through a row prefix, so no training step
-allocates a large array.
+Each `train` or `forward_many` call, and each `gradients` call given none,
+builds one workspace and drops it when it returns: the whole-batch arrays
+of the conv stages, sized for the call's largest pass, and each span's
+chunk scratch. Every pass reuses it, a shorter one through a row prefix, so
+no training step allocates a large array.
 
 Training minimizes class-weighted binary cross-entropy with per-class
-weights from the label distribution, on a stratified split of the stacked
-patches. Optional augmentation flips each patch 4 ways: each batch draws
-its rows of the flip block, which is never formed. The best
-validation-accuracy checkpoint wins.
+weights from the label distribution, on a stratified split of the patch
+block; each step is one `gradients` call and one Adam update. Optional
+augmentation flips each patch 4 ways: each batch draws its rows of the flip
+block, which is never formed. The best validation-accuracy checkpoint wins.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateInput, ShapeMismatch, SingleClass
 from .fileio import atomic_write, read_input
-from .simlab import check_patch_size, class_weights
 
 _MAGIC = b"GFQN"
 _VERSION = 1
@@ -84,6 +85,13 @@ _PARAM_SHAPES = (
     ("pw_w", (16, 8)), ("pw_b", (16,)),
     ("fc_w", (16,)), ("fc_b", (1,)),
 )
+
+
+def check_patch_size(size: int) -> None:
+    """Raise DegenerateInput unless `size` is a patch side the network
+    takes: its three 2x2 max-pools need a positive multiple of 8."""
+    if size < 8 or size % 8 != 0:
+        raise DegenerateInput(f"patch_size must be a positive multiple of 8, got {size}")
 
 
 @dataclass
@@ -384,17 +392,33 @@ def loss(y_hat, y, phi: tuple[float, float]) -> float:
     return float(per.mean())
 
 
-def gradients(net: QualityNet, batch, phi: tuple[float, float]) -> list:
-    """Exact reverse-mode gradients of the mean batch loss.
+def class_weights(labels) -> tuple[float, float]:
+    """Inverse-frequency loss weights (phi0, phi1) of the two classes,
+    normalized to mean 1, from 0/1 labels."""
+    labels = np.asarray(labels)
+    if not np.isin(labels, (0, 1)).all():
+        raise DegenerateInput("labels must be 0 or 1")
+    counts = np.bincount(labels.astype(int), minlength=2)
+    if counts[0] == 0 or counts[1] == 0:
+        raise SingleClass(f"need both classes, got counts {counts.tolist()}")
+    inv = 1.0 / counts
+    phi = inv / inv.mean()
+    return float(phi[0]), float(phi[1])
 
-    `batch` is (patches, labels) with patches an (N, S, S) array.
-    """
+
+def gradients(net: QualityNet, batch, phi: tuple[float, float],
+              ws: _Workspace | None = None) -> tuple[float, list]:
+    """Training's step: the mean weighted loss of `batch`, (patches, labels)
+    with patches an (N, S, S) array, and its exact reverse-mode gradients,
+    one per parameter tensor. The passes run in `ws`, by default a
+    workspace of N rows."""
     x, y = batch
     y = np.asarray(y, dtype=np.float64)
     if len(x) == 0:
         raise DegenerateInput("batch must be nonempty")
-    logits, cache = _forward_batch(net, x)
-    return _backward_batch(_dlogits(_sigmoid(logits), y, phi), cache)
+    logits, cache = _forward_batch(net, x, ws)
+    q = _sigmoid(logits)
+    return loss(q, y, phi), _backward_batch(_dlogits(q, y, phi), cache)
 
 
 def _dlogits(q: np.ndarray, y: np.ndarray, phi: tuple[float, float]) -> np.ndarray:
@@ -512,26 +536,23 @@ def _val_metrics(net: QualityNet, x: np.ndarray, idx: np.ndarray, y: np.ndarray,
     return acc, prec, rec
 
 
-def train(dataset, cfg: TrainConfig) -> TrainResult:
+def train(x: np.ndarray, labels: np.ndarray, cfg: TrainConfig) -> TrainResult:
     """Stratified split, shuffled minibatch Adam on the weighted loss,
     per-epoch metrics, best-validation-accuracy checkpoint. Deterministic
     per seed.
 
-    The samples' patches are stacked once into an (N, S, S) array x, which
-    is the only copy: each batch draws its rows of x's flip block (rows
-    4i + k with augmentation, 4i without) and each validation chunk its rows
-    of x. One workspace serves every pass."""
-    samples = list(dataset)
-    if not samples:
+    x is the (N, S, S) patch block and labels its N 0/1 labels, as
+    `simlab.load_dataset` returns them; x is never copied whole: each batch
+    draws its rows of x's flip block (rows 4i + k with augmentation, 4i
+    without) and each validation chunk its rows of x. One workspace serves
+    every pass."""
+    if len(x) == 0:
         raise DegenerateInput("dataset is empty")
-    x = np.stack([s.patch.data for s in samples])
-    labels = np.array([s.label for s in samples])
+    class_weights(labels)   # the labels are 0 or 1, and both classes occur
     rng = np.random.default_rng(cfg.seed)
 
     pos = np.flatnonzero(labels == 1)
     neg = np.flatnonzero(labels == 0)
-    if len(pos) == 0 or len(neg) == 0:
-        raise SingleClass("training needs both label classes")
     rng.shuffle(pos)
     rng.shuffle(neg)
     n_val_pos = max(1, int(round(cfg.val_fraction * len(pos))))
@@ -560,12 +581,10 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
         total, seen = 0.0, 0
         for start in range(0, len(order), cfg.batch_size):
             sel = order[start:start + cfg.batch_size]
-            xb, yb = augment(x, rows[sel]), y_train[sel]
-            logits, cache = _forward_batch(net, xb, ws)
-            q = _sigmoid(logits)
-            total += loss(q, yb, phi) * len(sel)
+            batch_loss, grads = gradients(net, (augment(x, rows[sel]), y_train[sel]), phi, ws)
+            total += batch_loss * len(sel)
             seen += len(sel)
-            state = adam_step(state, _backward_batch(_dlogits(q, yb, phi), cache), cfg)
+            state = adam_step(state, grads, cfg)
             net.params = state.params
         acc, prec, rec = _val_metrics(net, x, val_idx, y_val, ws)
         history.append({"epoch": epoch, "train_loss": total / seen,

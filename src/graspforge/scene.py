@@ -33,8 +33,8 @@ import numpy as np
 from .depthproc import DepthImage
 from .errors import DegenerateInput, Overfilled, SelfIntersecting
 from .fileio import atomic_write, read_input
-from .geometry import (ConvexPiece, Pose3, TriMesh, convex_hull, gjk_world, hull_2d, load_obj,
-                       save_obj)
+from .geometry import (ConvexPiece, Pose3, TriMesh, box_mesh, convex_hull, gjk_world, hull_2d,
+                       load_obj, save_obj)
 
 CONTACT_EPS = 0.05       # mm; resting contact tolerance
 SUPPORT_TOL = 0.5        # mm; gap still counted as support during settling
@@ -77,13 +77,11 @@ def _bin_boxes(spec: BinSpec) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def bin_pieces(spec: BinSpec) -> list[ConvexPiece]:
     """Floor slab plus four wall slabs as convex collision pieces."""
-    from .geometry.mesh import box_mesh
     return [convex_hull(box_mesh(c, h).vertices) for c, h in _bin_boxes(spec)]
 
 
 def bin_mesh(spec: BinSpec) -> TriMesh:
     """Render mesh for the bin (concatenated box shells)."""
-    from .geometry.mesh import box_mesh
     verts = []
     faces = []
     off = 0

@@ -36,10 +36,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .depthproc import Patch, add_noise, patch_from_record, record_bytes
-from .errors import DegenerateInput, NoCandidates, Overfilled, SingleClass
+from .depthproc import add_noise, patch_from_record, record_bytes
+from .errors import DegenerateInput, NoCandidates, Overfilled
 from .fileio import atomic_write, read_input, require_keys
 from .geometry import gjk_world
+from .model import check_patch_size
 from .sampler import GraspPose, SamplerConfig, sample_grasps
 from .scene import (MAX_CABLES, BinSpec, CableSpec, Camera, Scene, render_depth,
                     settle_scene)
@@ -82,20 +83,6 @@ class GraspOutcome:
             raise DegenerateInput("label 1 and reason 'none' must coincide")
         if self.label == 1 and len(self.contacted_ids) != 1:
             raise DegenerateInput("a successful grasp holds exactly one cable")
-
-
-@dataclass(frozen=True)
-class GraspSample:
-    patch: Patch
-    label: int
-    meta: dict
-
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise DegenerateInput("label must be 0 or 1")
-        reason = self.meta.get("reason")
-        if reason is not None and (self.label == 1) != (reason == "none"):
-            raise DegenerateInput("label does not match stored outcome")
 
 
 def _grasp_axes(theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -231,27 +218,6 @@ def execute_grasp(scene: Scene, g: GraspPose, f: float) -> GraspOutcome:
     return GraspOutcome(1, "none", frozenset(ids))
 
 
-def class_weights(labels) -> tuple[float, float]:
-    """Inverse-frequency loss weights (phi0, phi1) of the two classes,
-    normalized to mean 1, from 0/1 labels."""
-    labels = np.asarray(labels)
-    if not np.isin(labels, (0, 1)).all():
-        raise DegenerateInput("labels must be 0 or 1")
-    counts = np.bincount(labels.astype(int), minlength=2)
-    if counts[0] == 0 or counts[1] == 0:
-        raise SingleClass(f"need both classes, got counts {counts.tolist()}")
-    inv = 1.0 / counts
-    phi = inv / inv.mean()
-    return float(phi[0]), float(phi[1])
-
-
-def check_patch_size(size: int) -> None:
-    """Raise DegenerateInput unless `size` is a patch side the quality
-    network takes: its three 2x2 max-pools need a positive multiple of 8."""
-    if size < 8 or size % 8 != 0:
-        raise DegenerateInput(f"patch_size must be a positive multiple of 8, got {size}")
-
-
 @dataclass(frozen=True)
 class DatasetConfig:
     """Domain randomization ranges plus the fixed scene setup."""
@@ -348,7 +314,7 @@ def candidate_rows(index: int, candidates) -> list[dict]:
             for j, (pose, patch) in enumerate(candidates)]
 
 
-def label_row(cfg: DatasetConfig, scene: Scene, plan: dict, cand: dict) -> dict:
+def label_row(scene: Scene, plan: dict, cand: dict) -> dict:
     """Run the oracle on one candidate row; returns the dataset row that
     `write_dataset` stores, with the plan's draws for replay."""
     pose = {k: cand[k] for k in POSE_KEYS}
@@ -376,7 +342,7 @@ def generate_dataset(cfg: DatasetConfig, master_seed: int, out_dir: str | Path) 
         except (Overfilled, NoCandidates) as exc:
             skips["overfilled" if isinstance(exc, Overfilled) else "no_candidates"] += 1
             continue
-        rows += [label_row(cfg, scene, plan, c) for c in candidate_rows(i, cands)]
+        rows += [label_row(scene, plan, c) for c in candidate_rows(i, cands)]
     return write_dataset(rows, skips, cfg.scene_count, master_seed, out_dir)
 
 
@@ -442,10 +408,10 @@ def write_dataset(rows: list, skips: dict, scene_count: int, master_seed: int,
     candidate_index, patch, label, reason, contacted_ids, scene_seed,
     cable_count, f, pose. Rows may arrive in any order.
 
-    `reason` may be None for a row with no recorded outcome, as GraspSample
-    accepts; such rows are stored as `"reason": null` and counted under the
-    `"null"` key of the summary's reasons. Other reason strings are stored
-    as given and are not checked against FAILURE_REASONS.
+    `reason` may be None for a row with no recorded outcome, as
+    `load_dataset` accepts; such rows are stored as `"reason": null` and
+    counted under the `"null"` key of the summary's reasons. Other reason
+    strings are stored as given and are not checked against FAILURE_REASONS.
     """
     # stable global order even if scenes were produced out of order
     all_rows = sorted(rows, key=lambda r: (r["scene_index"], r["candidate_index"]))
@@ -466,27 +432,34 @@ def write_dataset(rows: list, skips: dict, scene_count: int, master_seed: int,
     return index_path
 
 
-def load_dataset(index_path: str | Path) -> list[GraspSample]:
-    """Read an index plus its sibling blob back into memory. A row that is
-    not a valid GraspSample, or whose patch size is not row 0's, raises
-    DegenerateInput naming the index and the row, counted from 0."""
-    samples = []
-    for n, row in enumerate(read_records(index_path, ("label",))):
+def load_dataset(index_path: str | Path) -> tuple[np.ndarray, np.ndarray, list[dict]]:
+    """An index and its sibling blob as (x, labels, rows): the (N, S, S)
+    float32 patch block, the N 0/1 labels and each row's other fields (an
+    index with no rows gives N = S = 0). A row whose label is not 0 or 1,
+    or whose reason, if not null, disagrees with it, or whose patch size is
+    not row 0's raises DegenerateInput naming the index and the row (from 0)."""
+    rows = read_records(index_path, ("label",))
+    size = rows[0]["patch"].size if rows else 0
+    x = np.empty((len(rows), size, size), dtype=np.float32)
+    labels = np.empty(len(rows), dtype=int)
+    for n, row in enumerate(rows):
         patch, label = row.pop("patch"), row.pop("label")
+        reason = row.get("reason")
         try:
             if label not in (0, 1):
                 raise DegenerateInput(f"label {label!r} is not 0 or 1")
-            if samples and patch.size != samples[0].patch.size:
+            if reason is not None and (label == 1) != (reason == "none"):
+                raise DegenerateInput("label does not match stored outcome")
+            if patch.size != size:
                 raise DegenerateInput(f"patch size {patch.size} is not row 0's")
-            samples.append(GraspSample(patch=patch, label=int(label), meta=row))
         except DegenerateInput as exc:
             raise DegenerateInput(f"{index_path}: row {n}: {exc}") from None
-    return samples
+        x[n], labels[n] = patch.data, label
+    return x, labels, rows
 
 
-def replay_sample(sample: GraspSample | dict, cfg: DatasetConfig) -> GraspOutcome:
-    """Rebuild a sample's scene from its stored seed and re-run the oracle
-    on the stored pose; must reproduce the stored label for any dataset
-    generated with the same config."""
-    meta = sample.meta if isinstance(sample, GraspSample) else dict(sample)
+def replay_sample(meta: dict, cfg: DatasetConfig) -> GraspOutcome:
+    """Rebuild a stored row's scene from its seed and re-run the oracle on
+    its pose; `meta` is the row's fields as `load_dataset` returns them.
+    Must reproduce the stored label for any dataset of the same config."""
     return execute_grasp(settle_plan(cfg, meta), GraspPose(**meta["pose"]), float(meta["f"]))

@@ -49,7 +49,7 @@ from graspforge.scene import (
 )
 from graspforge.simlab import (
     _CLOSE_ITER_CAP, _TOUCH, CONTACT_TOL, ENTANGLE_EROSION, FINGER_LENGTH, OPEN_CLEARANCE,
-    GraspOutcome, GraspSample, _face_normal, _grasp_axes, _jaw_verts,
+    GraspOutcome, _face_normal, _grasp_axes, _jaw_verts,
 )
 
 
@@ -706,8 +706,8 @@ def forward_backward_reference(net: QualityNet, x: np.ndarray, dlogits_of):
 
 
 # ---------------------------------------------------------------------------
-# Frozen flip augmentation: one sample in, four out, each flip a new Patch
-# and GraspSample. `model.augment` on the stacked training block must give
+# Frozen flip augmentation: one (patch, label) sample in, four out, each
+# flip a new Patch. `model.augment` on the stacked training block must give
 # the same bytes in the same order.
 
 def _ref_flip_patch(patch: Patch, horizontal: bool, vertical: bool) -> Patch:
@@ -719,13 +719,11 @@ def _ref_flip_patch(patch: Patch, horizontal: bool, vertical: bool) -> Patch:
     return Patch(data=np.ascontiguousarray(data), pitch=patch.pitch)
 
 
-def augment_reference(sample: GraspSample) -> list[GraspSample]:
+def augment_reference(sample: tuple[Patch, int]) -> list[tuple[Patch, int]]:
     """Original plus horizontal, vertical, and double flip."""
-    return [sample] + [
-        GraspSample(patch=_ref_flip_patch(sample.patch, h, v), label=sample.label,
-                    meta=sample.meta)
-        for h, v in ((True, False), (False, True), (True, True))
-    ]
+    patch, label = sample
+    return [sample] + [(_ref_flip_patch(patch, h, v), label)
+                       for h, v in ((True, False), (False, True), (True, True))]
 
 
 # ---------------------------------------------------------------------------

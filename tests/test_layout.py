@@ -113,6 +113,33 @@ def test_only_model_runs_threads():
             for line in concurrency_imports(path)] == []
 
 
+# The package modules the network module may import.
+MODEL_DEPENDENCIES = {"errors", "fileio"}
+
+
+def package_imports(path: Path) -> list[tuple[int, str]]:
+    """(line, module) of each package module one top-level file imports,
+    relative imports resolved against the package."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            names = [node.module] if node.module else [a.name for a in node.names]
+        else:
+            names = [name.removeprefix("graspforge.") for name in imported_modules(node)
+                     if name.startswith("graspforge.")]
+        found.extend((node.lineno, name) for name in names)
+    return found
+
+
+def test_model_stands_alone():
+    """The network loads without the scene, sampler, depth or geometry
+    modules: `model` imports only `errors` and `fileio` from the package,
+    so training needs nothing of the simulation."""
+    assert [f"model.py:{line} imports {name}"
+            for line, name in package_imports(PACKAGE / "model.py")
+            if name.split(".")[0] not in MODEL_DEPENDENCIES] == []
+
+
 # The modules that may call scipy, each only from inside a function.
 SCIPY_HOMES = {Path("geometry/hull.py"), Path("depthproc.py")}
 
@@ -172,7 +199,6 @@ ENTRY_POINTS = {
     "main",              # cli: the `graspforge` console script in pyproject.toml
     "generate_dataset",  # simlab: the fused run that the staged CLI chain must match
     "replay_sample",     # simlab: re-runs the oracle on a stored row; replay must give its label
-    "gradients",         # model: the public gradient the finite-difference tests check
 }
 
 

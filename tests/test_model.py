@@ -17,7 +17,6 @@ from graspforge.model import (AdamState, QualityNet, TrainConfig, adam_step,
                               init_net, load_net, loss, save_net, train,
                               write_metrics, _depthwise_forward,
                               _dlogits, _forward_batch, _pool_forward, _sigmoid)
-from graspforge.simlab import GraspSample
 from oracles import (_ref_conv_forward, augment_reference, backward_batch_reference,
                      forward_backward_reference, forward_batch_reference, zeros_net)
 
@@ -78,7 +77,7 @@ def fd_gradient_worst_error(seed, h=1e-3, coords_per_tensor=None):
     net, x = smooth_net_and_batch(seed)
     y = np.array([1.0, 0.0, 1.0])
     phi = (0.5, 1.5)
-    grads = gradients(net, (x, y), phi)
+    _, grads = gradients(net, (x, y), phi)
 
     def batch_loss():
         logits, _ = _forward_batch(net, x)
@@ -109,20 +108,19 @@ def fd_gradient_worst_error(seed, h=1e-3, coords_per_tensor=None):
 
 
 def blob_dataset(n=200, size=16, seed=0):
-    """Linearly separable toy task: bright blobs (label 1) vs dark (0)."""
+    """Linearly separable toy task: bright blobs (label 1) vs dark (0), as
+    the (n, size, size) float32 patch block and its labels."""
     rng = np.random.default_rng(seed)
-    samples = []
-    for i in range(n):
-        label = i % 2
+    x = np.empty((n, size, size), dtype=np.float32)
+    labels = np.arange(n) % 2
+    for i, label in enumerate(labels):
         base = rng.normal(scale=0.3, size=(size, size))
         cy, cx = rng.integers(4, size - 4, size=2)
         yy, xx = np.mgrid[0:size, 0:size]
         bump = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / 8.0)
         base += 3.0 * bump if label == 1 else -3.0 * bump
-        samples.append(GraspSample(patch=Patch(data=base.astype(np.float32),
-                                               pitch=0.5),
-                                   label=label, meta={}))
-    return samples
+        x[i] = base
+    return x, labels
 
 
 class TestQualityNet:
@@ -234,8 +232,8 @@ class TestGradients:
         net, x = smooth_net_and_batch(21, n=1)
         phi = (0.5, 1.5)
         y = np.array([1.0])
-        g1 = gradients(net, (x, y), phi)
-        g2 = gradients(net, (np.concatenate([x, x]), np.array([1.0, 1.0])), phi)
+        _, g1 = gradients(net, (x, y), phi)
+        _, g2 = gradients(net, (np.concatenate([x, x]), np.array([1.0, 1.0])), phi)
         for a, b in zip(g1, g2):
             assert np.allclose(a, b, atol=1e-12)
 
@@ -243,7 +241,7 @@ class TestGradients:
         # an all-zero weighting, which class_weights never returns, shows
         # that the loss scale factors the whole gradient
         net, x = smooth_net_and_batch(31)
-        g = gradients(net, (x, np.array([1.0, 0.0, 1.0])), (0.0, 0.0))
+        _, g = gradients(net, (x, np.array([1.0, 0.0, 1.0])), (0.0, 0.0))
         assert all(np.all(t == 0.0) for t in g)
 
     def test_empty_batch(self):
@@ -292,7 +290,8 @@ class TestBitIdentity:
             net, x, lambda lg: _dlogits(_sigmoid(lg), y, phi))
         logits, _ = _forward_batch(net, x)
         assert logits.tobytes() == ref_logits.tobytes()
-        grads = gradients(net, (x, y), phi)
+        batch_loss, grads = gradients(net, (x, y), phi)
+        assert batch_loss == loss(_sigmoid(ref_logits), y, phi)
         assert len(grads) == len(ref_grads) == 12
         for i, (g, r) in enumerate(zip(grads, ref_grads)):
             assert g.dtype == r.dtype and g.shape == r.shape, i
@@ -316,11 +315,11 @@ class TestBitIdentity:
     def test_training_checkpoint(self, tmp_path, monkeypatch):
         data = blob_dataset(n=60, size=16, seed=9)
         cfg = TrainConfig(epochs=3, batch_size=8, seed=4)
-        ours = train(data, cfg)
+        ours = train(*data, cfg)
         monkeypatch.setattr(model, "_forward_batch",
                             lambda net, x, ws: forward_batch_reference(net, x))
         monkeypatch.setattr(model, "_backward_batch", backward_batch_reference)
-        ref = train(data, cfg)
+        ref = train(*data, cfg)
         save_net(ours.net, tmp_path / "ours.gfqn")
         save_net(ref.net, tmp_path / "ref.gfqn")
         assert (tmp_path / "ours.gfqn").read_bytes() == (tmp_path / "ref.gfqn").read_bytes()
@@ -358,7 +357,7 @@ class TestSpans:
             with conv_cores(k):
                 assert len(model._spans(n)) == min(k, -(-n // model._CHUNK))
                 logits, _ = _forward_batch(net, x)
-                grads = gradients(net, (x, y), phi)
+                _, grads = gradients(net, (x, y), phi)
             assert logits.tobytes() == ref_logits.tobytes(), k
             assert len(grads) == 12
             for i, (g, r) in enumerate(zip(grads, ref_grads)):
@@ -370,7 +369,7 @@ class TestSpans:
         runs = []
         for k in (1, 2):
             with conv_cores(k):
-                runs.append(train(data, cfg))
+                runs.append(train(*data, cfg))
             save_net(runs[-1].net, tmp_path / f"k{k}.gfqn")
         assert (tmp_path / "k1.gfqn").read_bytes() == (tmp_path / "k2.gfqn").read_bytes()
         assert runs[0].history == runs[1].history
@@ -434,15 +433,14 @@ def test_validation_forward_peak_memory():
 
 def test_train_peak_memory():
     # the `train` benchmark workload's size: 160 patches of 64x64, 3 epochs;
-    # about 21 MiB once every pass reuses one workspace, 34 MiB when each
-    # step allocated its arrays and the flipped training block was formed
+    # about 18 MiB since `train` takes the loader's patch block instead of
+    # stacking its own copy, 21 MiB before, and 34 MiB when each step
+    # allocated its arrays and the flipped training block was formed
     rng = np.random.default_rng(0)
     labels = np.zeros(160, dtype=int)
     labels[rng.choice(160, size=32, replace=False)] = 1
-    data = [GraspSample(patch=Patch(data=rng.normal(0.0, 3.0, (64, 64)).astype(np.float32),
-                                    pitch=0.5), label=int(label), meta={})
-            for label in labels]
-    peak = traced_peak_mib(lambda: train(data, TrainConfig(epochs=3, seed=0)))
+    x = rng.normal(0.0, 3.0, (160, 64, 64)).astype(np.float32)
+    peak = traced_peak_mib(lambda: train(x, labels, TrainConfig(epochs=3, seed=0)))
     assert peak < 28.0, peak
 
 
@@ -510,13 +508,13 @@ class TestAugment:
         rng = np.random.default_rng(8)
         patches = [rand_patch(rng) for _ in range(5)]
         patches.append(Patch(data=np.ones((16, 16), dtype=np.float32), pitch=0.5))
-        samples = [GraspSample(patch=p, label=i % 2, meta={}) for i, p in enumerate(patches)]
+        samples = [(p, i % 2) for i, p in enumerate(patches)]
         ref = [v for s in samples for v in augment_reference(s)]
         block = flip_block(np.stack([p.data for p in patches]))
         assert block.dtype == np.float32 and block.flags.c_contiguous
-        assert block.tobytes() == np.stack([v.patch.data for v in ref]).tobytes()
-        labels = np.array([s.label for s in samples], dtype=np.float64)
-        assert np.repeat(labels, 4).tolist() == [v.label for v in ref]
+        assert block.tobytes() == np.stack([p.data for p, _ in ref]).tobytes()
+        labels = np.array([label for _, label in samples], dtype=np.float64)
+        assert np.repeat(labels, 4).tolist() == [label for _, label in ref]
 
     def test_rows_match_reference(self):
         # as training draws them: shuffled batches of rows, the last one
@@ -524,8 +522,7 @@ class TestAugment:
         rng = np.random.default_rng(3)
         patches = [rand_patch(rng) for _ in range(7)]
         x = np.stack([p.data for p in patches])
-        ref = [v.patch.data for p in patches
-               for v in augment_reference(GraspSample(patch=p, label=0, meta={}))]
+        ref = [v.data for p in patches for v, _ in augment_reference((p, 0))]
         order = rng.permutation(4 * len(x))
         draws = [order[a:a + 8] for a in range(0, len(order), 8)]
         draws.append(rng.integers(0, 4 * len(x), size=20))
@@ -556,7 +553,7 @@ class TestAugment:
 def blob_run():
     data = blob_dataset()
     cfg = TrainConfig(epochs=20, batch_size=32, seed=0)
-    return data, cfg, train(data, cfg)
+    return data, cfg, train(*data, cfg)
 
 
 class TestTrain:
@@ -574,18 +571,18 @@ class TestTrain:
         assert [r["epoch"] for r in result.history] == list(range(1, 21))
 
     def test_flip_consistency_after_augmented_training(self, blob_run):
-        data, _, result = blob_run
+        (x, _), _, result = blob_run
         agree = 0
-        for s in data[:40]:
-            q = quality(result.net, s.patch)
-            hflip = Patch(data=augment(s.patch.data[None], [1])[0], pitch=s.patch.pitch)
+        for img in x[:40]:
+            q = quality(result.net, Patch(data=img, pitch=0.5))
+            hflip = Patch(data=augment(img[None], [1])[0], pitch=0.5)
             qh = quality(result.net, hflip)
             agree += abs(q - qh) <= 0.15
         assert agree >= 36   # within 0.15 on at least 90%
 
     def test_zero_learning_rate_changes_nothing(self):
         data = blob_dataset(n=60, seed=3)
-        result = train(data, TrainConfig(epochs=3, lr=0.0, seed=1))
+        result = train(*data, TrainConfig(epochs=3, lr=0.0, seed=1))
         accs = [r["val_acc"] for r in result.history]
         assert accs.count(accs[0]) == 3
         losses = [r["train_loss"] for r in result.history]
@@ -594,18 +591,39 @@ class TestTrain:
     def test_same_seed_same_run(self):
         data = blob_dataset(n=60, seed=4)
         cfg = TrainConfig(epochs=3, seed=7)
-        a = train(data, cfg)
-        b = train(data, cfg)
+        a = train(*data, cfg)
+        b = train(*data, cfg)
         assert a.history == b.history
         assert all(np.array_equal(p, q) for p, q in zip(a.net.params,
                                                         b.net.params))
 
     def test_single_class_rejected(self):
         rng = np.random.default_rng(11)
-        data = [GraspSample(patch=rand_patch(rng), label=0, meta={})
-                for _ in range(20)]
+        x = np.stack([rand_patch(rng).data for _ in range(20)])
         with pytest.raises(SingleClass):
-            train(data, TrainConfig(epochs=1))
+            train(x, np.zeros(20, dtype=int), TrainConfig(epochs=1))
+
+    def test_each_batch_is_one_gradients_call(self, monkeypatch):
+        # training steps through `gradients`, the pass the finite-difference
+        # and bit-identity tests check: 30 of each class, 6 held out, 4
+        # flips of the other 48 make 192 rows, 19 batches of 10 and one of 2
+        sizes = []
+        step = model.gradients
+
+        def counted(net, batch, phi, ws):
+            sizes.append(len(batch[0]))
+            return step(net, batch, phi, ws)
+
+        monkeypatch.setattr(model, "gradients", counted)
+        train(*blob_dataset(n=60, seed=5), TrainConfig(epochs=2, batch_size=10, seed=2))
+        assert sizes == ([10] * 19 + [2]) * 2
+
+    def test_empty_or_non_binary_labels_rejected(self):
+        x, labels = blob_dataset(n=20, seed=6)
+        with pytest.raises(DegenerateInput, match="empty"):
+            train(x[:0], labels[:0], TrainConfig(epochs=1))
+        with pytest.raises(DegenerateInput, match="0 or 1"):
+            train(x, np.where(labels == 1, 2, 0), TrainConfig(epochs=1))
 
     def test_config_validation(self):
         with pytest.raises(DegenerateInput):
@@ -618,14 +636,14 @@ class TestTrain:
 
 class TestCheckpoint:
     def test_roundtrip_bit_identical(self, tmp_path, blob_run):
-        data, _, result = blob_run
+        (x, _), _, result = blob_run
         path = tmp_path / "net.gfqn"
         save_net(result.net, path)
         loaded = load_net(path)
         assert loaded.size == result.net.size
         for a, b in zip(result.net.params, loaded.params):
             assert a.tobytes() == b.tobytes()
-        p = data[0].patch
+        p = Patch(data=x[0], pitch=0.5)
         assert quality(loaded, p) == quality(result.net, p)
 
     def test_header_layout(self, tmp_path):

@@ -9,15 +9,16 @@ import numpy as np
 import pytest
 
 from graspforge import scene as scene_mod
+from graspforge.cli import dispatch
 from graspforge.depthproc import Patch
 from graspforge.errors import DatasetNotFound, DegenerateInput, SingleClass
 from graspforge.geometry import Pose3, convex_hull, gjk_world
+from graspforge.model import class_weights
 from graspforge.sampler import GraspPose
 from graspforge.scene import (MAX_CABLES, BinSpec, CableSpec, Camera, PlacedCable, Scene,
                               cable_decomposition, make_cable_mesh, settle_scene)
 from graspforge.simlab import (FAILURE_REASONS, DatasetConfig,
-                               GraspOutcome, GraspSample, _jaw_verts, class_weights,
-                               execute_grasp, generate_dataset, load_dataset,
+                               GraspOutcome, _jaw_verts, execute_grasp, generate_dataset, load_dataset,
                                replay_sample, scene_candidates, write_dataset)
 
 import oracles
@@ -132,11 +133,8 @@ class TestOutcomeTypes:
             GraspOutcome(0, "fell_off_table", frozenset())
 
     def test_sample_validation(self):
-        patch = Patch(data=np.zeros((4, 4), dtype=np.float32), pitch=0.5)
-        GraspSample(patch=patch, label=0, meta={"reason": "empty_close"})
-        with pytest.raises(DegenerateInput):
-            GraspSample(patch=patch, label=1, meta={"reason": "empty_close"})
-        # patch finiteness is already enforced by the Patch type itself
+        # patch finiteness is enforced by the Patch type itself; a stored
+        # label and reason are checked by load_dataset
         with pytest.raises(DegenerateInput):
             Patch(data=np.full((4, 4), np.inf, dtype=np.float32), pitch=0.5)
 
@@ -292,14 +290,14 @@ class TestGenerateDataset:
 
     def test_roundtrip_and_ordering(self, small_dataset):
         cfg, idx = small_dataset
-        samples = load_dataset(idx)
+        x, labels, rows = load_dataset(idx)
         summary = json.loads(idx.with_suffix(".summary.json").read_text())
-        assert len(samples) == summary["samples"] > 0
-        keys = [(s.meta["scene_index"], s.meta["candidate_index"]) for s in samples]
+        assert len(rows) == len(labels) == summary["samples"] > 0
+        keys = [(r["scene_index"], r["candidate_index"]) for r in rows]
         assert keys == sorted(keys)
-        for s in samples:
-            assert s.patch.size == cfg.patch_size
-            assert np.isfinite(s.patch.data).all()
+        assert x.shape == (len(rows), cfg.patch_size, cfg.patch_size)
+        assert x.dtype == np.float32 and np.isfinite(x).all()
+        assert labels.sum() == summary["positives"]
 
     def test_blob_offsets(self, small_dataset):
         _, idx = small_dataset
@@ -326,41 +324,42 @@ class TestGenerateDataset:
 
     def test_label_soundness_on_replay(self, small_dataset):
         cfg, idx = small_dataset
-        samples = load_dataset(idx)
-        positives = [s for s in samples if s.label == 1]
-        negatives = [s for s in samples if s.label == 0][:3]
+        _, labels, rows = load_dataset(idx)
+        positives = [(meta, label) for meta, label in zip(rows, labels) if label == 1]
+        negatives = [(meta, label) for meta, label in zip(rows, labels) if label == 0][:3]
         assert positives
-        for s in positives + negatives:
-            out = replay_sample(s, cfg)
-            assert out.label == s.label
-            assert out.failure_reason == s.meta["reason"]
+        for meta, label in positives + negatives:
+            out = replay_sample(meta, cfg)
+            assert out.label == label
+            assert out.failure_reason == meta["reason"]
 
     def test_positives_monotone_under_simplification(self, small_dataset):
         # dropping non-target cables or widening the bin only removes
         # collision geometry, so a success must stay a success
         cfg, idx = small_dataset
-        positives = [s for s in load_dataset(idx) if s.label == 1]
+        _, labels, rows = load_dataset(idx)
+        positives = [meta for meta, label in zip(rows, labels) if label == 1]
         assert positives
         scenes = {}
-        for s in positives:
-            seed = s.meta["scene_seed"]
+        for meta in positives:
+            seed = meta["scene_seed"]
             if seed not in scenes:
-                scenes[seed] = settle_scene(cfg.bin, [cfg.cable] * s.meta["cable_count"], seed)
+                scenes[seed] = settle_scene(cfg.bin, [cfg.cable] * meta["cable_count"], seed)
             scene = scenes[seed]
-            p = s.meta["pose"]
+            p = meta["pose"]
             pose = GraspPose(x=p["x"], y=p["y"], z=p["z"], theta=p["theta"], w=p["w"])
-            target = s.meta["contacted_ids"][0]
+            target = meta["contacted_ids"][0]
             kept = [c for c in scene.cables if c.id == target]
             reduced = Scene(scene.bin, kept, scene.rng_seed)
-            assert execute_grasp(reduced, pose, s.meta["f"]).label == 1
+            assert execute_grasp(reduced, pose, meta["f"]).label == 1
             wide = BinSpec(inner_x=scene.bin.inner_x + 60.0,
                            inner_y=scene.bin.inner_y + 60.0,
                            wall_height=scene.bin.wall_height,
                            thickness=scene.bin.thickness)
             widened = Scene(wide, scene.cables, scene.rng_seed)
-            assert execute_grasp(widened, pose, s.meta["f"]).label == 1
+            assert execute_grasp(widened, pose, meta["f"]).label == 1
 
-    def test_overfilled_scenes_skipped(self, tmp_path):
+    def test_overfilled_scenes_skipped(self, tmp_path, capsys):
         cfg = DatasetConfig(scene_count=1, cable_count_range=(1, 1),
                             grasps_per_scene=5, bin=BinSpec(inner_x=60.0, inner_y=50.0))
         idx = generate_dataset(cfg, 3, tmp_path)
@@ -368,6 +367,13 @@ class TestGenerateDataset:
         assert summary["skipped"]["overfilled"] == 1
         assert summary["samples"] == 0
         assert idx.read_text() == ""
+        # an index with no rows loads as zero rows, and training on it fails
+        # as a named error
+        x, labels, rows = load_dataset(idx)
+        assert x.shape == (0, 0, 0) and len(labels) == len(rows) == 0
+        assert dispatch(["train", "--dataset", str(idx), "--out", str(tmp_path / "ck")]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "DegenerateInput"
 
     def test_no_candidate_scenes_skipped(self, tmp_path):
         # near-zero friction cone plus heavy noise: nothing passes the
@@ -414,7 +420,7 @@ class TestGenerateDataset:
         idx = write_dataset(rows, {"overfilled": 0, "no_candidates": 0}, 2, 0, tmp_path)
         blob = idx.with_suffix(".blob")
         good = blob.read_bytes()
-        assert load_dataset(idx)[0].patch.pitch == 1.0
+        assert load_dataset(idx)[0].shape == (2, 4, 4)
         # the first record's header: magic, width, height, then the f32 pitch
         for bad in (math.nan, math.inf, 0.0, -0.5):
             blob.write_bytes(good[:12] + struct.pack("<f", bad) + good[16:])
@@ -439,15 +445,24 @@ class TestGenerateDataset:
         assert sum(summary["reasons"].values()) == summary["samples"] == len(rows)
         assert summary["reasons"]["null"] == 2
         assert summary["reasons"]["none"] == 1
-        samples = load_dataset(idx)
-        assert [s.meta["reason"] for s in samples] == reasons
+        x, stored, rows = load_dataset(idx)
+        assert [r["reason"] for r in rows] == reasons
+        assert stored.tolist() == labels and x.shape == (len(rows), 4, 4)
 
-    def test_replay_accepts_raw_meta(self, small_dataset):
-        cfg, idx = small_dataset
-        sample = load_dataset(idx)[0]
-        a = replay_sample(sample, cfg)
-        b = replay_sample(sample.meta, cfg)
-        assert a == b
+    def test_label_contradicting_reason_names_row(self, tmp_path):
+        """A stored label that its stored reason contradicts fails the load,
+        naming the index and the row."""
+        rows = [{
+            "scene_index": i, "candidate_index": 0,
+            "patch": Patch(data=np.zeros((8, 8), np.float32), pitch=1.0),
+            "label": label, "reason": reason,
+            "contacted_ids": [0], "scene_seed": i, "cable_count": 1, "f": 0.3,
+            "pose": {"x": 0.0, "y": 0.0, "z": 1.0, "theta": 0.0, "w": 8.0},
+        } for i, (label, reason) in enumerate([(1, "empty_close"), (0, "empty_close")])]
+        idx = write_dataset(rows, {"overfilled": 0, "no_candidates": 0}, 2, 0, tmp_path)
+        with pytest.raises(DegenerateInput, match="row 0: label does not match") as err:
+            load_dataset(idx)
+        assert str(idx) in str(err.value)
 
     def test_config_validation(self):
         with pytest.raises(DegenerateInput):
