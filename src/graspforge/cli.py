@@ -27,7 +27,7 @@ from .config import RunConfig, load_run_config
 from .errors import DegenerateInput, GraspForgeError, NoCandidates, Overfilled
 from .fileio import atomic_write, read_input, require_keys
 from .model import load_net, save_net, train, write_metrics
-from .policy import evaluate_policy, report_dict, write_stats
+from .policy import evaluate_policy, write_stats
 from .scene import Scene, load_scene, save_scene
 from .simlab import (CANDIDATE_KEYS, DatasetConfig, candidate_rows, label_row,
                      load_dataset, read_records, sample_scene, scene_plan,
@@ -209,9 +209,7 @@ def _cmd_evaluate(args) -> dict:
     json_path = Path(args.out) / f"eval_{policy.kind}.json"
     csv_path = Path(args.out) / f"eval_{policy.kind}.csv"
     write_stats(report, json_path, csv_path)
-    summary = report_dict(report)
-    summary.update(command="evaluate", stats=str(json_path))
-    return summary
+    return dict(report, command="evaluate", stats=str(json_path))
 
 
 # ---------------------------------------------------------------------------

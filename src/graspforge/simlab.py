@@ -21,9 +21,11 @@ auto-label sampled candidates at scale.
 The scene stages below are the one implementation that `generate_dataset`,
 the command-line stages and the policy evaluation all call: `scene_plan`
 (per-scene draws and random stream), `settle_plan`, `sample_scene` (render,
-noise, sample, resample), chained by `scene_candidates`, then
-`candidate_rows` and `label_row`. Patches are stored in one format, a blob
-of depth records plus a JSON-lines index (`write_records`, `read_records`).
+noise, sample, resample), then `candidate_rows` and `label_row`. The one
+scene walk, `scene_candidates`, chains the first three over a config's
+scenes and counts the skipped ones, for the fused generator and the
+evaluation alike. Patches are stored in one format, a blob of depth
+records plus a JSON-lines index (`write_records`, `read_records`).
 """
 
 from __future__ import annotations
@@ -298,12 +300,24 @@ def sample_scene(cfg: DatasetConfig, scene: Scene, plan: dict) -> list:
     raise NoCandidates(f"no candidates after {cfg.resample_attempts} noise draws")
 
 
-def scene_candidates(cfg: DatasetConfig, master_seed: int, index: int):
-    """Plan, settle and sample scene `index`: returns (scene, candidates,
-    plan). A skipped scene raises Overfilled or NoCandidates."""
-    plan = scene_plan(cfg, master_seed, index)
-    scene = settle_plan(cfg, plan)
-    return scene, sample_scene(cfg, scene, plan), plan
+def scene_candidates(cfg: DatasetConfig, master_seed: int, skips: Counter):
+    """The one scene walk: plan, settle and sample scenes 0 ..
+    cfg.scene_count - 1 in order, yielding (index, scene, candidates, plan)
+    for each. A scene that raises Overfilled or NoCandidates is not yielded;
+    it is counted in `skips` under "overfilled" or "no_candidates". Each
+    scene draws only from its own stream, so a skip moves no other draw."""
+    for index in range(cfg.scene_count):
+        plan = scene_plan(cfg, master_seed, index)
+        try:
+            scene = settle_plan(cfg, plan)
+            candidates = sample_scene(cfg, scene, plan)
+        except Overfilled:
+            skips["overfilled"] += 1
+            continue
+        except NoCandidates:
+            skips["no_candidates"] += 1
+            continue
+        yield index, scene, candidates, plan
 
 
 def candidate_rows(index: int, candidates) -> list[dict]:
@@ -330,18 +344,14 @@ def generate_dataset(cfg: DatasetConfig, master_seed: int, out_dir: str | Path) 
 
     Writes three sibling files under out_dir: `dataset.blob` (concatenated
     patch records), `dataset.idx` (JSON lines, one sample per line), and
-    `dataset.summary.json`. Scenes that overfill the bin or yield no
-    candidates are skipped and counted. Output depends only on the master
-    seed and config.
+    `dataset.summary.json`. The scenes come from `scene_candidates`, so
+    those that overfill the bin or yield no candidates are skipped and
+    counted, as the evaluation skips them. Output depends only on the
+    master seed and config.
     """
     rows = []
-    skips = {"overfilled": 0, "no_candidates": 0}
-    for i in range(cfg.scene_count):
-        try:
-            scene, cands, plan = scene_candidates(cfg, master_seed, i)
-        except (Overfilled, NoCandidates) as exc:
-            skips["overfilled" if isinstance(exc, Overfilled) else "no_candidates"] += 1
-            continue
+    skips = Counter(overfilled=0, no_candidates=0)
+    for i, scene, cands, plan in scene_candidates(cfg, master_seed, skips):
         rows += [label_row(scene, plan, c) for c in candidate_rows(i, cands)]
     return write_dataset(rows, skips, cfg.scene_count, master_seed, out_dir)
 
@@ -374,11 +384,12 @@ def read_records(index_path: str | Path, keys) -> list[dict]:
     of the offset and size. Reads both files through `read_input`: a
     missing index or blob raises DatasetNotFound; a line that is not a JSON
     object holding `keys`, or a record that does not fit the blob, raises
-    DegenerateInput naming the file."""
+    DegenerateInput naming the file, as does a line whose "patch_size_px"
+    is not its record's side (naming the index and the line)."""
     path = Path(index_path)
 
-    def parse_index(data: bytes) -> list[dict]:
-        rows = []
+    def parse_index(data: bytes) -> dict[int, dict]:
+        rows = {}
         for lineno, line in enumerate(data.decode().splitlines(), start=1):
             if not line.strip():
                 continue
@@ -387,17 +398,21 @@ def read_records(index_path: str | Path, keys) -> list[dict]:
             except ValueError as exc:
                 raise DegenerateInput(f"line {lineno}: not JSON ({exc})") from None
             require_keys(row, (*keys, "patch_offset", "patch_size_px"), f"line {lineno}")
-            rows.append(row)
+            rows[lineno] = row
         return rows
 
-    def parse_blob(blob: bytes) -> list[dict]:
-        for row in rows:
-            del row["patch_size_px"]
+    def parse_blob(blob: bytes) -> None:
+        for row in rows.values():
             row["patch"] = patch_from_record(blob, row.pop("patch_offset"))
-        return rows
 
     rows = read_input(path, parse_index)
-    return read_input(path.with_suffix(".blob"), parse_blob)
+    read_input(path.with_suffix(".blob"), parse_blob)
+    for lineno, row in rows.items():
+        side = row.pop("patch_size_px")
+        if type(side) is not int or side != row["patch"].size:
+            raise DegenerateInput(f"{path}: line {lineno}: patch_size_px {side!r} is not "
+                                  f"its record's side {row['patch'].size}")
+    return list(rows.values())
 
 
 def write_dataset(rows: list, skips: dict, scene_count: int, master_seed: int,
@@ -435,9 +450,10 @@ def write_dataset(rows: list, skips: dict, scene_count: int, master_seed: int,
 def load_dataset(index_path: str | Path) -> tuple[np.ndarray, np.ndarray, list[dict]]:
     """An index and its sibling blob as (x, labels, rows): the (N, S, S)
     float32 patch block, the N 0/1 labels and each row's other fields (an
-    index with no rows gives N = S = 0). A row whose label is not 0 or 1,
-    or whose reason, if not null, disagrees with it, or whose patch size is
-    not row 0's raises DegenerateInput naming the index and the row (from 0)."""
+    index with no rows gives N = S = 0). A row whose label is not the
+    integer 0 or 1, or whose reason, if not null, disagrees with it, or
+    whose patch size is not row 0's raises DegenerateInput naming the index
+    and the row (from 0)."""
     rows = read_records(index_path, ("label",))
     size = rows[0]["patch"].size if rows else 0
     x = np.empty((len(rows), size, size), dtype=np.float32)
@@ -446,7 +462,7 @@ def load_dataset(index_path: str | Path) -> tuple[np.ndarray, np.ndarray, list[d
         patch, label = row.pop("patch"), row.pop("label")
         reason = row.get("reason")
         try:
-            if label not in (0, 1):
+            if type(label) is not int or label not in (0, 1):
                 raise DegenerateInput(f"label {label!r} is not 0 or 1")
             if reason is not None and (label == 1) != (reason == "none"):
                 raise DegenerateInput("label does not match stored outcome")

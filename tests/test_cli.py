@@ -166,6 +166,19 @@ class TestErrors:
             assert out["error"] == error
             assert str(named) in out["detail"]
 
+    def test_candidate_patch_size_disagrees_with_record(self, capsys, chain, tmp_path):
+        """A candidates row whose patch_size_px is not its record's side
+        fails label, naming the index and the line."""
+        idx = tmp_path / "candidates.idx"
+        shutil.copy(chain / "candidates.blob", tmp_path / "candidates.blob")
+        rows = [json.loads(line) for line in (chain / "candidates.idx").read_text().splitlines()]
+        rows[0]["patch_size_px"] = 32
+        idx.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        rc, out = run(capsys, "label", "--scenes", str(chain / "scenes/scenes.json"),
+                      "--candidates", str(idx), "--out", str(tmp_path / "out"), *BASE)
+        assert (rc, out.get("error")) == (1, "DegenerateInput")
+        assert f"{idx}: line 1: patch_size_px 32" in out["detail"]
+
     def test_damaged_dataset(self, capsys, tmp_path):
         idx = toy_dataset(tmp_path)
         blob = idx.with_suffix(".blob")

@@ -172,6 +172,30 @@ def test_scipy_is_loaded_where_it_is_called():
             or line.endswith("at module level")] == []
 
 
+# The exceptions that skip a scene, and the modules that may catch them.
+SCENE_SKIPS = {"Overfilled", "NoCandidates"}
+SKIP_HOMES = {"simlab.py", "cli.py"}
+
+
+def skip_handlers(path: Path) -> list[str]:
+    """`except` clauses in one file that name an exception in SCENE_SKIPS."""
+    return [f"{path.relative_to(PACKAGE)}:{node.lineno} catches {name}"
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.ExceptHandler) and node.type is not None
+            for name in sorted({getattr(n, "id", None) or getattr(n, "attr", None)
+                                for n in ast.walk(node.type)} & SCENE_SKIPS)]
+
+
+def test_scene_skips_have_one_home():
+    """A skipped scene is counted in one place: `simlab.scene_candidates`,
+    the walk that the fused generator and the evaluation share, catches
+    Overfilled and NoCandidates, next to `sample_scene`'s resample loop;
+    only the `make-scenes` and `sample` commands of `cli`, which run one
+    stage each, catch them besides."""
+    assert [line for path in sorted(PACKAGE.rglob("*.py")) if path.name not in SKIP_HOMES
+            for line in skip_handlers(path)] == []
+
+
 ENVIRONMENT_READS = {"environ", "environb", "getenv"}
 
 

@@ -1,5 +1,6 @@
 """Selection policies, scoring, Wilson intervals, and the eval harness."""
 
+import json
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from graspforge.policy import (PolicyConfig, evaluate_policy, score_candidates,
                                select_cgcnn, select_random, wilson_interval)
 from graspforge.sampler import GraspPose
 from graspforge.scene import BinSpec, CableSpec, Camera, settle_scene
-from graspforge.simlab import DatasetConfig, execute_grasp
+from graspforge.simlab import DatasetConfig, execute_grasp, generate_dataset
 
 from oracles import zeros_net
 
@@ -92,8 +93,7 @@ class TestSelectCgcnn:
         cands = [make_candidate(x=0.0, z=40.0), make_candidate(x=9.0, z=10.0)]
         pose = select_cgcnn(cands, zeros_net(16), 0.5)
         assert pose is cands[0][0]
-        scored = score_candidates(cands, zeros_net(16), 0.5)
-        assert [s.score for s in scored] == [1.0, 0.75]
+        assert score_candidates(cands, zeros_net(16), 0.5) == [1.0, 0.75]
 
     def test_single_candidate_any_lambda(self):
         c = make_candidate()
@@ -111,8 +111,9 @@ class TestSelectCgcnn:
         cands = [make_candidate(x=float(i), z=5.0, patch_fill=fills[i])
                  for i in range(3)]
         assert select_cgcnn(cands, net, 0.0) is cands[0][0]
-        scored = score_candidates(cands, net, 0.0)
-        assert np.allclose([s.q for s in scored], [0.9, 0.7, 0.55], atol=1e-5)
+        # at lam = 0 each score is the quality alone
+        scores = score_candidates(cands, net, 0.0)
+        assert np.allclose(scores, [0.9, 0.7, 0.55], atol=1e-5)
 
     def test_tie_break_low_z_then_x_then_y(self):
         net = zeros_net(16)
@@ -128,8 +129,10 @@ class TestScoreInvariants:
         rng = np.random.default_rng(3)
         cands = [make_candidate(x=float(i), z=float(rng.uniform(0, 30)))
                  for i in range(9)]
-        scored = score_candidates(cands, zeros_net(16), 0.2)
-        ranks = [s.r_height for s in scored]
+        # the zero net's quality is 0.5 for every patch, so each score is
+        # 0.5 + 0.2 * (1 - r/9) and gives back its rank r
+        scores = score_candidates(cands, zeros_net(16), 0.2)
+        ranks = [round(9 * (1.0 - (s - 0.5) / 0.2)) for s in scores]
         assert sorted(ranks) == list(range(9))
         top = max(range(9), key=lambda i: cands[i][0].z)
         assert ranks[top] == 0
@@ -197,6 +200,18 @@ class TestWilsonInterval:
             wilson_interval(7, 5)
 
 
+def dataset_skips(cfg, master_seed, out_dir):
+    """The skipped counts of the dataset `generate_dataset` writes on the
+    same config and master seed."""
+    idx = generate_dataset(cfg, master_seed, out_dir)
+    return json.loads(idx.with_suffix(".summary.json").read_text())["skipped"]
+
+
+def skip_reasons(report):
+    """An evaluation's skip counts, in the dataset summary's form."""
+    return {k: report["failures_by_reason"].get(k, 0) for k in ("overfilled", "no_candidates")}
+
+
 class TestEvaluatePolicy:
     def test_deterministic_and_structured(self):
         cfg = DatasetConfig(scene_count=2, cable_count_range=(2, 2),
@@ -204,15 +219,15 @@ class TestEvaluatePolicy:
         rep1 = evaluate_policy(PolicyConfig(kind="random"), None, cfg, 11)
         rep2 = evaluate_policy(PolicyConfig(kind="random"), None, cfg, 11)
         assert rep1 == rep2
-        assert rep1.trials == 2
-        assert rep1.successes + sum(rep1.failures_by_reason.values()) == 2
-        assert 0.0 <= rep1.wilson_low <= rep1.rate <= rep1.wilson_high <= 1.0
-        counted = sum(v["trials"] for v in rep1.by_cable_count.values())
-        skipped = sum(rep1.failures_by_reason.get(k, 0)
+        assert rep1["trials"] == 2
+        assert rep1["successes"] + sum(rep1["failures_by_reason"].values()) == 2
+        assert 0.0 <= rep1["wilson_low"] <= rep1["rate"] <= rep1["wilson_high"] <= 1.0
+        counted = sum(v["trials"] for v in rep1["by_cable_count"].values())
+        skipped = sum(rep1["failures_by_reason"].get(k, 0)
                       for k in ("overfilled", "no_candidates"))
         assert counted == 2 - skipped
 
-    def test_no_candidates_counted_as_failures(self):
+    def test_no_candidates_counted_as_failures(self, tmp_path):
         # hostile settings: heavy noise, tiny friction cone, coarse camera
         cfg = DatasetConfig(scene_count=2, cable_count_range=(2, 2),
                             grasps_per_scene=6, friction_range=(0.02, 0.02),
@@ -220,16 +235,18 @@ class TestEvaluatePolicy:
                             camera=Camera(width_px=400, height_px=300),
                             resample_attempts=2)
         rep = evaluate_policy(PolicyConfig(kind="random"), None, cfg, 9)
-        assert rep.failures_by_reason.get("no_candidates", 0) == 2
-        assert rep.successes == 0
+        assert rep["failures_by_reason"].get("no_candidates", 0) == 2
+        assert rep["successes"] == 0
+        assert dataset_skips(cfg, 9, tmp_path) == skip_reasons(rep)
 
-    def test_overfilled_counted_apart_from_no_candidates(self):
+    def test_overfilled_counted_apart_from_no_candidates(self, tmp_path):
         # a bin too small for the cable: the trial's scene never settles
         cfg = DatasetConfig(scene_count=1, cable_count_range=(1, 1),
                             bin=BinSpec(inner_x=60.0, inner_y=50.0))
         rep = evaluate_policy(PolicyConfig(kind="random"), None, cfg, 3)
-        assert rep.failures_by_reason == {"overfilled": 1}
-        assert rep.successes == 0 and rep.by_cable_count == {}
+        assert rep["failures_by_reason"] == {"overfilled": 1}
+        assert rep["successes"] == 0 and rep["by_cable_count"] == {}
+        assert dataset_skips(cfg, 3, tmp_path) == skip_reasons(rep)
 
     def test_cgcnn_requires_net(self):
         cfg = DatasetConfig(scene_count=1)

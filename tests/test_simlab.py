@@ -19,7 +19,8 @@ from graspforge.scene import (MAX_CABLES, BinSpec, CableSpec, Camera, PlacedCabl
                               cable_decomposition, make_cable_mesh, settle_scene)
 from graspforge.simlab import (FAILURE_REASONS, DatasetConfig,
                                GraspOutcome, _jaw_verts, execute_grasp, generate_dataset, load_dataset,
-                               replay_sample, scene_candidates, write_dataset)
+                               replay_sample, sample_scene, scene_plan, settle_plan,
+                               write_dataset)
 
 import oracles
 
@@ -236,7 +237,9 @@ class TestOracleReference:
         cfg = DatasetConfig()
         reasons = set()
         for seed, index in ((0, 0), (1, 1), (2, 2)):
-            scene, cands, plan = scene_candidates(cfg, seed, index)
+            plan = scene_plan(cfg, seed, index)
+            scene = settle_plan(cfg, plan)
+            cands = sample_scene(cfg, scene, plan)
             for pose, _ in cands:
                 got = outcome(execute_grasp(scene, pose, plan["f"]))
                 assert got == outcome(oracles.execute_grasp_reference(scene, pose, plan["f"]))
@@ -461,6 +464,22 @@ class TestGenerateDataset:
         } for i, (label, reason) in enumerate([(1, "empty_close"), (0, "empty_close")])]
         idx = write_dataset(rows, {"overfilled": 0, "no_candidates": 0}, 2, 0, tmp_path)
         with pytest.raises(DegenerateInput, match="row 0: label does not match") as err:
+            load_dataset(idx)
+        assert str(idx) in str(err.value)
+
+    @pytest.mark.parametrize("label", [True, False, 1.0])
+    def test_label_not_an_integer_names_row(self, tmp_path, label):
+        """A stored label of JSON true, false or 1.0 fails the load, naming
+        the index and the row, rather than loading as 1, 0 or 1."""
+        rows = [{
+            "scene_index": i, "candidate_index": 0,
+            "patch": Patch(data=np.zeros((8, 8), np.float32), pitch=1.0),
+            "label": stored, "reason": None,
+            "contacted_ids": [0], "scene_seed": i, "cable_count": 1, "f": 0.3,
+            "pose": {"x": 0.0, "y": 0.0, "z": 1.0, "theta": 0.0, "w": 8.0},
+        } for i, stored in enumerate([0, label])]
+        idx = write_dataset(rows, {"overfilled": 0, "no_candidates": 0}, 2, 0, tmp_path)
+        with pytest.raises(DegenerateInput, match=f"row 1: label {label!r} is not 0 or 1") as err:
             load_dataset(idx)
         assert str(idx) in str(err.value)
 
