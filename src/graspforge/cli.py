@@ -168,7 +168,12 @@ def _cmd_label(args) -> dict:
         if cand["scene_index"] not in scenes:
             raise DegenerateInput(f"{args.candidates}: scene {cand['scene_index']} is not "
                                   f"in the listing {args.scenes}")
-        by_scene.setdefault(cand["scene_index"], []).append((n, cand))
+        cands = by_scene.setdefault(cand["scene_index"], [])
+        if cand["candidate_index"] != len(cands):
+            raise DegenerateInput(f"{args.candidates}: row {n}: candidate_index "
+                                  f"{cand['candidate_index']}, expected {len(cands)}: a "
+                                  f"scene's rows run 0, 1, ... in file order")
+        cands.append((n, cand))
     rows = []
     for index, cands in sorted(by_scene.items()):
         plan, manifest = scenes[index]

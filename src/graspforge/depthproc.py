@@ -12,7 +12,11 @@ loop form is frozen in `tests/oracles.sample_grasps_reference`.
 - The bilateral filter evaluates each window offset's expression in the
   same order, with in-place ufuncs into preallocated buffers, one band of
   rows at a time. Element-wise ops round alike on any shape, and each
-  pixel still adds up its offsets in the same order.
+  pixel still adds up its offsets in the same order. Each band sums into
+  band-sized accumulators and writes its quotient straight into the
+  float32 output (the same float64 divide, then the same cast), and takes
+  its center values from the padded copy, so no image-sized float64 array
+  is kept besides that copy.
 - Edge detection gathers at the `np.nonzero` pixels what the loop read one
   pixel at a time, after dropping the border pixels.
 - Normal fits are batched by neighbor count. A stack of k-point
@@ -170,19 +174,18 @@ def bilateral_filter(img: DepthImage, spatial_sigma: float, range_sigma: float) 
     if spatial_sigma <= 0 or range_sigma <= 0:
         raise DegenerateInput("sigmas must be positive")
     r = int(np.ceil(3.0 * spatial_sigma))
-    src = img.data.astype(np.float64)
-    padded = np.pad(src, r, mode="edge")
-    acc = np.zeros_like(src)
-    wsum = np.zeros_like(src)
-    h, w = src.shape
-    wgt_band = np.empty((_FILTER_ROWS, w))
-    term_band = np.empty((_FILTER_ROWS, w))
+    padded = np.pad(img.data, r, mode="edge").astype(np.float64)
+    h, w = img.data.shape
+    out = np.empty((h, w), dtype=np.float32)
+    bands = [np.empty((_FILTER_ROWS, w)) for _ in range(4)]
     inv_2ss = 1.0 / (2.0 * spatial_sigma ** 2)
     inv_2rs = 1.0 / (2.0 * range_sigma ** 2)
     for y0 in range(0, h, _FILTER_ROWS):
         y1 = min(y0 + _FILTER_ROWS, h)
-        center, acc_b, wsum_b = src[y0:y1], acc[y0:y1], wsum[y0:y1]
-        wgt, term = wgt_band[:y1 - y0], term_band[:y1 - y0]
+        center = padded[r + y0:r + y1, r:r + w]
+        acc, wsum, wgt, term = (a[:y1 - y0] for a in bands)
+        acc.fill(0.0)
+        wsum.fill(0.0)
         for dy in range(-r, r + 1):
             for dx in range(-r, r + 1):
                 shifted = padded[r + dy + y0:r + dy + y1, r + dx:r + dx + w]
@@ -192,9 +195,10 @@ def bilateral_filter(img: DepthImage, spatial_sigma: float, range_sigma: float) 
                 np.multiply(wgt, inv_2rs, out=wgt)
                 np.subtract(-(dx * dx + dy * dy) * inv_2ss, wgt, out=wgt)
                 np.exp(wgt, out=wgt)
-                acc_b += np.multiply(wgt, shifted, out=term)
-                wsum_b += wgt
-    return DepthImage(data=(acc / wsum).astype(np.float32), pitch=img.pitch)
+                acc += np.multiply(wgt, shifted, out=term)
+                wsum += wgt
+        np.divide(acc, wsum, out=out[y0:y1])
+    return DepthImage(data=out, pitch=img.pitch)
 
 
 def detect_edges(img: DepthImage, grad_threshold: float) -> EdgePoints:
@@ -298,10 +302,11 @@ def add_noise(img: DepthImage, rng: np.random.Generator, gauss_sigma: float = 0.
     """
     data = img.data.astype(np.float64)
     if gauss_sigma > 0:
-        data = data + rng.normal(0.0, gauss_sigma, size=data.shape)
+        data += rng.normal(0.0, gauss_sigma, size=data.shape)
     if salt_pepper_frac > 0:
         mask = rng.random(data.shape) < salt_pepper_frac
-        fill = np.where(rng.random(data.shape) < 0.5, 0.0, PEPPER_VALUE)
-        data = np.where(mask, fill, data)
-    return DepthImage(data=np.clip(data, 0.0, None).astype(np.float32),
-                      pitch=img.pitch)
+        far = rng.random(data.shape) >= 0.5
+        data[mask] = 0.0
+        data[mask & far] = PEPPER_VALUE
+    np.clip(data, 0.0, None, out=data)
+    return DepthImage(data=data.astype(np.float32), pitch=img.pitch)

@@ -29,10 +29,18 @@ batch. No float operation moves between samples, so the bytes do not depend
 on the core count.
 
 Each `train` or `forward_many` call, and each `gradients` call given none,
-builds one workspace and drops it when it returns: the whole-batch arrays
-of the conv stages, sized for the call's largest pass, and each span's
+builds one workspace and drops it when it returns. It holds, sized for the
+call's largest pass, each conv stage's pooled output and pool winners, the
+per-sample bias partials and weight-gradient products, and each span's
 chunk scratch. Every pass reuses it, a shorter one through a row prefix, so
-no training step allocates a large array.
+no training step allocates a large array. It keeps nothing a pass can
+re-derive: conv1 reads the patches themselves (im2col's copy makes the
+exact float32 -> float64 cast), and no full-resolution ReLU mask is stored,
+since the backward pass gates each stage by its pooled output instead. A
+pool winner's ReLU passed exactly where its pooled value is above 0, and
+every other cell's gradient is +0.0, which either gate leaves +0.0; so
+multiplying the pooled-size gradient by `pooled > 0` before scattering it
+gives the bytes of scattering it and multiplying by the full mask.
 
 Training minimizes class-weighted binary cross-entropy with per-class
 weights from the label distribution, on a stratified split of the patch
@@ -206,10 +214,12 @@ def _pool_forward(x: np.ndarray):
     return out, arg
 
 
-def _pool_relu_backward(dy: np.ndarray, arg: np.ndarray, mask: np.ndarray,
+def _pool_relu_backward(dy: np.ndarray, pooled: np.ndarray, arg: np.ndarray,
                         dx: np.ndarray) -> np.ndarray:
-    """Gradient through the pool into each winning cell, +0.0 elsewhere,
-    then through the ReLU mask; written into and returned as dx."""
+    """Gradient through the ReLU and the pool: dy, gated in place by
+    pooled > 0, into each winning cell and +0.0 elsewhere; written into and
+    returned as dx."""
+    dy *= pooled > 0
     # a bitwise AND with all-ones or all-zeros picks dy's bytes or +0.0
     # without a data-dependent branch per element
     dx_bits = dx.view(np.int64)
@@ -217,7 +227,6 @@ def _pool_relu_backward(dy: np.ndarray, arg: np.ndarray, mask: np.ndarray,
     for k, (qy, qx) in enumerate(_QUADRANTS):
         np.negative(np.equal(arg, k).view(np.int8), out=pick, casting="unsafe")
         np.bitwise_and(dy.view(np.int64), pick, out=dx_bits[:, :, qy::2, qx::2])
-    dx *= mask
     return dx
 
 
@@ -247,15 +256,16 @@ def _fan_out(task, n: int) -> None:
 
 class _SpanScratch:
     """One span's chunk buffers: a zero-bordered input per conv stage shape
-    (the border is written once) and one flat buffer per role (im2col rows,
-    conv output, stage output gradient) sized for the largest stage; each
-    use takes a reshaped prefix."""
+    (the border is written once), flat im2col rows sized for the largest
+    stage, one flat buffer for a stage's conv output (forward) or output
+    gradient (backward), and a quarter-size one for the backward pass's
+    input gradient; each use takes a reshaped prefix."""
 
     def __init__(self, stages: list[tuple[int, int]]):
         self.pads = [np.zeros((_CHUNK, c, h + 2, h + 2)) for c, h in stages]
         self.cols = np.empty(_CHUNK * max(9 * c * h * h for c, h in stages))
         self.out = np.empty(_CHUNK * 8 * stages[0][1] ** 2)
-        self.dz = np.empty_like(self.out)
+        self.dx = np.empty(_CHUNK * 8 * stages[1][1] ** 2)
 
 
 class _Workspace:
@@ -267,9 +277,9 @@ class _Workspace:
     def __init__(self, rows: int, s: int):
         # conv stage i's input channels and side
         stages = [(c, s >> i) for i, c in enumerate((1, 8, 8))]
-        self.ins = [np.empty((rows, c, h, h)) for c, h in stages]
-        self.ins.append(np.empty((rows, 8, s >> 3, s >> 3)))
-        self.masks = [np.empty((rows, 8, h, h), dtype=bool) for _, h in stages]
+        # each stage's pooled output, which is the next stage's input and
+        # gives its own ReLU gate, and its pool winners
+        self.outs = [np.empty((rows, 8, h >> 1, h >> 1)) for _, h in stages]
         self.args = [np.empty((rows, 8, h >> 1, h >> 1), dtype=np.int8) for _, h in stages]
         # per-sample bias-gradient partials and weight-gradient products
         self.partials = [np.empty((rows, 8)) for _ in stages]
@@ -285,10 +295,10 @@ def _forward_batch(net: QualityNet, x: np.ndarray, ws: _Workspace | None = None)
     if ws is None:
         ws = _Workspace(n, s)
     p = [a.astype(np.float64) for a in net.params]
-    # conv stage i reads ins[i] and writes its ReLU mask, its pool winners
-    # and ins[i + 1]; the spans fill these whole-batch arrays in place
-    ins, masks, args = ([a[:n] for a in arrs] for arrs in (ws.ins, ws.masks, ws.args))
-    ins[0][:, 0] = x
+    # conv stage i reads ins[i], x itself for conv1, and writes its pool
+    # winners and ins[i + 1]; the spans fill these whole-batch arrays in place
+    outs, args = ([a[:n] for a in arrs] for arrs in (ws.outs, ws.args))
+    ins = [x[:, None], *outs]
 
     def conv_stages(j: int, start: int, stop: int) -> None:
         sc = ws.spans[j]
@@ -297,11 +307,11 @@ def _forward_batch(net: QualityNet, x: np.ndarray, ws: _Workspace | None = None)
             for i in range(3):
                 z = _conv_forward(ins[i][a:b], p[2 * i], p[2 * i + 1],
                                   sc.pads[i], sc.cols, sc.out)
-                z *= np.greater(z, 0, out=masks[i][a:b])
-                ins[i + 1][a:b], args[i][a:b] = _pool_forward(z)
+                z *= z > 0
+                outs[i][a:b], args[i][a:b] = _pool_forward(z)
 
     _fan_out(conv_stages, n)
-    z, win = _depthwise_forward(ins[3], p[6], p[7])
+    z, win = _depthwise_forward(outs[2], p[6], p[7])
     dw_mask = z > 0
     hd = z * dw_mask
     zp = np.einsum("nchw,kc->nkhw", hd, p[8], optimize=True) + p[9][None, :, None, None]
@@ -309,7 +319,7 @@ def _forward_batch(net: QualityNet, x: np.ndarray, ws: _Workspace | None = None)
     hp = zp * pw_mask
     pooled = hp.mean(axis=(2, 3))
     logits = pooled @ p[10] + p[11][0]
-    cache = {"p": p, "ws": ws, "acts": list(zip(ins, masks, args)), "win": win,
+    cache = {"p": p, "ws": ws, "acts": list(zip(ins, outs, args)), "win": win,
              "dw_mask": dw_mask, "hd": hd, "pw_mask": pw_mask,
              "hp_shape": hp.shape, "pooled": pooled}
     return logits, cache
@@ -347,14 +357,15 @@ def _backward_batch(dlogits: np.ndarray, cache):
             b = min(a + _CHUNK, stop)
             d = dh[a:b]
             for i in reversed(range(3)):
-                h, mask, arg = (arr[a:b] for arr in acts[i])
-                dz = _pool_relu_backward(d, arg, mask, sc.dz[:mask.size].reshape(mask.shape))
+                h, out, arg = (arr[a:b] for arr in acts[i])
+                shape = (b - a, 8, *h.shape[2:])
+                dz = _pool_relu_backward(d, out, arg, sc.out[:math.prod(shape)].reshape(shape))
                 dzf = dz.reshape(b - a, 8, -1)
                 np.sum(dzf, axis=2, out=partials[i][a:b])
                 np.matmul(dzf, _im2col(h, sc.pads[i], sc.cols).transpose(0, 2, 1),
                           out=prods[i][a:b])
                 if i > 0:   # no parameter reads the image's gradient
-                    d = _conv_forward(dz, w_flip[i], no_bias, sc.pads[i], sc.cols, sc.out)
+                    d = _conv_forward(dz, w_flip[i], no_bias, sc.pads[i], sc.cols, sc.dx)
 
     _fan_out(conv_stages, n)
     for i in range(3):

@@ -4,7 +4,7 @@ Everything here is deliberately written from different math than the code
 under test: box distances come from separating axes plus brute-force
 feature enumeration, inside tests from crossing parity of a single ray,
 rendered depths from one Moller-Trumbore ray per pixel (`ray_triangles`,
-`ray_mesh`). There are seven exceptions, same math on purpose, frozen copies
+`ray_mesh`). There are eight exceptions, same math on purpose, frozen copies
 the library must match bit for bit: `gjk_world_reference`, the GJK kernel;
 `forward_backward_reference` (with `forward_batch_reference` and
 `backward_batch_reference`), the quality network's forward and backward
@@ -16,17 +16,23 @@ test as they stood while each was a Python loop over pixels, points and
 pair trials, each trial a `ContactPair`; `settle_scene_reference`, pile settling as it stood while
 every topple lift re-found its blocking pairs, run on `gjk_world_reference`;
 `execute_grasp_reference`, the grasp oracle as it stood while every call
-posed the scene's pieces afresh; and `render_depth_reference`, the depth
-renderer as it stood while it drew one triangle at a time.
+posed the scene's pieces afresh; `render_depth_reference`, the depth
+renderer as it stood while it drew one triangle at a time; and
+`add_noise_reference`, the sensor noise as it stood while each step formed
+a new image-sized array.
 
 The fixtures section holds test inputs and measures the library has no use
-for: sphere and prism meshes, mesh volume, point-in-piece, pixel-to-world
-and an all-zero network.
+for: sphere and prism meshes, mesh volume, point-in-piece, pixel-to-world,
+an all-zero network, and a call's traced memory peak with the network's
+conv stages split over a given number of cores.
 """
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +40,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import map_coordinates
 from scipy.spatial import cKDTree
 
-from graspforge.depthproc import DepthImage, Patch, downsample
+from graspforge import model
+from graspforge.depthproc import PEPPER_VALUE, DepthImage, Patch, downsample
 from graspforge.errors import ConvergenceWarning, DegenerateInput, NoCandidates, Overfilled
 from graspforge.geometry import ConvexPiece, GjkResult, Pose3, TriMesh, gjk_world
 from graspforge.model import QualityNet, init_net
@@ -287,6 +294,21 @@ def render_depth_reference(scene: Scene, cam: Camera) -> DepthImage:
     return DepthImage(data=depth, pitch=cam.pitch)
 
 
+def add_noise_reference(img: DepthImage, rng: np.random.Generator, gauss_sigma: float,
+                        salt_pepper_frac: float) -> DepthImage:
+    """Frozen sensor noise: `add_noise` as it stood while each step formed a
+    new image-sized array. `depthproc.add_noise` must return the same bytes
+    and leave the rng in the same state."""
+    data = img.data.astype(np.float64)
+    if gauss_sigma > 0:
+        data = data + rng.normal(0.0, gauss_sigma, size=data.shape)
+    if salt_pepper_frac > 0:
+        mask = rng.random(data.shape) < salt_pepper_frac
+        fill = np.where(rng.random(data.shape) < 0.5, 0.0, PEPPER_VALUE)
+        data = np.where(mask, fill, data)
+    return DepthImage(data=np.clip(data, 0.0, None).astype(np.float32), pitch=img.pitch)
+
+
 
 # ---------------------------------------------------------------------------
 # Test fixtures: shapes, measures and inverses the library itself never needs.
@@ -318,6 +340,33 @@ def zeros_net(size: int) -> QualityNet:
     """A network whose every parameter is zero: it scores each patch 0.5."""
     shapes = init_net(size, np.random.default_rng(0)).params
     return QualityNet(size, [np.zeros_like(p) for p in shapes])
+
+
+@contextmanager
+def conv_cores(k: int):
+    """The conv stages split as on a host with k usable cores: `_CORES` is k
+    and the pool has k - 1 threads (one, unused, when k is 1)."""
+    pool = ThreadPoolExecutor(max_workers=max(k - 1, 1))
+    saved = model._CORES, model._POOL
+    model._CORES, model._POOL = k, pool
+    try:
+        yield
+    finally:
+        model._CORES, model._POOL = saved
+        pool.shutdown(wait=True)
+
+
+def traced_peak_mib(call, cores: int) -> float:
+    """Peak traced allocation of call(), in MiB, with the conv stages split
+    over `cores` cores: each further core adds one chunk's temporaries."""
+    with conv_cores(cores):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    return peak / 2**20
 
 
 def _ear_clip(poly: np.ndarray) -> list[tuple[int, int, int]]:

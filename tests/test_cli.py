@@ -225,6 +225,34 @@ class TestErrors:
         assert (rc, out["error"]) == (1, "DegenerateInput")
         assert str(idx) in out["detail"] and str(listing) in out["detail"]
 
+    def test_candidate_rows_run_in_order(self, capsys, chain, tmp_path):
+        """A scene's candidate rows must run candidate_index 0, 1, ... in
+        file order: a row cut out of a scene's block, a repeated row or two
+        swapped rows fail label, naming the candidates index and the row. A
+        scene with every row cut out is still a no_candidates skip."""
+        idx = tmp_path / "candidates.idx"
+        shutil.copy(chain / "candidates.blob", tmp_path / "candidates.blob")
+        lines = (chain / "candidates.idx").read_text().splitlines()
+        scene_of = [json.loads(line)["scene_index"] for line in lines]
+        first = scene_of.index(1)    # scene 1's rows follow scene 0's
+        assert scene_of.count(1) >= 2 and scene_of[first:] == [1] * (len(lines) - first)
+        listing = chain / "scenes/scenes.json"
+        argv = ("label", "--scenes", str(listing), "--candidates", str(idx),
+                "--out", str(tmp_path / "out"), *BASE)
+        swapped = lines[first + 1], lines[first]
+        for edited, row in ((lines[:first] + lines[first + 1:], first),              # a gap
+                            (lines[:first + 1] + lines[first:], first + 1),          # a repeat
+                            (lines[:first] + [*swapped] + lines[first + 2:], first)):  # a reorder
+            idx.write_text("".join(line + "\n" for line in edited))
+            rc, out = run(capsys, *argv)
+            assert (rc, out.get("error")) == (1, "DegenerateInput"), row
+            assert f"{idx}: row {row}: candidate_index" in out["detail"]
+        idx.write_text("".join(line + "\n" for line in lines[:first]))
+        rc, out = run(capsys, *argv)
+        assert (rc, out["samples"]) == (0, first)
+        summary = json.loads((tmp_path / "out/dataset.summary.json").read_text())
+        assert summary["skipped"]["no_candidates"] == 1
+
     def test_mixed_patch_sizes(self, capsys, tmp_path):
         """A dataset whose patches differ in size fails train, naming the
         index and the first row that differs from row 0; training stacks

@@ -3,11 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from graspforge.config import RunConfig
 from graspforge.depthproc import (
     PEPPER_VALUE, DepthImage, EdgePoints, Patch, add_noise, bilateral_filter, crop_rotated, detect_edges,
     downsample, estimate_normals, patch_from_record, record_bytes,
 )
 from graspforge.errors import DegenerateInput
+from graspforge.sampler import BILATERAL_RANGE, BILATERAL_SPATIAL
+from graspforge.scene import render_depth
+from graspforge.simlab import scene_plan, settle_plan
+
+import oracles
 
 
 def flat(depth=70.0, h=40, w=50, pitch=0.5):
@@ -20,7 +26,38 @@ def step_image(near=50.0, far=70.0, split=25, h=40, w=50):
     return DepthImage(data=data, pitch=0.5)
 
 
+@pytest.fixture(scope="module")
+def pipeline_pile():
+    """The `pipeline` benchmark's 8-cable evaluation pile (master seed 40),
+    rendered by the default camera, its evaluation config and its plan."""
+    cfg = RunConfig().eval_config()
+    plan = scene_plan(cfg, 40, 0)
+    return render_depth(settle_plan(cfg, plan), cfg.camera), cfg, plan
+
+
 class TestBilateral:
+    def test_matches_reference_bytes(self, pipeline_pile):
+        # the noised pile (360 rows: the last band is short), a cut whose
+        # height is not a multiple of a band, and a wider window
+        img, cfg, plan = pipeline_pile
+        noisy = add_noise(img, plan["rng"], cfg.gauss_sigma, cfg.salt_pepper_frac)
+        cut = DepthImage(data=noisy.data[:77, :91], pitch=noisy.pitch)
+        for src, sigma_s in ((noisy, BILATERAL_SPATIAL), (cut, BILATERAL_SPATIAL), (cut, 3.0)):
+            got = bilateral_filter(src, sigma_s, BILATERAL_RANGE).data
+            ref = oracles._ref_bilateral_filter(src, sigma_s, BILATERAL_RANGE).data
+            assert got.tobytes() == ref.tobytes()
+
+    def test_peak_memory_bounded(self, pipeline_pile):
+        # the noised 8-cable pile at the sampler's sigmas: about 2.7 MiB with
+        # one band's accumulators written straight into the float32 output,
+        # 7.6 MiB with two image-sized float64 accumulators and a float64
+        # copy of the image
+        img, cfg, plan = pipeline_pile
+        noisy = add_noise(img, plan["rng"], cfg.gauss_sigma, cfg.salt_pepper_frac)
+        peak = oracles.traced_peak_mib(
+            lambda: bilateral_filter(noisy, BILATERAL_SPATIAL, BILATERAL_RANGE), 1)
+        assert peak < 4.0, peak
+
     def test_constant_unchanged(self):
         img = flat()
         out = bilateral_filter(img, 2.0, 2.0)
@@ -187,6 +224,27 @@ class TestNoise:
         a = add_noise(img, np.random.default_rng(7), 1.0, 0.02)
         b = add_noise(img, np.random.default_rng(7), 1.0, 0.02)
         assert (a.data == b.data).all()
+
+    def test_matches_reference_bytes_and_draws(self, pipeline_pile):
+        # negative depths are clipped, dropouts land on both values, and
+        # the rng ends where the reference leaves it
+        img = pipeline_pile[0]
+        for seed, sigma, frac in ((0, 0.6, 0.002), (1, 40.0, 0.3), (2, 0.0, 0.5),
+                                  (3, 2.0, 0.0), (4, 0.0, 0.0)):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = add_noise(img, rng, sigma, frac).data
+            ref = oracles.add_noise_reference(img, ref_rng, sigma, frac).data
+            assert got.tobytes() == ref.tobytes(), seed
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, seed
+
+    def test_peak_memory_bounded(self, pipeline_pile):
+        # the 8-cable pile at the dataset's noise: about 3.0 MiB in one
+        # float64 array, 4.8 MiB when each step formed a new one
+        img, cfg, _ = pipeline_pile
+        rng = np.random.default_rng(0)
+        peak = oracles.traced_peak_mib(
+            lambda: add_noise(img, rng, cfg.gauss_sigma, cfg.salt_pepper_frac), 1)
+        assert peak < 4.0, peak
 
 
 class TestIO:

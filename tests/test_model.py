@@ -2,9 +2,6 @@
 
 import math
 import threading
-import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -18,7 +15,8 @@ from graspforge.model import (AdamState, QualityNet, TrainConfig, adam_step,
                               write_metrics, _depthwise_forward,
                               _dlogits, _forward_batch, _pool_forward, _sigmoid)
 from oracles import (_ref_conv_forward, augment_reference, backward_batch_reference,
-                     forward_backward_reference, forward_batch_reference, zeros_net)
+                     conv_cores, forward_backward_reference, forward_batch_reference,
+                     traced_peak_mib, zeros_net)
 
 # Seeds under which the finite-difference probe point below is smooth: no
 # max-pool tie sits within the h-step's reach, verified by full-coordinate
@@ -312,6 +310,51 @@ class TestBitIdentity:
                 h, _ = _pool_forward(act)
         assert ties > 0 and negzero > 0
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_relu_gate_from_pooled_output(self, seed):
+        # dyadic weights, biases and piecewise-constant integer patches make
+        # every conv sum exact, so the conv outputs hold negatives (-0.0
+        # after the ReLU), exact +0.0, and pool quadrants tied between equal
+        # positives and between -0.0 and +0.0; the weights are small enough
+        # that no prediction saturates, so every conv gradient is live. The
+        # backward pass, which gates each stage by its pooled output, still
+        # returns the reference's bytes on 1 and 2 cores
+        rng = np.random.default_rng(seed)
+        size, n = 16, 9
+        shapes = [p.shape for p in init_net(size, rng).params]
+        net = QualityNet(size, [rng.choice([-0.5, -0.25, 0.0, 0.25, 0.5], size=s)
+                                .astype(np.float32) for s in shapes])
+        x = np.zeros((n, size, size), np.float32)
+        for img in x:
+            for _ in range(6):
+                y0, x0 = rng.integers(0, size, size=2)
+                hy, hx = rng.integers(2, size // 2 + 2, size=2)
+                img[y0:y0 + hy, x0:x0 + hx] = rng.integers(-2, 3)
+        y = (np.arange(n) % 2).astype(np.float64)
+        p = [a.astype(np.float64) for a in net.params]
+        h = x.astype(np.float64)[:, None]
+        neg = poszero = postie = zerotie = 0
+        for i in range(3):
+            z, _ = _ref_conv_forward(h, p[2 * i], p[2 * i + 1])
+            act = z * (z > 0)
+            neg += int(np.sum(z < 0))
+            poszero += int(np.sum((z == 0) & ~np.signbit(act)))
+            a, b = act[:, :, 0::2, 0::2], act[:, :, 0::2, 1::2]
+            postie += int(np.sum((a == b) & (a > 0)))
+            zerotie += int(np.sum((a == 0) & (b == 0) & (np.signbit(a) != np.signbit(b))))
+            h, _ = _pool_forward(act)
+        assert min(neg, poszero, postie, zerotie) > 0
+        ref_logits, ref_grads = forward_backward_reference(
+            net, x, lambda lg: _dlogits(_sigmoid(lg), y, self.PHI))
+        assert all(np.any(g != 0) for g in ref_grads[:6])
+        for k in (1, 2):
+            with conv_cores(k):
+                _, grads = gradients(net, (x, y), self.PHI)
+                logits, _ = _forward_batch(net, x)
+            assert logits.tobytes() == ref_logits.tobytes(), k
+            for i, (g, r) in enumerate(zip(grads, ref_grads)):
+                assert g.tobytes() == r.tobytes(), (k, i)
+
     def test_training_checkpoint(self, tmp_path, monkeypatch):
         data = blob_dataset(n=60, size=16, seed=9)
         cfg = TrainConfig(epochs=3, batch_size=8, seed=4)
@@ -324,20 +367,6 @@ class TestBitIdentity:
         save_net(ref.net, tmp_path / "ref.gfqn")
         assert (tmp_path / "ours.gfqn").read_bytes() == (tmp_path / "ref.gfqn").read_bytes()
         assert ours.history == ref.history
-
-
-@contextmanager
-def conv_cores(k):
-    """The conv stages split as on a host with k usable cores: `_CORES` is k
-    and the pool has k - 1 threads (one, unused, when k is 1)."""
-    pool = ThreadPoolExecutor(max_workers=max(k - 1, 1))
-    try:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(model, "_CORES", k)
-            mp.setattr(model, "_POOL", pool)
-            yield
-    finally:
-        pool.shutdown(wait=True)
 
 
 class TestSpans:
@@ -393,55 +422,46 @@ class TestSpans:
         assert logits.tobytes() == ref_logits.tobytes()
 
 
-def traced_peak_mib(call) -> float:
-    """Peak traced allocation of call(), in MiB, with the conv stages split
-    over 2 cores: each further core adds one chunk's temporaries."""
-    with conv_cores(2):
-        tracemalloc.start()
-        try:
-            call()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-    return peak / 2**20
-
-
 def test_gradients_peak_memory():
-    # one training-size batch: 32 patches of 64x64; about 18 MiB with one
-    # workspace per call, 23 MiB when each chunk allocated its temporaries,
-    # 57 MiB when the forward kept its im2col copies, 125 MiB when conv1's
-    # input gradient was formed
+    # one training-size batch: 32 patches of 64x64 on 2 cores; about 14 MiB
+    # since each stage's ReLU gate comes from its pooled output and conv1
+    # reads the patches, 18 MiB with one workspace per call, 23 MiB when
+    # each chunk allocated its temporaries, 57 MiB when the forward kept its
+    # im2col copies, 125 MiB when conv1's input gradient was formed
     rng = np.random.default_rng(0)
     net = init_net(64, rng)
     x = rng.normal(size=(32, 64, 64)).astype(np.float32)
     y = (np.arange(32) % 2).astype(np.float64)
-    peak = traced_peak_mib(lambda: gradients(net, (x, y), (1.0, 1.0)))
-    assert peak < 40.0, peak
+    peak = traced_peak_mib(lambda: gradients(net, (x, y), (1.0, 1.0)), 2)
+    assert peak < 20.0, peak
 
 
 def test_validation_forward_peak_memory():
-    # one validation chunk: 256 patches of 64x64; about 66 MiB with the
-    # call's workspace, which also holds the buffers only a backward pass
-    # touches, 54 MiB before, and 324 MiB when the forward kept every
+    # one validation chunk: 256 patches of 64x64 on 2 cores; about 46 MiB
+    # since the workspace keeps no ReLU masks and no float64 copy of the
+    # patches, 66 MiB with them and the buffers only a backward pass
+    # touches, 54 MiB before those, and 324 MiB when the forward kept every
     # stage's im2col copy
     rng = np.random.default_rng(0)
     net = init_net(64, rng)
     x = rng.normal(size=(256, 64, 64)).astype(np.float32)
-    peak = traced_peak_mib(lambda: _forward_batch(net, x))
-    assert peak < 80.0, peak
+    peak = traced_peak_mib(lambda: _forward_batch(net, x), 2)
+    assert peak < 55.0, peak
 
 
 def test_train_peak_memory():
-    # the `train` benchmark workload's size: 160 patches of 64x64, 3 epochs;
-    # about 18 MiB since `train` takes the loader's patch block instead of
-    # stacking its own copy, 21 MiB before, and 34 MiB when each step
-    # allocated its arrays and the flipped training block was formed
+    # the `train` benchmark workload's size: 160 patches of 64x64, 3 epochs
+    # on 2 cores; about 15 MiB since the workspace keeps no ReLU masks and no
+    # float64 copy of the patches, 18 MiB since `train` takes the loader's
+    # patch block instead of stacking its own copy, 21 MiB before, and 34
+    # MiB when each step allocated its arrays and the flipped training block
+    # was formed
     rng = np.random.default_rng(0)
     labels = np.zeros(160, dtype=int)
     labels[rng.choice(160, size=32, replace=False)] = 1
     x = rng.normal(0.0, 3.0, (160, 64, 64)).astype(np.float32)
-    peak = traced_peak_mib(lambda: train(x, labels, TrainConfig(epochs=3, seed=0)))
-    assert peak < 28.0, peak
+    peak = traced_peak_mib(lambda: train(x, labels, TrainConfig(epochs=3, seed=0)), 2)
+    assert peak < 20.0, peak
 
 
 @pytest.mark.parametrize("side", [64, 32, 16])

@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -488,17 +487,23 @@ class TestRenderDepth:
             got = render_depth(scene, cam).data
             assert got.tobytes() == oracles.render_depth_reference(scene, cam).data.tobytes()
 
+    @pytest.mark.parametrize("chunk", [1 << 10, 1 << 14, 1 << 16])
+    def test_bytes_independent_of_pass_size(self, pipeline_piles, monkeypatch, chunk):
+        # passes only split the triangles, in order, and the per-pixel max
+        # does not depend on the split
+        monkeypatch.setattr(scene_mod, "_RENDER_CHUNK", chunk)
+        for scene in pipeline_piles:
+            got = render_depth(scene, Camera()).data
+            ref = oracles.render_depth_reference(scene, Camera()).data
+            assert got.tobytes() == ref.tobytes()
+
     def test_peak_memory_bounded(self, pipeline_piles):
-        # the 8-cable pile: about 17 MiB in passes of 64k box pixels, about
-        # 100 MiB when every triangle's box is rasterised in one pass
+        # the 8-cable pile: about 5 MiB in passes of 16k box pixels, 17 MiB
+        # in passes of 64k, about 100 MiB when every triangle's box is
+        # rasterised in one pass
         scene, cam = pipeline_piles[1], Camera()
-        tracemalloc.start()
-        try:
-            render_depth(scene, cam)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak / 2**20 < 24.0
+        peak = oracles.traced_peak_mib(lambda: render_depth(scene, cam), 1)
+        assert peak < 8.0, peak
 
     def test_pixel_mapping_roundtrip(self):
         cam = Camera()
