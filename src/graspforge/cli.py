@@ -10,8 +10,11 @@ reports/ by default), and prints a one-line JSON summary. Exit codes: 0
 success, 1 domain error, 2 usage error.
 
 make-scenes, sample and label run `simlab`'s scene stages one stage at a
-time and only read and write their files; evaluate runs the same stages
-on `RunConfig.eval_config()`, the scene settings of its trials.
+time and only read and write their files: make-scenes walks
+`settled_scenes`, and sample and label feed the listed scenes to
+`sampled_scenes`, so no command catches a skipped scene itself. evaluate
+runs the same stages on `RunConfig.eval_config()`, the scene settings of
+its trials.
 """
 
 from __future__ import annotations
@@ -20,18 +23,19 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
 from .config import RunConfig, load_run_config
-from .errors import DegenerateInput, GraspForgeError, NoCandidates, Overfilled
+from .errors import DegenerateInput, GraspForgeError
 from .fileio import atomic_write, read_input, require_keys
 from .model import load_net, save_net, train, write_metrics
 from .policy import evaluate_policy, write_stats
-from .scene import Scene, load_scene, save_scene
+from .scene import load_scene, save_scene
 from .simlab import (CANDIDATE_KEYS, DatasetConfig, candidate_rows, label_row,
-                     load_dataset, read_records, sample_scene, scene_plan,
-                     settle_plan, write_dataset, write_records)
+                     load_dataset, read_records, sampled_scenes, scene_plan,
+                     settled_scenes, write_dataset, write_records)
 
 
 _PLAN_KEYS = ("scene_seed", "cable_count", "f")   # a listing entry's scene_plan draws
@@ -74,14 +78,8 @@ def _cmd_make_scenes(args) -> dict:
     cfg = run.dataset_config()
     out_dir = Path(args.out) / "scenes"
     entries = []
-    skipped = {"overfilled": 0}
-    for i in range(cfg.scene_count):
-        plan = scene_plan(cfg, run.master_seed, i)
-        try:
-            scene = settle_plan(cfg, plan)
-        except Overfilled:
-            skipped["overfilled"] += 1
-            continue
+    skipped = Counter(overfilled=0)
+    for i, scene, plan in settled_scenes(cfg, run.master_seed, skipped):
         manifest = save_scene(scene, str(out_dir / f"scene_{i:04d}"))
         entries.append({"index": i, "manifest": os.path.relpath(manifest, out_dir),
                         **{k: plan[k] for k in _PLAN_KEYS}})
@@ -131,30 +129,29 @@ def _load_listing(cfg: DatasetConfig, path: str) -> tuple[dict, dict]:
     return read_input(path, parse)
 
 
-def _entry_scene(cfg: DatasetConfig, plan: dict, manifest: str) -> Scene:
-    """The scene a listing entry names, which must be the pile its plan
-    settles: the plan's seed and cable count, or DegenerateInput names the
-    manifest."""
-    scene = load_scene(manifest, cfg.bin, cfg.cable)
-    if scene.rng_seed != plan["scene_seed"] or len(scene.cables) != plan["cable_count"]:
-        raise DegenerateInput(f"{manifest}: scene does not match its listing entry")
-    return scene
+def _listed_scenes(cfg: DatasetConfig, scenes: dict, indices):
+    """(index, scene, plan) for each of `indices`, loading the scene its
+    entry in `scenes` (as `_load_listing` maps them) names. That scene must
+    be the pile its plan settles: the plan's seed and cable count, or
+    DegenerateInput names the manifest."""
+    for index in indices:
+        plan, manifest = scenes[index]
+        scene = load_scene(manifest, cfg.bin, cfg.cable)
+        if scene.rng_seed != plan["scene_seed"] or len(scene.cables) != plan["cable_count"]:
+            raise DegenerateInput(f"{manifest}: scene does not match its listing entry")
+        yield index, scene, plan
 
 
 def _cmd_sample(args) -> dict:
     cfg = _run_config(args).dataset_config()
     listing, scenes = _load_listing(cfg, args.scenes)
-    rows = []
-    no_candidates = 0
-    for index, (plan, manifest) in scenes.items():
-        scene = _entry_scene(cfg, plan, manifest)
-        try:
-            rows += candidate_rows(index, sample_scene(cfg, scene, plan))
-        except NoCandidates:
-            no_candidates += 1
+    skips = Counter(no_candidates=0)
+    rows = [row for index, _, cands, _ in
+            sampled_scenes(cfg, _listed_scenes(cfg, scenes, scenes), skips)
+            for row in candidate_rows(index, cands)]
     idx_path = write_records(rows, args.out, "candidates")
     return {"command": "sample", "scenes": len(listing["scenes"]),
-            "candidates": len(rows), "no_candidates": no_candidates,
+            "candidates": len(rows), "no_candidates": skips["no_candidates"],
             "index": str(idx_path)}
 
 
@@ -174,17 +171,18 @@ def _cmd_label(args) -> dict:
                                   f"{cand['candidate_index']}, expected {len(cands)}: a "
                                   f"scene's rows run 0, 1, ... in file order")
         cands.append((n, cand))
+    skips = Counter(overfilled=listing["skipped"]["overfilled"], no_candidates=0)
+    rowless = [index for index in scenes if index not in by_scene]   # must sample empty
+    for index, *_ in sampled_scenes(cfg, _listed_scenes(cfg, scenes, rowless), skips):
+        raise DegenerateInput(f"{args.candidates}: scene {index} has no rows, but "
+                              "sampling it yields candidates")
     rows = []
-    for index, cands in sorted(by_scene.items()):
-        plan, manifest = scenes[index]
-        scene = _entry_scene(cfg, plan, manifest)
-        for n, cand in cands:
+    for index, scene, plan in _listed_scenes(cfg, scenes, sorted(by_scene)):
+        for n, cand in by_scene[index]:
             try:
                 rows.append(label_row(scene, plan, cand))
             except DegenerateInput as exc:
                 raise DegenerateInput(f"{args.candidates}: row {n}: {exc}") from None
-    skips = {"overfilled": listing["skipped"]["overfilled"],
-             "no_candidates": len(listing["scenes"]) - len(by_scene)}
     index_path = write_dataset(rows, skips, listing["scene_count"],
                                listing["master_seed"], args.out)
     positives = sum(r["label"] for r in rows)

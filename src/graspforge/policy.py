@@ -3,10 +3,10 @@
 Two policies: uniform random choice over the sampled candidates, and a
 learned policy that scores each candidate by network quality plus a height
 bonus, picking the argmax. The harness runs full simulated trials - settle,
-render, sample, select, execute - on the scenes of the dataset's walk,
-`simlab.scene_candidates`, under its settings (a `DatasetConfig` whose
-scene_count is the trial count), and returns success statistics with
-Wilson confidence intervals as the dict its stats file holds.
+render, sample, select, execute - on the dataset's scene walk (`simlab`'s
+`settled_scenes` through `sampled_scenes`) under its settings (a
+`DatasetConfig` whose scene_count is the trial count), and returns success
+statistics with Wilson confidence intervals as the dict its stats file holds.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import DegenerateInput, Empty, ShapeMismatch
 from .model import QualityNet, forward_many
 from .sampler import GraspPose
 from .fileio import atomic_write
-from .simlab import DatasetConfig, execute_grasp, scene_candidates
+from .simlab import DatasetConfig, execute_grasp, sampled_scenes, settled_scenes
 
 _POLICY_KINDS = ("random", "cgcnn")
 _WILSON_Z = 1.959963984540054   # two-sided 95%
@@ -95,9 +95,9 @@ def evaluate_policy(policy: PolicyConfig, net: QualityNet | None,
     """Success rate of one policy over cfg.scene_count trials, one fresh
     scene each, as the stats dict that `write_stats` stores.
 
-    The trials are the scenes of `scene_candidates`, the walk the dataset
-    is generated from: each trial lets the policy pick one grasp of its
-    scene and executes it; success means a clean single cable lift. A
+    The trials are the scenes of the dataset's walk, `settled_scenes`
+    through `sampled_scenes`: each trial lets the policy pick one grasp of
+    its scene and executes it; success means a clean single cable lift. A
     skipped scene counts as a failure: "overfilled" when its cables found
     no resting pose in the bin, "no_candidates" when the sampler came back
     empty. Trials use per-index seed streams, so results are deterministic
@@ -115,7 +115,8 @@ def evaluate_policy(policy: PolicyConfig, net: QualityNet | None,
         raise ShapeMismatch(f"net input {net.size} != patch size {cfg.patch_size}")
     reasons = Counter()
     by_count: dict[int, list] = {}   # cable count -> [trials, successes]
-    for _, scene, cands, plan in scene_candidates(cfg, master_seed, reasons):
+    scenes = settled_scenes(cfg, master_seed, reasons)
+    for _, scene, cands, plan in sampled_scenes(cfg, scenes, reasons):
         if policy.kind == "random":
             pose = select_random(cands, plan["rng"])
         else:

@@ -20,12 +20,13 @@ auto-label sampled candidates at scale.
 
 The scene stages below are the one implementation that `generate_dataset`,
 the command-line stages and the policy evaluation all call: `scene_plan`
-(per-scene draws and random stream), `settle_plan`, `sample_scene` (render,
-noise, sample, resample), then `candidate_rows` and `label_row`. The one
-scene walk, `scene_candidates`, chains the first three over a config's
-scenes and counts the skipped ones, for the fused generator and the
-evaluation alike. Patches are stored in one format, a blob of depth
-records plus a JSON-lines index (`write_records`, `read_records`).
+(per-scene draws and random stream), `settle_plan`, then `candidate_rows`
+and `label_row`. Every scene walk composes two generators, the only code
+that catches a skip: `settled_scenes` plans and settles a config's scenes,
+and `sampled_scenes` renders, noises and samples any (index, scene, plan)
+stream; each counts the scenes it skips. Patches are stored in one format,
+a blob of depth records plus a JSON-lines index (`write_records`,
+`read_records`).
 """
 
 from __future__ import annotations
@@ -282,39 +283,39 @@ def settle_plan(cfg: DatasetConfig, plan: dict) -> Scene:
                         int(plan["scene_seed"]))
 
 
-def sample_scene(cfg: DatasetConfig, scene: Scene, plan: dict) -> list:
-    """Render the scene, then add noise and sample grasps from plan["rng"],
-    drawing fresh noise after each empty try. Returns the sampler's
-    (pose, patch) candidates; raises NoCandidates once
-    cfg.resample_attempts tries have all come back empty."""
-    img = render_depth(scene, cfg.camera)
-    scfg = SamplerConfig(n=cfg.grasps_per_scene, f=plan["f"], patch_size=cfg.patch_size,
-                         camera_height=cfg.camera.height)
-    rng = plan["rng"]
-    for _ in range(cfg.resample_attempts):
-        noisy = add_noise(img, rng, cfg.gauss_sigma, cfg.salt_pepper_frac)
-        try:
-            return sample_grasps(noisy, scfg, rng)
-        except NoCandidates:
-            continue
-    raise NoCandidates(f"no candidates after {cfg.resample_attempts} noise draws")
-
-
-def scene_candidates(cfg: DatasetConfig, master_seed: int, skips: Counter):
-    """The one scene walk: plan, settle and sample scenes 0 ..
-    cfg.scene_count - 1 in order, yielding (index, scene, candidates, plan)
-    for each. A scene that raises Overfilled or NoCandidates is not yielded;
-    it is counted in `skips` under "overfilled" or "no_candidates". Each
-    scene draws only from its own stream, so a skip moves no other draw."""
+def settled_scenes(cfg: DatasetConfig, master_seed: int, skips: Counter):
+    """Plan and settle scenes 0 .. cfg.scene_count - 1 in order, yielding
+    (index, scene, plan) for each. A scene that raises Overfilled is not
+    yielded; it is counted in `skips["overfilled"]`. Each scene draws only
+    from its own stream, so a skip moves no other draw."""
     for index in range(cfg.scene_count):
         plan = scene_plan(cfg, master_seed, index)
         try:
             scene = settle_plan(cfg, plan)
-            candidates = sample_scene(cfg, scene, plan)
         except Overfilled:
             skips["overfilled"] += 1
             continue
-        except NoCandidates:
+        yield index, scene, plan
+
+
+def sampled_scenes(cfg: DatasetConfig, scenes, skips: Counter):
+    """Render each (index, scene, plan) of `scenes`, then add noise and
+    sample grasps from plan["rng"], with fresh noise after each empty try,
+    yielding (index, scene, candidates, plan). A scene whose
+    cfg.resample_attempts tries all come back empty is not yielded; it is
+    counted in `skips["no_candidates"]`."""
+    for index, scene, plan in scenes:
+        img = render_depth(scene, cfg.camera)
+        scfg = SamplerConfig(n=cfg.grasps_per_scene, f=plan["f"], patch_size=cfg.patch_size,
+                             camera_height=cfg.camera.height)
+        for _ in range(cfg.resample_attempts):
+            noisy = add_noise(img, plan["rng"], cfg.gauss_sigma, cfg.salt_pepper_frac)
+            try:
+                candidates = sample_grasps(noisy, scfg, plan["rng"])
+            except NoCandidates:
+                continue
+            break
+        else:
             skips["no_candidates"] += 1
             continue
         yield index, scene, candidates, plan
@@ -344,14 +345,15 @@ def generate_dataset(cfg: DatasetConfig, master_seed: int, out_dir: str | Path) 
 
     Writes three sibling files under out_dir: `dataset.blob` (concatenated
     patch records), `dataset.idx` (JSON lines, one sample per line), and
-    `dataset.summary.json`. The scenes come from `scene_candidates`, so
-    those that overfill the bin or yield no candidates are skipped and
-    counted, as the evaluation skips them. Output depends only on the
-    master seed and config.
+    `dataset.summary.json`. The scenes come from `settled_scenes` through
+    `sampled_scenes`, so those that overfill the bin or yield no
+    candidates are skipped and counted, as the evaluation skips them.
+    Output depends only on the master seed and config.
     """
     rows = []
     skips = Counter(overfilled=0, no_candidates=0)
-    for i, scene, cands, plan in scene_candidates(cfg, master_seed, skips):
+    scenes = settled_scenes(cfg, master_seed, skips)
+    for i, scene, cands, plan in sampled_scenes(cfg, scenes, skips):
         rows += [label_row(scene, plan, c) for c in candidate_rows(i, cands)]
     return write_dataset(rows, skips, cfg.scene_count, master_seed, out_dir)
 
@@ -382,37 +384,35 @@ def write_records(rows: list[dict], out_dir: str | Path, stem: str) -> Path:
 def read_records(index_path: str | Path, keys) -> list[dict]:
     """Rows of a `write_records` pair, each with its "patch" back in place
     of the offset and size. Reads both files through `read_input`: a
-    missing index or blob raises DatasetNotFound; a line that is not a JSON
+    missing index or blob raises DatasetNotFound; a row that is not a JSON
     object holding `keys`, or a record that does not fit the blob, raises
-    DegenerateInput naming the file, as does a line whose "patch_size_px"
-    is not its record's side (naming the index and the line)."""
+    DegenerateInput naming the file, as does a row whose "patch_size_px"
+    is not its record's side (naming the index and the row, from 0)."""
     path = Path(index_path)
 
-    def parse_index(data: bytes) -> dict[int, dict]:
-        rows = {}
-        for lineno, line in enumerate(data.decode().splitlines(), start=1):
-            if not line.strip():
-                continue
+    def parse_index(data: bytes) -> list[dict]:
+        rows = []
+        for n, line in enumerate(filter(str.strip, data.decode().splitlines())):
             try:
                 row = json.loads(line)
             except ValueError as exc:
-                raise DegenerateInput(f"line {lineno}: not JSON ({exc})") from None
-            require_keys(row, (*keys, "patch_offset", "patch_size_px"), f"line {lineno}")
-            rows[lineno] = row
+                raise DegenerateInput(f"row {n}: not JSON ({exc})") from None
+            require_keys(row, (*keys, "patch_offset", "patch_size_px"), f"row {n}")
+            rows.append(row)
         return rows
 
     def parse_blob(blob: bytes) -> None:
-        for row in rows.values():
+        for row in rows:
             row["patch"] = patch_from_record(blob, row.pop("patch_offset"))
 
     rows = read_input(path, parse_index)
     read_input(path.with_suffix(".blob"), parse_blob)
-    for lineno, row in rows.items():
+    for n, row in enumerate(rows):
         side = row.pop("patch_size_px")
         if type(side) is not int or side != row["patch"].size:
-            raise DegenerateInput(f"{path}: line {lineno}: patch_size_px {side!r} is not "
+            raise DegenerateInput(f"{path}: row {n}: patch_size_px {side!r} is not "
                                   f"its record's side {row['patch'].size}")
-    return list(rows.values())
+    return rows
 
 
 def write_dataset(rows: list, skips: dict, scene_count: int, master_seed: int,

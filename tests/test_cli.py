@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import graspforge.cli as cli_mod
-import graspforge.policy as policy_mod
+import graspforge.simlab as simlab_mod
 from graspforge.cli import dispatch
 from graspforge.depthproc import Patch
+from graspforge.errors import NoCandidates
 from graspforge.model import save_net
 from graspforge.simlab import DatasetConfig, generate_dataset, write_dataset
 from oracles import zeros_net
@@ -168,7 +169,7 @@ class TestErrors:
 
     def test_candidate_patch_size_disagrees_with_record(self, capsys, chain, tmp_path):
         """A candidates row whose patch_size_px is not its record's side
-        fails label, naming the index and the line."""
+        fails label, naming the index and the row."""
         idx = tmp_path / "candidates.idx"
         shutil.copy(chain / "candidates.blob", tmp_path / "candidates.blob")
         rows = [json.loads(line) for line in (chain / "candidates.idx").read_text().splitlines()]
@@ -177,7 +178,7 @@ class TestErrors:
         rc, out = run(capsys, "label", "--scenes", str(chain / "scenes/scenes.json"),
                       "--candidates", str(idx), "--out", str(tmp_path / "out"), *BASE)
         assert (rc, out.get("error")) == (1, "DegenerateInput")
-        assert f"{idx}: line 1: patch_size_px 32" in out["detail"]
+        assert f"{idx}: row 0: patch_size_px 32" in out["detail"]
 
     def test_damaged_dataset(self, capsys, tmp_path):
         idx = toy_dataset(tmp_path)
@@ -229,7 +230,8 @@ class TestErrors:
         """A scene's candidate rows must run candidate_index 0, 1, ... in
         file order: a row cut out of a scene's block, a repeated row or two
         swapped rows fail label, naming the candidates index and the row. A
-        scene with every row cut out is still a no_candidates skip."""
+        scene with every row cut out, which samples candidates again, fails
+        label too, naming the candidates index and the scene."""
         idx = tmp_path / "candidates.idx"
         shutil.copy(chain / "candidates.blob", tmp_path / "candidates.blob")
         lines = (chain / "candidates.idx").read_text().splitlines()
@@ -249,9 +251,8 @@ class TestErrors:
             assert f"{idx}: row {row}: candidate_index" in out["detail"]
         idx.write_text("".join(line + "\n" for line in lines[:first]))
         rc, out = run(capsys, *argv)
-        assert (rc, out["samples"]) == (0, first)
-        summary = json.loads((tmp_path / "out/dataset.summary.json").read_text())
-        assert summary["skipped"]["no_candidates"] == 1
+        assert (rc, out.get("error")) == (1, "DegenerateInput")
+        assert f"{idx}: scene 1 has no rows" in out["detail"]
 
     def test_mixed_patch_sizes(self, capsys, tmp_path):
         """A dataset whose patches differ in size fails train, naming the
@@ -457,8 +458,7 @@ class TestErrors:
         command builds its configuration, before any scene is built."""
         def no_scene(*args):
             raise AssertionError("a scene was built")
-        monkeypatch.setattr(cli_mod, "settle_plan", no_scene)
-        monkeypatch.setattr(policy_mod, "scene_candidates", no_scene)
+        monkeypatch.setattr(simlab_mod, "settle_plan", no_scene)
         rc, out = run(capsys, *argv, "--out", str(tmp_path))
         assert (rc, out.get("error")) == (1, "DegenerateInput")
         assert named in out["detail"]
@@ -483,6 +483,25 @@ class TestStagedChain:
         generate_dataset(cfg, 5, tmp_path)
         for name in ("dataset.idx", "dataset.blob", "dataset.summary.json"):
             assert (chain / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_empty_scenes_match_fused_generation(self, capsys, chain, tmp_path, monkeypatch):
+        """With a sampler that finds no grasp, `sample` counts both scenes
+        as no_candidates and writes no rows; `label` finds them empty again,
+        exits 0 and counts the skips as `generate_dataset` does."""
+        def empty(*args):
+            raise NoCandidates("no grasp")
+        monkeypatch.setattr(simlab_mod, "sample_grasps", empty)
+        listing = str(chain / "scenes/scenes.json")
+        rc, out = run(capsys, "sample", "--scenes", listing, "--out", str(tmp_path), *BASE)
+        assert (rc, out["no_candidates"], out["candidates"]) == (0, 2, 0)
+        rc, out = run(capsys, "label", "--scenes", listing, "--candidates", out["index"],
+                      "--out", str(tmp_path), *BASE)
+        assert (rc, out["samples"]) == (0, 0)
+        cfg = DatasetConfig(scene_count=2, cable_count_range=(3, 4), grasps_per_scene=4)
+        fused = generate_dataset(cfg, 5, tmp_path / "fused").with_suffix(".summary.json")
+        staged = tmp_path / "dataset.summary.json"
+        skipped = [json.loads(path.read_text())["skipped"] for path in (staged, fused)]
+        assert skipped[0] == skipped[1] == {"overfilled": 0, "no_candidates": 2}
 
     def test_candidate_index_well_formed(self, chain):
         lines = (chain / "candidates.idx").read_text().splitlines()

@@ -174,7 +174,7 @@ def test_scipy_is_loaded_where_it_is_called():
 
 # The exceptions that skip a scene, and the modules that may catch them.
 SCENE_SKIPS = {"Overfilled", "NoCandidates"}
-SKIP_HOMES = {"simlab.py", "cli.py"}
+SKIP_HOMES = {"simlab.py"}
 
 
 def skip_handlers(path: Path) -> list[str]:
@@ -187,11 +187,11 @@ def skip_handlers(path: Path) -> list[str]:
 
 
 def test_scene_skips_have_one_home():
-    """A skipped scene is counted in one place: `simlab.scene_candidates`,
-    the walk that the fused generator and the evaluation share, catches
-    Overfilled and NoCandidates, next to `sample_scene`'s resample loop;
-    only the `make-scenes` and `sample` commands of `cli`, which run one
-    stage each, catch them besides."""
+    """A skipped scene is counted in one place: `simlab`'s two scene
+    generators, which every command, the fused generator and the
+    evaluation walk scenes through. `settled_scenes` catches Overfilled
+    and `sampled_scenes` catches NoCandidates in its resample loop; no
+    other module catches either."""
     assert [line for path in sorted(PACKAGE.rglob("*.py")) if path.name not in SKIP_HOMES
             for line in skip_handlers(path)] == []
 

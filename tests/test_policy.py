@@ -256,7 +256,7 @@ class TestEvaluatePolicy:
     def test_cgcnn_net_size_checked_before_trials(self, monkeypatch):
         def no_trial(*args):
             raise AssertionError("a trial ran")
-        monkeypatch.setattr(policy_mod, "scene_candidates", no_trial)
+        monkeypatch.setattr(policy_mod, "settled_scenes", no_trial)
         cfg = DatasetConfig(scene_count=1)
         with pytest.raises(ShapeMismatch, match="32 != patch size 64"):
             evaluate_policy(PolicyConfig(kind="cgcnn"), zeros_net(32), cfg, 40)

@@ -3,6 +3,7 @@
 import json
 import math
 import struct
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from graspforge.scene import (MAX_CABLES, BinSpec, CableSpec, Camera, PlacedCabl
                               cable_decomposition, make_cable_mesh, settle_scene)
 from graspforge.simlab import (FAILURE_REASONS, DatasetConfig,
                                GraspOutcome, _jaw_verts, execute_grasp, generate_dataset, load_dataset,
-                               replay_sample, sample_scene, scene_plan, settle_plan,
+                               replay_sample, sampled_scenes, scene_plan, settle_plan,
                                write_dataset)
 
 import oracles
@@ -239,7 +240,7 @@ class TestOracleReference:
         for seed, index in ((0, 0), (1, 1), (2, 2)):
             plan = scene_plan(cfg, seed, index)
             scene = settle_plan(cfg, plan)
-            cands = sample_scene(cfg, scene, plan)
+            [(_, _, cands, _)] = sampled_scenes(cfg, [(index, scene, plan)], Counter())
             for pose, _ in cands:
                 got = outcome(execute_grasp(scene, pose, plan["f"]))
                 assert got == outcome(oracles.execute_grasp_reference(scene, pose, plan["f"]))
