@@ -43,7 +43,7 @@ from scipy.spatial import cKDTree
 from graspforge import model
 from graspforge.depthproc import PEPPER_VALUE, DepthImage, Patch, downsample
 from graspforge.errors import ConvergenceWarning, DegenerateInput, NoCandidates, Overfilled
-from graspforge.geometry import ConvexPiece, GjkResult, Pose3, TriMesh, gjk_world
+from graspforge.geometry import ConvexPiece, Pose3, TriMesh, gjk_world
 from graspforge.model import QualityNet, init_net
 from graspforge.sampler import (
     BILATERAL_RANGE, BILATERAL_SPATIAL, DEPTH_PAIR_TOL, ENGAGE_DEPTH, GRAD_THRESHOLD,
@@ -460,6 +460,15 @@ _REF_EPS_ZERO = 1e-9          # |v| below this counts as touching
 _REF_EPS_PROGRESS = 1e-12     # relative duality-gap termination
 
 
+@dataclass(frozen=True)
+class GjkResultReference:
+    """The frozen kernel's answer, with its witness points formed eagerly."""
+    distance: float
+    point_a: np.ndarray
+    point_b: np.ndarray
+    converged: bool
+
+
 def _ref_closest_on_segment(a: np.ndarray, b: np.ndarray):
     ab = b - a
     denom = float(ab @ ab)
@@ -550,7 +559,7 @@ def gjk_world_reference(
     erosion_a: float = 0.0,
     erosion_b: float = 0.0,
     max_distance: float | None = None,
-) -> GjkResult:
+) -> GjkResultReference:
     """The GJK kernel in its plain numpy form; `gjk_world` must return
     the same bytes. Distance between conv(verts_a) and conv(verts_b),
     already in one frame.
@@ -582,14 +591,14 @@ def gjk_world_reference(
             if gap <= max(_REF_EPS_PROGRESS * v_norm, 1e-14):
                 lam_pa = sum(l * p for l, p in zip(lam, pa_list))
                 lam_pb = sum(l * p for l, p in zip(lam, pb_list))
-                return GjkResult(v_norm, lam_pa, lam_pb, True)
+                return GjkResultReference(v_norm, lam_pa, lam_pb, True)
             lower = -float(w @ d)
             if max_distance is not None and lower > max_distance:
-                return GjkResult(lower, sa, sb, True)
+                return GjkResultReference(lower, sa, sb, True)
             if any(float(np.linalg.norm(w - q)) < 1e-12 for q in w_list):
                 lam_pa = sum(l * p for l, p in zip(lam, pa_list))
                 lam_pb = sum(l * p for l, p in zip(lam, pb_list))
-                return GjkResult(v_norm, lam_pa, lam_pb, True)
+                return GjkResultReference(v_norm, lam_pa, lam_pb, True)
 
         w_list.append(w)
         pa_list.append(sa)
@@ -604,14 +613,14 @@ def gjk_world_reference(
         if v_norm < _REF_EPS_ZERO:
             pa = sum(l * p for l, p in zip(lam, pa_list))
             pb = sum(l * p for l, p in zip(lam, pb_list))
-            return GjkResult(0.0, pa, pb, True)
+            return GjkResultReference(0.0, pa, pb, True)
         # No measurable progress twice in a row: at the numerical optimum.
         if prev_norm - v_norm <= 1e-13 * max(1.0, v_norm):
             stalled += 1
             if stalled >= 2:
                 pa = sum(l * p for l, p in zip(lam, pa_list))
                 pb = sum(l * p for l, p in zip(lam, pb_list))
-                return GjkResult(v_norm, pa, pb, True)
+                return GjkResultReference(v_norm, pa, pb, True)
         else:
             stalled = 0
         prev_norm = v_norm
@@ -620,7 +629,7 @@ def gjk_world_reference(
     warnings.warn("GJK hit the iteration cap; distance is best-effort", ConvergenceWarning)
     pa = sum(l * p for l, p in zip(lam, pa_list))
     pb = sum(l * p for l, p in zip(lam, pb_list))
-    return GjkResult(v_norm, pa, pb, False)
+    return GjkResultReference(v_norm, pa, pb, False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,18 @@
+import os
+import subprocess
+import sys
 import warnings
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from graspforge import scene as scene_mod
+from graspforge import simlab
 from graspforge.errors import ConvergenceWarning
 from graspforge.geometry import Pose3, box_mesh, convex_hull, gjk_world
+from graspforge.simlab import DatasetConfig, execute_grasp, sampled_scenes, scene_plan, settle_plan
 
 import oracles
 
@@ -257,11 +265,59 @@ class TestBitIdentity:
         assert self._fingerprint(got) == self._fingerprint(want)
 
 
+class TestFreshProcess:
+    def test_cap_hit_alone(self):
+        # a NaN's sign may differ only in a process whose first query this
+        # is, so the iteration-cap case runs alone in a new interpreter too
+        root = Path(__file__).parents[1]
+        src = str(Path(scene_mod.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{__file__}::TestBitIdentity::test_cap_hit_warns_like_reference"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "1 passed" in proc.stdout
+
+
+class TestReplay:
+    """Every query that a seeded four-cable settle and the grasps on its
+    candidates make, against the frozen kernel. The witnesses are read
+    after the pile and the grasps are done, so a result summed late must
+    still hold the bytes it would have had at once."""
+
+    def test_settle_and_grasp_queries_match_reference(self, monkeypatch):
+        calls = []
+
+        def recording(*args, **kwargs):
+            r = gjk_world(*args, **kwargs)
+            calls.append((tuple(np.array(a) if isinstance(a, np.ndarray) else a
+                                for a in args), kwargs, r))
+            return r
+
+        monkeypatch.setattr(scene_mod, "gjk_world", recording)
+        monkeypatch.setattr(simlab, "gjk_world", recording)
+        cfg = DatasetConfig(cable_count_range=(3, 4))
+        plan = scene_plan(cfg, 0, 0)
+        pile = settle_plan(cfg, plan)
+        settled = len(calls)
+        [(_, _, cands, _)] = sampled_scenes(cfg, [(0, pile, plan)], Counter())
+        labels = {execute_grasp(pile, pose, plan["f"]).label for pose, _ in cands}
+        monkeypatch.undo()
+        # both labels: some grasps read the witnesses of their closing contacts
+        assert labels == {0, 1}
+        assert 0 < settled < len(calls)
+        for i, (args, kwargs, got) in enumerate(calls):
+            want = TestBitIdentity._fingerprint(oracles.gjk_world_reference(*args, **kwargs))
+            assert TestBitIdentity._fingerprint(got) == want, f"call {i}"
+
+
 class TestDotForms:
-    """The kernel forms its dots with `ndarray.dot`, the frozen reference
-    with `@`. Both must reach the same BLAS ddot and gemv, so that a numpy
-    or BLAS upgrade that parts them fails here rather than shifting settled
-    poses unnoticed."""
+    """The kernel forms its dots with `ndarray.dot` and `np.vecdot`, the
+    frozen reference with `@`. All must reach the same BLAS ddot and gemv,
+    so that a numpy or BLAS upgrade that parts them fails here rather than
+    shifting settled poses unnoticed."""
 
     @staticmethod
     def _spread(rng, shape):
@@ -282,3 +338,28 @@ class TestDotForms:
             d = self._spread(rng, 3)
             d = d / np.sqrt(d.dot(d))
             assert verts.dot(d).tobytes() == (verts @ d).tobytes()
+
+    @staticmethod
+    def _with_specials(rng, values):
+        # about one entry in six replaced by a NaN of either sign, an
+        # infinity or a signed zero
+        specials = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0])
+        hit = rng.random(values.shape) < 1 / 6
+        values[hit] = rng.choice(specials, size=int(hit.sum()))
+        return values
+
+    def test_vecdot_rows(self):
+        rng = np.random.default_rng(25)
+        with np.errstate(all="ignore"):
+            for _ in range(500):
+                k = int(rng.integers(1, 9))
+                x = self._with_specials(rng, self._spread(rng, (k, 3)))
+                y = self._with_specials(rng, self._spread(rng, (k, 3)))
+                rows = np.array([a.dot(b) for a, b in zip(x, y)])
+                assert np.vecdot(x, y).tobytes() == rows.tobytes()
+                assert np.vecdot(x, x).tobytes() == np.array([a.dot(a) for a in x]).tobytes()
+                # the broadcast form: every row of p against every row of e
+                p = self._with_specials(rng, self._spread(rng, (int(rng.integers(1, 5)), 3)))
+                e = self._with_specials(rng, self._spread(rng, (int(rng.integers(1, 6)), 3)))
+                table = np.array([[a.dot(b) for b in e] for a in p])
+                assert np.vecdot(p[:, None], e).tobytes() == table.tobytes()
