@@ -59,10 +59,7 @@ def _add_run_flags(parser: argparse.ArgumentParser, out: str) -> None:
         flags = ["--" + f.name.replace("_", "-")]
         if f.name == "master_seed":
             flags.append("--seed")
-        if f.type == "bool":
-            group.add_argument(*flags, default=None, choices=("true", "false"))
-        else:
-            group.add_argument(*flags, default=None, metavar=f.type.upper())
+        group.add_argument(*flags, default=None, metavar=f.type.upper())
 
 
 def _run_config(args) -> RunConfig:

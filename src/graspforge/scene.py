@@ -42,6 +42,8 @@ MAX_CABLES = 30          # the most cables one pile may hold
 _TUBE_TOL = 1e-6         # mm; a loaded tube's segment lengths and end radii
 _CERT_TOL = 1e-6         # mm; margin of a certified blocking decision
 _RENDER_CHUNK = 1 << 14  # bounding-box pixels rasterised per pass
+_TOPPLE_MOVES = 64       # the most topple moves one rest may keep
+_IDENTITY = Pose3((0.0, 0.0, 0.0))  # the bin's pose: its pieces are built in place
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +177,11 @@ def _segment_distance(p1, q1, p2, q2) -> float:
 def make_cable_mesh(spec: CableSpec, rng: np.random.Generator) -> TriMesh:
     """Watertight mitered tube along a random piecewise-linear centerline,
     recentered on its volume centroid. Deterministic per rng state."""
-    pts = None
     for _ in range(100):
-        cand = _polyline(spec, rng)
-        if not _self_intersects(cand, spec.radius):
-            pts = cand
+        pts = _polyline(spec, rng)
+        if not _self_intersects(pts, spec.radius):
             break
-    if pts is None:
+    else:
         raise SelfIntersecting("could not draw a non-folding centerline in 100 tries")
 
     n_seg = len(pts) - 1
@@ -317,17 +317,17 @@ class Scene:
         """The pile's collision model in the world frame, built once per
         scene: (owner, body) pairs, the bin under -1, then each cable under
         its id. The grasp oracle reads it."""
-        return [(-1, _WorldBody(bin_pieces(self.bin)))] + [
+        return [(-1, _WorldBody(bin_pieces(self.bin), _IDENTITY))] + [
             (c.id, _WorldBody(c.pieces, c.pose)) for c in self.cables]
 
 
 class _WorldBody:
-    """Convex pieces posed into the world frame (pose None: they already
-    are), with each piece's posed vertices and box, for fast queries."""
+    """Convex pieces posed into the world frame, with each piece's posed
+    vertices and box, for fast queries."""
 
-    def __init__(self, pieces: list[ConvexPiece], pose: Pose3 | None = None):
+    def __init__(self, pieces: list[ConvexPiece], pose: Pose3):
         self.pieces, self.pose = pieces, pose
-        self.verts = [p.vertices if pose is None else pose.apply(p.vertices) for p in pieces]
+        self.verts = [pose.apply(p.vertices) for p in pieces]
         self.lo = np.array([v.min(axis=0) for v in self.verts])
         self.hi = np.array([v.max(axis=0) for v in self.verts])
         self._flat: list[np.ndarray | None] = [None] * len(self.verts)
@@ -364,8 +364,6 @@ class _WorldBody:
     def equations(self, i: int) -> np.ndarray:
         """Piece i's outward face planes (n, d) in the world frame."""
         eq = self.pieces[i].equations
-        if self.pose is None:
-            return eq
         normals = eq[:, :3] @ self.pose.matrix().T
         return np.column_stack([normals, eq[:, 3] - normals @ self.pose.translation])
 
@@ -435,7 +433,7 @@ def _blocking_pairs(body: _WorldBody, statics: list[_WorldBody]):
     CONTACT_EPS are kept. Posed vertices' xy do not depend on the pose's z,
     so for one rotation and xy the list is the same at every height: it
     holds for the whole drop, and the lifts that re-seat one topple
-    candidate share it.
+    candidate share it (`_seat`).
 
     Each decision is the flattened GJK query's, `distance <= CONTACT_EPS`,
     certified where `_xy_gaps` can: a gap above CONTACT_EPS + _CERT_TOL
@@ -573,19 +571,30 @@ def _advance_down(body: _WorldBody, pairs):
     `_blocking_pairs`. Each step moves by the current minimum separation,
     which vertical motion cannot overshoot, so the body never penetrates.
     Returns the body resting within CONTACT_EPS, or None when advancement
-    fails to reach contact."""
-    d = np.inf
+    starts in contact or fails to reach it."""
     for it in range(128):
         d = _pairs_min_distance(body, pairs, cap=body.aabb_lo[2])
         if d <= CONTACT_EPS:
             # a start already in contact cannot be certified overlap-free
-            if it == 0:
-                return None
-            break
+            return body if it else None
         body = body.shifted(-(d - 0.5 * CONTACT_EPS))
-    if d > CONTACT_EPS:
-        return None
-    return body
+    return None
+
+
+def _seat(pieces: list[ConvexPiece], rotation: np.ndarray, x: float, y: float,
+          heights, statics: list[_WorldBody]) -> _WorldBody | None:
+    """Pose the pieces at (x, y) and each height in turn and advance them
+    down; returns the first body that comes to rest, or None. The heights
+    share the blocking pairs found at the first: they differ only in z."""
+    pairs = None
+    for z in heights:
+        start = _WorldBody(pieces, Pose3((x, y, z), rotation))
+        if pairs is None:
+            pairs = _blocking_pairs(start, statics)
+        body = _advance_down(start, pairs)
+        if body is not None:
+            return body
+    return None
 
 
 def _inside_footprint(body: _WorldBody, lo_fp: np.ndarray, hi_fp: np.ndarray) -> bool:
@@ -602,12 +611,13 @@ def settle_scene(bin_spec: BinSpec, cable_specs: list[CableSpec],
     After first contact the cable topples quasi-statically: it pivots
     about its support edge or point, re-drops, and keeps the move only
     when its center of mass strictly descends, until the support polygon
-    brackets the mass center or no descent is possible.
+    brackets the mass center, no descent is possible or _TOPPLE_MOVES
+    moves were kept.
     """
     if not 1 <= len(cable_specs) <= MAX_CABLES:
         raise DegenerateInput(f"cable count must be in [1, {MAX_CABLES}]")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    statics = [_WorldBody(bin_pieces(bin_spec))]
+    statics = [_WorldBody(bin_pieces(bin_spec), _IDENTITY)]
     placed: list[PlacedCable] = []
     lo_fp, hi_fp = bin_spec.footprint()
 
@@ -616,7 +626,6 @@ def settle_scene(bin_spec: BinSpec, cable_specs: list[CableSpec],
         pieces = cable_decomposition(mesh, spec.tube_sides)
         centroid = mesh.centroid()
 
-        pose = None
         for _ in range(50):
             rotation = Pose3.from_yaw(rng.uniform(0.0, 2.0 * math.pi)).rotation
             yawed = _WorldBody(pieces, Pose3((0.0, 0.0, 0.0), rotation))
@@ -634,8 +643,7 @@ def settle_scene(bin_spec: BinSpec, cable_specs: list[CableSpec],
             # start 5 mm above everything placed; the yawed body's lowest z
             # is the posed one's, as the two differ only in x and y
             z = max(s.aabb_hi[2] for s in statics) - yawed.aabb_lo[2] + 5.0
-            body = _WorldBody(pieces, Pose3((cx, cy, z), rotation))
-            body = _advance_down(body, _blocking_pairs(body, statics))
+            body = _seat(pieces, rotation, cx, cy, (z,), statics)
             if body is None:
                 continue
 
@@ -643,31 +651,22 @@ def settle_scene(bin_spec: BinSpec, cable_specs: list[CableSpec],
             # the support edge or point, then re-seat with a small lift
             # and vertical advancement (absorbs the slight surface dip a
             # discrete pivot causes without losing the pivot locality);
-            # only moves that strictly lower the mass center are kept
-            for _ in range(64):
-                contacts = _contact_points(body, statics, tol=SUPPORT_TOL)
-                contacts_of = body
+            # only moves that strictly lower the mass center are kept. The
+            # pass after the last move only measures the rest it reached.
+            for moves in range(_TOPPLE_MOVES + 1):
                 com = body.pose.apply(centroid)
-                _, tip = _support_analysis(com, contacts)
-                if not tip:
-                    break  # mass center strictly inside the support
+                fd, tip = _support_analysis(com, _contact_points(body, statics, tol=SUPPORT_TOL))
+                if not tip or moves == _TOPPLE_MOVES:
+                    break  # mass center strictly inside the support, or the cap
                 moved = False
                 for angle_deg in (6.0, 3.0, 1.5, 0.5, 0.15):
                     tipped = _tip_rotation(com, tip, math.radians(angle_deg))
                     if tipped is None:
                         break
                     cand = tipped.compose(body.pose)
-                    # every lift keeps the rotation and xy: one pair list
-                    tx, ty = cand.translation[0], cand.translation[1]
-                    seated = pairs = None
-                    for lift in (1.0, 4.0, 16.0):
-                        z = cand.translation[2] + lift
-                        start = _WorldBody(pieces, Pose3((tx, ty, z), cand.rotation))
-                        if pairs is None:
-                            pairs = _blocking_pairs(start, statics)
-                        seated = _advance_down(start, pairs)
-                        if seated is not None:
-                            break
+                    x, y, z = cand.translation
+                    seated = _seat(pieces, cand.rotation, x, y,
+                                   [z + lift for lift in (1.0, 4.0, 16.0)], statics)
                     if seated is None or not _inside_footprint(seated, lo_fp, hi_fp):
                         continue
                     if seated.pose.apply(centroid)[2] < com[2] - 1e-6:
@@ -681,22 +680,18 @@ def settle_scene(bin_spec: BinSpec, cable_specs: list[CableSpec],
                 rng.normal(size=3)
                 rng.uniform(0.0, 5.0)
 
-            # the topple loop's last contact set holds unless it ended on a move
-            if body is not contacts_of:
-                contacts = _contact_points(body, statics, tol=SUPPORT_TOL)
-            fd, _ = _support_analysis(body.pose.apply(centroid), contacts)
             # reject rests poking above the rim: keeps piles physical and
-            # rendered depth within its contract band
+            # rendered depth within its contract band. No contact at all
+            # leaves fd infinite.
             rim = bin_spec.wall_height + 2.0 * spec.radius
-            if contacts and fd <= spec.radius and body.aabb_hi[2] <= rim:
-                pose = body.pose
+            if fd <= spec.radius and body.aabb_hi[2] <= rim:
                 break
-        if pose is None:
+        else:
             raise Overfilled(f"cable {cable_id} found no resting pose in 50 attempts")
 
         placed.append(PlacedCable(id=cable_id, spec=spec, mesh=mesh,
-                                  pieces=pieces, pose=pose))
-        statics.append(_WorldBody(pieces, pose))
+                                  pieces=pieces, pose=body.pose))
+        statics.append(_WorldBody(pieces, body.pose))
 
     return Scene(bin=bin_spec, cables=placed, rng_seed=seed)
 

@@ -1151,16 +1151,17 @@ def _ref_drop(pieces: list[ConvexPiece], rotation: np.ndarray, cx: float, cy: fl
 
 
 def settle_scene_reference(bin_spec: BinSpec, cable_specs: list[CableSpec],
-                 seed: int) -> Scene:
+                 seed: int, moves: int = 64) -> Scene:
     """Drop cables one at a time at random (x, y, yaw) until each rests in
     contact and supported; raises Overfilled after 50 failed attempts for
     any single cable. Same seed, same scene. `settle_scene` must return
-    the same bytes.
+    the same bytes, at a topple cap of `moves` on both sides.
 
     After first contact the cable topples quasi-statically: it pivots
     about its support edge or point, re-drops, and keeps the move only
     when its center of mass strictly descends, until the support polygon
-    brackets the mass center or no descent is possible.
+    brackets the mass center, no descent is possible or `moves` moves
+    were kept.
     """
     if not 1 <= len(cable_specs) <= 30:
         raise DegenerateInput("cable count must be in [1, 30]")
@@ -1199,7 +1200,7 @@ def settle_scene_reference(bin_spec: BinSpec, cable_specs: list[CableSpec],
             # and vertical advancement (absorbs the slight surface dip a
             # discrete pivot causes without losing the pivot locality);
             # only moves that strictly lower the mass center are kept
-            for _ in range(64):
+            for _ in range(moves):
                 contacts = _ref_contact_points(body, statics, tol=SUPPORT_TOL)
                 com = cur.apply(centroid)
                 fd, tip = _support_analysis(com, contacts)

@@ -616,6 +616,29 @@ class TestConfigPlumbing:
         assert rc == 0
         assert out["scenes"] + out["skipped"] == 2
 
+    def test_bool_flags_parse_like_config_values(self, capsys, tmp_path, monkeypatch):
+        # a bool flag's string is read as a config file's value is: any of
+        # its spellings is accepted, and anything else fails naming the key
+        idx = toy_dataset(tmp_path / "toy")
+        seen = []
+        train = cli_mod.train
+
+        def spy_train(x, labels, cfg):
+            seen.append(cfg.augment)
+            return train(x, labels, cfg)
+
+        monkeypatch.setattr(cli_mod, "train", spy_train)
+        for value in ("yes", "0"):
+            rc, _ = run(capsys, "train", "--dataset", str(idx), "--epochs", "1",
+                        "--batch-size", "8", "--augment", value, "--out", str(tmp_path / value))
+            assert rc == 0, value
+        assert seen == [True, False]
+        rc, out = run(capsys, "train", "--dataset", str(idx), "--augment", "maybe",
+                      "--out", str(tmp_path / "maybe"))
+        assert (rc, out.get("error")) == (1, "DegenerateInput")
+        assert "augment" in out["detail"]
+        assert not (tmp_path / "maybe").exists()
+
     def test_removed_output_keys_rejected(self, capsys, tmp_path):
         # output directories are set by --out alone; a config file that still
         # names one fails instead of being ignored

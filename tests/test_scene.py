@@ -226,7 +226,8 @@ class TestSettleBitIdentity:
     bytes: pinned artifacts depend on every bit of a settled pose."""
 
     # (seed, cables); each pile retries a topple at a higher lift and
-    # keeps a rest whose contact set the final check reuses
+    # keeps a rest whose last topple pass measured the support that the
+    # rest check reads
     PILES = ((0, 3), (1, 4), (4, 4))
 
     @pytest.mark.parametrize("seed, count", PILES)
@@ -264,8 +265,56 @@ class TestSettleBitIdentity:
             assert a.pose.rotation.tobytes() == b.pose.rotation.tobytes()
         # a lift retry passes the same pair list again
         assert any(a is b for a, b in zip(lifts, lifts[1:]))
-        # each reused contact set saves one of the reference's calls
+        # each rest measured by its last topple pass saves one of the
+        # reference's calls
         assert len(contact_calls) < len(ref_contact_calls)
+
+
+class TestToppleCap:
+    """A cable that keeps `_TOPPLE_MOVES` topple moves is judged on the
+    support its last move reached, as the reference judges it after its
+    own capped loop. No seeded default pile reaches the cap of 64, so the
+    cap is lowered on both sides."""
+
+    # (cap, seed, cables); in each pile some rests stop at the cap, and
+    # the support before the last move would judge some of them otherwise.
+    # At a cap of 2, one cable of seed 0's pile finds no rest: both overfill.
+    PILES = ((2, 1, 3), (3, 0, 3), (2, 0, 3))
+
+    @staticmethod
+    def poses(settle, *args, **kwargs):
+        try:
+            scene = settle(*args, **kwargs)
+        except Overfilled:
+            return "overfilled"
+        return [(c.pose.translation.tobytes(), c.pose.rotation.tobytes())
+                for c in scene.cables]
+
+    @pytest.mark.parametrize("cap, seed, count", PILES)
+    def test_capped_rest_matches_reference(self, monkeypatch, cap, seed, count):
+        specs = [CableSpec() for _ in range(count)]
+        passes = []
+        seat, contact_points = scene_mod._seat, scene_mod._contact_points
+
+        def spy_seat(pieces, rotation, x, y, heights, statics):
+            if len(heights) == 1:
+                passes.append(0)   # a first drop starts an attempt
+            return seat(pieces, rotation, x, y, heights, statics)
+
+        def spy_contact_points(*args, **kwargs):
+            passes[-1] += 1
+            return contact_points(*args, **kwargs)
+
+        monkeypatch.setattr(scene_mod, "_TOPPLE_MOVES", cap)
+        monkeypatch.setattr(scene_mod, "_seat", spy_seat)
+        monkeypatch.setattr(scene_mod, "_contact_points", spy_contact_points)
+        got = self.poses(settle_scene, BinSpec(), specs, seed)
+        monkeypatch.undo()
+
+        assert got == self.poses(oracles.settle_scene_reference, BinSpec(), specs, seed,
+                                 moves=cap)
+        # some attempt kept `cap` moves, then measured the rest once more
+        assert cap + 1 in passes
 
 
 class TestContactPoints:
@@ -350,7 +399,7 @@ class TestBlockingPairs:
         # segment, which qhull cannot hull
         a, b = np.array([0.0, 0.0]), np.array([40.0, 40.0])
         plate = np.array([[*p, z] for p in (a, b) for z in (0.0, 10.0)])
-        st = scene_mod._WorldBody([ConvexPiece(vertices=plate)])
+        st = scene_mod._WorldBody([ConvexPiece(vertices=plate)], Pose3(np.zeros(3)))
         assert np.isnan(st.outline(0)).all()
         calls = []
 
