@@ -171,8 +171,6 @@ def downsample(img: DepthImage, factor: int = 1) -> DepthImage:
 
 def bilateral_filter(img: DepthImage, spatial_sigma: float, range_sigma: float) -> DepthImage:
     """Edge-preserving smoothing over a (2*ceil(3*sigma_s)+1)^2 window."""
-    if spatial_sigma <= 0 or range_sigma <= 0:
-        raise DegenerateInput("sigmas must be positive")
     r = int(np.ceil(3.0 * spatial_sigma))
     padded = np.pad(img.data, r, mode="edge").astype(np.float64)
     h, w = img.data.shape
@@ -205,8 +203,6 @@ def detect_edges(img: DepthImage, grad_threshold: float) -> EdgePoints:
     """Pixels whose central-difference depth gradient is at or above the
     threshold (in mm/px), kept only on the near side of the jump, in
     row-major order."""
-    if grad_threshold <= 0:
-        raise DegenerateInput("threshold must be positive")
     d = img.depth64
     gx = np.zeros_like(d)
     gy = np.zeros_like(d)
@@ -232,14 +228,12 @@ def detect_edges(img: DepthImage, grad_threshold: float) -> EdgePoints:
                       depth=here[keep], grad=grad[keep])
 
 
-def estimate_normals(edges: EdgePoints, radius: float = 5.0) -> EdgePoints:
+def estimate_normals(edges: EdgePoints, radius: float) -> EdgePoints:
     """Fit a line through each edge point's neighbors; the normal is the
     in-plane perpendicular oriented from near side to far side (along the
     stored depth gradient). Points with fewer than 3 neighbors are dropped."""
     from scipy.spatial import cKDTree
 
-    if radius < 2:
-        raise DegenerateInput("radius must be >= 2 px")
     pts = edges.xy
     normal = np.zeros_like(pts)
     # Sorted neighbor lists (the point itself included), flattened.
@@ -270,14 +264,13 @@ def estimate_normals(edges: EdgePoints, radius: float = 5.0) -> EdgePoints:
 
 def crop_rotated(img: DepthImage, center: tuple[float, float], theta: float,
                  out_size: int) -> Patch:
-    """Bilinear crop with the theta direction mapped to patch +x and the
-    sampled center depth shifted to 0. Out-of-window samples take the
-    image's maximum depth (the floor of a rendered scene)."""
+    """Bilinear crop about a center inside the image, with the theta
+    direction mapped to patch +x and the sampled center depth shifted to 0.
+    Out-of-window samples take the image's maximum depth (the floor of a
+    rendered scene)."""
     from scipy.ndimage import map_coordinates
 
     cx, cy = center
-    if not (0 <= cx < img.width and 0 <= cy < img.height):
-        raise DegenerateInput("center outside image")
     half = (out_size - 1) / 2.0
     u = np.arange(out_size) - half          # along grasp axis
     v = np.arange(out_size) - half

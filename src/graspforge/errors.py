@@ -12,8 +12,8 @@ class GraspForgeError(Exception):
 class DegenerateInput(GraspForgeError):
     """An input the program cannot use: a bad config value, a malformed
     file (config, OBJ, scene manifest or listing, record, checkpoint, report
-    input), a cable mesh that is not its spec's tube, or a point set too
-    small or flat for a hull."""
+    input), a cable mesh that is not its spec's tube, or a point set that
+    Qhull cannot hull."""
 
 
 class SelfIntersecting(GraspForgeError):
@@ -34,10 +34,6 @@ class SingleClass(GraspForgeError):
 
 class ShapeMismatch(GraspForgeError):
     """Tensor or patch shape does not match what the network expects."""
-
-
-class Empty(GraspForgeError):
-    """Candidate list is empty."""
 
 
 class DatasetNotFound(GraspForgeError):

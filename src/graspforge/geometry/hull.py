@@ -34,12 +34,6 @@ def convex_hull(points) -> ConvexPiece:
     from scipy.spatial import ConvexHull, QhullError
 
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise DegenerateInput("points must be (n, 3)")
-    if len(pts) < 4:
-        raise DegenerateInput("need at least 4 points")
-    if not np.isfinite(pts).all():
-        raise DegenerateInput("non-finite point")
     try:
         hull = ConvexHull(pts)
     except QhullError as exc:

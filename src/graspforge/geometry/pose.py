@@ -28,11 +28,9 @@ class Pose3:
 
     @staticmethod
     def from_axis_angle(axis, angle: float, translation=(0.0, 0.0, 0.0)) -> "Pose3":
+        """Rotation by `angle` radians about a nonzero `axis`, then the translation."""
         a = np.asarray(axis, dtype=np.float64)
-        n = np.linalg.norm(a)
-        if n < 1e-12:
-            raise DegenerateInput("zero rotation axis")
-        a = a / n
+        a = a / np.linalg.norm(a)
         half = 0.5 * angle
         q = np.concatenate([[np.cos(half)], np.sin(half) * a])
         q /= np.linalg.norm(q)

@@ -375,13 +375,8 @@ def _backward_batch(dlogits: np.ndarray, cache):
 
 
 def forward_many(net: QualityNet, patches) -> np.ndarray:
-    """Qualities in (0, 1) for a sequence of same-sized patches, by the
-    sigmoid; deterministic."""
-    if not patches:
-        return np.zeros(0)
-    for patch in patches:
-        if patch.size != net.size:
-            raise ShapeMismatch(f"patch size {patch.size} != net input {net.size}")
+    """Qualities in (0, 1) for a non-empty sequence of patches of the net's
+    input size, by the sigmoid; deterministic."""
     x = np.stack([p.data for p in patches])
     logits, _ = _forward_batch(net, x)
     return _sigmoid(logits)
@@ -396,8 +391,6 @@ def loss(y_hat, y, phi: tuple[float, float]) -> float:
     q = np.clip(np.atleast_1d(np.asarray(y_hat, dtype=np.float64)),
                 _EPS_CLAMP, 1.0 - _EPS_CLAMP)
     yv = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    if q.shape != yv.shape:
-        raise ShapeMismatch("prediction and label batches differ in length")
     w = np.where(yv == 1, phi[1], phi[0])
     per = -w * (yv * np.log(q) + (1.0 - yv) * np.log(1.0 - q))
     return float(per.mean())
@@ -425,8 +418,6 @@ def gradients(net: QualityNet, batch, phi: tuple[float, float],
     workspace of N rows."""
     x, y = batch
     y = np.asarray(y, dtype=np.float64)
-    if len(x) == 0:
-        raise DegenerateInput("batch must be nonempty")
     logits, cache = _forward_batch(net, x, ws)
     q = _sigmoid(logits)
     return loss(q, y, phi), _backward_batch(_dlogits(q, y, phi), cache)
@@ -452,7 +443,7 @@ class TrainConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.lr < math.inf:
-            raise DegenerateInput("learning rate must be finite and non-negative")
+            raise DegenerateInput("lr (learning rate) must be finite and non-negative")
         if self.seed < 0:
             raise DegenerateInput("seed must be non-negative")
         if not 0.0 < self.val_fraction < 1.0:
@@ -476,15 +467,11 @@ class AdamState:
 
 def adam_step(state: AdamState, grads: list, cfg: TrainConfig) -> AdamState:
     """One bias-corrected Adam update; mutates and returns the state."""
-    if len(grads) != len(state.params):
-        raise ShapeMismatch("gradient count does not match parameters")
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for i, g in enumerate(grads):
-        if g.shape != state.params[i].shape:
-            raise ShapeMismatch(f"gradient {i} shape {g.shape}")
         g64 = g.astype(np.float64)
         m = b1 * state.m[i].astype(np.float64) + (1.0 - b1) * g64
         v = b2 * state.v[i].astype(np.float64) + (1.0 - b2) * g64 * g64

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateInput, Empty, ShapeMismatch
+from .errors import DegenerateInput, ShapeMismatch
 from .model import QualityNet, forward_many
 from .sampler import GraspPose
 from .fileio import atomic_write
@@ -44,20 +44,18 @@ class PolicyConfig:
 
 
 def select_random(candidates, rng: np.random.Generator) -> GraspPose:
-    """Uniform choice over the candidate list; deterministic per rng state."""
-    if not candidates:
-        raise Empty("no candidates to select from")
+    """Uniform choice over the non-empty candidate list; deterministic per
+    rng state."""
     return candidates[int(rng.integers(len(candidates)))][0]
 
 
 def score_candidates(candidates, net: QualityNet, lam: float) -> list[float]:
-    """Quality plus height bonus for every candidate, in input order.
+    """Quality plus height bonus for every candidate of a non-empty list, in
+    input order.
 
     The rank bonus lam * (1 - r/N) rewards grasps high in the pile; rank 0
     is the topmost grasp point, ties in height broken by input order.
     """
-    if not candidates:
-        raise Empty("no candidates to score")
     n = len(candidates)
     qs = forward_many(net, [c[1] for c in candidates])
     order = sorted(range(n), key=lambda i: (-candidates[i][0].z, i))
@@ -78,9 +76,8 @@ def select_cgcnn(candidates, net: QualityNet, lam: float) -> GraspPose:
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
-    """Two-sided 95% Wilson score interval for a binomial proportion."""
-    if trials < 1 or not 0 <= successes <= trials:
-        raise DegenerateInput("need 0 <= successes <= trials, trials >= 1")
+    """Two-sided 95% Wilson score interval for a binomial proportion, with
+    trials >= 1 and 0 <= successes <= trials."""
     z2 = _WILSON_Z * _WILSON_Z
     p = successes / trials
     denom = 1.0 + z2 / trials

@@ -60,14 +60,6 @@ class SamplerConfig:
     downsample_factor: int = 1
     camera_height: float = 70.0      # mm; converts depth to world height
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise DegenerateInput("need n >= 1")
-        if self.f <= 0.0:
-            raise DegenerateInput("friction must be positive")
-        if self.patch_size < 2:
-            raise DegenerateInput("patch size too small")
-
 
 @dataclass(frozen=True)
 class GraspPose:

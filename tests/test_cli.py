@@ -437,17 +437,24 @@ class TestErrors:
     @pytest.mark.parametrize("argv, named", [
         (["make-scenes", "--master-seed", "-1"], "master_seed"),
         (["evaluate", "--policy", "random", "--master-seed", "-1"], "master_seed"),
-        (["train", "--dataset", "none.idx", "--train-seed", "-1"], "seed"),
-        (["make-scenes", "--friction-max", "inf"], "friction_range"),
-        (["train", "--dataset", "none.idx", "--lr", "nan"], "learning rate"),
-        (["train", "--dataset", "none.idx", "--lr", "inf"], "learning rate"),
+        (["train", "--dataset", "none.idx", "--train-seed", "-1"], "train_seed"),
+        (["make-scenes", "--friction-max", "inf"], "friction_max"),
+        (["make-scenes", "--friction-min", "0"], "friction_min"),
+        (["train", "--dataset", "none.idx", "--lr", "nan"], "lr (learning rate)"),
+        (["train", "--dataset", "none.idx", "--lr", "inf"], "lr (learning rate)"),
         (["make-scenes", "--salt-pepper-frac", "0.5"], "salt_pepper_frac"),
         (["make-scenes", "--patch-size", "12"], "patch_size"),
-        (["make-scenes", "--cable-count-max", "31"], "cable_count_range"),
-        (["evaluate", "--policy", "random", "--eval-cable-max", "31"], "cable_count_range"),
-    ], ids=["master_seed", "master_seed_evaluate", "train_seed", "friction_max", "lr_nan",
-            "lr_inf", "salt_pepper_frac", "patch_size", "cable_count_max",
-            "eval_cable_max"])
+        (["make-scenes", "--cable-count-max", "31"], "cable_count_max"),
+        (["evaluate", "--policy", "random", "--eval-cable-max", "31"], "eval_cable_max"),
+        (["evaluate", "--policy", "random", "--eval-cable-min", "0"], "eval_cable_min"),
+        (["make-scenes", "--grasps-per-scene", "0"], "grasps_per_scene"),
+        (["evaluate", "--policy", "random", "--candidates-per-scene", "0"],
+         "candidates_per_scene"),
+        (["evaluate", "--policy", "random", "--trials", "0"], "trials"),
+    ], ids=["master_seed", "master_seed_evaluate", "train_seed", "friction_max",
+            "friction_min", "lr_nan", "lr_inf", "salt_pepper_frac", "patch_size",
+            "cable_count_max", "eval_cable_max", "eval_cable_min", "grasps_per_scene",
+            "candidates_per_scene", "trials"])
     def test_config_value_rejected_when_built(self, capsys, tmp_path, monkeypatch,
                                               argv, named):
         """A config value that would end in a traceback, or fail only after
@@ -455,7 +462,10 @@ class TestErrors:
         `salt_pepper_frac` of 0.5 passes make-scenes, a `patch_size` of 12
         passes make-scenes, sample and label and fails only in train, a
         pile of 31 cables fails only when a scene draws it), fails as the
-        command builds its configuration, before any scene is built."""
+        command builds its configuration, before any scene is built. The
+        detail names the key that was set, not the stage config's field.
+        These are also the only entries of a zero trial count, grasp count
+        or friction: the sampler and the Wilson interval do not check them."""
         def no_scene(*args):
             raise AssertionError("a scene was built")
         monkeypatch.setattr(simlab_mod, "settle_plan", no_scene)

@@ -4,6 +4,9 @@ import pytest
 
 from graspforge.config import RunConfig, load_run_config, parse_config_text
 from graspforge.errors import DatasetNotFound, DegenerateInput
+from graspforge.model import TrainConfig
+from graspforge.policy import PolicyConfig
+from graspforge.simlab import DatasetConfig
 
 
 class TestParse:
@@ -77,6 +80,14 @@ class TestLoad:
 
 
 class TestConverters:
+    def test_defaults_are_the_stage_configs(self):
+        # each stage key takes its default from its stage config, so the
+        # converters of a default RunConfig give the stage defaults
+        run = RunConfig()
+        assert run.dataset_config() == DatasetConfig()
+        assert run.train_config() == TrainConfig()
+        assert run.policy_config() == PolicyConfig()
+
     def test_dataset_config_fields(self):
         cfg = RunConfig(scene_count=9, cable_count_min=2, cable_count_max=6,
                         grasps_per_scene=7, friction_min=0.2, friction_max=0.4)

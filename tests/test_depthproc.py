@@ -120,6 +120,20 @@ class TestDetectEdges:
         e2 = {(x, y) for x, y in detect_edges(img2, 1.5).xy.tolist() if 8 < x < 53}
         assert e1 == e2
 
+    def test_no_border_pixel_where_a_step_meets_the_image_edge(self):
+        # crop_rotated takes the midpoint of two edge points unchecked; it
+        # lies inside the image because no edge point is a border pixel,
+        # even where the depth step runs into the image's edge
+        corner = np.full((40, 50), 70.0, np.float32)
+        corner[:6, :6] = 50.0
+        for data in (step_image().data, corner):
+            for view in (data, data.T, data[::-1, ::-1], data.T[::-1, ::-1]):
+                img = DepthImage(data=np.ascontiguousarray(view), pitch=0.5)
+                x, y = detect_edges(img, 1.5).xy.T
+                assert len(x) > 0
+                assert 1 <= x.min() and x.max() <= img.width - 2
+                assert 1 <= y.min() and y.max() <= img.height - 2
+
 
 class TestNormals:
     def test_vertical_edge_normals_horizontal(self):
@@ -188,10 +202,6 @@ class TestCropRotated:
         a = crop_rotated(img, (31.7, 30.2), 0.3, 24)
         b = crop_rotated(img, (31.7, 30.2), 0.3 + np.pi, 24)
         assert np.abs(a.data - b.data[::-1, ::-1]).max() < 1e-4
-
-    def test_center_outside_raises(self):
-        with pytest.raises(DegenerateInput):
-            crop_rotated(flat(), (200.0, 10.0), 0.0, 16)
 
 
 class TestNoise:

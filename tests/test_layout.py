@@ -7,6 +7,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import graspforge
+from graspforge import errors
 from graspforge.config import RunConfig
 
 PACKAGE = Path(graspforge.__file__).parent
@@ -194,6 +195,27 @@ def test_scene_skips_have_one_home():
     other module catches either."""
     assert [line for path in sorted(PACKAGE.rglob("*.py")) if path.name not in SKIP_HOMES
             for line in skip_handlers(path)] == []
+
+
+def raised_names(path: Path) -> set[str]:
+    """Names of the exceptions that `raise` statements in one file raise,
+    called (`raise X(...)`) or not (`raise X`)."""
+    return {getattr(exc, "id", None) or getattr(exc, "attr", None)
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Raise) and node.exc is not None
+            for exc in [getattr(node.exc, "func", node.exc)]}
+
+
+def test_every_error_type_is_raised():
+    """Every GraspForgeError subclass in `errors.py` is raised somewhere in
+    the package: an error type that nothing raises names a failure no
+    command can report."""
+    types = [name for name, value in vars(errors).items()
+             if isinstance(value, type) and issubclass(value, errors.GraspForgeError)
+             and value is not errors.GraspForgeError]
+    assert len(types) > 5
+    raised = set().union(*map(raised_names, PACKAGE.rglob("*.py")))
+    assert [name for name in types if name not in raised] == []
 
 
 ENVIRONMENT_READS = {"environ", "environb", "getenv"}

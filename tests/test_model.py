@@ -150,11 +150,6 @@ class TestQualityNet:
         want = 1.0 / (1.0 + math.exp(-(1.3 * c - 0.2)))
         assert quality(net, p) == pytest.approx(want, abs=1e-7)
 
-    def test_wrong_patch_size(self):
-        net = zeros_net(64)
-        with pytest.raises(ShapeMismatch):
-            quality(net, rand_patch(np.random.default_rng(0), 16))
-
     def test_bad_sizes_rejected(self):
         for size in (0, 4, 12, 20):
             with pytest.raises(DegenerateInput):
@@ -212,10 +207,6 @@ class TestLoss:
         per = [loss(qi, yi, phi) for qi, yi in zip(q, y)]
         assert min(per) >= 0.0
 
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            loss(np.array([0.5, 0.5]), np.array([1]), (1.0, 1.0))
-
 
 class TestGradients:
     def test_finite_difference_full_scan(self):
@@ -241,12 +232,6 @@ class TestGradients:
         net, x = smooth_net_and_batch(31)
         _, g = gradients(net, (x, np.array([1.0, 0.0, 1.0])), (0.0, 0.0))
         assert all(np.all(t == 0.0) for t in g)
-
-    def test_empty_batch(self):
-        net = zeros_net(16)
-        with pytest.raises(DegenerateInput):
-            gradients(net, (np.zeros((0, 16, 16)), np.zeros(0)),
-                      (1.0, 1.0))
 
 
 def plateau_case(seed, n=None):
@@ -507,13 +492,6 @@ class TestAdam:
             state = AdamState(params=[np.array([0.0], dtype=np.float32)])
             state = adam_step(state, [np.array([scale])], TrainConfig(lr=1e-3))
             assert abs(float(state.params[0][0])) == pytest.approx(1e-3, rel=0.01)
-
-    def test_gradient_count_mismatch(self):
-        state = AdamState(params=[np.zeros(2, dtype=np.float32)])
-        with pytest.raises(ShapeMismatch):
-            adam_step(state, [np.zeros(2), np.zeros(2)], TrainConfig())
-        with pytest.raises(ShapeMismatch):
-            adam_step(state, [np.zeros(3)], TrainConfig())
 
 
 def flip_block(x):

@@ -8,7 +8,7 @@ import pytest
 
 import graspforge.policy as policy_mod
 from graspforge.depthproc import Patch
-from graspforge.errors import DegenerateInput, Empty, ShapeMismatch
+from graspforge.errors import DegenerateInput, ShapeMismatch
 from graspforge.policy import (PolicyConfig, evaluate_policy, score_candidates,
                                select_cgcnn, select_random, wilson_interval)
 from graspforge.sampler import GraspPose
@@ -60,10 +60,6 @@ class TestSelectRandom:
         c = make_candidate(x=3.0)
         assert select_random([c], np.random.default_rng(0)) is c[0]
 
-    def test_empty_raises(self):
-        with pytest.raises(Empty):
-            select_random([], np.random.default_rng(0))
-
     def test_uniform_frequencies(self):
         cands = [make_candidate(x=float(i)) for i in range(10)]
         rng = np.random.default_rng(123)
@@ -99,10 +95,6 @@ class TestSelectCgcnn:
         c = make_candidate()
         for lam in (0.0, 0.2, 3.0):
             assert select_cgcnn([c], zeros_net(16), lam) is c[0]
-
-    def test_empty_raises(self):
-        with pytest.raises(Empty):
-            select_cgcnn([], zeros_net(16), 0.2)
 
     def test_integration_with_real_forward(self):
         # constant-fill patches through the passthrough net give known q
@@ -192,12 +184,6 @@ class TestWilsonInterval:
         for s, n in ((1, 7), (5, 9), (50, 200)):
             low, high = wilson_interval(s, n)
             assert low < s / n < high
-
-    def test_validation(self):
-        with pytest.raises(DegenerateInput):
-            wilson_interval(5, 0)
-        with pytest.raises(DegenerateInput):
-            wilson_interval(7, 5)
 
 
 def dataset_skips(cfg, master_seed, out_dir):

@@ -125,10 +125,11 @@ class TestForceClosure:
             assert [closes(p, f) for p in pairs] == want
 
     def test_invalid_friction(self):
-        # the cone test has no check of its own: the config rejects f <= 0
+        # neither the cone test nor SamplerConfig checks f: every f is drawn
+        # from a DatasetConfig's friction_range, which rejects f <= 0
         for f in (0.0, -0.1):
-            with pytest.raises(DegenerateInput):
-                SamplerConfig(f=f)
+            with pytest.raises(DegenerateInput, match="friction_range"):
+                DatasetConfig(friction_range=(f, 0.5))
 
 
 class TestGraspWidth:
@@ -292,12 +293,6 @@ class TestSampleGrasps:
         cands = sample_grasps(img, SamplerConfig(n=5, f=0.5),
                               np.random.default_rng(1))
         assert len(cands) <= 5
-
-    def test_config_validation(self):
-        with pytest.raises(DegenerateInput):
-            SamplerConfig(n=0)
-        with pytest.raises(DegenerateInput):
-            SamplerConfig(f=-0.1)
 
 
 @pytest.fixture(scope="module")

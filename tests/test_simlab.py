@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from graspforge import sampler as sampler_mod
 from graspforge import scene as scene_mod
 from graspforge.cli import dispatch
 from graspforge.depthproc import Patch
@@ -21,7 +22,7 @@ from graspforge.scene import (MAX_CABLES, BinSpec, CableSpec, Camera, PlacedCabl
 from graspforge.simlab import (FAILURE_REASONS, DatasetConfig,
                                GraspOutcome, _jaw_verts, execute_grasp, generate_dataset, load_dataset,
                                replay_sample, sampled_scenes, scene_plan, settle_plan,
-                               write_dataset)
+                               settled_scenes, write_dataset)
 
 import oracles
 
@@ -273,6 +274,29 @@ class TestClassWeights:
         assert class_weights(np.array([0.0, 1.0, 1.0, 0.0])) == (1.0, 1.0)
         with pytest.raises(DegenerateInput):
             class_weights(np.array([0.0, 0.5, 1.0]))
+
+
+class TestSampledScenes:
+    """The policies take a yielded candidate list unchecked: a sample that
+    finds no force-closure pair raises NoCandidates and is drawn again or
+    skipped, so no yielded list is empty."""
+
+    def test_yielded_candidate_lists_are_nonempty(self, monkeypatch):
+        cfg = DatasetConfig(scene_count=3, cable_count_range=(1, 3), grasps_per_scene=5,
+                            resample_attempts=2)
+        skips = Counter()
+        scenes = list(settled_scenes(cfg, 7, skips))
+        walked = list(sampled_scenes(cfg, scenes, skips))
+        assert walked and all(len(cands) >= 1 for _, _, cands, _ in walked)
+        assert len(walked) + sum(skips.values()) == cfg.scene_count
+
+        # a cone test that admits no pair leaves every scene empty: none is
+        # yielded, and each is counted as a skip
+        monkeypatch.setattr(sampler_mod, "_inside_cones",
+                            lambda n1, n2, g1, f: np.zeros(len(g1), dtype=bool))
+        empty = Counter()
+        assert list(sampled_scenes(cfg, scenes, empty)) == []
+        assert empty == {"no_candidates": len(scenes)}
 
 
 class TestGenerateDataset:
