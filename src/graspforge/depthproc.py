@@ -175,18 +175,21 @@ def bilateral_filter(img: DepthImage, spatial_sigma: float, range_sigma: float) 
     padded = np.pad(img.data, r, mode="edge").astype(np.float64)
     h, w = img.data.shape
     out = np.empty((h, w), dtype=np.float32)
-    bands = [np.empty((_FILTER_ROWS, w)) for _ in range(4)]
+    bands = [np.empty((_FILTER_ROWS, w)) for _ in range(6)]
     inv_2ss = 1.0 / (2.0 * spatial_sigma ** 2)
     inv_2rs = 1.0 / (2.0 * range_sigma ** 2)
     for y0 in range(0, h, _FILTER_ROWS):
         y1 = min(y0 + _FILTER_ROWS, h)
-        center = padded[r + y0:r + y1, r:r + w]
-        acc, wsum, wgt, term = (a[:y1 - y0] for a in bands)
+        # each window is copied into a band buffer first, so the arithmetic
+        # reads its operands from the band's own buffers, wherever the
+        # padded image landed
+        acc, wsum, wgt, term, center, shifted = (a[:y1 - y0] for a in bands)
+        np.copyto(center, padded[r + y0:r + y1, r:r + w])
         acc.fill(0.0)
         wsum.fill(0.0)
         for dy in range(-r, r + 1):
             for dx in range(-r, r + 1):
-                shifted = padded[r + dy + y0:r + dy + y1, r + dx:r + dx + w]
+                np.copyto(shifted, padded[r + dy + y0:r + dy + y1, r + dx:r + dx + w])
                 # wgt = exp(-(dx*dx + dy*dy) * inv_2ss - (shifted - center)**2 * inv_2rs)
                 np.subtract(shifted, center, out=wgt)
                 np.square(wgt, out=wgt)

@@ -41,6 +41,12 @@ must repeat the same IEEE operations on the same operands:
   less than numpy's per-call dispatch on 3-vectors. Each expression keeps
   numpy's evaluation order, e.g. `a + t * ab` rounds `t * ab` first.
 - Warm starts and extra exits change the iteration path, and so the bits.
+- `max_distance` only adds an exit: the iterations never read it, so a
+  query that ends without taking that exit returns the same result under
+  any larger bound and under none. `scene._contact_points` reuses the
+  resting step's converged results on that ground, and
+  `tests/test_gjk.py::TestMaxDistance` checks it. A rewrite that lets the
+  bound steer the iterations must drop that reuse.
 """
 from __future__ import annotations
 

@@ -1,7 +1,9 @@
 """Rigid transforms as translation + unit quaternion."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +23,8 @@ class Pose3:
     def __post_init__(self):
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
         q = np.asarray(self.rotation, dtype=np.float64).reshape(4)
-        if not (np.isfinite(t).all() and abs(np.linalg.norm(q) - 1.0) <= 1e-9):
+        # |q| as np.linalg.norm forms it
+        if not (np.isfinite(t).all() and abs(math.sqrt(q.dot(q)) - 1.0) <= 1e-9):
             raise DegenerateInput("pose is not finite or its quaternion not unit length")
         object.__setattr__(self, "translation", t)
         object.__setattr__(self, "rotation", q)
@@ -41,13 +44,20 @@ class Pose3:
         return Pose3.from_axis_angle((0.0, 0.0, 1.0), yaw, translation)
 
     def matrix(self) -> np.ndarray:
-        """3x3 rotation matrix."""
+        """3x3 rotation matrix, read-only: built on first use and shared by
+        every later call."""
+        return self._matrix
+
+    @cached_property
+    def _matrix(self) -> np.ndarray:
         w, x, y, z = self.rotation
-        return np.array([
+        m = np.array([
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
             [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
             [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
         ])
+        m.flags.writeable = False
+        return m
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)

@@ -17,6 +17,10 @@ separating-axis test against each static piece's xy outline proves most
 of these answers without the kernel, and only the pairs it cannot decide
 with 1e-6 mm to spare still ask it (`_blocking_pairs`).
 
+Settling does not ask the kernel twice: an advancement pass stops at the
+first distance within CONTACT_EPS, and the contact points of a rest take
+the pairs that its last pass measured from there (`_contact_points`).
+
 Pieces enter the world frame only here: a settling cable carries its pose
 down, and the grasp oracle reads the scene's posed pieces, `Scene.bodies`.
 """
@@ -41,7 +45,8 @@ SUPPORT_TOL = 0.5        # mm; gap still counted as support during settling
 MAX_CABLES = 30          # the most cables one pile may hold
 _TUBE_TOL = 1e-6         # mm; a loaded tube's segment lengths and end radii
 _CERT_TOL = 1e-6         # mm; margin of a certified blocking decision
-_RENDER_CHUNK = 1 << 14  # bounding-box pixels rasterised per pass
+_RENDER_CHUNK = 1 << 14  # pixels rasterised per pass
+_SPAN_SIGMA = 3e-9       # barycentric slack of a row span (`_row_spans`)
 _TOPPLE_MOVES = 64       # the most topple moves one rest may keep
 _IDENTITY = Pose3((0.0, 0.0, 0.0))  # the bin's pose: its pieces are built in place
 
@@ -322,16 +327,30 @@ class Scene:
 
 
 class _WorldBody:
-    """Convex pieces posed into the world frame, with each piece's posed
-    vertices and box, for fast queries."""
+    """Convex pieces posed into the world frame, for fast queries. Every
+    piece's posed vertices sit in one (n, 3) array, `points`, with
+    `verts[i]` the view of piece i's rows, and each piece's box in the rows
+    of lo and hi. `measured` holds the kernel results of the advancement
+    pass that last measured the body (`_pairs_min_distance`)."""
 
     def __init__(self, pieces: list[ConvexPiece], pose: Pose3):
         self.pieces, self.pose = pieces, pose
-        self.verts = [pose.apply(p.vertices) for p in pieces]
-        self.lo = np.array([v.min(axis=0) for v in self.verts])
-        self.hi = np.array([v.max(axis=0) for v in self.verts])
+        counts = [len(p.vertices) for p in pieces]
+        self._ends = np.cumsum(counts)
+        self._starts = self._ends - counts
+        # one product for all pieces: each row is posed as alone
+        # (`tests/test_scene.py::TestWorldBody` checks the bytes)
+        self._place(pose.apply(np.concatenate([p.vertices for p in pieces])))
+        self.lo = np.minimum.reduceat(self.points, self._starts)
+        self.hi = np.maximum.reduceat(self.points, self._starts)
+
+    def _place(self, points: np.ndarray) -> None:
+        self.points = points
+        self.verts = [points[a:b] for a, b in zip(self._starts.tolist(),
+                                                  self._ends.tolist())]
         self._flat: list[np.ndarray | None] = [None] * len(self.verts)
         self._outline: list[np.ndarray | None] = [None] * len(self.verts)
+        self.measured: dict = {}
 
     def shifted(self, dz: float) -> "_WorldBody":
         """The body moved by dz along z, its pose with it. The vertices are
@@ -341,11 +360,10 @@ class _WorldBody:
         t = self.pose.translation.copy()
         t[2] += dz
         out.pieces, out.pose = self.pieces, Pose3(t, self.pose.rotation)
-        out.verts = [v + off for v in self.verts]
+        out._starts, out._ends = self._starts, self._ends
+        out._place(self.points + off)
         out.lo = self.lo + off
         out.hi = self.hi + off
-        out._flat = [None] * len(out.verts)
-        out._outline = [None] * len(out.verts)
         return out
 
     @property
@@ -388,43 +406,81 @@ class _WorldBody:
         return o
 
 
-def _aabb_pairs(body: _WorldBody, st: _WorldBody, pad: float, axes: int) -> np.ndarray:
-    """(i, j) index pairs, in row-major order, of body piece i and static
-    piece j whose boxes come within pad of each other on the first axes
-    coordinates (2: x and y, 3: x, y and z)."""
+class _Pile:
+    """The settled bodies, the bin first, and one table of all their
+    pieces: row k of lo and hi is the box, and row k of lines the xy
+    outline (`_WorldBody.outline`, padded with lines (0, 0, -inf) to the
+    widest), of piece j of static st for the k-th (st, j) of `rows`,
+    statics in order."""
+
+    def __init__(self, body: _WorldBody):
+        self.bodies: list[_WorldBody] = []
+        self.rows: list[tuple[_WorldBody, int]] = []
+        self.lo = self.hi = np.empty((0, 3))
+        self.owner = np.empty(0, dtype=np.int64)
+        self.lines = np.empty((0, 0, 3))
+        self.line_counts = np.empty(0, dtype=np.int64)
+        self.add(body)
+
+    def add(self, body: _WorldBody) -> None:
+        n, k = len(body.pieces), len(self.rows)
+        outlines = [body.outline(j) for j in range(n)]
+        counts = np.array([len(o) for o in outlines])
+        lines = np.zeros((k + n, max(self.lines.shape[1], counts.max()), 3))
+        lines[:, :, 2] = -np.inf
+        lines[:k, :self.lines.shape[1]] = self.lines
+        for row, o in enumerate(outlines, k):
+            lines[row, :len(o)] = o
+        self.lines, self.line_counts = lines, np.append(self.line_counts, counts)
+        self.owner = np.append(self.owner, np.full(n, len(self.bodies)))
+        self.bodies.append(body)
+        self.rows += [(body, j) for j in range(n)]
+        self.lo = np.concatenate([self.lo, body.lo])
+        self.hi = np.concatenate([self.hi, body.hi])
+
+    def pairs(self, body: _WorldBody, pad: float, axes: int):
+        """The body's pieces against the pile's whose boxes come within pad
+        on the first axes coordinates (`_aabb_pairs`): (st, i, j) triples,
+        statics in order, then (i, j) row-major, and each one's table row."""
+        ik = _aabb_pairs(body, self, pad, axes)
+        ik = ik[np.argsort(self.owner[ik[:, 1]], kind="stable")].tolist()
+        return [(self.rows[k][0], i, self.rows[k][1]) for i, k in ik], [k for _, k in ik]
+
+
+def _aabb_pairs(body: _WorldBody, st, pad: float, axes: int) -> np.ndarray:
+    """(i, j) index pairs, in row-major order, of body piece i and box j of
+    st (a body or a pile) whose boxes come within pad of each other on the
+    first axes coordinates (2: x and y, 3: x, y and z)."""
     apart = ((body.hi[:, None, :axes] < st.lo[None, :, :axes] - pad).any(axis=2)
              | (body.lo[:, None, :axes] > st.hi[None, :, :axes] + pad).any(axis=2))
     return np.argwhere(~apart)
 
 
-def _xy_gaps(body: _WorldBody, cand) -> tuple[np.ndarray, np.ndarray]:
+def _xy_gaps(body: _WorldBody, statics: _Pile, cand, rows) -> tuple[np.ndarray, np.ndarray]:
     """Separating-axis tests of each candidate (static, i, j)'s xy
-    projections against the static piece's outline (Ericson, Real-Time
-    Collision Detection, 2005, §5.2.1), all candidates in one pass.
+    projections against the static piece's outline, the candidate's pile
+    row of `statics.lines` (Ericson, Real-Time Collision Detection, 2005,
+    §5.2.1), all candidates in one pass.
 
     Returns (gap, depth). gap is the most that body piece i's vertices all
     lie beyond one outline edge: above 0 it is a lower bound on the xy
     distance. depth is how far the deepest of its vertices, or of their
     mean, lies beyond the outline: below 0 that point is inside it, so the
     projections overlap. Both are NaN where the outline is missing."""
-    lines = [st.outline(j) for st, _, j in cand]
-    pts = [body.verts[i][:, :2] for _, i, _ in cand]
     # padding: lines (0, 0, -inf) lie beyond no point, points repeat their
     # piece's last vertex
-    edges = np.zeros((len(lines), max(map(len, lines)), 3))
-    edges[:, :, 2] = -np.inf
-    verts = np.empty((len(pts), max(map(len, pts)), 2))
-    for k, (e, p) in enumerate(zip(lines, pts)):
-        edges[k, :len(e)] = e
-        verts[k, :len(p)] = p
-        verts[k, len(p):] = p[-1]
+    edges = statics.lines[rows, :statics.line_counts[rows].max()]
+    pieces = [i for _, i, _ in cand]
+    counts = (body._ends - body._starts)[pieces]
+    cols = np.minimum(np.arange(counts.max()), counts[:, None] - 1)
+    verts = body.points[body._starts[pieces][:, None] + cols, :2]
     # a mean of a piece's vertices lies inside its outline
     verts = np.concatenate([verts, verts.mean(axis=1, keepdims=True)], axis=1)
     beyond = edges[:, :, :2] @ verts.transpose(0, 2, 1) + edges[:, :, 2:]
     return beyond.min(axis=2).max(axis=1), beyond.max(axis=1).min(axis=1)
 
 
-def _blocking_pairs(body: _WorldBody, statics: list[_WorldBody]):
+def _blocking_pairs(body: _WorldBody, statics: _Pile):
     """Piece pairs that can obstruct straight-down motion of the body:
     (i, static, j), statics in order, then (i, j) row-major.
 
@@ -440,12 +496,11 @@ def _blocking_pairs(body: _WorldBody, statics: list[_WorldBody]):
     drops the pair, a depth below -_CERT_TOL keeps it, and only a pair in
     between, or one whose static outline is missing, asks the kernel.
     """
-    cand = [(st, i, j) for st in statics
-            for i, j in _aabb_pairs(body, st, CONTACT_EPS, axes=2).tolist()]
+    cand, rows = statics.pairs(body, CONTACT_EPS, axes=2)
     if not cand:
         return []
     pairs = []
-    for (st, i, j), gap, depth in zip(cand, *_xy_gaps(body, cand)):
+    for (st, i, j), gap, depth in zip(cand, *_xy_gaps(body, statics, cand, rows)):
         if depth < -_CERT_TOL or (
                 not gap > CONTACT_EPS + _CERT_TOL
                 and gjk_world(body.flat(i), st.flat(j),
@@ -455,22 +510,24 @@ def _blocking_pairs(body: _WorldBody, statics: list[_WorldBody]):
 
 
 def _pairs_min_distance(body: _WorldBody, pairs, cap: float) -> float:
-    """Min separation over the blocking pairs, early-exiting past cap."""
+    """Min separation over the blocking pairs, early-exiting past cap and
+    returning once it is within CONTACT_EPS (all that `_advance_down`
+    tests). Each kernel result is kept in `body.measured` under (i, static,
+    j), with the max_distance it ran under."""
     best = cap
     for i, st, j in pairs:
+        if best <= CONTACT_EPS:
+            break
         # vertical gap already exceeding the working bound
         if body.lo[i, 2] > st.hi[j, 2] + best or body.hi[i, 2] < st.lo[j, 2] - best:
             continue
         r = gjk_world(body.verts[i], st.verts[j], max_distance=best)
-        if r.distance < best:
-            best = r.distance
-        if best <= 0.0:
-            return 0.0
+        body.measured[i, st, j] = (best, r)
+        best = min(best, r.distance)
     return best
 
 
-def _contact_points(body: _WorldBody, statics: list[_WorldBody],
-                    tol: float) -> list[np.ndarray]:
+def _contact_points(body: _WorldBody, statics: _Pile, tol: float) -> list[np.ndarray]:
     """Contact points between the body and its supports.
 
     Besides the closest-point witness of each touching pair, body
@@ -478,76 +535,83 @@ def _contact_points(body: _WorldBody, statics: list[_WorldBody],
     rest reports the extremes of its true support region, not just one
     interior point (the toppling pivot must be the region's edge).
 
-    A vertex that adjacent body pieces share is tested against a static
-    piece once per call, and added at each of its occurrences."""
+    A pair's kernel result is taken from `body.measured` when that query
+    ran under a max_distance m of at most 4 * tol, converged, and returned
+    at most m, so it did not take the early exit (which returns a bound
+    above m). The kernel's iterations do not read max_distance, which only
+    adds that exit, so asking again would return the same result. A vertex
+    that adjacent body pieces share is tested against a static piece once
+    per call, and added at each of its occurrences."""
     pts = []
-    for st in statics:
-        touches: dict[tuple[int, bytes], bool] = {}   # (static piece, vertex bytes)
-        for i, j in _aabb_pairs(body, st, 2 * tol, axes=3):
+    cand, rows = statics.pairs(body, 2 * tol, axes=3)
+    lo = hi = None   # the pile's boxes padded by 2 * tol, formed once per call
+    touches: dict[tuple[int, bytes], bool] = {}   # (pile row, vertex bytes)
+    for (st, i, j), k in zip(cand, rows):
+        m, r = body.measured.get((i, st, j), (np.inf, None))
+        if not (m <= 4 * tol and r.converged and r.distance <= m):
             r = gjk_world(body.verts[i], st.verts[j], max_distance=4 * tol)
-            if r.distance > tol:
-                continue
-            pts.append(0.5 * (r.point_a + r.point_b))
-            near = ((body.verts[i] >= st.lo[j] - 2 * tol)
-                    & (body.verts[i] <= st.hi[j] + 2 * tol)).all(axis=1)
-            for v in body.verts[i][near]:
-                key = (j, v.tobytes())
-                if key not in touches:
-                    touches[key] = gjk_world(v[None, :], st.verts[j],
-                                             max_distance=2 * tol).distance <= tol
-                if touches[key]:
-                    pts.append(v)
+        if r.distance > tol:
+            continue
+        pts.append(0.5 * (r.point_a + r.point_b))
+        if lo is None:
+            lo, hi = statics.lo - 2 * tol, statics.hi + 2 * tol
+        verts = body.verts[i]
+        for v in verts[((verts >= lo[k]) & (verts <= hi[k])).all(axis=1)]:
+            key = (k, v.tobytes())
+            if key not in touches:
+                touches[key] = gjk_world(v[None, :], st.verts[j],
+                                         max_distance=2 * tol).distance <= tol
+            if touches[key]:
+                pts.append(v)
     return pts
 
 
 def _support_analysis(com: np.ndarray, contacts: list[np.ndarray]):
     """Distance from the center of mass to the support polygon in the
     horizontal plane, plus the tipping element (the nearest boundary
-    edge or vertex, as 3D contact points) when the mass sits outside."""
+    edge or vertex, as 3D contact points) when the mass sits outside.
+
+    The nearest element is the first of least distance among the hull's
+    vertices, then its vertex pairs (a, b), a < b, in row-major order. Each
+    distance is the square root of one BLAS dot, as `np.linalg.norm` forms
+    it, and each segment parameter is clipped from one dot quotient."""
     if len(contacts) == 0:
         return np.inf, []
     pts3 = np.array(contacts)
     com_xy = com[:2]
     xy = pts3[:, :2]
-    pts_idx = list(range(len(pts3)))
     hull = hull_2d(xy) if len(pts3) >= 3 else None
-    if hull is not None:
-        eq, vertices = hull
+    if hull is None:
+        idx, p = range(len(pts3)), xy
+    else:
+        eq, idx = hull
         if (eq[:, :2] @ com_xy + eq[:, 2] <= 1e-12).all():
             return 0.0, []
-        pts_idx = [int(v) for v in vertices]
-    best = np.inf
-    tip: list[np.ndarray] = []
-    for i in pts_idx:
-        d = float(np.linalg.norm(com_xy - xy[i]))
-        if d < best:
-            best, tip = d, [pts3[i]]
-    for a in range(len(pts_idx)):
-        for b in range(a + 1, len(pts_idx)):
-            i, j = pts_idx[a], pts_idx[b]
-            d, t = _point_segment_closest(com_xy, xy[i], xy[j])
-            if d < best:
-                best = d
-                tip = [pts3[i], pts3[j]] if 0.0 < t < 1.0 else [pts3[i] if t <= 0 else pts3[j]]
-    return best, tip
-
-
-def _point_segment_closest(p, a, b) -> tuple[float, float]:
-    ab = b - a
-    den = float(ab @ ab)
-    if den < 1e-24:
-        return float(np.linalg.norm(p - a)), 0.0
-    t = float(np.clip(float((p - a) @ ab) / den, 0.0, 1.0))
-    return float(np.linalg.norm(p - (a + t * ab))), t
+        p = xy[idx]
+    a, b = np.triu_indices(len(p), 1)
+    ab = p[b] - p[a]
+    den = np.vecdot(ab, ab)
+    # a segment shorter than 1e-12 is its first point
+    t = np.clip(np.divide(np.vecdot(com_xy - p[a], ab), den, out=np.zeros(len(den)),
+                          where=den >= 1e-24), 0.0, 1.0)
+    gaps = np.concatenate([com_xy - p, com_xy - (p[a] + t[:, None] * ab)])
+    d = np.sqrt(np.vecdot(gaps, gaps))
+    k = int(d.argmin())
+    if k < len(p):
+        return float(d[k]), [pts3[idx[k]]]
+    i, j, t = idx[a[k - len(p)]], idx[b[k - len(p)]], t[k - len(p)]
+    return float(d[k]), [pts3[i], pts3[j]] if 0.0 < t < 1.0 else [pts3[i] if t <= 0 else pts3[j]]
 
 
 def _tip_rotation(com: np.ndarray, tip: list[np.ndarray], angle: float) -> Pose3 | None:
     """Rigid rotation about the tipping element that lowers the center of
-    mass, or None when the geometry is degenerate."""
+    mass, or None when the geometry is degenerate. A norm is the square
+    root of one BLAS dot, as `np.linalg.norm` forms it, and the sense test
+    is the z of np.cross(axis, com - p), rounded as np.cross rounds it."""
     p = tip[0]
     if len(tip) == 2:
         axis = tip[1] - tip[0]
-        n = np.linalg.norm(axis)
+        n = math.sqrt(axis.dot(axis))
         if n < 1e-9:
             return None
         axis = axis / n
@@ -556,9 +620,10 @@ def _tip_rotation(com: np.ndarray, tip: list[np.ndarray], angle: float) -> Pose3
         if np.hypot(u[0], u[1]) < 1e-9:
             return None
         axis = np.array([-u[1], u[0], 0.0])
-        axis /= np.linalg.norm(axis)
+        axis /= math.sqrt(axis.dot(axis))
     # choose the rotation sense that moves the mass center downward
-    vz = float(np.cross(axis, com - p)[2])
+    (x, y, _), (wx, wy, _) = axis.tolist(), (com - p).tolist()
+    vz = x * wy - y * wx
     if abs(vz) < 1e-12:
         return None
     rot = Pose3.from_axis_angle(axis, -math.copysign(angle, vz))
@@ -582,7 +647,7 @@ def _advance_down(body: _WorldBody, pairs):
 
 
 def _seat(pieces: list[ConvexPiece], rotation: np.ndarray, x: float, y: float,
-          heights, statics: list[_WorldBody]) -> _WorldBody | None:
+          heights, statics: _Pile) -> _WorldBody | None:
     """Pose the pieces at (x, y) and each height in turn and advance them
     down; returns the first body that comes to rest, or None. The heights
     share the blocking pairs found at the first: they differ only in z."""
@@ -617,7 +682,7 @@ def settle_scene(bin_spec: BinSpec, cable_specs: list[CableSpec],
     if not 1 <= len(cable_specs) <= MAX_CABLES:
         raise DegenerateInput(f"cable count must be in [1, {MAX_CABLES}]")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    statics = [_WorldBody(bin_pieces(bin_spec), _IDENTITY)]
+    statics = _Pile(_WorldBody(bin_pieces(bin_spec), _IDENTITY))
     placed: list[PlacedCable] = []
     lo_fp, hi_fp = bin_spec.footprint()
 
@@ -642,7 +707,7 @@ def settle_scene(bin_spec: BinSpec, cable_specs: list[CableSpec],
 
             # start 5 mm above everything placed; the yawed body's lowest z
             # is the posed one's, as the two differ only in x and y
-            z = max(s.aabb_hi[2] for s in statics) - yawed.aabb_lo[2] + 5.0
+            z = statics.hi[:, 2].max() - yawed.aabb_lo[2] + 5.0
             body = _seat(pieces, rotation, cx, cy, (z,), statics)
             if body is None:
                 continue
@@ -691,7 +756,7 @@ def settle_scene(bin_spec: BinSpec, cable_specs: list[CableSpec],
 
         placed.append(PlacedCable(id=cable_id, spec=spec, mesh=mesh,
                                   pieces=pieces, pose=body.pose))
-        statics.append(_WorldBody(pieces, body.pose))
+        statics.add(_WorldBody(pieces, body.pose))
 
     return Scene(bin=bin_spec, cables=placed, rng_seed=seed)
 
@@ -731,15 +796,20 @@ def render_depth(scene: Scene, cam: Camera) -> DepthImage:
 
     Triangles are rasterised in bulk (Pineda, "A parallel algorithm for
     polygon rasterization", SIGGRAPH 1988): each pass takes whole
-    triangles up to _RENDER_CHUNK bounding-box pixels, computes every
-    pixel's barycentric (u, v) and depth in array operations, and merges
-    the covered ones into the buffer with a max: each pixel keeps the
-    largest covering z, as when triangles were drawn one at a time. A
-    pass's arrays take a few hundred bytes per box pixel, so _RENDER_CHUNK
-    sets the renderer's memory: 1 << 14 keeps an 8-cable pile at about
-    5 MiB traced, where 1 << 16 took 17 MiB, at no cost in time. Passes only
-    split the triangles, in order, and the max does not depend on the
-    split, so the bytes do not either.
+    triangles up to _RENDER_CHUNK pixels, computes every pixel's
+    barycentric (u, v) and depth in array operations, and merges the
+    covered ones into the buffer with a max: each pixel keeps the largest
+    covering z, as when triangles were drawn one at a time. A pass's
+    arrays take a few hundred bytes per pixel, so _RENDER_CHUNK sets the
+    renderer's memory: 1 << 14 keeps an 8-cable pile at a few MiB traced.
+    Passes only split the triangles, in order, and the max does not depend
+    on the split, so the bytes do not either.
+
+    Each row of a triangle's pixel box is tested only over its span
+    (`_row_spans`): the pixels that can pass the inside test, padded by one
+    pixel. Every pixel outside it fails the test, so the bytes are those of
+    testing the whole box.
+
     Triangles wholly at or below the floor plane z = 0 are skipped: the
     inside test's 1e-9 slack lets a pixel's depth pass the highest vertex
     by at most about 3e-9 of the triangle's depth span, far below a step
@@ -768,38 +838,78 @@ def render_depth(scene: Scene, cam: Camera) -> DepthImage:
     den = v0x * v1y - v0y * v1x
     keep = (x1 >= x0) & (y1 >= y0) & ~(np.abs(den) < 1e-12)
     z = tris[:, :, 2]
-    # one column per triangle: its box's corner and width, vertex 0's
-    # pixel, the two edge vectors, den and the depth terms
-    tri = np.stack([x0, y0, x1 - x0 + 1.0, ax, ay, v0x, v0y, v1x, v1y, den,
+    # one column per triangle: vertex 0's pixel, the two edge vectors, den
+    # and the depth terms
+    tri = np.stack([ax, ay, v0x, v0y, v1x, v1y, den,
                     z[:, 0], z[:, 1] - z[:, 0], z[:, 2] - z[:, 0]])[:, keep]
-    count = (tri[2] * (y1 - y0 + 1.0)[keep]).astype(np.int64)
-    ends = np.cumsum(count)
+    # one entry per box row: its triangle, y and first and last pixel
+    rows = (y1 - y0 + 1.0)[keep].astype(np.int64)
+    row_tri = np.arange(len(rows)).repeat(rows)
+    gy_row = y0[keep][row_tri] + (np.arange(rows.sum()) - (np.cumsum(rows) - rows)[row_tri])
+    xs, xe = _row_spans(tri[:7, row_tri], gy_row, x0[keep][row_tri], x1[keep][row_tri])
+    width = np.maximum(xe - xs + 1.0, 0.0).astype(np.int64)
+    ends = np.cumsum(np.bincount(row_tri, weights=width, minlength=len(rows)).astype(np.int64))
+    row_ends = np.cumsum(rows)
 
     start = 0
-    while start < len(count):
+    while start < len(ends):
         base = ends[start - 1] if start else 0
         stop = max(start + 1, int(np.searchsorted(ends, base + _RENDER_CHUNK, side="right")))
-        n = count[start:stop]
-        x0, y0, w, ax, ay, v0x, v0y, v1x, v1y, den = tri[:10, start:stop].repeat(n, axis=1)
-        # each pixel's row-major index in its triangle's box; the float
-        # quotient's floor is exact for these small integers
-        first = ends[start:stop] - n - base
-        k = (np.arange(n.sum()) - first.repeat(n)).astype(np.float64)
-        row = np.floor(k / w)
-        gx = x0 + (k - row * w)
-        gy = y0 + row
+        r = np.arange(row_ends[start - 1] if start else 0, row_ends[stop - 1])
+        n = width[r]
+        pix_row = r.repeat(n)
+        gx = xs[pix_row] + (np.arange(n.sum()) - (np.cumsum(n) - n).repeat(n))
+        gy = gy_row[pix_row]
+        ax, ay, v0x, v0y, v1x, v1y, den = tri[:7, row_tri[pix_row]]
         qx = gx - ax
         qy = gy - ay
         u = (qx * v1y - qy * v1x) / den
         v = (qy * v0x - qx * v0y) / den
         inside = np.flatnonzero((u >= -1e-9) & (v >= -1e-9) & (u + v <= 1.0 + 1e-9))
-        z0, dz1, dz2 = tri[10:, np.arange(start, stop).repeat(n)[inside]]
+        z0, dz1, dz2 = tri[7:, row_tri[pix_row[inside]]]
         z = z0 + u[inside] * dz1 + v[inside] * dz2
         np.fmax.at(zbuf, (gy[inside] * W + gx[inside]).astype(np.int64), z)
         start = stop
 
     depth = (cam.height - zbuf.reshape(H, W)).astype(np.float32)
     return DepthImage(data=depth, pitch=cam.pitch)
+
+
+def _row_spans(tri: np.ndarray, gy: np.ndarray, x0: np.ndarray, x1: np.ndarray):
+    """First and last pixel x of each triangle row that can pass
+    `render_depth`'s inside test, within the row's box [x0, x1].
+
+    tri holds each row's (ax, ay, v0x, v0y, v1x, v1y, den). With s the sign
+    of den and D = |den|, a pixel at x, with q = (x - ax, gy - ay), has
+    u D = s (qx v1y - qy v1x) and v D = s (qy v0x - qx v0y), both linear in
+    x. The span is where u >= -_SPAN_SIGMA, v >= -_SPAN_SIGMA and
+    u + v <= 1 + _SPAN_SIGMA, padded by one pixel.
+
+    Why no pixel outside the span passes: let L bound |v0x|, |v0y|, |v1x|
+    and |v1y|, so |qx|, |qy| <= L over the box. With unit roundoff
+    e = 2**-53, the test's computed u differs from the exact one by at most
+    about 6.03 e L^2 / D + e |u|, and v likewise. Where D >= 2e-6 L^2 that
+    is at most 3.4e-10 near the triangle, so a pixel passes only where the
+    exact u, v >= -1.34e-9 and u + v <= 1 + 1.68e-9. The rest of
+    _SPAN_SIGMA = 3e-9, at least 2.6e-15 L^2 in units of u D, covers the
+    rounding of the span's own terms (under 2e-15 L^2), and the pad covers
+    the rounding of each crossing. A triangle with D < 2e-6 L^2, a
+    near-degenerate sliver, keeps its whole box rows."""
+    ax, ay, v0x, v0y, v1x, v1y, den = tri
+    s = np.sign(den)
+    mag = np.abs(den)
+    qy = gy - ay
+    # each constraint as a (x - ax) >= b: u, v, then u + v
+    a = np.stack([s * v1y, -s * v0y, -s * (v1y - v0y)])
+    b = np.stack([s * qy * v1x - _SPAN_SIGMA * mag, -s * qy * v0x - _SPAN_SIGMA * mag,
+                  -s * qy * (v1x - v0x) - (1.0 + _SPAN_SIGMA) * mag])
+    cross = ax + np.divide(b, a, out=np.zeros_like(b), where=a != 0.0)
+    lo = np.where(a > 0.0, cross, np.where((a == 0.0) & (b > 0.0), np.inf, -np.inf)).max(axis=0)
+    hi = np.where(a < 0.0, cross, np.inf).min(axis=0)
+    box = mag < 2e-6 * np.abs(tri[2:6]).max(axis=0) ** 2
+    xs = np.where(box, x0, np.maximum(x0, np.ceil(lo) - 1.0))
+    xe = np.where(box, x1, np.minimum(x1, np.floor(hi) + 1.0))
+    return xs, xe
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Everything here is deliberately written from different math than the code
 under test: box distances come from separating axes plus brute-force
 feature enumeration, inside tests from crossing parity of a single ray,
 rendered depths from one Moller-Trumbore ray per pixel (`ray_triangles`,
-`ray_mesh`). There are eight exceptions, same math on purpose, frozen copies
+`ray_mesh`). There are nine exceptions, same math on purpose, frozen copies
 the library must match bit for bit: `gjk_world_reference`, the GJK kernel;
 `forward_backward_reference` (with `forward_batch_reference` and
 `backward_batch_reference`), the quality network's forward and backward
@@ -14,10 +14,13 @@ while it copied each sample into four new ones; `sample_grasps_reference`, the g
 bilateral filter, edge detector, normal fit, rotated crop and friction-cone
 test as they stood while each was a Python loop over pixels, points and
 pair trials, each trial a `ContactPair`; `settle_scene_reference`, pile settling as it stood while
-every topple lift re-found its blocking pairs, run on `gjk_world_reference`;
+every topple lift re-found its blocking pairs, run on `gjk_world_reference`
+with its own copies of the topple's support and tip-rotation math;
 `execute_grasp_reference`, the grasp oracle as it stood while every call
 posed the scene's pieces afresh; `render_depth_reference`, the depth
-renderer as it stood while it drew one triangle at a time; and
+renderer as it stood while it drew one triangle at a time;
+`render_depth_boxes_reference`, the bulk renderer as it stood while it
+tested every pixel of each triangle's bounding box; and
 `add_noise_reference`, the sensor noise as it stood while each step formed
 a new image-sized array.
 
@@ -43,7 +46,7 @@ from scipy.spatial import cKDTree
 from graspforge import model
 from graspforge.depthproc import PEPPER_VALUE, DepthImage, Patch, downsample
 from graspforge.errors import ConvergenceWarning, DegenerateInput, NoCandidates, Overfilled
-from graspforge.geometry import ConvexPiece, Pose3, TriMesh, gjk_world
+from graspforge.geometry import ConvexPiece, Pose3, TriMesh, gjk_world, hull_2d
 from graspforge.model import QualityNet, init_net
 from graspforge.sampler import (
     BILATERAL_RANGE, BILATERAL_SPATIAL, DEPTH_PAIR_TOL, ENGAGE_DEPTH, GRAD_THRESHOLD,
@@ -51,8 +54,7 @@ from graspforge.sampler import (
 )
 from graspforge.scene import (
     CONTACT_EPS, SUPPORT_TOL, BinSpec, Camera, CableSpec, PlacedCable, Scene,
-    _inside_footprint, _support_analysis, _tip_rotation, bin_mesh, bin_pieces,
-    cable_decomposition, make_cable_mesh,
+    _inside_footprint, bin_mesh, bin_pieces, cable_decomposition, make_cable_mesh,
 )
 from graspforge.simlab import (
     _CLOSE_ITER_CAP, _TOUCH, CONTACT_TOL, ENTANGLE_EROSION, FINGER_LENGTH, OPEN_CLEARANCE,
@@ -291,6 +293,64 @@ def render_depth_reference(scene: Scene, cam: Camera) -> DepthImage:
             zb[sel] = z[sel]
 
     depth = (cam.height - zbuf).astype(np.float32)
+    return DepthImage(data=depth, pitch=cam.pitch)
+
+
+def render_depth_boxes_reference(scene: Scene, cam: Camera) -> DepthImage:
+    """Frozen bulk renderer: `render_depth` as it stood while it tested
+    every pixel of each triangle's bounding box, in passes of up to 1 << 14
+    box pixels. `scene.render_depth` must return the same bytes."""
+    half_x, half_y = cam.footprint_half_extents()
+    if (half_x < scene.bin.inner_x / 2.0 - 1e-9
+            or half_y < scene.bin.inner_y / 2.0 - 1e-9):
+        raise DegenerateInput("camera frustum does not cover the bin interior")
+    W, H = cam.width_px, cam.height_px
+    zbuf = np.zeros(H * W, dtype=np.float64)   # floor plane z = 0
+
+    tris = np.concatenate([bin_mesh(scene.bin).triangles()] + [
+        c.pose.apply(c.mesh.triangles().reshape(-1, 3)).reshape(-1, 3, 3)
+        for c in scene.cables])
+    tris = tris[(tris[:, :, 2] > 0.0).any(axis=1)]
+    px, py = cam.world_to_px(tris[:, :, 0], tris[:, :, 1])
+    # pixel bounding boxes, clipped to the image
+    x0 = np.maximum(np.ceil(px.min(axis=1)), 0.0)
+    x1 = np.minimum(np.floor(px.max(axis=1)), W - 1.0)
+    y0 = np.maximum(np.ceil(py.min(axis=1)), 0.0)
+    y1 = np.minimum(np.floor(py.max(axis=1)), H - 1.0)
+    # barycentric in pixel space, from vertex 0
+    ax, ay = px[:, 0], py[:, 0]
+    v0x, v0y = px[:, 1] - ax, py[:, 1] - ay
+    v1x, v1y = px[:, 2] - ax, py[:, 2] - ay
+    den = v0x * v1y - v0y * v1x
+    keep = (x1 >= x0) & (y1 >= y0) & ~(np.abs(den) < 1e-12)
+    z = tris[:, :, 2]
+    tri = np.stack([x0, y0, x1 - x0 + 1.0, ax, ay, v0x, v0y, v1x, v1y, den,
+                    z[:, 0], z[:, 1] - z[:, 0], z[:, 2] - z[:, 0]])[:, keep]
+    count = (tri[2] * (y1 - y0 + 1.0)[keep]).astype(np.int64)
+    ends = np.cumsum(count)
+
+    start = 0
+    while start < len(count):
+        base = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + (1 << 14), side="right")))
+        n = count[start:stop]
+        x0, y0, w, ax, ay, v0x, v0y, v1x, v1y, den = tri[:10, start:stop].repeat(n, axis=1)
+        first = ends[start:stop] - n - base
+        k = (np.arange(n.sum()) - first.repeat(n)).astype(np.float64)
+        row = np.floor(k / w)
+        gx = x0 + (k - row * w)
+        gy = y0 + row
+        qx = gx - ax
+        qy = gy - ay
+        u = (qx * v1y - qy * v1x) / den
+        v = (qy * v0x - qx * v0y) / den
+        inside = np.flatnonzero((u >= -1e-9) & (v >= -1e-9) & (u + v <= 1.0 + 1e-9))
+        z0, dz1, dz2 = tri[10:, np.arange(start, stop).repeat(n)[inside]]
+        z = z0 + u[inside] * dz1 + v[inside] * dz2
+        np.fmax.at(zbuf, (gy[inside] * W + gx[inside]).astype(np.int64), z)
+        start = stop
+
+    depth = (cam.height - zbuf.reshape(H, W)).astype(np.float32)
     return DepthImage(data=depth, pitch=cam.pitch)
 
 
@@ -1117,6 +1177,72 @@ def _ref_contact_points(body: _RefWorldBody, statics: list[_RefWorldBody],
     return pts
 
 
+def _ref_support_analysis(com: np.ndarray, contacts: list[np.ndarray]):
+    """Distance from the center of mass to the support polygon in the
+    horizontal plane, plus the tipping element (the nearest boundary
+    edge or vertex, as 3D contact points) when the mass sits outside."""
+    if len(contacts) == 0:
+        return np.inf, []
+    pts3 = np.array(contacts)
+    com_xy = com[:2]
+    xy = pts3[:, :2]
+    pts_idx = list(range(len(pts3)))
+    hull = hull_2d(xy) if len(pts3) >= 3 else None
+    if hull is not None:
+        eq, vertices = hull
+        if (eq[:, :2] @ com_xy + eq[:, 2] <= 1e-12).all():
+            return 0.0, []
+        pts_idx = [int(v) for v in vertices]
+    best = np.inf
+    tip: list[np.ndarray] = []
+    for i in pts_idx:
+        d = float(np.linalg.norm(com_xy - xy[i]))
+        if d < best:
+            best, tip = d, [pts3[i]]
+    for a in range(len(pts_idx)):
+        for b in range(a + 1, len(pts_idx)):
+            i, j = pts_idx[a], pts_idx[b]
+            d, t = _ref_point_segment_closest(com_xy, xy[i], xy[j])
+            if d < best:
+                best = d
+                tip = [pts3[i], pts3[j]] if 0.0 < t < 1.0 else [pts3[i] if t <= 0 else pts3[j]]
+    return best, tip
+
+
+def _ref_point_segment_closest(p, a, b) -> tuple[float, float]:
+    ab = b - a
+    den = float(ab @ ab)
+    if den < 1e-24:
+        return float(np.linalg.norm(p - a)), 0.0
+    t = float(np.clip(float((p - a) @ ab) / den, 0.0, 1.0))
+    return float(np.linalg.norm(p - (a + t * ab))), t
+
+
+def _ref_tip_rotation(com: np.ndarray, tip: list[np.ndarray], angle: float) -> Pose3 | None:
+    """Rigid rotation about the tipping element that lowers the center of
+    mass, or None when the geometry is degenerate."""
+    p = tip[0]
+    if len(tip) == 2:
+        axis = tip[1] - tip[0]
+        n = np.linalg.norm(axis)
+        if n < 1e-9:
+            return None
+        axis = axis / n
+    else:
+        u = com - p
+        if np.hypot(u[0], u[1]) < 1e-9:
+            return None
+        axis = np.array([-u[1], u[0], 0.0])
+        axis /= np.linalg.norm(axis)
+    # choose the rotation sense that moves the mass center downward
+    vz = float(np.cross(axis, com - p)[2])
+    if abs(vz) < 1e-12:
+        return None
+    rot = Pose3.from_axis_angle(axis, -math.copysign(angle, vz))
+    # conjugate so the axis passes through the contact point p
+    return Pose3(p - rot.apply(p[None])[0], (1.0, 0.0, 0.0, 0.0)).compose(rot)
+
+
 def _ref_advance_down(pieces: list[ConvexPiece], rotation: np.ndarray,
                   cx: float, cy: float, z: float, statics: list[_RefWorldBody]):
     """Conservative advancement straight down from z: each step moves by
@@ -1203,12 +1329,12 @@ def settle_scene_reference(bin_spec: BinSpec, cable_specs: list[CableSpec],
             for _ in range(moves):
                 contacts = _ref_contact_points(body, statics, tol=SUPPORT_TOL)
                 com = cur.apply(centroid)
-                fd, tip = _support_analysis(com, contacts)
+                fd, tip = _ref_support_analysis(com, contacts)
                 if not tip:
                     break  # mass center strictly inside the support
                 moved = False
                 for angle_deg in (6.0, 3.0, 1.5, 0.5, 0.15):
-                    tipped = _tip_rotation(com, tip, math.radians(angle_deg))
+                    tipped = _ref_tip_rotation(com, tip, math.radians(angle_deg))
                     if tipped is None:
                         break
                     cand = tipped.compose(cur)
@@ -1251,7 +1377,7 @@ def settle_scene_reference(bin_spec: BinSpec, cable_specs: list[CableSpec],
 
             contacts = _ref_contact_points(body, statics, tol=SUPPORT_TOL)
             com = cur.apply(centroid)
-            fd, _ = _support_analysis(com, contacts)
+            fd, _ = _ref_support_analysis(com, contacts)
             # reject rests poking above the rim: keeps piles physical and
             # rendered depth within its contract band
             rim = bin_spec.wall_height + 2.0 * spec.radius

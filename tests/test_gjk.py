@@ -313,6 +313,53 @@ class TestReplay:
             assert TestBitIdentity._fingerprint(got) == want, f"call {i}"
 
 
+def _exited_early(r) -> bool:
+    """An early exit keeps its one support point and no lambdas."""
+    return r._lam is None
+
+
+class TestMaxDistance:
+    """max_distance only adds an exit to the kernel's iterations. A query
+    that did not take that exit under a bound m repeats its result under
+    any bound of at least m, and under none: `scene._contact_points`
+    reuses resting-step results on that ground."""
+
+    def test_replayed_queries_repeat_under_larger_bounds(self, monkeypatch):
+        calls = []
+
+        def recording(*args, **kwargs):
+            r = gjk_world(*args, **kwargs)
+            calls.append((tuple(np.array(a) for a in args), kwargs, r))
+            return r
+
+        # the queries that TestReplay checks against the frozen kernel
+        monkeypatch.setattr(scene_mod, "gjk_world", recording)
+        monkeypatch.setattr(simlab, "gjk_world", recording)
+        cfg = DatasetConfig(cable_count_range=(3, 4))
+        plan = scene_plan(cfg, 0, 0)
+        pile = settle_plan(cfg, plan)
+        [(_, _, cands, _)] = sampled_scenes(cfg, [(0, pile, plan)], Counter())
+        for pose, _ in cands:
+            execute_grasp(pile, pose, plan["f"])
+        monkeypatch.undo()
+        checked = {"bounded": 0, "early": 0}
+        for args, kwargs, got in calls:
+            m = kwargs.get("max_distance")
+            want = TestBitIdentity._fingerprint(got)
+            if m is not None and _exited_early(got):
+                checked["early"] += 1
+                continue
+            bounds = [None]
+            if m is not None and m <= 2.0:
+                checked["bounded"] += 1
+                bounds += [m, 0.5 * (m + 2.0), 2.0]
+            for bound in bounds:
+                again = gjk_world(*args, **dict(kwargs, max_distance=bound))
+                assert TestBitIdentity._fingerprint(again) == want, (m, bound)
+        # both kinds occur: bounded queries that converged, and early exits
+        assert checked["bounded"] > 100 and checked["early"] > 100, checked
+
+
 class TestDotForms:
     """The kernel forms its dots with `ndarray.dot` and `np.vecdot`, the
     frozen reference with `@`. All must reach the same BLAS ddot and gemv,
@@ -347,6 +394,22 @@ class TestDotForms:
         hit = rng.random(values.shape) < 1 / 6
         values[hit] = rng.choice(specials, size=int(hit.sum()))
         return values
+
+    def test_views_into_one_array(self):
+        # a body keeps its pieces' vertices in one array, so the kernel
+        # reads views at any element offset; each must give a copy's bytes
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            for case in _bit_identity_cases()[::4]:
+                va, vb, ea, eb, m = case
+                want = TestBitIdentity._fingerprint(gjk_world(va.copy(), vb.copy(), ea, eb, m))
+                for offset in range(8):
+                    block = np.empty(offset + va.size + vb.size)
+                    a = block[offset:offset + va.size].reshape(va.shape)
+                    b = block[offset + va.size:].reshape(vb.shape)
+                    a[...], b[...] = va, vb
+                    got = TestBitIdentity._fingerprint(gjk_world(a, b, ea, eb, m))
+                    assert got == want, offset
 
     def test_vecdot_rows(self):
         rng = np.random.default_rng(25)

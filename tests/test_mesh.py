@@ -142,6 +142,18 @@ class TestPose3:
         d_after = np.linalg.norm(out[1:] - out[0], axis=1)
         assert np.allclose(d_before, d_after)
 
+    def test_matrix_built_once_and_read_only(self):
+        p = Pose3.from_axis_angle((1.0, 2.0, -0.5), 1.234, (3.0, 0.0, 1.0))
+        m = p.matrix()
+        assert p.matrix() is m and not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 2.0
+        w, x, y, z = p.rotation
+        fresh = np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                          [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                          [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+        assert m.tobytes() == fresh.tobytes()
+
     def test_nonunit_quaternion_rejected(self):
         with pytest.raises(DegenerateInput):
             Pose3(np.zeros(3), np.array([1.0, 1.0, 0.0, 0.0]))

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -221,6 +222,30 @@ class TestSettle:
             settle_scene(tiny, [straight_spec()], seed=5)
 
 
+class TestWorldBody:
+    """A world body keeps its pieces in one array: posed by one product,
+    boxed by one reduction, moved by one add. Each must give the bytes of
+    doing it piece by piece."""
+
+    def test_one_array_matches_piece_by_piece(self, pipeline_piles):
+        rng = np.random.default_rng(30)
+        cables = [c for scene in pipeline_piles for c in scene.cables]
+        for k in range(400):
+            pieces = cables[k % len(cables)].pieces if k % 8 else scene_mod.bin_pieces(BinSpec())
+            q = rng.normal(size=4)
+            pose = Pose3(rng.uniform(-100.0, 100.0, size=3), q / np.linalg.norm(q))
+            body = scene_mod._WorldBody(pieces, pose)
+            verts = [pose.apply(p.vertices) for p in pieces]
+            assert [v.tobytes() for v in body.verts] == [v.tobytes() for v in verts]
+            assert body.lo.tobytes() == np.array([v.min(axis=0) for v in verts]).tobytes()
+            assert body.hi.tobytes() == np.array([v.max(axis=0) for v in verts]).tobytes()
+            dz = -rng.uniform(0.0, 10.0)
+            off = np.array([0.0, 0.0, dz])
+            moved = body.shifted(dz)
+            assert [v.tobytes() for v in moved.verts] == [(v + off).tobytes() for v in verts]
+            assert moved.lo.tobytes() == (body.lo + off).tobytes()
+
+
 class TestSettleBitIdentity:
     """settle_scene must place every cable at the frozen reference's pose
     bytes: pinned artifacts depend on every bit of a settled pose."""
@@ -317,6 +342,40 @@ class TestToppleCap:
         assert cap + 1 in passes
 
 
+class TestToppleMath:
+    """The topple's support distance and tip rotation run on arrays and
+    scalars now; on every call a pipeline pile makes they must give the
+    bytes of the frozen per-pair scans in `tests/oracles.py`."""
+
+    def test_matches_frozen_copies(self, monkeypatch):
+        seen = {"support": 0, "tip": 0, "segment": 0}
+        support, tip_rotation = scene_mod._support_analysis, scene_mod._tip_rotation
+
+        def spy_support(com, contacts):
+            got = support(com, contacts)
+            want = oracles._ref_support_analysis(com, contacts)
+            assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+            assert [p.tobytes() for p in got[1]] == [p.tobytes() for p in want[1]]
+            seen["support"] += 1
+            seen["segment"] += len(got[1]) == 2
+            return got
+
+        def spy_tip(com, tip, angle):
+            got = tip_rotation(com, tip, angle)
+            want = oracles._ref_tip_rotation(com, tip, angle)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.translation.tobytes() == want.translation.tobytes()
+                assert got.rotation.tobytes() == want.rotation.tobytes()
+            seen["tip"] += 1
+            return got
+
+        monkeypatch.setattr(scene_mod, "_support_analysis", spy_support)
+        monkeypatch.setattr(scene_mod, "_tip_rotation", spy_tip)
+        settle_seeded(*SEEDED_PILES[1])
+        assert seen["support"] > 100 and seen["tip"] > 100 and seen["segment"] > 10, seen
+
+
 class TestContactPoints:
     def test_shared_vertices_queried_once(self, monkeypatch):
         # adjacent body pieces share their joint vertices: the memoised call
@@ -338,7 +397,7 @@ class TestContactPoints:
             phase[0] = "got"
             got = contact_points(body, statics, tol)
             phase[0] = "want"
-            want = oracles._ref_contact_points(body, statics, tol)
+            want = oracles._ref_contact_points(body, statics.bodies, tol)
             phase[0] = None
             assert len(got) == len(want)
             assert np.array(got).tobytes() == np.array(want).tobytes()
@@ -350,6 +409,75 @@ class TestContactPoints:
         monkeypatch.setattr(scene_mod, "_contact_points", spy_contact_points)
         settle_seeded(*SEEDED_PILES[0])
         assert 0 < calls["got"] < calls["want"]
+
+    def test_resting_results_reused(self, monkeypatch):
+        # the pair queries that the resting step already made under at
+        # most 4 * tol, converged and without an early exit, are not asked
+        # again: fewer kernel calls than the same call on a body with
+        # nothing stored, and the reference's bytes
+        calls = {"got": 0, "unreused": 0, "want": 0}
+        phase = [None]
+
+        def counted(kernel):
+            def call(*args, **kwargs):
+                if phase[0] is not None:
+                    calls[phase[0]] += 1
+                return kernel(*args, **kwargs)
+            return call
+
+        contact_points = scene_mod._contact_points
+
+        def spy_contact_points(body, statics, tol):
+            phase[0] = "got"
+            got = contact_points(body, statics, tol)
+            phase[0] = "unreused"
+            bare = copy.copy(body)
+            bare.measured = {}
+            unreused = contact_points(bare, statics, tol)
+            phase[0] = "want"
+            want = oracles._ref_contact_points(body, statics.bodies, tol)
+            phase[0] = None
+            assert np.array(got).tobytes() == np.array(unreused).tobytes()
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            return got
+
+        monkeypatch.setattr(scene_mod, "gjk_world", counted(scene_mod.gjk_world))
+        monkeypatch.setattr(oracles, "gjk_world_reference",
+                            counted(oracles.gjk_world_reference))
+        monkeypatch.setattr(scene_mod, "_contact_points", spy_contact_points)
+        settle_seeded(*SEEDED_PILES[1])
+        assert 0 < calls["got"] < calls["unreused"] < calls["want"]
+
+    def test_reuse_boundary(self, monkeypatch):
+        # a box 0.03 mm above the floor slab: its stored resting-step
+        # result is reused only when it ran under at most 4 * tol and did
+        # not exit early
+        tol = scene_mod.SUPPORT_TOL
+        statics = scene_mod._Pile(scene_mod._WorldBody(scene_mod.bin_pieces(BinSpec())[:1],
+                                                       scene_mod._IDENTITY))
+        st = statics.bodies[0]
+        box = convex_hull(box_mesh(np.zeros(3), (5.0, 3.0, 1.0)).vertices)
+        body = scene_mod._WorldBody([box], Pose3((1.0, 2.0, 1.03)))
+        resting = gjk_world(body.verts[0], st.verts[0], max_distance=4 * tol)
+        early = gjk_world(body.verts[0], st.verts[0], max_distance=0.01)
+        assert resting.converged and resting.distance <= tol and early.distance > 0.01
+        pair_calls = []
+
+        def spy_gjk_world(verts_a, *args, **kwargs):
+            if len(verts_a) > 1:
+                pair_calls.append(None)
+            return gjk_world(verts_a, *args, **kwargs)
+
+        monkeypatch.setattr(scene_mod, "gjk_world", spy_gjk_world)
+        want = np.array(oracles._ref_contact_points(body, statics.bodies, tol)).tobytes()
+        for stored, queried in (((4 * tol, resting), 0), ((1.0, resting), 0),
+                                ((np.nextafter(4 * tol, 5.0), resting), 1),
+                                ((0.01, early), 1), (None, 1)):
+            body.measured = {} if stored is None else {(0, st, 0): stored}
+            pair_calls.clear()
+            got = scene_mod._contact_points(body, statics, tol)
+            assert len(pair_calls) == queried, stored
+            assert np.array(got).tobytes() == want
 
 
 class TestBlockingPairs:
@@ -367,11 +495,13 @@ class TestBlockingPairs:
         blocking = scene_mod._blocking_pairs
 
         def spy_blocking_pairs(body, statics):
-            cand = [(st, i, j) for st in statics
-                    for i, j in scene_mod._aabb_pairs(body, st, CONTACT_EPS, axes=2).tolist()]
+            cand, rows = statics.pairs(body, CONTACT_EPS, axes=2)
+            assert cand == [(st, i, j) for st in statics.bodies for i, j in
+                            scene_mod._aabb_pairs(body, st, CONTACT_EPS, axes=2).tolist()]
             want = []
             if cand:
-                for (st, i, j), gap, depth in zip(cand, *scene_mod._xy_gaps(body, cand)):
+                for (st, i, j), gap, depth in zip(cand, *scene_mod._xy_gaps(body, statics, cand,
+                                                                             rows)):
                     keeps = self.kernel_keeps(body, st, i, j)
                     if depth < -tol:
                         assert keeps
@@ -415,7 +545,7 @@ class TestBlockingPairs:
         for gap, keep in ((-1.0, True), (0.03, True), (1.0, False)):
             center = np.array([20.0, 20.0]) + (math.sqrt(2.0) + gap) * off
             body = scene_mod._WorldBody([box], Pose3((*center, 5.0)))
-            pairs = scene_mod._blocking_pairs(body, [st])
+            pairs = scene_mod._blocking_pairs(body, scene_mod._Pile(st))
             assert pairs == ([(0, st, 0)] if keep else [])
             assert self.kernel_keeps(body, st, 0, 0) == keep
         assert len(calls) == 3
@@ -535,6 +665,33 @@ class TestRenderDepth:
         for cam in (Camera(), self.interior_camera(), Camera(width_px=481, height_px=361)):
             got = render_depth(scene, cam).data
             assert got.tobytes() == oracles.render_depth_reference(scene, cam).data.tobytes()
+
+    def test_row_spans_match_box_rasteriser(self, pipeline_piles):
+        # each box row is rasterised over its span only; the bytes are
+        # those of testing every box pixel, on the pipeline piles and on
+        # triangles where a span could lose pixels: an edge that grazes
+        # pixel row 100 within the inside test's slack (a span without
+        # that slack misses pixels), a sliver and a near-degenerate
+        # triangle (both under the bound that keeps their whole box rows)
+        # and a thin one above it
+        def placed(k, verts):
+            verts = np.array(verts + [verts[0][:2] + [-10.0]])
+            return PlacedCable(id=k, spec=CableSpec(), mesh=TriMesh(
+                verts, np.array([[0, 1, 2], [0, 2, 1], [0, 1, 3], [0, 3, 1]])),
+                pieces=[], pose=Pose3(np.zeros(3)))
+
+        row = (179.5 - 100) * 0.5
+        tris = ([[-40.0, row + 1e-9, 2.0], [40.0, row - 1e-9, 3.0], [0.0, row + 10.0, 4.0]],
+                [[-50.0, -20.0, 2.0], [50.0, -20.0 + 1e-6, 3.0], [10.0, -20.0 + 2e-6, 4.0]],
+                [[-50.0, -30.0, 2.0], [50.0, 30.0, 3.0], [1.23, 0.738 + 1e-12, 4.0]],
+                [[-50.0, -50.0, 2.0], [50.0, -40.0, 3.0], [0.0, -44.99, 4.0]])
+        odd = Camera(width_px=433, height_px=321, pitch=0.47)
+        scenes = [(pile, cam) for pile in pipeline_piles for cam in (Camera(), odd)]
+        scenes += [(Scene(bin=BinSpec(), cables=[placed(0, t)], rng_seed=0), cam)
+                   for t in tris for cam in (Camera(), odd)]
+        for scene, cam in scenes:
+            got = render_depth(scene, cam).data
+            assert got.tobytes() == oracles.render_depth_boxes_reference(scene, cam).data.tobytes()
 
     @pytest.mark.parametrize("chunk", [1 << 10, 1 << 14, 1 << 16])
     def test_bytes_independent_of_pass_size(self, pipeline_piles, monkeypatch, chunk):
