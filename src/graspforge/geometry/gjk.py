@@ -42,9 +42,10 @@ must repeat the same IEEE operations on the same operands:
   numpy's evaluation order, e.g. `a + t * ab` rounds `t * ab` first.
 - Warm starts and extra exits change the iteration path, and so the bits.
 - `max_distance` only adds an exit: the iterations never read it, so a
-  query that ends without taking that exit returns the same result under
-  any larger bound and under none. `scene._contact_points` reuses the
-  resting step's converged results on that ground, and
+  query that ends without taking that exit (`early_exit` false) returns
+  the same result under any larger bound and under none, also when it
+  converged above its bound. `scene._contact_points` reuses the resting
+  step's converged results on that ground, and
   `tests/test_gjk.py::TestMaxDistance` checks it. A rewrite that lets the
   bound steer the iterations must drop that reuse.
 """
@@ -66,12 +67,17 @@ _EPS_PROGRESS = 1e-12     # relative duality-gap termination
 class GjkResult:
     """A query's `distance`, `converged` flag and witness points `point_a`
     and `point_b`, the closest points of each body (an early exit's support
-    points). Most callers read only the distance, so the witnesses are
-    summed from the final simplex when first read."""
+    points). `early_exit` is true when the `max_distance` exit returned its
+    bound. Most callers read only the distance, so the witnesses are summed
+    from the final simplex when first read."""
 
     def __init__(self, distance: float, converged: bool, lam, simplex: list):
         self.distance, self.converged = distance, converged
         self._lam, self._simplex = lam, simplex
+
+    @property
+    def early_exit(self) -> bool:
+        return self._lam is None
 
     @cached_property
     def point_a(self) -> np.ndarray:

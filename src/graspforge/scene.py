@@ -536,10 +536,10 @@ def _contact_points(body: _WorldBody, statics: _Pile, tol: float) -> list[np.nda
     interior point (the toppling pivot must be the region's edge).
 
     A pair's kernel result is taken from `body.measured` when that query
-    ran under a max_distance m of at most 4 * tol, converged, and returned
-    at most m, so it did not take the early exit (which returns a bound
-    above m). The kernel's iterations do not read max_distance, which only
-    adds that exit, so asking again would return the same result. A vertex
+    ran under a max_distance m of at most 4 * tol, converged, and did not
+    take the early exit (which returns a bound above m). The kernel's
+    iterations do not read max_distance, which only adds that exit, so
+    asking again would return the same result, also one above m. A vertex
     that adjacent body pieces share is tested against a static piece once
     per call, and added at each of its occurrences."""
     pts = []
@@ -548,7 +548,7 @@ def _contact_points(body: _WorldBody, statics: _Pile, tol: float) -> list[np.nda
     touches: dict[tuple[int, bytes], bool] = {}   # (pile row, vertex bytes)
     for (st, i, j), k in zip(cand, rows):
         m, r = body.measured.get((i, st, j), (np.inf, None))
-        if not (m <= 4 * tol and r.converged and r.distance <= m):
+        if not (m <= 4 * tol and r.converged and not r.early_exit):
             r = gjk_world(body.verts[i], st.verts[j], max_distance=4 * tol)
         if r.distance > tol:
             continue

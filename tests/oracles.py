@@ -14,8 +14,9 @@ while it copied each sample into four new ones; `sample_grasps_reference`, the g
 bilateral filter, edge detector, normal fit, rotated crop and friction-cone
 test as they stood while each was a Python loop over pixels, points and
 pair trials, each trial a `ContactPair`; `settle_scene_reference`, pile settling as it stood while
-every topple lift re-found its blocking pairs, run on `gjk_world_reference`
-with its own copies of the topple's support and tip-rotation math;
+every topple lift re-found its blocking pairs, run on the distance kernel
+it is handed (by default `gjk_world_reference`) with its own copies of the
+topple's support and tip-rotation math;
 `execute_grasp_reference`, the grasp oracle as it stood while every call
 posed the scene's pieces afresh; `render_depth_reference`, the depth
 renderer as it stood while it drew one triangle at a time;
@@ -1075,10 +1076,14 @@ def sample_grasps_reference(img: DepthImage, cfg: SamplerConfig,
 # ---------------------------------------------------------------------------
 # Frozen settling: `settle_scene` with its drop, advancement, blocking-pair,
 # contact and penetration steps as they stood while each lift of a topple
-# re-found its blocking pairs and each query flattened its pieces afresh,
-# on the frozen GJK kernel. `scene.settle_scene` must place every cable at
-# the same pose bytes. It has no penetration pass: the pass moves a rest only
-# at a penetration above 0, which conservative advancement never leaves.
+# re-found its blocking pairs and each query flattened its pieces afresh.
+# Every kernel query goes to `distance`, a callable with `gjk_world`'s
+# signature and result that `settle_scene_reference` hands down to each step
+# (by default the frozen kernel), so a kernel change passes another
+# `distance` instead of re-freezing the scheduler. On the default,
+# `scene.settle_scene` must place every cable at the same pose bytes. It has
+# no penetration pass: the pass moves a rest only at a penetration above 0,
+# which conservative advancement never leaves.
 
 OVERLAP_TOL = 2.0        # mm; scene invariant on pairwise penetration
 
@@ -1111,14 +1116,14 @@ class _RefWorldBody:
         return self.hi.max(axis=0)
 
 
-def _ref_xy_distance(va: np.ndarray, vb: np.ndarray) -> float:
+def _ref_xy_distance(va: np.ndarray, vb: np.ndarray, distance) -> float:
     """Separation of the xy projections (shapes flattened onto z = 0)."""
     fa = np.column_stack([va[:, :2], np.zeros(len(va))])
     fb = np.column_stack([vb[:, :2], np.zeros(len(vb))])
-    return gjk_world_reference(fa, fb, max_distance=2.0 * CONTACT_EPS).distance
+    return distance(fa, fb, max_distance=2.0 * CONTACT_EPS).distance
 
 
-def _ref_blocking_pairs(body: _RefWorldBody, statics: list[_RefWorldBody]):
+def _ref_blocking_pairs(body: _RefWorldBody, statics: list[_RefWorldBody], distance):
     """Piece pairs that can obstruct straight-down motion of the body.
 
     A pair whose xy projections stay separated never collides under
@@ -1131,19 +1136,19 @@ def _ref_blocking_pairs(body: _RefWorldBody, statics: list[_RefWorldBody]):
         overlap = ~((body.hi[:, None, :2] < st.lo[None, :, :2] - CONTACT_EPS).any(axis=2)
                     | (body.lo[:, None, :2] > st.hi[None, :, :2] + CONTACT_EPS).any(axis=2))
         for i, j in np.argwhere(overlap):
-            if _ref_xy_distance(body.verts[i], st.verts[j]) <= CONTACT_EPS:
+            if _ref_xy_distance(body.verts[i], st.verts[j], distance) <= CONTACT_EPS:
                 pairs.append((int(i), st, int(j)))
     return pairs
 
 
-def _ref_pairs_min_distance(body: _RefWorldBody, pairs, cap: float) -> float:
+def _ref_pairs_min_distance(body: _RefWorldBody, pairs, cap: float, distance) -> float:
     """Min separation over the blocking pairs, early-exiting past cap."""
     best = cap
     for i, st, j in pairs:
         # vertical gap already exceeding the working bound
         if body.lo[i, 2] > st.hi[j, 2] + best or body.hi[i, 2] < st.lo[j, 2] - best:
             continue
-        r = gjk_world_reference(body.verts[i], st.verts[j], max_distance=best)
+        r = distance(body.verts[i], st.verts[j], max_distance=best)
         if r.distance < best:
             best = r.distance
         if best <= 0.0:
@@ -1152,7 +1157,7 @@ def _ref_pairs_min_distance(body: _RefWorldBody, pairs, cap: float) -> float:
 
 
 def _ref_contact_points(body: _RefWorldBody, statics: list[_RefWorldBody],
-                    tol: float) -> list[np.ndarray]:
+                    tol: float, distance=gjk_world_reference) -> list[np.ndarray]:
     """Contact points between the body and its supports.
 
     Besides the closest-point witness of each touching pair, body
@@ -1165,14 +1170,14 @@ def _ref_contact_points(body: _RefWorldBody, statics: list[_RefWorldBody],
             for j in range(len(st.verts)):
                 if (body.lo[i] > st.hi[j] + 2 * tol).any() or (body.hi[i] < st.lo[j] - 2 * tol).any():
                     continue
-                r = gjk_world_reference(body.verts[i], st.verts[j], max_distance=4 * tol)
+                r = distance(body.verts[i], st.verts[j], max_distance=4 * tol)
                 if r.distance > tol:
                     continue
                 pts.append(0.5 * (r.point_a + r.point_b))
                 near = ((body.verts[i] >= st.lo[j] - 2 * tol)
                         & (body.verts[i] <= st.hi[j] + 2 * tol)).all(axis=1)
                 for v in body.verts[i][near]:
-                    if gjk_world_reference(v[None, :], st.verts[j], max_distance=2 * tol).distance <= tol:
+                    if distance(v[None, :], st.verts[j], max_distance=2 * tol).distance <= tol:
                         pts.append(v)
     return pts
 
@@ -1244,16 +1249,16 @@ def _ref_tip_rotation(com: np.ndarray, tip: list[np.ndarray], angle: float) -> P
 
 
 def _ref_advance_down(pieces: list[ConvexPiece], rotation: np.ndarray,
-                  cx: float, cy: float, z: float, statics: list[_RefWorldBody]):
+                  cx: float, cy: float, z: float, statics: list[_RefWorldBody], distance):
     """Conservative advancement straight down from z: each step moves by
     the current minimum separation, which vertical motion cannot
     overshoot, so the body never penetrates. Returns (body, pose) resting
     within CONTACT_EPS, or None when advancement fails to reach contact."""
     body = _RefWorldBody(pieces, Pose3((cx, cy, z), rotation))
-    pairs = _ref_blocking_pairs(body, statics)
+    pairs = _ref_blocking_pairs(body, statics, distance)
     d = np.inf
     for it in range(128):
-        d = _ref_pairs_min_distance(body, pairs, cap=body.aabb_lo[2])
+        d = _ref_pairs_min_distance(body, pairs, body.aabb_lo[2], distance)
         if d <= CONTACT_EPS:
             # a start already in contact cannot be certified overlap-free
             if it == 0:
@@ -1268,20 +1273,21 @@ def _ref_advance_down(pieces: list[ConvexPiece], rotation: np.ndarray,
 
 
 def _ref_drop(pieces: list[ConvexPiece], rotation: np.ndarray, cx: float, cy: float,
-          statics: list[_RefWorldBody]):
+          statics: list[_RefWorldBody], distance):
     """Advancement drop starting above everything already placed."""
     base = _RefWorldBody(pieces, Pose3((cx, cy, 0.0), rotation))
     top = max(s.aabb_hi[2] for s in statics)
     return _ref_advance_down(pieces, rotation, cx, cy,
-                         top - base.aabb_lo[2] + 5.0, statics)
+                         top - base.aabb_lo[2] + 5.0, statics, distance)
 
 
 def settle_scene_reference(bin_spec: BinSpec, cable_specs: list[CableSpec],
-                 seed: int, moves: int = 64) -> Scene:
+                 seed: int, moves: int = 64, distance=gjk_world_reference) -> Scene:
     """Drop cables one at a time at random (x, y, yaw) until each rests in
     contact and supported; raises Overfilled after 50 failed attempts for
-    any single cable. Same seed, same scene. `settle_scene` must return
-    the same bytes, at a topple cap of `moves` on both sides.
+    any single cable. Same seed, same scene. Every kernel query goes to
+    `distance`. `settle_scene` must return the same bytes, at a topple cap
+    of `moves` on both sides.
 
     After first contact the cable topples quasi-statically: it pivots
     about its support edge or point, re-drops, and keeps the move only
@@ -1316,7 +1322,7 @@ def settle_scene_reference(bin_spec: BinSpec, cable_specs: list[CableSpec],
             cx = rng.uniform(lo_fp[0] + half_x + mx, hi_fp[0] - half_x - mx) - center_off[0]
             cy = rng.uniform(lo_fp[1] + half_y + my, hi_fp[1] - half_y - my) - center_off[1]
 
-            dropped = _ref_drop(pieces, Pose3.from_yaw(yaw).rotation, cx, cy, statics)
+            dropped = _ref_drop(pieces, Pose3.from_yaw(yaw).rotation, cx, cy, statics, distance)
             if dropped is None:
                 continue
             body, cur = dropped
@@ -1327,7 +1333,7 @@ def settle_scene_reference(bin_spec: BinSpec, cable_specs: list[CableSpec],
             # discrete pivot causes without losing the pivot locality);
             # only moves that strictly lower the mass center are kept
             for _ in range(moves):
-                contacts = _ref_contact_points(body, statics, tol=SUPPORT_TOL)
+                contacts = _ref_contact_points(body, statics, SUPPORT_TOL, distance)
                 com = cur.apply(centroid)
                 fd, tip = _ref_support_analysis(com, contacts)
                 if not tip:
@@ -1342,7 +1348,7 @@ def settle_scene_reference(bin_spec: BinSpec, cable_specs: list[CableSpec],
                     for lift in (1.0, 4.0, 16.0):
                         seated = _ref_advance_down(pieces, cand.rotation,
                                                cand.translation[0], cand.translation[1],
-                                               cand.translation[2] + lift, statics)
+                                               cand.translation[2] + lift, statics, distance)
                         if seated is not None:
                             break
                     if seated is None:
@@ -1359,7 +1365,7 @@ def settle_scene_reference(bin_spec: BinSpec, cable_specs: list[CableSpec],
             # two perturbation passes: a random tilt is kept only when it
             # strictly reduces the deepest penetration, so a contact-only
             # rest (zero penetration) consumes the draws and keeps its pose
-            pen0 = _ref_penetration(body, statics)
+            pen0 = _ref_penetration(body, statics, distance)
             for _ in range(2):
                 axis = rng.normal(size=3)
                 angle = math.radians(rng.uniform(0.0, 5.0))
@@ -1371,11 +1377,11 @@ def settle_scene_reference(bin_spec: BinSpec, cable_specs: list[CableSpec],
                 cand_body = _RefWorldBody(pieces, cand)
                 if not _inside_footprint(cand_body, lo_fp, hi_fp):
                     continue
-                pen = _ref_penetration(cand_body, statics)
+                pen = _ref_penetration(cand_body, statics, distance)
                 if pen < pen0:
                     cur, body, pen0 = cand, cand_body, pen
 
-            contacts = _ref_contact_points(body, statics, tol=SUPPORT_TOL)
+            contacts = _ref_contact_points(body, statics, SUPPORT_TOL, distance)
             com = cur.apply(centroid)
             fd, _ = _ref_support_analysis(com, contacts)
             # reject rests poking above the rim: keeps piles physical and
@@ -1394,7 +1400,8 @@ def settle_scene_reference(bin_spec: BinSpec, cable_specs: list[CableSpec],
     return Scene(bin=bin_spec, cables=placed, rng_seed=seed)
 
 
-def _ref_penetration(body: _RefWorldBody, statics: list[_RefWorldBody]) -> float:
+def _ref_penetration(body: _RefWorldBody, statics: list[_RefWorldBody],
+                     distance=gjk_world_reference) -> float:
     """Deepest pairwise penetration, by bisecting the erosion radius that
     separates the pair (0 when nothing is in contact)."""
     worst = 0.0
@@ -1403,13 +1410,13 @@ def _ref_penetration(body: _RefWorldBody, statics: list[_RefWorldBody]) -> float
             for j in range(len(st.verts)):
                 if (body.lo[i] > st.hi[j]).any() or (body.hi[i] < st.lo[j]).any():
                     continue
-                if gjk_world_reference(body.verts[i], st.verts[j]).distance > 0.0:
+                if distance(body.verts[i], st.verts[j]).distance > 0.0:
                     continue
                 lo, hi = 0.0, OVERLAP_TOL * 2.0
                 for _ in range(6):
                     mid = 0.5 * (lo + hi)
-                    if gjk_world_reference(body.verts[i], st.verts[j],
-                                 erosion_a=mid / 2, erosion_b=mid / 2).distance > 0.0:
+                    if distance(body.verts[i], st.verts[j],
+                                erosion_a=mid / 2, erosion_b=mid / 2).distance > 0.0:
                         hi = mid
                     else:
                         lo = mid

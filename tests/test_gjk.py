@@ -313,11 +313,6 @@ class TestReplay:
             assert TestBitIdentity._fingerprint(got) == want, f"call {i}"
 
 
-def _exited_early(r) -> bool:
-    """An early exit keeps its one support point and no lambdas."""
-    return r._lam is None
-
-
 class TestMaxDistance:
     """max_distance only adds an exit to the kernel's iterations. A query
     that did not take that exit under a bound m repeats its result under
@@ -346,7 +341,7 @@ class TestMaxDistance:
         for args, kwargs, got in calls:
             m = kwargs.get("max_distance")
             want = TestBitIdentity._fingerprint(got)
-            if m is not None and _exited_early(got):
+            if m is not None and got.early_exit:
                 checked["early"] += 1
                 continue
             bounds = [None]

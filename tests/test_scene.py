@@ -1,7 +1,11 @@
+import ast
+import collections
 import copy
 import json
 import math
 import os
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -342,6 +346,86 @@ class TestToppleCap:
         assert cap + 1 in passes
 
 
+def reference_sites(sites):
+    """A counting wrapper of the frozen kernel: each call is counted under
+    the settle reference step that made it, a contact vertex query and a
+    penetration bisection apart."""
+    def distance(verts_a, *args, **kwargs):
+        site = sys._getframe(1).f_code.co_name
+        if site == "_ref_contact_points" and len(verts_a) == 1:
+            site = "_ref_contact_vertex"
+        if "erosion_a" in kwargs:
+            site = "_ref_penetration_bisection"
+        sites[site] += 1
+        return oracles.gjk_world_reference(verts_a, *args, **kwargs)
+    return distance
+
+
+class TestSettleReferenceKernel:
+    """`settle_scene_reference` runs every kernel query on the `distance`
+    it is handed, so a kernel change passes another kernel and keeps the
+    frozen scheduler as it is."""
+
+    # per pile of TestSettleBitIdentity.PILES: blocking-pair xy, advancement,
+    # contact-pair, contact-vertex and penetration-test calls
+    SITES = ((600, 440, 178, 481, 7), (1145, 778, 299, 339, 15), (596, 340, 151, 247, 4))
+
+    @pytest.mark.parametrize("pile, calls", zip(TestSettleBitIdentity.PILES, SITES))
+    def test_every_query_reaches_the_kernel_handed(self, pile, calls):
+        seed, count = pile
+        specs = [CableSpec() for _ in range(count)]
+        sites = collections.Counter()
+        got = TestToppleCap.poses(oracles.settle_scene_reference, BinSpec(), specs, seed,
+                                  distance=reference_sites(sites))
+        assert got == TestToppleCap.poses(oracles.settle_scene_reference, BinSpec(), specs, seed)
+        # no seeded pile reaches the bisection, which needs a zero distance
+        assert sites == dict(zip(("_ref_xy_distance", "_ref_pairs_min_distance",
+                                  "_ref_contact_points", "_ref_contact_vertex",
+                                  "_ref_penetration"), calls))
+
+    def test_penetration_bisection_reaches_the_kernel_handed(self):
+        box = convex_hull(box_mesh(np.zeros(3), (5.0, 3.0, 1.0)).vertices)
+        static = oracles._RefWorldBody([box], Pose3(np.zeros(3)))
+        body = oracles._RefWorldBody([box], Pose3((1.0, 2.0, 1.5)))
+        sites = collections.Counter()
+        got = oracles._ref_penetration(body, [static], distance=reference_sites(sites))
+        want = oracles._ref_penetration(body, [static])
+        assert got > 0.0 and np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert sites == {"_ref_penetration": 1, "_ref_penetration_bisection": 6}
+
+    @pytest.mark.parametrize("seed, count", TestSettleBitIdentity.PILES)
+    def test_live_kernel_matches_settle_scene(self, seed, count):
+        # the frozen scheduler on the live kernel gives settle_scene's bytes:
+        # this checks the scheduler alone, so a kernel fix keeps it, and a
+        # change to the queries that settling makes hands the reference a
+        # `distance` that makes the same ones
+        specs = [CableSpec() for _ in range(count)]
+        got = TestToppleCap.poses(oracles.settle_scene_reference, BinSpec(), specs, seed,
+                                  distance=gjk_world)
+        assert got == TestToppleCap.poses(settle_scene, BinSpec(), specs, seed)
+
+    def test_no_settle_step_names_the_frozen_kernel(self):
+        # every function that settle_scene_reference reaches in oracles.py
+        # takes its kernel from `distance`: only a default may name it
+        tree = ast.parse(pathlib.Path(oracles.__file__).read_text())
+        defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+        def names(node):
+            return {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)}
+
+        reached, todo = set(), ["settle_scene_reference"]
+        while todo:
+            name = todo.pop()
+            if name not in reached:
+                reached.add(name)
+                todo.extend(names(defs[name]) & defs.keys())
+        assert {"_ref_drop", "_ref_advance_down", "_ref_blocking_pairs", "_ref_xy_distance",
+                "_ref_pairs_min_distance", "_ref_contact_points", "_ref_penetration"} <= reached
+        assert not [name for name in sorted(reached)
+                    if "gjk_world_reference" in names(defs[name])]
+
+
 class TestToppleMath:
     """The topple's support distance and tip rotation run on arrays and
     scalars now; on every call a pipeline pile makes they must give the
@@ -397,15 +481,14 @@ class TestContactPoints:
             phase[0] = "got"
             got = contact_points(body, statics, tol)
             phase[0] = "want"
-            want = oracles._ref_contact_points(body, statics.bodies, tol)
+            want = oracles._ref_contact_points(body, statics.bodies, tol,
+                                               distance=counted(oracles.gjk_world_reference))
             phase[0] = None
             assert len(got) == len(want)
             assert np.array(got).tobytes() == np.array(want).tobytes()
             return got
 
         monkeypatch.setattr(scene_mod, "gjk_world", counted(scene_mod.gjk_world))
-        monkeypatch.setattr(oracles, "gjk_world_reference",
-                            counted(oracles.gjk_world_reference))
         monkeypatch.setattr(scene_mod, "_contact_points", spy_contact_points)
         settle_seeded(*SEEDED_PILES[0])
         assert 0 < calls["got"] < calls["want"]
@@ -435,15 +518,14 @@ class TestContactPoints:
             bare.measured = {}
             unreused = contact_points(bare, statics, tol)
             phase[0] = "want"
-            want = oracles._ref_contact_points(body, statics.bodies, tol)
+            want = oracles._ref_contact_points(body, statics.bodies, tol,
+                                               distance=counted(oracles.gjk_world_reference))
             phase[0] = None
             assert np.array(got).tobytes() == np.array(unreused).tobytes()
             assert np.array(got).tobytes() == np.array(want).tobytes()
             return got
 
         monkeypatch.setattr(scene_mod, "gjk_world", counted(scene_mod.gjk_world))
-        monkeypatch.setattr(oracles, "gjk_world_reference",
-                            counted(oracles.gjk_world_reference))
         monkeypatch.setattr(scene_mod, "_contact_points", spy_contact_points)
         settle_seeded(*SEEDED_PILES[1])
         assert 0 < calls["got"] < calls["unreused"] < calls["want"]
@@ -451,16 +533,18 @@ class TestContactPoints:
     def test_reuse_boundary(self, monkeypatch):
         # a box 0.03 mm above the floor slab: its stored resting-step
         # result is reused only when it ran under at most 4 * tol and did
-        # not exit early
+        # not exit early. Level, the box's query under 0.01 converges above
+        # that bound without the exit, so it is reused; tilted by 0.1 rad
+        # about x, the same query takes the exit, so it is asked again
         tol = scene_mod.SUPPORT_TOL
         statics = scene_mod._Pile(scene_mod._WorldBody(scene_mod.bin_pieces(BinSpec())[:1],
                                                        scene_mod._IDENTITY))
         st = statics.bodies[0]
         box = convex_hull(box_mesh(np.zeros(3), (5.0, 3.0, 1.0)).vertices)
-        body = scene_mod._WorldBody([box], Pose3((1.0, 2.0, 1.03)))
-        resting = gjk_world(body.verts[0], st.verts[0], max_distance=4 * tol)
-        early = gjk_world(body.verts[0], st.verts[0], max_distance=0.01)
-        assert resting.converged and resting.distance <= tol and early.distance > 0.01
+        tilt = Pose3.from_axis_angle(np.array([1.0, 0.0, 0.0]), 0.1)
+        lift = 0.03 - tilt.apply(box.vertices)[:, 2].min()
+        level = scene_mod._WorldBody([box], Pose3((1.0, 2.0, 1.03)))
+        tilted = scene_mod._WorldBody([box], Pose3((1.0, 2.0, lift), tilt.rotation))
         pair_calls = []
 
         def spy_gjk_world(verts_a, *args, **kwargs):
@@ -468,16 +552,28 @@ class TestContactPoints:
                 pair_calls.append(None)
             return gjk_world(verts_a, *args, **kwargs)
 
+        def fingerprint(r):
+            return np.float64(r.distance).tobytes(), r.point_a.tobytes(), r.point_b.tobytes()
+
         monkeypatch.setattr(scene_mod, "gjk_world", spy_gjk_world)
-        want = np.array(oracles._ref_contact_points(body, statics.bodies, tol)).tobytes()
-        for stored, queried in (((4 * tol, resting), 0), ((1.0, resting), 0),
-                                ((np.nextafter(4 * tol, 5.0), resting), 1),
-                                ((0.01, early), 1), (None, 1)):
-            body.measured = {} if stored is None else {(0, st, 0): stored}
-            pair_calls.clear()
-            got = scene_mod._contact_points(body, statics, tol)
-            assert len(pair_calls) == queried, stored
-            assert np.array(got).tobytes() == want
+        for body, exits in ((level, False), (tilted, True)):
+            resting = gjk_world(body.verts[0], st.verts[0], max_distance=4 * tol)
+            bounded = gjk_world(body.verts[0], st.verts[0], max_distance=0.01)
+            assert resting.converged and resting.distance <= tol and bounded.distance > 0.01
+            assert not resting.early_exit and bounded.converged
+            assert bounded.early_exit == exits
+            if not exits:
+                # asking again under 4 * tol gives the stored result's bytes
+                assert fingerprint(bounded) == fingerprint(resting)
+            want = np.array(oracles._ref_contact_points(body, statics.bodies, tol)).tobytes()
+            for stored, queried in (((4 * tol, resting), 0), ((1.0, resting), 0),
+                                    ((np.nextafter(4 * tol, 5.0), resting), 1),
+                                    ((0.01, bounded), int(exits)), (None, 1)):
+                body.measured = {} if stored is None else {(0, st, 0): stored}
+                pair_calls.clear()
+                got = scene_mod._contact_points(body, statics, tol)
+                assert len(pair_calls) == queried, (exits, stored)
+                assert np.array(got).tobytes() == want
 
 
 class TestBlockingPairs:
