@@ -53,26 +53,17 @@ _FILTER_ROWS = 32
 PEPPER_VALUE = 120.0     # mm; the far dropout depth of add_noise (the near one is 0)
 
 
-def _check_pitch(pitch) -> None:
-    if not (math.isfinite(pitch) and pitch > 0):
-        raise DegenerateInput(f"pitch must be finite and positive, got {pitch!r}")
-
-
 @dataclass(frozen=True)
 class DepthImage:
-    """Dense depth map; values in mm, finite and >= 0."""
+    """Dense depth map; values in mm, finite and >= 0. Only the program
+    builds one: `scene.render_depth` of a pile that `settle_scene` settled or
+    `load_scene` accepted, with the default camera, and the filters here."""
 
     data: np.ndarray      # (h, w) float32
     pitch: float          # mm per pixel
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float32)
-        if arr.ndim != 2:
-            raise ShapeMismatch("depth data must be 2-D")
-        if not np.isfinite(arr).all() or (arr < 0).any():
-            raise DegenerateInput("depths must be finite and non-negative")
-        _check_pitch(self.pitch)
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", np.asarray(self.data, dtype=np.float32))
 
     @property
     def width(self) -> int:
@@ -97,19 +88,15 @@ class DepthImage:
 
 @dataclass(frozen=True)
 class Patch:
-    """Square depth crop; 0 at the grasp point, grasp axis along +x."""
+    """Square depth crop; 0 at the grasp point, grasp axis along +x. Finite,
+    with a finite positive pitch: `crop_rotated` builds one so, and
+    `patch_from_record` checks a stored one."""
 
     data: np.ndarray      # (s, s) float32
     pitch: float
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float32)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ShapeMismatch("patch must be square")
-        if not np.isfinite(arr).all():
-            raise DegenerateInput("patch values must be finite")
-        _check_pitch(self.pitch)
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", np.asarray(self.data, dtype=np.float32))
 
     @property
     def size(self) -> int:
@@ -144,8 +131,10 @@ def record_bytes(img: DepthImage | Patch) -> bytes:
 
 def patch_from_record(buf: bytes, offset: int = 0) -> Patch:
     """Parse the record starting at `offset` inside a blob. An offset
-    outside the blob, a bad magic, or a header or payload that runs past
-    the blob's end raises DegenerateInput."""
+    outside the blob, a bad magic, a header or payload that runs past the
+    blob's end, a pitch that is not finite and positive or a sample that is
+    not finite raises DegenerateInput, and a record that is not square
+    ShapeMismatch."""
     if type(offset) is not int or not 0 <= offset <= len(buf) - 16:
         raise DegenerateInput(f"record at offset {offset!r}: no 16-byte header in "
                               f"a blob of {len(buf)} bytes")
@@ -156,14 +145,19 @@ def patch_from_record(buf: bytes, offset: int = 0) -> Patch:
     if start + 4 * w * h > len(buf):
         raise DegenerateInput(f"record at offset {offset}: {w}x{h} samples run past "
                               f"the blob's end at byte {len(buf)}")
+    if w != h:
+        raise ShapeMismatch(f"record at offset {offset}: {w}x{h} patch is not square")
+    if not (math.isfinite(pitch) and pitch > 0):
+        raise DegenerateInput(f"record at offset {offset}: pitch must be finite and "
+                              f"positive, got {pitch!r}")
     data = np.frombuffer(buf[start:start + 4 * w * h], dtype="<f4").reshape(h, w)
+    if not np.isfinite(data).all():
+        raise DegenerateInput(f"record at offset {offset}: patch values must be finite")
     return Patch(data=data.copy(), pitch=float(pitch))
 
 
 def downsample(img: DepthImage, factor: int = 1) -> DepthImage:
-    """Integer-stride decimation; pitch scales by the factor."""
-    if factor < 1:
-        raise DegenerateInput("factor must be >= 1")
+    """Integer-stride decimation by a factor >= 1; pitch scales by it."""
     if factor == 1:
         return img
     return DepthImage(data=img.data[::factor, ::factor], pitch=img.pitch * factor)

@@ -1,4 +1,4 @@
-"""Triangle meshes: validation, centroid, OBJ import/export, a box builder.
+"""Triangle meshes: centroid, OBJ import/export, a box builder.
 
 Coordinates are millimeters throughout. Scene meshes must be closed and
 consistently wound (outward normals).
@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import DegenerateInput
 from ..fileio import atomic_write, read_input
 
 
@@ -28,16 +27,6 @@ class TriMesh:
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.vertices, dtype=np.float64))
         f = np.ascontiguousarray(np.asarray(self.faces, dtype=np.int64))
-        if v.ndim != 2 or v.shape[1] != 3:
-            raise DegenerateInput("vertices must be (n, 3)")
-        if f.ndim != 2 or f.shape[1] != 3:
-            raise DegenerateInput("faces must be (m, 3)")
-        if len(v) < 4 or len(f) < 4:
-            raise DegenerateInput("closed solid needs at least 4 vertices and 4 faces")
-        if not np.isfinite(v).all():
-            raise DegenerateInput("non-finite vertex coordinate")
-        if f.min() < 0 or f.max() >= len(v):
-            raise DegenerateInput("face index out of range")
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "faces", f)
 
@@ -59,7 +48,8 @@ class TriMesh:
 def load_obj(path: str | Path) -> TriMesh:
     """Read the v/f subset of ASCII OBJ (1-based indices, triangles only)
     through `read_input`: a missing file raises DatasetNotFound, a line that
-    does not parse or a mesh that TriMesh rejects DegenerateInput naming it.
+    does not parse DegenerateInput naming it. The mesh is not checked here:
+    `scene.load_scene` holds a cable's mesh to its spec's tube.
     """
     return read_input(path, _parse_obj)
 

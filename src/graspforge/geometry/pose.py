@@ -1,20 +1,18 @@
 """Rigid transforms as translation + unit quaternion."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-
-from ..errors import DegenerateInput
 
 
 @dataclass(frozen=True)
 class Pose3:
     """Rigid transform: p_world = R(rotation) @ p_local + translation.
 
-    rotation is a unit quaternion (w, x, y, z), |q| = 1 within 1e-9.
+    rotation is a unit quaternion (w, x, y, z), |q| = 1 within 1e-9: the
+    program builds unit ones, and `scene.load_scene` checks a stored one.
     """
 
     translation: np.ndarray
@@ -23,9 +21,6 @@ class Pose3:
     def __post_init__(self):
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
         q = np.asarray(self.rotation, dtype=np.float64).reshape(4)
-        # |q| as np.linalg.norm forms it
-        if not (np.isfinite(t).all() and abs(math.sqrt(q.dot(q)) - 1.0) <= 1e-9):
-            raise DegenerateInput("pose is not finite or its quaternion not unit length")
         object.__setattr__(self, "translation", t)
         object.__setattr__(self, "rotation", q)
 

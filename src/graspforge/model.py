@@ -104,20 +104,12 @@ def check_patch_size(size: int) -> None:
 
 @dataclass
 class QualityNet:
-    """Parameter container; `params` follows _PARAM_SHAPES order."""
+    """Parameter container; `params` follows _PARAM_SHAPES order. The size
+    is one `check_patch_size` takes and every tensor is finite: `load_net`
+    checks a stored net, and `train` takes its size from a checked dataset."""
 
     size: int
     params: list
-
-    def __post_init__(self):
-        check_patch_size(self.size)
-        if len(self.params) != len(_PARAM_SHAPES):
-            raise ShapeMismatch("wrong parameter count")
-        for arr, (name, shape) in zip(self.params, _PARAM_SHAPES):
-            if arr.shape != shape:
-                raise ShapeMismatch(f"{name}: expected {shape}, got {arr.shape}")
-            if not np.isfinite(arr).all():
-                raise DegenerateInput(f"{name} contains non-finite values")
 
 
 def init_net(size: int, rng: np.random.Generator) -> QualityNet:
@@ -608,8 +600,9 @@ def save_net(net: QualityNet, path: str | Path) -> None:
 def load_net(path: str | Path) -> QualityNet:
     """Read a `save_net` checkpoint through `read_input`: a missing file
     raises DatasetNotFound; a file that ends early, has bytes left over,
-    has the wrong header or holds tensors of the wrong shapes raises
-    DegenerateInput naming the path."""
+    has the wrong header or an input size the network cannot take, or holds
+    tensors of the wrong shapes or non-finite values raises DegenerateInput
+    naming the path."""
     return read_input(path, _parse_net)
 
 
@@ -628,11 +621,16 @@ def _parse_net(raw: bytes) -> QualityNet:
     version, size = struct.unpack("<II", take(8))
     if version != _VERSION:
         raise DegenerateInput(f"unsupported checkpoint version {version}")
+    check_patch_size(size)
     params = []
-    for _ in _PARAM_SHAPES:
+    for name, shape in _PARAM_SHAPES:
         (rank,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{rank}I", take(4 * rank))
+        if dims != shape:
+            raise ShapeMismatch(f"{name}: expected {shape}, got {dims}")
         arr = np.frombuffer(take(4 * math.prod(dims)), dtype="<f4")
+        if not np.isfinite(arr).all():
+            raise DegenerateInput(f"{name} contains non-finite values")
         params.append(arr.reshape(dims).copy())
     if offset != len(raw):
         raise DegenerateInput(f"{len(raw) - offset} bytes left over after the checkpoint")

@@ -43,7 +43,7 @@ from .geometry import (ConvexPiece, Pose3, TriMesh, box_mesh, convex_hull, gjk_w
 CONTACT_EPS = 0.05       # mm; resting contact tolerance
 SUPPORT_TOL = 0.5        # mm; gap still counted as support during settling
 MAX_CABLES = 30          # the most cables one pile may hold
-_TUBE_TOL = 1e-6         # mm; a loaded tube's segment lengths and end radii
+_TUBE_TOL = 1e-6         # mm; a loaded tube's segment lengths, end radii and top
 _CERT_TOL = 1e-6         # mm; margin of a certified blocking decision
 _RENDER_CHUNK = 1 << 14  # pixels rasterised per pass
 _SPAN_SIGMA = 3e-9       # barycentric slack of a row span (`_row_spans`)
@@ -110,14 +110,6 @@ class CableSpec:
     radius: float = 4.0
     bend_angle_range: tuple[float, float] = (0.0, 30.0)  # degrees
     tube_sides: int = 12
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise DegenerateInput("radius must be positive")
-        if self.segment_count < 2:
-            raise DegenerateInput("need at least 2 segments")
-        if self.tube_sides < 6:
-            raise DegenerateInput("need at least 6 tube sides")
 
 
 def _rotate_about(v: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
@@ -283,14 +275,16 @@ def cable_decomposition(mesh: TriMesh, tube_sides: int) -> list[ConvexPiece]:
 
 def _check_tube(mesh: TriMesh, spec: CableSpec, path: str) -> None:
     """Raise DegenerateInput naming path unless mesh is a make_cable_mesh
-    tube of spec: its vertex count and faces, consecutive ring centers
-    segment_length apart and end-ring vertices at radius from their center,
-    to _TUBE_TOL. Interior rings are not held to radius: the miter
-    stretches them."""
+    tube of spec: its vertex count and faces, finite vertices, consecutive
+    ring centers segment_length apart and end-ring vertices at radius from
+    their center, to _TUBE_TOL. Interior rings are not held to radius: the
+    miter stretches them."""
     sides, rings = spec.tube_sides, spec.segment_count + 1
     if len(mesh.vertices) != rings * sides + 2 or not np.array_equal(
             mesh.faces, _tube_faces(rings, sides)):
         raise DegenerateInput(f"{path}: faces are not a closed cable tube")
+    if not np.isfinite(mesh.vertices).all():
+        raise DegenerateInput(f"{path}: non-finite vertex coordinate")
     ring = mesh.vertices[:-2].reshape(rings, sides, 3)
     centers = ring.mean(axis=1)
     lengths = np.linalg.norm(np.diff(centers, axis=0), axis=1) - spec.segment_length
@@ -662,6 +656,13 @@ def _seat(pieces: list[ConvexPiece], rotation: np.ndarray, x: float, y: float,
     return None
 
 
+def _rim(bin_spec: BinSpec, spec: CableSpec) -> float:
+    """The highest z a cable may reach at rest: the wall top plus a cable
+    diameter. `settle_scene` holds each rest to it, `load_scene` each
+    stored cable."""
+    return bin_spec.wall_height + 2.0 * spec.radius
+
+
 def _inside_footprint(body: _WorldBody, lo_fp: np.ndarray, hi_fp: np.ndarray) -> bool:
     return bool((body.aabb_lo[:2] >= lo_fp - 1e-9).all()
                 and (body.aabb_hi[:2] <= hi_fp + 1e-9).all())
@@ -748,8 +749,7 @@ def settle_scene(bin_spec: BinSpec, cable_specs: list[CableSpec],
             # reject rests poking above the rim: keeps piles physical and
             # rendered depth within its contract band. No contact at all
             # leaves fd infinite.
-            rim = bin_spec.wall_height + 2.0 * spec.radius
-            if fd <= spec.radius and body.aabb_hi[2] <= rim:
+            if fd <= spec.radius and body.aabb_hi[2] <= _rim(bin_spec, spec):
                 break
         else:
             raise Overfilled(f"cable {cable_id} found no resting pose in 50 attempts")
@@ -767,22 +767,13 @@ def settle_scene(bin_spec: BinSpec, cable_specs: list[CableSpec],
 @dataclass(frozen=True)
 class Camera:
     """Downward orthographic camera centered over the bin: the image center
-    sees the world origin, as render_depth's coverage check and the
-    sampler's grasp frame assume."""
+    sees the world origin, as the sampler's grasp frame assumes. The
+    default frustum covers the default bin's interior."""
 
     height: float = 70.0
     pitch: float = 0.5
     width_px: int = 480
     height_px: int = 360
-
-    def __post_init__(self):
-        if self.pitch <= 0.0:
-            raise DegenerateInput("camera pitch must be positive")
-        if self.width_px < 1 or self.height_px < 1:
-            raise DegenerateInput("camera must have at least one pixel")
-
-    def footprint_half_extents(self) -> tuple[float, float]:
-        return (self.width_px * self.pitch / 2.0, self.height_px * self.pitch / 2.0)
 
     def world_to_px(self, x: np.ndarray, y: np.ndarray):
         px = np.asarray(x) / self.pitch + (self.width_px - 1) / 2.0
@@ -814,10 +805,6 @@ def render_depth(scene: Scene, cam: Camera) -> DepthImage:
     inside test's 1e-9 slack lets a pixel's depth pass the highest vertex
     by at most about 3e-9 of the triangle's depth span, far below a step
     of the float32 depth."""
-    half_x, half_y = cam.footprint_half_extents()
-    if (half_x < scene.bin.inner_x / 2.0 - 1e-9
-            or half_y < scene.bin.inner_y / 2.0 - 1e-9):
-        raise DegenerateInput("camera frustum does not cover the bin interior")
     W, H = cam.width_px, cam.height_px
     zbuf = np.zeros(H * W, dtype=np.float64)   # floor plane z = 0
 
@@ -945,12 +932,17 @@ def save_scene(scene: Scene, out_dir: str) -> str:
 def load_scene(manifest_path: str, bin_spec: BinSpec, cable_spec: CableSpec) -> Scene:
     """Reload a saved pile of cable_spec cables in a bin_spec bin, through
     `read_input`; decompositions are recomputed (deterministic). A manifest
-    that is not JSON, lacks a key, holds a value the scene types reject,
-    another bin or cable spec, a cable k whose id (the oracle's owner) is
-    not k, or a cable mesh that is not the spec's tube (`_check_tube`:
-    rendering draws its faces, collision hulls its vertices), raises
-    DegenerateInput naming the file."""
+    that is not JSON, lacks a key or holds a value of the wrong type or
+    shape, another bin or cable spec, a cable k whose id (the oracle's
+    owner) is not k, a cable mesh that is not the spec's tube (`_check_tube`:
+    rendering draws its faces, collision hulls its vertices), a pose that is
+    not finite or whose quaternion is not unit length within 1e-9, or a
+    cable above `_rim` by more than _TUBE_TOL (posing again rounds) raises
+    DegenerateInput naming the file. So an accepted pile renders with the
+    default camera to finite depths in [camera height - rim, camera
+    height]."""
     base = os.path.dirname(manifest_path)
+    rim = _rim(bin_spec, cable_spec)
 
     def parse(data: bytes) -> Scene:
         manifest = json.loads(data)
@@ -966,6 +958,16 @@ def load_scene(manifest_path: str, bin_spec: BinSpec, cable_spec: CableSpec) -> 
             _check_tube(mesh, cable_spec, mesh_path)
             pose = Pose3(np.array(c["pose"]["translation"]),
                          np.array(c["pose"]["rotation"]))
+            q = pose.rotation
+            # |q| as np.linalg.norm forms it
+            if not (np.isfinite(pose.translation).all()
+                    and abs(math.sqrt(q.dot(q)) - 1.0) <= 1e-9):
+                raise DegenerateInput(f"cable {k}: pose is not finite or its quaternion "
+                                      "not unit length")
+            top = float(pose.apply(mesh.vertices)[:, 2].max())
+            if top > rim + _TUBE_TOL:
+                raise DegenerateInput(f"cable {k} reaches z = {top!r} mm, above the rim "
+                                      f"bound {rim!r} mm")
             cables.append(PlacedCable(id=c["id"], spec=cable_spec, mesh=mesh,
                                       pieces=cable_decomposition(mesh, cable_spec.tube_sides),
                                       pose=pose))

@@ -73,19 +73,12 @@ TIP_CLEARANCE = 0.2
 
 @dataclass(frozen=True)
 class GraspOutcome:
+    """What `execute_grasp` found: label 1 exactly when the reason is "none",
+    and then one contacted cable id; the reason is one of FAILURE_REASONS."""
+
     label: int
     failure_reason: str
     contacted_ids: frozenset[int]
-
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise DegenerateInput("label must be 0 or 1")
-        if self.failure_reason not in FAILURE_REASONS:
-            raise DegenerateInput(f"unknown failure reason {self.failure_reason!r}")
-        if (self.label == 1) != (self.failure_reason == "none"):
-            raise DegenerateInput("label 1 and reason 'none' must coincide")
-        if self.label == 1 and len(self.contacted_ids) != 1:
-            raise DegenerateInput("a successful grasp holds exactly one cable")
 
 
 def _grasp_axes(theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -452,8 +445,9 @@ def load_dataset(index_path: str | Path) -> tuple[np.ndarray, np.ndarray, list[d
     float32 patch block, the N 0/1 labels and each row's other fields (an
     index with no rows gives N = S = 0). A row whose label is not the
     integer 0 or 1, or whose reason, if not null, disagrees with it, or
-    whose patch size is not row 0's raises DegenerateInput naming the index
-    and the row (from 0)."""
+    whose patch size is not row 0's, or a row 0 whose patch size the
+    network cannot take (`check_patch_size`), raises DegenerateInput naming
+    the index and the row (from 0)."""
     rows = read_records(index_path, ("label",))
     size = rows[0]["patch"].size if rows else 0
     x = np.empty((len(rows), size, size), dtype=np.float32)
@@ -468,6 +462,8 @@ def load_dataset(index_path: str | Path) -> tuple[np.ndarray, np.ndarray, list[d
                 raise DegenerateInput("label does not match stored outcome")
             if patch.size != size:
                 raise DegenerateInput(f"patch size {patch.size} is not row 0's")
+            if n == 0:
+                check_patch_size(size)
         except DegenerateInput as exc:
             raise DegenerateInput(f"{index_path}: row {n}: {exc}") from None
         x[n], labels[n] = patch.data, label

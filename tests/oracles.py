@@ -248,11 +248,17 @@ def ray_mesh(origin: np.ndarray, direction: np.ndarray, mesh: TriMesh,
     return ray_triangles(origin, direction, tris)
 
 
+def footprint_half_extents(cam: Camera) -> tuple[float, float]:
+    """Half the x and y extents of the camera's frustum, in mm, as the
+    frozen renderers' coverage checks below read them."""
+    return (cam.width_px * cam.pitch / 2.0, cam.height_px * cam.pitch / 2.0)
+
+
 def render_depth_reference(scene: Scene, cam: Camera) -> DepthImage:
     """Frozen renderer: `render_depth` as it stood while it rasterised one
     triangle at a time, writing each covered pixel where its depth beat
     the buffer. `scene.render_depth` must return the same bytes."""
-    half_x, half_y = cam.footprint_half_extents()
+    half_x, half_y = footprint_half_extents(cam)
     if (half_x < scene.bin.inner_x / 2.0 - 1e-9
             or half_y < scene.bin.inner_y / 2.0 - 1e-9):
         raise DegenerateInput("camera frustum does not cover the bin interior")
@@ -301,7 +307,7 @@ def render_depth_boxes_reference(scene: Scene, cam: Camera) -> DepthImage:
     """Frozen bulk renderer: `render_depth` as it stood while it tested
     every pixel of each triangle's bounding box, in passes of up to 1 << 14
     box pixels. `scene.render_depth` must return the same bytes."""
-    half_x, half_y = cam.footprint_half_extents()
+    half_x, half_y = footprint_half_extents(cam)
     if (half_x < scene.bin.inner_x / 2.0 - 1e-9
             or half_y < scene.bin.inner_y / 2.0 - 1e-9):
         raise DegenerateInput("camera frustum does not cover the bin interior")

@@ -199,6 +199,15 @@ class TestErrors:
             assert out["error"] == "DegenerateInput"
             assert str(named) in out["detail"]
 
+    def test_dataset_patch_size_the_network_cannot_take(self, capsys, tmp_path):
+        """A dataset of 12-px patches fails train, naming the index; the
+        network's three 2x2 pools need a multiple of 8."""
+        idx = toy_dataset(tmp_path, n=20, size=12)
+        rc, out = run(capsys, "train", "--dataset", str(idx),
+                      "--out", str(tmp_path / "ckpt"), "--epochs", "1")
+        assert (rc, out["error"]) == (1, "DegenerateInput")
+        assert str(idx) in out["detail"] and "multiple of 8, got 12" in out["detail"]
+
     def test_label_contradicts_reason(self, capsys, chain, tmp_path):
         """A dataset row whose label disagrees with its stored reason fails
         train with a detail naming the index and the row."""
@@ -340,6 +349,21 @@ class TestErrors:
                 obj.write_text("\n".join(lines) + "\n")
             sample_and_label_fail(capsys, scenes / "scenes.json", chain / "candidates.idx",
                                   tmp_path / "out", error, named)
+
+    def test_cable_above_the_rim(self, capsys, chain, tmp_path):
+        """A cable posed above the rim bound that settling holds each rest
+        to (the wall top plus a cable diameter) fails sample and label,
+        naming the manifest, rather than rendering depths the camera
+        cannot see."""
+        scenes = tmp_path / "scenes"
+        shutil.copytree(chain / "scenes", scenes)
+        listing = json.loads((scenes / "scenes.json").read_text())
+        manifest = scenes / listing["scenes"][0]["manifest"]
+        bad = json.loads(manifest.read_text())
+        bad["cables"][0]["pose"]["translation"][2] = 200.0
+        manifest.write_text(json.dumps(bad))
+        sample_and_label_fail(capsys, scenes / "scenes.json", chain / "candidates.idx",
+                              tmp_path / "out", "DegenerateInput", manifest)
 
     def test_manifest_disagrees_with_config(self, capsys, chain, tmp_path):
         """A scene whose bin or cable spec is not the active configuration's,

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,9 +9,9 @@ from graspforge.depthproc import (
     PEPPER_VALUE, DepthImage, EdgePoints, Patch, add_noise, bilateral_filter, crop_rotated, detect_edges,
     downsample, estimate_normals, patch_from_record, record_bytes,
 )
-from graspforge.errors import DegenerateInput
+from graspforge.errors import DegenerateInput, ShapeMismatch
 from graspforge.sampler import BILATERAL_RANGE, BILATERAL_SPATIAL
-from graspforge.scene import render_depth
+from graspforge.scene import Camera, load_scene, render_depth, save_scene
 from graspforge.simlab import scene_plan, settle_plan
 
 import oracles
@@ -27,12 +28,19 @@ def step_image(near=50.0, far=70.0, split=25, h=40, w=50):
 
 
 @pytest.fixture(scope="module")
-def pipeline_pile():
+def pipeline_scene():
     """The `pipeline` benchmark's 8-cable evaluation pile (master seed 40),
-    rendered by the default camera, its evaluation config and its plan."""
+    its evaluation config and its plan."""
     cfg = RunConfig().eval_config()
     plan = scene_plan(cfg, 40, 0)
-    return render_depth(settle_plan(cfg, plan), cfg.camera), cfg, plan
+    return settle_plan(cfg, plan), cfg, plan
+
+
+@pytest.fixture(scope="module")
+def pipeline_pile(pipeline_scene):
+    """That pile rendered by the default camera, its config and its plan."""
+    scene, cfg, plan = pipeline_scene
+    return render_depth(scene, cfg.camera), cfg, plan
 
 
 class TestBilateral:
@@ -275,13 +283,48 @@ class TestIO:
 
     def test_bad_pitch_is_rejected(self):
         for bad in (math.nan, math.inf, -math.inf, 0.0, -0.5):
+            record = record_bytes(Patch(data=np.zeros((4, 4), np.float32), pitch=bad))
             with pytest.raises(DegenerateInput, match="pitch"):
-                Patch(data=np.zeros((4, 4), np.float32), pitch=bad)
-            with pytest.raises(DegenerateInput, match="pitch"):
-                DepthImage(data=np.zeros((4, 6), np.float32), pitch=bad)
+                patch_from_record(record)
+
+    def test_non_square_or_non_finite_record_is_rejected(self):
+        wide = record_bytes(DepthImage(data=np.zeros((4, 6), np.float32), pitch=0.5))
+        with pytest.raises(ShapeMismatch, match="not square"):
+            patch_from_record(wide)
+        for bad in (math.nan, math.inf, -math.inf):
+            data = np.zeros((4, 4), np.float32)
+            data[2, 3] = bad
+            with pytest.raises(DegenerateInput, match="finite"):
+                patch_from_record(record_bytes(Patch(data=data, pitch=0.5)))
 
     def test_downsample(self):
         img = flat(70.0, h=40, w=60, pitch=0.5)
         out = downsample(img, 4)
         assert out.data.shape == (10, 15)
         assert out.pitch == pytest.approx(2.0)
+
+
+class TestDepthBand:
+    def test_rendered_depths_stay_in_band(self, pipeline_scene, tmp_path):
+        """A depth image is only rendered from a pile that `settle_scene`
+        settled or `load_scene` accepted, with the default camera: its
+        depths are finite, from the camera height less the rim bound (the
+        wall top plus a cable diameter) to the camera height. The loaded
+        case includes a cable lifted to touch the bound."""
+        scene, cfg, _ = pipeline_scene
+        manifest = save_scene(scene, str(tmp_path))
+        doc = json.loads(open(manifest, encoding="utf-8").read())
+        rim = cfg.bin.wall_height + 2.0 * cfg.cable.radius
+        cable = scene.cables[0]
+        doc["cables"][0]["pose"]["translation"][2] += (
+            rim - cable.pose.apply(cable.mesh.vertices)[:, 2].max())
+        lifted = tmp_path / "lifted.json"
+        lifted.write_text(json.dumps(doc))
+        cam = Camera()
+        for pile in (scene, load_scene(manifest, cfg.bin, cfg.cable),
+                     load_scene(str(lifted), cfg.bin, cfg.cable)):
+            depth = render_depth(pile, cam).data
+            assert np.isfinite(depth).all()
+            assert cam.height - rim - 1e-5 <= depth.min() and depth.max() <= cam.height
+        # the lifted cable's top, seen at the pixel centres nearest to it
+        assert depth.min() < cam.height - rim + 0.1

@@ -245,6 +245,7 @@ ENTRY_POINTS = {
     "main",              # cli: the `graspforge` console script in pyproject.toml
     "generate_dataset",  # simlab: the fused run that the staged CLI chain must match
     "replay_sample",     # simlab: re-runs the oracle on a stored row; replay must give its label
+    "FAILURE_REASONS",   # simlab: the oracle's outcome reasons; the benchmark's train rows draw theirs
 }
 
 
@@ -329,3 +330,44 @@ def test_every_run_config_key_is_read():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     assert [f.name for f in fields(RunConfig) if f.name not in reads] == []
+
+
+# Value types whose constructors check nothing: only the program builds
+# them, and each outside value of their kind is checked by the reader that
+# takes it in (`load_scene`, `patch_from_record`, `load_net`, `load_dataset`).
+VALUE_TYPES = {"Pose3", "TriMesh", "Patch", "QualityNet", "DepthImage", "GraspOutcome",
+               "CableSpec", "Camera"}
+CONSTRUCTORS = {"__init__", "__post_init__"}
+
+
+def constructor_checks(path: Path) -> tuple[set[str], list[str]]:
+    """The VALUE_TYPES classes one file defines, and each `raise` or call of
+    a function named `check_...` or `_check_...` in one of their
+    constructors."""
+    found, classes = [], set()
+    for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not (isinstance(cls, ast.ClassDef) and cls.name in VALUE_TYPES):
+            continue
+        classes.add(cls.name)
+        for method in cls.body:
+            if not (isinstance(method, ast.FunctionDef) and method.name in CONSTRUCTORS):
+                continue
+            for node in ast.walk(method):
+                name = (getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                        if isinstance(node, ast.Call) else None)
+                if isinstance(node, ast.Raise):
+                    found.append(f"{path.relative_to(PACKAGE)}:{node.lineno} "
+                                 f"{cls.name}.{method.name} raises")
+                elif name and name.lstrip("_").startswith("check_"):
+                    found.append(f"{path.relative_to(PACKAGE)}:{node.lineno} "
+                                 f"{cls.name}.{method.name} calls {name}")
+    return classes, found
+
+
+def test_value_types_check_nothing_when_built():
+    """Each outside value is checked once, by the reader that takes it in:
+    the constructors of VALUE_TYPES raise nothing and call no check, so a
+    value the program builds is not checked again each time."""
+    results = [constructor_checks(path) for path in sorted(PACKAGE.rglob("*.py"))]
+    assert set().union(*(classes for classes, _ in results)) == VALUE_TYPES
+    assert [line for _, found in results for line in found] == []

@@ -1,22 +1,66 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from graspforge.errors import DegenerateInput
-from graspforge.geometry import Pose3, TriMesh, box_mesh, convex_hull, load_obj, save_obj
+from graspforge.geometry import Pose3, box_mesh, convex_hull, load_obj, save_obj
+from graspforge.scene import BinSpec, CableSpec, load_scene, save_scene, settle_scene
 from oracles import extrude_polygon, mesh_volume, piece_contains, ray_mesh, uv_sphere
 
 
-class TestTriMesh:
-    def test_validation_rejects_bad_faces(self):
-        v = np.zeros((4, 3))
-        with pytest.raises(DegenerateInput):
-            TriMesh(v, np.array([[0, 1, 9], [0, 1, 2], [0, 2, 3], [1, 2, 3]]))
+@pytest.fixture
+def saved_pile(tmp_path):
+    """A settled one-cable pile saved under tmp_path: its manifest and its
+    cable's OBJ. Poses and meshes enter only through `load_scene`, which
+    checks them."""
+    manifest = Path(save_scene(settle_scene(BinSpec(), [CableSpec()], seed=2), str(tmp_path)))
+    return manifest, tmp_path / json.loads(manifest.read_text())["cables"][0]["mesh"]
 
-    def test_validation_rejects_nonfinite(self):
-        v = np.zeros((4, 3))
-        v[0, 0] = np.nan
-        with pytest.raises(DegenerateInput):
-            TriMesh(v, np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]))
+
+def rejected(manifest: Path, path: Path, text: str, named: str) -> None:
+    """With path holding text, load_scene raises DegenerateInput naming the
+    manifest and `named`; path then gets its text back."""
+    good = path.read_text()
+    path.write_text(text)
+    try:
+        with pytest.raises(DegenerateInput) as err:
+            load_scene(str(manifest), BinSpec(), CableSpec())
+    finally:
+        path.write_text(good)
+    assert str(manifest) in str(err.value) and named in str(err.value)
+
+
+def with_line(text: str, prefix: str, k: int, line: str) -> str:
+    """text with the k-th of its lines that start with prefix replaced."""
+    lines = text.splitlines()
+    lines[[i for i, old in enumerate(lines) if old.startswith(prefix)][k]] = line
+    return "\n".join(lines) + "\n"
+
+
+def with_pose(text: str, key: str, value: list) -> str:
+    """A manifest's text with cable 0's pose translation or rotation set."""
+    doc = json.loads(text)
+    doc["cables"][0]["pose"][key] = value
+    return json.dumps(doc)
+
+
+class TestTriMesh:
+    def test_validation_rejects_bad_faces(self, saved_pile):
+        # a face index past the last vertex: load_scene compares every face
+        manifest, obj = saved_pile
+        rejected(manifest, obj, with_line(obj.read_text(), "f ", 0, "f 1 2 999"), str(obj))
+
+    def test_validation_rejects_nonfinite(self, saved_pile):
+        # a NaN in ring 0 passes the ring-center and radius tests (NaN is
+        # not above their tolerance), and one in a cap center meets no test
+        # but the finite check
+        manifest, obj = saved_pile
+        for k in (0, -1):
+            rejected(manifest, obj, with_line(obj.read_text(), "v ", k, "v nan 0.0 0.0"),
+                     "non-finite vertex")
+        load_scene(str(manifest), BinSpec(), CableSpec())
 
     def test_box_volume_and_aabb(self):
         m = box_mesh((1.0, 2.0, 3.0), (0.5, 1.0, 1.5))
@@ -154,13 +198,15 @@ class TestPose3:
                           [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
         assert m.tobytes() == fresh.tobytes()
 
-    def test_nonunit_quaternion_rejected(self):
-        with pytest.raises(DegenerateInput):
-            Pose3(np.zeros(3), np.array([1.0, 1.0, 0.0, 0.0]))
+    def test_nonunit_quaternion_rejected(self, saved_pile):
+        manifest, _ = saved_pile
+        rejected(manifest, manifest,
+                 with_pose(manifest.read_text(), "rotation", [1.0, 1.0, 0.0, 0.0]), "quaternion")
 
-    def test_non_finite_pose_rejected(self):
+    def test_non_finite_pose_rejected(self, saved_pile):
         # a NaN pose would pass a norm test and pose a cable nowhere
-        with pytest.raises(DegenerateInput):
-            Pose3(np.array([0.0, np.nan, 0.0]))
-        with pytest.raises(DegenerateInput):
-            Pose3(np.zeros(3), np.array([np.nan, 0.0, 0.0, 0.0]))
+        manifest, _ = saved_pile
+        for key, value in (("translation", [0.0, float("nan"), 0.0]),
+                           ("rotation", [float("nan"), 0.0, 0.0, 0.0])):
+            rejected(manifest, manifest, with_pose(manifest.read_text(), key, value),
+                     "pose is not finite")

@@ -150,23 +150,34 @@ class TestQualityNet:
         want = 1.0 / (1.0 + math.exp(-(1.3 * c - 0.2)))
         assert quality(net, p) == pytest.approx(want, abs=1e-7)
 
-    def test_bad_sizes_rejected(self):
+    def test_bad_sizes_rejected(self, tmp_path):
+        # a checkpoint's input size enters through load_net
+        path = tmp_path / "net.gfqn"
         for size in (0, 4, 12, 20):
-            with pytest.raises(DegenerateInput):
-                zeros_net(size)
+            save_net(QualityNet(size, zeros_net(16).params), path)
+            with pytest.raises(DegenerateInput, match="multiple of 8") as err:
+                load_net(path)
+            assert str(path) in str(err.value)
 
-    def test_param_validation(self):
+    def test_param_validation(self, tmp_path):
+        # a checkpoint's tensors enter through load_net: one missing, one of
+        # the wrong shape, one not finite
         net = zeros_net(16)
-        with pytest.raises(ShapeMismatch):
-            QualityNet(16, net.params[:-1])
+        path = tmp_path / "net.gfqn"
         bad = [p.copy() for p in net.params]
         bad[0] = np.zeros((8, 1, 5, 5), dtype=np.float32)
-        with pytest.raises(ShapeMismatch):
-            QualityNet(16, bad)
         nan = [p.copy() for p in net.params]
         nan[2][0, 0, 0, 0] = np.nan
-        with pytest.raises(DegenerateInput):
-            QualityNet(16, nan)
+        for params, detail in ((net.params[:-1], "ends early"),
+                               (bad, "conv1_w: expected"), (nan, "conv2_w contains non-finite")):
+            save_net(QualityNet(16, params), path)
+            with pytest.raises(DegenerateInput, match=detail) as err:
+                load_net(path)
+            assert str(path) in str(err.value)
+        # the parse itself raises a wrong shape as ShapeMismatch
+        save_net(QualityNet(16, bad), path)
+        with pytest.raises(ShapeMismatch):
+            model._parse_net(path.read_bytes())
 
     def test_forward_many_matches_single(self):
         rng = np.random.default_rng(7)

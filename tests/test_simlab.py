@@ -12,6 +12,7 @@ import pytest
 from graspforge import sampler as sampler_mod
 from graspforge import scene as scene_mod
 from graspforge.cli import dispatch
+from graspforge.config import RunConfig
 from graspforge.depthproc import Patch
 from graspforge.errors import DatasetNotFound, DegenerateInput, SingleClass
 from graspforge.geometry import Pose3, convex_hull, gjk_world
@@ -125,21 +126,42 @@ class TestOutcomeTypes:
         bad = GraspOutcome(0, "empty_close", frozenset())
         assert bad.contacted_ids == frozenset()
 
-    def test_label_reason_consistency(self):
-        with pytest.raises(DegenerateInput):
-            GraspOutcome(1, "approach_collision", frozenset({0}))
-        with pytest.raises(DegenerateInput):
-            GraspOutcome(0, "none", frozenset({0}))
-        with pytest.raises(DegenerateInput):
-            GraspOutcome(1, "none", frozenset({0, 1}))
-        with pytest.raises(DegenerateInput):
-            GraspOutcome(0, "fell_off_table", frozenset())
+    def test_pipeline_pile_outcomes_are_consistent(self):
+        """Only `execute_grasp` builds an outcome. Over the candidates
+        sampled on the `pipeline` benchmark's two piles (master seed 40),
+        each reason is one of FAILURE_REASONS, the label is 1 exactly when
+        the reason is "none", and the contacted cable ids are as many as
+        the reason says: one for a hold or a one-cable pinch without force
+        closure, two or more for a multi-cable pinch, none for a collision
+        on the way down or an empty close."""
+        ids_by_reason = {"none": 1, "no_force_closure": 1, "multi_object": 2,
+                         "approach_collision": 0, "empty_close": 0}
+        seen = Counter()
+        for cfg in (RunConfig().dataset_config(), RunConfig().eval_config()):
+            plan = scene_plan(cfg, 40, 0)
+            scene = settle_plan(cfg, plan)
+            [(_, _, cands, _)] = sampled_scenes(cfg, [(0, scene, plan)], Counter())
+            for pose, _ in cands:
+                out = execute_grasp(scene, pose, plan["f"])
+                assert out.failure_reason in FAILURE_REASONS
+                assert (out.label == 1) == (out.failure_reason == "none")
+                assert min(len(out.contacted_ids), 2) == ids_by_reason[out.failure_reason]
+                seen[out.failure_reason] += 1
+        assert seen["none"] > 0 and len(seen) >= 3, seen
 
-    def test_sample_validation(self):
-        # patch finiteness is enforced by the Patch type itself; a stored
-        # label and reason are checked by load_dataset
-        with pytest.raises(DegenerateInput):
-            Patch(data=np.full((4, 4), np.inf, dtype=np.float32), pitch=0.5)
+    def test_sample_validation(self, tmp_path):
+        # a stored patch's finiteness is checked as its record is read, and
+        # a stored label and reason by load_dataset
+        rows = [{"scene_index": i, "candidate_index": 0,
+                 "patch": Patch(data=np.full((8, 8), fill, dtype=np.float32), pitch=0.5),
+                 "label": i, "reason": None, "contacted_ids": [0], "scene_seed": i,
+                 "cable_count": 1, "f": 0.3,
+                 "pose": {"x": 0.0, "y": 0.0, "z": 1.0, "theta": 0.0, "w": 8.0}}
+                for i, fill in enumerate((0.0, np.inf))]
+        idx = write_dataset(rows, {"overfilled": 0, "no_candidates": 0}, 2, 0, tmp_path)
+        with pytest.raises(DegenerateInput, match="finite") as err:
+            load_dataset(idx)
+        assert str(idx.with_suffix(".blob")) in str(err.value)
 
 
 class TestExecuteGrasp:
@@ -440,7 +462,7 @@ class TestGenerateDataset:
         naming the blob, rather than loading a patch that nothing can scale."""
         rows = [{
             "scene_index": i, "candidate_index": 0,
-            "patch": Patch(data=np.zeros((4, 4), np.float32), pitch=1.0),
+            "patch": Patch(data=np.zeros((8, 8), np.float32), pitch=1.0),
             "label": i % 2, "reason": None,
             "contacted_ids": [0], "scene_seed": i, "cable_count": 1, "f": 0.3,
             "pose": {"x": 0.0, "y": 0.0, "z": 1.0, "theta": 0.0, "w": 8.0},
@@ -448,7 +470,7 @@ class TestGenerateDataset:
         idx = write_dataset(rows, {"overfilled": 0, "no_candidates": 0}, 2, 0, tmp_path)
         blob = idx.with_suffix(".blob")
         good = blob.read_bytes()
-        assert load_dataset(idx)[0].shape == (2, 4, 4)
+        assert load_dataset(idx)[0].shape == (2, 8, 8)
         # the first record's header: magic, width, height, then the f32 pitch
         for bad in (math.nan, math.inf, 0.0, -0.5):
             blob.write_bytes(good[:12] + struct.pack("<f", bad) + good[16:])
@@ -461,7 +483,7 @@ class TestGenerateDataset:
         labels = [1, 0, 1, 0, 0]
         rows = [{
             "scene_index": i, "candidate_index": 0,
-            "patch": Patch(data=np.zeros((4, 4), np.float32), pitch=1.0),
+            "patch": Patch(data=np.zeros((8, 8), np.float32), pitch=1.0),
             "label": label, "reason": reason,
             "contacted_ids": [0], "scene_seed": i, "cable_count": 1, "f": 0.3,
             "pose": {"x": 0.0, "y": 0.0, "z": 1.0, "theta": 0.0, "w": 8.0},
@@ -475,7 +497,7 @@ class TestGenerateDataset:
         assert summary["reasons"]["none"] == 1
         x, stored, rows = load_dataset(idx)
         assert [r["reason"] for r in rows] == reasons
-        assert stored.tolist() == labels and x.shape == (len(rows), 4, 4)
+        assert stored.tolist() == labels and x.shape == (len(rows), 8, 8)
 
     def test_label_contradicting_reason_names_row(self, tmp_path):
         """A stored label that its stored reason contradicts fails the load,
